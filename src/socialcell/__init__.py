@@ -19,10 +19,9 @@ from .errors import ConfigError, InputError, LinkRangeError, SocialCellError
 from .harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
                       replication_seed, run_experiment)
 from .matching import (AnnealResult, AssociationProblem, Matching,
-                       ServingNode, SwapEngineConfig, anneal_match,
-                       anneal_on_problem, audit_stability, build_problem,
-                       greedy_stabilize, is_stable_swap, max_rssi_baseline,
-                       social_welfare)
+                       ServingNode, SwapEngineConfig, anneal_on_problem,
+                       audit_stability, build_problem, greedy_stabilize,
+                       is_stable_swap, max_rssi_baseline)
 from .radio import (LinkBudget, PathlossParams, RadioScenario, channel_gain,
                     generate_topology, link_rate, pathloss_db)
 from .socialgraph import (SocialGraph, build_social_graph, edge_betweenness,
@@ -36,7 +35,7 @@ __all__ = [
     "InputError", "LinkBudget", "LinkRangeError", "Matching",
     "METHOD_BASELINE", "METHOD_SOCIAL", "PathlossParams", "RadioScenario",
     "ScenarioConfig", "ServingNode", "SocialCellError", "SocialGraph",
-    "SwapEngineConfig", "anneal_match", "anneal_on_problem", "apply_overrides",
+    "SwapEngineConfig", "anneal_on_problem", "apply_overrides",
     "audit_stability",
     "build_problem", "build_social_graph", "channel_gain", "config_as_dict",
     "config_sha", "dump_config", "edge_betweenness", "elect_important_ues",

@@ -51,38 +51,18 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _build_problem(cfg: cfgmod.ScenarioConfig):
-    """Build the association problem for a single run.
-
-    A single run is treated as replication 0 of a one-point experiment so
-    that its streams line up with what the sweep harness would draw.
-    """
-    topo_seed = harness.replication_seed(cfg.seed, 0, 0, harness.STREAM_TOPOLOGY)
-    social_seed = harness.replication_seed(cfg.seed, 0, 0, harness.STREAM_SOCIAL)
-    engine_seed = harness.replication_seed(cfg.seed, 0, 0, harness.STREAM_ENGINE)
-    scenario = cfgmod.scenario_from_config(cfg, seed=topo_seed)
-    graph = cfgmod.social_graph_from_config(cfg, scenario, seed=social_seed)
-    _, _, xmat = cfgmod.social_pipeline_from_config(cfg, graph)
-    engine = cfgmod.engine_config_from_config(cfg, seed=engine_seed)
-    problem = matching.build_problem(scenario, graph, xmat, engine)
-    return scenario, problem
-
-
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     sha = cfgmod.config_sha(cfg)
     out = _ensure_outdir(args.out)
-    scenario, problem = _build_problem(cfg)
+    # A single run is replication 0 of a one-point experiment, so its seed
+    # streams line up with what the sweep harness would draw.
+    scenario, problem = harness.build_replication(cfg, 0, 0)
 
     t0 = time.perf_counter()
-    result = matching.anneal_on_problem(problem)
-    final = result.matching
-    stabilized = False
-    if cfg.stabilize:
-        stab = matching.greedy_stabilize(problem, final.assign)
-        final = problem.matching(stab.assign)
-        stabilized = True
-    social_report = problem.report(final.assign)
+    result, assign = harness.social_aware_assignment(problem, cfg.stabilize)
+    final = problem.matching(assign)
+    social_report = problem.report(assign)
     baseline_report = problem.report(problem.rssi_assignment)
     elapsed = time.perf_counter() - t0
 
@@ -111,7 +91,7 @@ def cmd_run(args) -> int:
         "methods": {
             harness.METHOD_SOCIAL: {**method_stats(social_report),
                                     "iterations": result.best_iteration,
-                                    "stabilized": stabilized},
+                                    "stabilized": cfg.stabilize},
             harness.METHOD_BASELINE: {**method_stats(baseline_report),
                                       "iterations": 0},
         },
@@ -169,7 +149,7 @@ def cmd_audit(args) -> int:
         raise ConfigError(
             f"matching file was produced under config {saved_sha}, current "
             f"config hashes to {sha}; re-run before auditing")
-    _, problem = _build_problem(cfg)
+    _, problem = harness.build_replication(cfg, 0, 0)
     assign = matching.assignment_from_rows(problem, rows)
     violations = matching.audit_stability(problem, assign)
     if not violations:

@@ -22,7 +22,9 @@ from .config import (ScenarioConfig, config_as_dict, engine_config_from_config,
                      scenario_from_config, social_graph_from_config,
                      social_pipeline_from_config)
 from .errors import ConfigError
-from .matching import anneal_on_problem, build_problem, greedy_stabilize
+from .matching import (AnnealResult, AssociationProblem, anneal_on_problem,
+                       build_problem, greedy_stabilize)
+from .radio import RadioScenario
 
 METHOD_SOCIAL = "social-aware"
 METHOD_BASELINE = "max-rssi"
@@ -123,18 +125,40 @@ class ExperimentResult:
     aggregates: tuple[PointAggregate, ...]
 
 
+def build_replication(cfg: ScenarioConfig, point_index: int,
+                      replication: int) -> tuple[RadioScenario, AssociationProblem]:
+    """Scenario and association problem of one (sweep point, replication) cell.
+
+    `cfg` already holds the point's value of the swept variable.  Topology,
+    social graph and engine each draw from their own stream of cfg.seed.
+    """
+    def seed(stream: int) -> int:
+        return replication_seed(cfg.seed, point_index, replication, stream)
+
+    scenario = scenario_from_config(cfg, seed=seed(STREAM_TOPOLOGY))
+    graph = social_graph_from_config(cfg, scenario, seed=seed(STREAM_SOCIAL))
+    _, _, xmat = social_pipeline_from_config(cfg, graph)
+    engine = engine_config_from_config(cfg, seed=seed(STREAM_ENGINE))
+    return scenario, build_problem(scenario, graph, xmat, engine)
+
+
+def social_aware_assignment(problem: AssociationProblem,
+                            stabilize: bool) -> tuple[AnnealResult, np.ndarray]:
+    """Anneal, then apply the greedy stable-swap pass when `stabilize` is set.
+
+    Returns the search result and the final assignment.
+    """
+    result = anneal_on_problem(problem)
+    assign = result.matching.assign
+    if stabilize:
+        assign = greedy_stabilize(problem, assign).assign
+    return result, assign
+
+
 def _replication_task(args) -> list[ReplicationRow]:
     base, sweep_variable, x, point_index, replication, methods = args
     cfg = dataclasses.replace(base, **{sweep_variable: int(x)})
-    scenario = scenario_from_config(
-        cfg, seed=replication_seed(base.seed, point_index, replication, STREAM_TOPOLOGY))
-    graph = social_graph_from_config(
-        cfg, scenario, seed=replication_seed(base.seed, point_index, replication,
-                                             STREAM_SOCIAL))
-    _, _, xmat = social_pipeline_from_config(cfg, graph)
-    engine = engine_config_from_config(
-        cfg, seed=replication_seed(base.seed, point_index, replication, STREAM_ENGINE))
-    problem = build_problem(scenario, graph, xmat, engine)
+    _, problem = build_replication(cfg, point_index, replication)
 
     rows = []
     for method in methods:
@@ -142,10 +166,7 @@ def _replication_task(args) -> list[ReplicationRow]:
             report = problem.report(problem.rssi_assignment)
             iters = 0
         else:
-            result = anneal_on_problem(problem)
-            assign = result.matching.assign
-            if cfg.stabilize:
-                assign = greedy_stabilize(problem, assign).assign
+            result, assign = social_aware_assignment(problem, cfg.stabilize)
             report = problem.report(assign)
             iters = result.best_iteration
         rows.append(ReplicationRow(

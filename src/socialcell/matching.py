@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .radio import (RadioScenario, dbm_to_mw, pathloss_db, scbs_ue_distances,
                     subcarrier_offset, ue_ue_distances)
-from .socialgraph import (SCBS, UE, X_FLOOR, ImportanceRanking, NodeRef,
+from .socialgraph import (SCBS, UE, X_FLOOR, ImportanceRanking,
                           SocialDistanceMatrix, SocialGraph,
                           elect_important_ues, importance_scores)
 
@@ -44,9 +45,6 @@ class ServingNode:
     kind: str
     node_id: int
     cell_scbs: int | None = None
-
-    def label(self) -> str:
-        return f"{self.kind}{self.node_id}"
 
 
 @dataclass(frozen=True)
@@ -146,17 +144,6 @@ class Matching:
         k = int(self.assign[m])
         return None if k < 0 else self.serving_nodes[k]
 
-    def served(self, k: int) -> tuple[int, ...]:
-        return tuple(int(m) for m in np.flatnonzero(self.assign == k))
-
-    def cells(self) -> dict[int, tuple[int, ...]]:
-        """SCBS id -> UEs it serves directly (relays included)."""
-        out = {}
-        for k, sn in enumerate(self.serving_nodes):
-            if sn.kind == SN_SCBS:
-                out[sn.node_id] = self.served(k)
-        return out
-
 
 @dataclass(frozen=True)
 class TraceRow:
@@ -228,20 +215,10 @@ class AssociationProblem:
         except KeyError as exc:
             raise InputError(f"social graph is missing scenario node {exc.args[0]}") from None
 
-        pl = scenario.pathloss
-        d_su = scbs_ue_distances(scenario)
-        self.prx_scbs = (dbm_to_mw(scenario.scbs_power_dbm)
-                         * 10.0 ** (-pathloss_db(SCBS, d_su, pl) / 10.0)
-                         * scenario.fading_gain)
-        self.in_scbs = d_su <= scenario.scbs_radius_m
-        self._d_su = d_su
+        self.prx_scbs, self.in_scbs = scbs_reception(scenario)
 
         # Phase I seed state: classical max-RSSI association, no D2D.
-        rssi = np.full(M, -1, dtype=np.int64)
-        for m in range(M):
-            avail = np.flatnonzero(self.in_scbs[:, m])
-            if len(avail):
-                rssi[m] = avail[np.argmax(self.prx_scbs[avail, m])]
+        rssi = max_rssi(self.prx_scbs, self.in_scbs)
         rssi.setflags(write=False)
         self.rssi_assignment = rssi
 
@@ -262,38 +239,26 @@ class AssociationProblem:
         self.is_relay[self.relay_ues] = True
         self.relay_sn_of = {int(p): N + j for j, p in enumerate(relays)}
 
-        d_uu = ue_ue_distances(scenario)
-        if self.n_relays:
-            d_ru = d_uu[self.relay_ues, :]
-            self.prx_d2d = (dbm_to_mw(scenario.ue_power_dbm)
-                            * 10.0 ** (-pathloss_db(UE, d_ru, pl) / 10.0)
-                            * scenario.fading_gain)
-            self.in_d2d = d_ru <= scenario.d2d_radius_m
-            for j, p in enumerate(relays):
-                self.prx_d2d[j, p] = 0.0       # a node neither serves nor jams itself
-                self.in_d2d[j, p] = False
-            self.in_d2d[:, self.relay_ues] = False   # relays connect only to SCBSs
-            self._d_ru = d_ru
-        else:
-            self.prx_d2d = np.zeros((0, M))
-            self.in_d2d = np.zeros((0, M), dtype=bool)
-            self._d_ru = np.zeros((0, M))
+        d_ru = ue_ue_distances(scenario)[self.relay_ues, :]
+        self.prx_d2d = (dbm_to_mw(scenario.ue_power_dbm)
+                        * 10.0 ** (-pathloss_db(UE, d_ru, scenario.pathloss) / 10.0)
+                        * scenario.fading_gain)
+        self.in_d2d = d_ru <= scenario.d2d_radius_m
+        for j, p in enumerate(relays):
+            self.prx_d2d[j, p] = 0.0       # a node neither serves nor jams itself
+            self.in_d2d[j, p] = False
+        self.in_d2d[:, self.relay_ues] = False   # relays connect only to SCBSs
 
         self.x_scbs_ue = x.values[np.ix_(self._scbs_vert, self._ue_vert)]
-        if self.n_relays:
-            rel_vert = self._ue_vert[self.relay_ues]
-            x_rel = x.values[np.ix_(rel_vert, self._ue_vert)]
-            eps = self.config.d2d_weight_epsilon or 1.0 / scenario.d2d_radius_m
-            self.d2d_weight = eps * self._d_ru * x_rel
-        else:
-            self.d2d_weight = np.zeros((0, M))
+        x_rel = x.values[np.ix_(self._ue_vert[self.relay_ues], self._ue_vert)]
+        eps = self.config.d2d_weight_epsilon or 1.0 / scenario.d2d_radius_m
+        self.d2d_weight = eps * d_ru * x_rel
 
         # static target feasibility: range plus node-kind rules
         feas = np.zeros((M, self.n_sns), dtype=bool)
         feas[:, :N] = self.in_scbs.T
-        if self.n_relays:
-            feas[:, N:] = self.in_d2d.T
-            feas[self.relay_ues, N:] = False
+        feas[:, N:] = self.in_d2d.T
+        feas[self.relay_ues, N:] = False
         self.feasible_sn = feas
         self.servable = feas.any(axis=1)
 
@@ -447,84 +412,23 @@ def build_problem(scenario: RadioScenario, graph: SocialGraph,
 
 
 # --------------------------------------------------------------------------
-# free-function utility wrappers
-# --------------------------------------------------------------------------
-
-def ue_utility(problem: AssociationProblem, assign: np.ndarray, m: int) -> float:
-    """Utility of UE m under the given assignment (0 when unserved)."""
-    return float(problem.evaluate(assign).utilities[m])
-
-
-def sn_utility(problem: AssociationProblem, assign: np.ndarray, k: int) -> float:
-    """Utility of serving node k: the sum over the UEs it serves."""
-    return float(problem.evaluate(assign).sn_utilities[k])
-
-
-def social_welfare(problem: AssociationProblem, assign: np.ndarray) -> float:
-    """Total welfare: SN utilities plus UE utilities (twice the UE sum)."""
-    return problem.evaluate(assign).welfare
-
-
-def prefers(problem: AssociationProblem, m: int,
-            assign_a: np.ndarray, assign_b: np.ndarray) -> bool:
-    """Does UE m strictly prefer its situation in assign_a over assign_b?"""
-    return ue_utility(problem, assign_a, m) > ue_utility(problem, assign_b, m)
-
-
-def sn_prefers(problem: AssociationProblem, k: int,
-               assign_a: np.ndarray, assign_b: np.ndarray) -> bool:
-    """Does serving node k strictly prefer assign_a over assign_b?"""
-    return sn_utility(problem, assign_a, k) > sn_utility(problem, assign_b, k)
-
-
-def candidate_sns(problem: AssociationProblem, m: int,
-                  assign: np.ndarray | None = None) -> list[int]:
-    """Feasible serving nodes for UE m, best first.
-
-    SCBS candidates are ordered by descending utility for m, relay
-    candidates by ascending pairing weight; SCBSs come first.  When an
-    assignment is given, utilities and the minimum-rate filter see the
-    loads of that assignment with m moved to the candidate; otherwise the
-    candidate is evaluated as an unloaded single link.
-    """
-    r_bar = problem.config.min_rate_bps
-    scbs_c = [int(k) for k in np.flatnonzero(problem.feasible_sn[m, :problem.n_scbs])]
-    relay_c = [int(k) + problem.n_scbs
-               for k in np.flatnonzero(problem.feasible_sn[m, problem.n_scbs:])]
-
-    def try_at(k: int) -> tuple[float, float]:
-        if assign is not None:
-            trial = np.array(assign, dtype=np.int64)
-            trial[m] = k
-            ev = problem.evaluate(trial)
-            return float(ev.utilities[m]), float(ev.rates[m])
-        trial = np.full(problem.n_ues, -1, dtype=np.int64)
-        trial[m] = k
-        if k >= problem.n_scbs:    # a lone D2D link still needs its backhaul
-            p = int(problem.relay_ues[k - problem.n_scbs])
-            trial[p] = int(problem.rssi_assignment[p])
-        ev = problem.evaluate(trial)
-        return float(ev.utilities[m]), float(ev.rates[m])
-
-    ranked: list[int] = []
-    scored = [(k, *try_at(k)) for k in scbs_c]
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    for k, _util, rate in scored:
-        if r_bar > 0 and rate < r_bar:
-            continue
-        ranked.append(k)
-    relay_order = sorted(
-        relay_c, key=lambda k: (problem.d2d_weight[k - problem.n_scbs, m], k))
-    for k in relay_order:
-        if r_bar > 0 and try_at(k)[1] < r_bar:
-            continue
-        ranked.append(k)
-    return ranked
-
-
-# --------------------------------------------------------------------------
 # baseline
 # --------------------------------------------------------------------------
+
+def scbs_reception(scenario: RadioScenario) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M) SCBS-to-UE received power in mW and the matching in-range mask."""
+    d_su = scbs_ue_distances(scenario)
+    prx = (dbm_to_mw(scenario.scbs_power_dbm)
+           * 10.0 ** (-pathloss_db(SCBS, d_su, scenario.pathloss) / 10.0)
+           * scenario.fading_gain)
+    return prx, d_su <= scenario.scbs_radius_m
+
+
+def max_rssi(prx: np.ndarray, in_range: np.ndarray) -> np.ndarray:
+    """Strongest in-range SCBS of each UE, ties to the lowest id; -1 if none."""
+    best = np.argmax(np.where(in_range, prx, -np.inf), axis=0)
+    return np.where(in_range.any(axis=0), best, -1).astype(np.int64)
+
 
 def max_rssi_baseline(scenario: RadioScenario) -> Matching:
     """Classical cell selection: strongest in-range SCBS, ties to lowest id.
@@ -533,18 +437,8 @@ def max_rssi_baseline(scenario: RadioScenario) -> Matching:
     unserved.  Invariant to any common rescaling of transmit powers, since
     only the argmax matters.
     """
-    pl = scenario.pathloss
-    d_su = scbs_ue_distances(scenario)
-    prx = (dbm_to_mw(scenario.scbs_power_dbm)
-           * 10.0 ** (-pathloss_db(SCBS, d_su, pl) / 10.0) * scenario.fading_gain)
-    in_range = d_su <= scenario.scbs_radius_m
-    assign = np.full(scenario.n_ues, -1, dtype=np.int64)
-    for m in range(scenario.n_ues):
-        avail = np.flatnonzero(in_range[:, m])
-        if len(avail):
-            assign[m] = avail[np.argmax(prx[avail, m])]
     nodes = tuple(ServingNode(SN_SCBS, i) for i in range(scenario.n_scbs))
-    return Matching(assign=assign, serving_nodes=nodes)
+    return Matching(assign=max_rssi(*scbs_reception(scenario)), serving_nodes=nodes)
 
 
 # --------------------------------------------------------------------------
@@ -641,49 +535,33 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
                         problem=problem)
 
 
-def anneal_match(scenario: RadioScenario, graph: SocialGraph,
-                 x: SocialDistanceMatrix,
-                 config: SwapEngineConfig | None = None) -> AnnealResult:
-    """Elect relays, seed with max-RSSI, anneal swaps, return the best state."""
-    return anneal_on_problem(build_problem(scenario, graph, x, config))
-
-
 # --------------------------------------------------------------------------
 # two-sided stability
 # --------------------------------------------------------------------------
 
-def _swapped_state(problem: AssociationProblem, assign: np.ndarray, m: int,
-                   n: int | None, target: int | None):
-    """Build the post-swap assignment, or (None, reason) when infeasible."""
-    if n is not None:
-        if n == m:
-            return None, "degenerate"
-        if not problem.swap_ok(assign, m, n):
-            return None, "infeasible"
-        out = assign.copy()
-        out[m], out[n] = assign[n], assign[m]
-        return out, ""
-    if target is None:
-        return None, "no-target"
-    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
-    if not problem.move_ok(assign, counts, m, target):
-        return None, "infeasible"
-    out = assign.copy()
-    out[m] = target
-    return out, ""
-
-
 def _swap_improves(problem: AssociationProblem, assign: np.ndarray,
                    base: EvalResult, m: int, n: int | None,
-                   target: int | None) -> SwapCheck:
-    swapped, why = _swapped_state(problem, assign, m, n, target)
-    if swapped is None:
-        return SwapCheck(satisfied=False, reason=why)
+                   target: int | None) -> tuple[SwapCheck, EvalResult | None]:
+    """Check the two-sided condition; also return the post-swap evaluation."""
+    swapped = assign.copy()
+    if n is not None:
+        if n == m:
+            return SwapCheck(satisfied=False, reason="degenerate"), None
+        if not problem.swap_ok(assign, m, n):
+            return SwapCheck(satisfied=False, reason="infeasible"), None
+        swapped[m], swapped[n] = assign[n], assign[m]
+    elif target is None:
+        return SwapCheck(satisfied=False, reason="no-target"), None
+    else:
+        counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
+        if not problem.move_ok(assign, counts, m, target):
+            return SwapCheck(satisfied=False, reason="infeasible"), None
+        swapped[m] = target
     after = problem.evaluate(swapped)
     if (problem.config.min_rate_bps > 0
             and any(after.rates[u] < problem.config.min_rate_bps
                     for u in ((m,) if n is None else (m, n)))):
-        return SwapCheck(satisfied=False, reason="below-min-rate")
+        return SwapCheck(satisfied=False, reason="below-min-rate"), after
 
     befores, afters = [base.utilities[m]], [after.utilities[m]]
     if n is not None:
@@ -698,10 +576,10 @@ def _swap_improves(problem: AssociationProblem, assign: np.ndarray,
 
     delta = after.welfare - base.welfare
     if any(a < b for a, b in zip(afters, befores)):
-        return SwapCheck(satisfied=False, reason="someone-worse", welfare_delta=delta)
+        return SwapCheck(satisfied=False, reason="someone-worse", welfare_delta=delta), after
     if not any(a > b for a, b in zip(afters, befores)):
-        return SwapCheck(satisfied=False, reason="nobody-better", welfare_delta=delta)
-    return SwapCheck(satisfied=True, reason="approved", welfare_delta=delta)
+        return SwapCheck(satisfied=False, reason="nobody-better", welfare_delta=delta), after
+    return SwapCheck(satisfied=True, reason="approved", welfare_delta=delta), after
 
 
 def is_stable_swap(problem: AssociationProblem, assign: np.ndarray, m: int,
@@ -713,36 +591,41 @@ def is_stable_swap(problem: AssociationProblem, assign: np.ndarray, m: int,
     executed by the greedy pass; an assignment is swap-stable exactly when
     no such swap exists.
     """
-    return _swap_improves(problem, assign, problem.evaluate(assign), m, n, target)
+    return _swap_improves(problem, assign, problem.evaluate(assign), m, n, target)[0]
+
+
+def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
+    """Yield (violation, post-swap evaluation) for every approvable swap.
+
+    Scans pair swaps m < n first, then single moves of each servable UE to
+    each feasible serving node, always reading the live `assign`.  A caller
+    may apply the yielded swap to `assign` before resuming; the scan then
+    continues from the new state, reusing the yielded evaluation.
+    """
+    base = problem.evaluate(assign)
+    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
+    M = problem.n_ues
+    pairs = ((m, n, None) for m in range(M) if assign[m] >= 0 for n in range(m + 1, M))
+    moves = ((int(m), None, int(k)) for m in np.flatnonzero(problem.servable)
+             for k in np.flatnonzero(problem.feasible_sn[m]))
+    for m, n, k in chain(pairs, moves):
+        if not (problem.move_ok(assign, counts, m, k) if n is None
+                else problem.swap_ok(assign, m, n)):
+            continue
+        chk, after = _swap_improves(problem, assign, base, m, n, k)
+        if chk.satisfied:
+            was = assign[m]
+            target = k if n is None else int(assign[n])
+            yield StabilityViolation(m, n, target, chk.welfare_delta), after
+            if assign[m] != was:
+                base = after
+                counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
 
 
 def audit_stability(problem: AssociationProblem,
                     assign: np.ndarray) -> list[StabilityViolation]:
     """Exhaustively list every approvable pair swap and single move."""
-    base = problem.evaluate(assign)
-    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
-    found: list[StabilityViolation] = []
-    M = problem.n_ues
-    for m in range(M):
-        if assign[m] < 0:
-            continue
-        for n in range(m + 1, M):
-            if not problem.swap_ok(assign, m, n):
-                continue
-            chk = _swap_improves(problem, assign, base, m, n, None)
-            if chk.satisfied:
-                found.append(StabilityViolation(m, n, int(assign[n]), chk.welfare_delta))
-    for m in range(M):
-        if not problem.servable[m]:
-            continue
-        for k in np.flatnonzero(problem.feasible_sn[m]):
-            k = int(k)
-            if not problem.move_ok(assign, counts, m, k):
-                continue
-            chk = _swap_improves(problem, assign, base, m, None, k)
-            if chk.satisfied:
-                found.append(StabilityViolation(m, None, k, chk.welfare_delta))
-    return found
+    return [v for v, _ in _approved_swaps(problem, assign)]
 
 
 @dataclass(frozen=True)
@@ -764,45 +647,19 @@ def greedy_stabilize(problem: AssociationProblem, assign: np.ndarray,
     """
     assign = np.array(assign, dtype=np.int64)
     welfares: list[float] = []
-    applied = 0
-    M = problem.n_ues
-    while True:
+    changed = True
+    while changed:
         changed = False
-        base = problem.evaluate(assign)
-        counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
-        for m in range(M):
-            for n in range(m + 1, M):
-                if assign[m] < 0 or not problem.swap_ok(assign, m, n):
-                    continue
-                chk = _swap_improves(problem, assign, base, m, n, None)
-                if chk.satisfied:
-                    assign[m], assign[n] = assign[n], assign[m]
-                    base = problem.evaluate(assign)
-                    welfares.append(base.welfare)
-                    applied += 1
-                    changed = True
-                    if applied >= max_swaps:
-                        raise RuntimeError("greedy stabilization did not settle")
-        for m in range(M):
-            if not problem.servable[m]:
-                continue
-            for k in np.flatnonzero(problem.feasible_sn[m]):
-                k = int(k)
-                if not problem.move_ok(assign, counts, m, k):
-                    continue
-                chk = _swap_improves(problem, assign, base, m, None, k)
-                if chk.satisfied:
-                    assign[m] = k
-                    base = problem.evaluate(assign)
-                    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
-                    welfares.append(base.welfare)
-                    applied += 1
-                    changed = True
-                    if applied >= max_swaps:
-                        raise RuntimeError("greedy stabilization did not settle")
-        if not changed:
-            break
-    return StabilizeResult(assign=assign, applied=applied, welfares=tuple(welfares))
+        for v, after in _approved_swaps(problem, assign):
+            if v.other_ue is None:
+                assign[v.ue] = v.target_sn
+            else:
+                assign[v.ue], assign[v.other_ue] = assign[v.other_ue], assign[v.ue]
+            welfares.append(after.welfare)
+            changed = True
+            if len(welfares) >= max_swaps:
+                raise RuntimeError("greedy stabilization did not settle")
+    return StabilizeResult(assign=assign, applied=len(welfares), welfares=tuple(welfares))
 
 
 # --------------------------------------------------------------------------
@@ -856,23 +713,36 @@ def load_matching_csv(path) -> tuple[dict, list[tuple[int, int, str]]]:
 
 def assignment_from_rows(problem: AssociationProblem,
                          rows: Sequence[tuple[int, int, str]]) -> np.ndarray:
-    """Map loaded CSV rows back onto the problem's serving-node indices."""
+    """Map loaded CSV rows back onto the problem's serving-node indices.
+
+    Every UE needs exactly one row, and a served UE must name a serving
+    node it can use (in range, and no D2D service for relays).
+    """
     assign = np.full(problem.n_ues, -1, dtype=np.int64)
+    seen = np.zeros(problem.n_ues, dtype=bool)
     for ue, sn_id, kind in rows:
         if not 0 <= ue < problem.n_ues:
             raise InputError(f"matching row references unknown ue{ue}")
+        if seen[ue]:
+            raise InputError(f"ue{ue} has more than one matching row")
+        seen[ue] = True
         if kind == SN_NONE:
             continue
         if kind == SN_SCBS:
             if not 0 <= sn_id < problem.n_scbs:
                 raise InputError(f"matching row references unknown scbs{sn_id}")
-            assign[ue] = sn_id
+            k = sn_id
         elif kind == SN_RELAY:
             if sn_id not in problem.relay_sn_of:
                 raise InputError(f"ue{sn_id} is not a relay in this scenario")
-            assign[ue] = problem.relay_sn_of[sn_id]
+            k = problem.relay_sn_of[sn_id]
         else:
             raise InputError(f"unknown serving-node kind {kind!r}")
+        if not problem.feasible_sn[ue, k]:
+            raise InputError(f"ue{ue} cannot be served by {kind}{sn_id}")
+        assign[ue] = k
+    if not seen.all():
+        raise InputError(f"matching has no row for ue{int(np.argmin(seen))}")
     return assign
 
 

@@ -86,12 +86,6 @@ class SocialGraph:
         except ValueError:
             raise InputError(f"node {node_label(ref)} is not in the roster") from None
 
-    def degree(self, v: int) -> int:
-        return int(self.adjacency[v].sum())
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[v])
-
     def edges(self) -> list[tuple[NodeRef, NodeRef]]:
         out = []
         for u, v in zip(*np.nonzero(np.triu(self.adjacency))):
@@ -100,9 +94,6 @@ class SocialGraph:
 
     def ue_indices(self) -> list[int]:
         return [i for i, (kind, _) in enumerate(self.vertices) if kind == UE]
-
-    def scbs_indices(self) -> list[int]:
-        return [i for i, (kind, _) in enumerate(self.vertices) if kind == SCBS]
 
 
 # --------------------------------------------------------------------------
@@ -393,20 +384,6 @@ def elect_important_ues(scores: Mapping[int, float],
         else:
             elected[cell] = min(members, key=lambda m: (-scores[m], m))
     return ImportanceRanking(scores=dict(scores), elected=elected)
-
-
-def d2d_peer_weight(g: SocialGraph, x: SocialDistanceMatrix, relay: NodeRef,
-                    ue: NodeRef, distance_m: float, epsilon: float) -> float:
-    """Cost of pairing `ue` with `relay` over D2D: epsilon * distance * x.
-
-    Lower is better -- short links between socially close peers win.
-    """
-    if distance_m < 0:
-        raise InputError(f"distance must be >= 0, got {distance_m}")
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    xval = float(x.values[g.index(relay), g.index(ue)])
-    return epsilon * distance_m * xval
 
 
 def social_pipeline(g: SocialGraph, alpha: float = 0.5, beta: float = 0.5,

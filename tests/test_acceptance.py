@@ -21,9 +21,9 @@ from socialcell.cli import main as cli_main
 from socialcell.config import ScenarioConfig
 from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
                                 run_experiment)
-from socialcell.matching import (SwapEngineConfig, anneal_match,
-                                 anneal_on_problem, audit_stability,
-                                 build_problem, greedy_stabilize)
+from socialcell.matching import (SwapEngineConfig, anneal_on_problem,
+                                 audit_stability, build_problem,
+                                 greedy_stabilize)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> str:
@@ -127,7 +127,7 @@ def test_acceptance_3_anneal_matches_exhaustive_search():
         assert state_count(problem) <= 300_000
         assert (problem.initial_assignment()[problem.servable] >= 0).all()
         w_star = exhaustive_best_welfare(problem)
-        result = anneal_match(inst.scenario, inst.graph, inst.x, engine)
+        result = anneal_on_problem(build_problem(inst.scenario, inst.graph, inst.x, engine))
         w = result.report.welfare
         if w > w_star * (1.0 + 1e-9):
             exceeds += 1

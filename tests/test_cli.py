@@ -151,11 +151,24 @@ def test_audit_rejects_a_stale_config_hash(run_cfg, tmp_path, capsys):
 
 
 def test_audit_rejects_a_malformed_matching_file(run_cfg, tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("ue_id,sn_id,sn_kind,rate_bps,utility\n0,not-a-number,scbs,0,0\n")
-    rc = main(["audit", "--config", run_cfg, "--matching", str(bad)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    out = str(tmp_path / "out")
+    main(["run", "--config", run_cfg, "--out", out, "--quiet"])
+    lines = open(os.path.join(out, "matching_social-aware.csv")).read().splitlines()
+    head = [ln for ln in lines if ln.startswith("#")] + ["ue_id,sn_id,sn_kind,rate_bps,utility"]
+    rows = lines[len(head):]
+    everyone_on_scbs0 = [f"{r.split(',')[0]},0,scbs,0.0,0.0" for r in rows]
+    cases = {
+        "unparsable": ["0,not-a-number,scbs,0,0"],
+        "out of range": everyone_on_scbs0,
+        "duplicated ue": rows + [rows[1]],
+        "missing ue": rows[:-1],
+    }
+    for name, body in cases.items():
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(head + body) + "\n")
+        rc = main(["audit", "--config", run_cfg, "--matching", str(bad)])
+        assert rc == 1, name
+        assert "error:" in capsys.readouterr().err, name
 
 
 # --------------------------------------------------------------------------

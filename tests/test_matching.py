@@ -9,16 +9,14 @@ computation of the same physics.
 import numpy as np
 import pytest
 
-from conftest import clustered_instance, oracle_evaluate
+from conftest import clustered_instance, oracle_evaluate, social_ring_graph
 from socialcell import radio
 from socialcell import socialgraph as sg
 from socialcell.errors import ConfigError, InputError
 from socialcell.matching import (SN_RELAY, SN_SCBS, Matching, ServingNode,
                                  SwapEngineConfig, assignment_from_rows,
-                                 build_problem, candidate_sns,
-                                 load_matching_csv, matching_to_csv,
-                                 max_rssi_baseline, prefers, sn_prefers,
-                                 sn_utility, social_welfare, ue_utility)
+                                 build_problem, load_matching_csv,
+                                 matching_to_csv, max_rssi_baseline)
 
 
 def three_case_instance():
@@ -91,6 +89,23 @@ def test_d2d_feasibility_mask():
     assert problem.feasible_sn[5, sn_relay_a]          # 13 m < 20 m
     assert not problem.feasible_sn[5, :2].any()        # no SCBS in range
     assert problem.servable[5]
+
+
+def test_d2d_weight_definition_and_errors():
+    base = three_case_instance()
+    scen, graph, x = base.scenario, base.graph, base.x
+    for eps in (0.0, 0.05):               # 0 selects 1 / d2d_radius
+        problem = build_problem(scen, graph, x,
+                                SwapEngineConfig(seed=3, d2d_weight_epsilon=eps))
+        want_eps = eps or 1.0 / scen.d2d_radius_m
+        for j, p in enumerate(problem.relay_ues):
+            for m in range(problem.n_ues):
+                d = float(np.linalg.norm(scen.ue_xy[p] - scen.ue_xy[m]))
+                xval = float(x.values[graph.index(("ue", int(p))), graph.index(("ue", m))])
+                assert problem.d2d_weight[j, m] == pytest.approx(want_eps * d * xval,
+                                                                 abs=1e-12)
+    with pytest.raises(ConfigError):
+        SwapEngineConfig(d2d_weight_epsilon=-0.05)
 
 
 def test_graph_must_cover_scenario_nodes():
@@ -209,32 +224,6 @@ def test_report_lists_unserved_ues():
 
 
 # --------------------------------------------------------------------------
-# free-function wrappers
-# --------------------------------------------------------------------------
-
-def test_utility_wrappers_agree_with_evaluate():
-    problem = three_case_instance()
-    assign = problem.initial_assignment()
-    ev = problem.evaluate(assign)
-    for m in range(problem.n_ues):
-        assert ue_utility(problem, assign, m) == ev.utilities[m]
-    for k in range(problem.n_sns):
-        assert sn_utility(problem, assign, k) == ev.sn_utilities[k]
-    assert social_welfare(problem, assign) == ev.welfare
-
-
-def test_preferences_are_strict():
-    problem = three_case_instance()
-    a = problem.initial_assignment()
-    assert not prefers(problem, 2, a, a)
-    assert not sn_prefers(problem, 0, a, a)
-    b = a.copy()
-    b[4] = 0                             # push the shared UE into cell A
-    better_for_0 = sn_utility(problem, b, 0) > sn_utility(problem, a, 0)
-    assert sn_prefers(problem, 0, b, a) == better_for_0
-
-
-# --------------------------------------------------------------------------
 # max-RSSI baseline
 # --------------------------------------------------------------------------
 
@@ -257,9 +246,14 @@ def linear_scan_rssi(scenario):
 def test_baseline_matches_linear_scan():
     for seed in (0, 1, 2, 3):
         scenario = radio.generate_topology(6, 40, rng_seed=seed)
+        want = linear_scan_rssi(scenario)
         got = max_rssi_baseline(scenario)
-        np.testing.assert_array_equal(got.assign, linear_scan_rssi(scenario))
+        np.testing.assert_array_equal(got.assign, want)
         assert all(sn.kind == SN_SCBS for sn in got.serving_nodes)
+        graph = social_ring_graph(scenario)
+        _, _, x = sg.social_pipeline(graph)
+        problem = build_problem(scenario, graph, x)
+        np.testing.assert_array_equal(problem.rssi_assignment, want)
 
 
 def test_baseline_tie_goes_to_lowest_id():
@@ -336,37 +330,6 @@ def test_move_and_swap_feasibility_rules():
     assert not problem.swap_ok(b, 4, 5)          # unmatched partner
 
 
-def _lone_ue_problem(ue_x):
-    """One UE between two SCBSs 40 m apart; the UE itself becomes a relay."""
-    scbs_xy = np.array([[-20.0, 0.0], [20.0, 0.0]])
-    ue_xy = np.array([[ue_x, 0.0]])
-    scenario = radio.RadioScenario(scbs_xy=scbs_xy, ue_xy=ue_xy, seed=7)
-    edges = (((sg.SCBS, 0), (sg.UE, 0)), ((sg.SCBS, 1), (sg.UE, 0)))
-    graph = sg.build_social_graph(sg.default_roster(2, 1),
-                                  sg.ExplicitEdges(edges=edges))
-    _, _, x = sg.social_pipeline(graph)
-    return build_problem(scenario, graph, x, SwapEngineConfig(seed=7))
-
-
-def test_candidate_ordering_scbs_by_utility_then_relays():
-    # equidistant SCBSs give identical utilities: tie broken by SCBS id
-    assert candidate_sns(_lone_ue_problem(0.0), 0) == [0, 1]
-    # nearer scbs1 wins the lone-link utility, so it is listed first
-    assert candidate_sns(_lone_ue_problem(10.0), 0) == [1, 0]
-    problem = three_case_instance()
-    # ue5 reaches only relay A
-    assert candidate_sns(problem, 5) == [problem.relay_sn_of[0]]
-    # ue2 reaches only its own cell
-    assert candidate_sns(problem, 2) == [1]
-
-
-def test_candidate_min_rate_filter():
-    problem = quota_instance()
-    strict = build_problem(problem.scenario, problem.graph, problem.x,
-                           SwapEngineConfig(seed=1, min_rate_bps=1e12))
-    assert candidate_sns(strict, 1) == []
-
-
 # --------------------------------------------------------------------------
 # serialization
 # --------------------------------------------------------------------------
@@ -394,11 +357,11 @@ def test_matching_csv_marks_unserved(tmp_path):
 
 def test_assignment_from_rows_rejects_stale_rows():
     problem = three_case_instance()
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown scbs9"):
         assignment_from_rows(problem, [(0, 9, "scbs")])
-    with pytest.raises(InputError):
-        assignment_from_rows(problem, [(0, 4, "relay")])   # ue4 is no relay
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="ue4 is not a relay"):
+        assignment_from_rows(problem, [(0, 4, "relay")])
+    with pytest.raises(InputError, match="unknown ue99"):
         assignment_from_rows(problem, [(99, 0, "scbs")])
 
 
@@ -409,4 +372,3 @@ def test_matching_type_validates_indices():
     m = Matching(assign=np.array([0, -1]), serving_nodes=nodes)
     assert m.serving(0) == nodes[0]
     assert m.serving(1) is None
-    assert m.served(0) == (0,)

@@ -1,0 +1,20 @@
+"""The README's library example runs, and every exported name exists."""
+
+import re
+from pathlib import Path
+
+import socialcell
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_block_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_exported_name_imports():
+    for name in socialcell.__all__:
+        assert hasattr(socialcell, name), name

@@ -13,7 +13,7 @@ from socialcell.errors import ConfigError, InputError
 from socialcell.socialgraph import (RAW_CLIPPED, SAW, BetweennessMatrix,
                                     ErdosRenyi, ExplicitEdges, SocialGraph,
                                     WattsStrogatz, build_social_graph,
-                                    d2d_peer_weight, default_roster,
+                                    default_roster,
                                     edge_betweenness, elect_important_ues,
                                     importance_scores, load_edge_list,
                                     matrix_to_csv, save_edge_list, similarity,
@@ -335,18 +335,6 @@ def test_election_rejects_shared_or_unscored_ues():
         elect_important_ues({0: 1.0, 1: 2.0}, {0: [0, 1], 1: [1]})
     with pytest.raises(InputError):
         elect_important_ues({0: 1.0}, {0: [0, 5]})
-
-
-def test_d2d_peer_weight_definition_and_errors():
-    g = reference.reference_graph()
-    _, _, x = social_pipeline(g)
-    w = d2d_peer_weight(g, x, ("ue", 0), ("ue", 1), distance_m=10.0, epsilon=0.05)
-    xval = float(x.values[g.index(("ue", 0)), g.index(("ue", 1))])
-    assert w == pytest.approx(0.05 * 10.0 * xval, abs=1e-12)
-    with pytest.raises(InputError):
-        d2d_peer_weight(g, x, ("ue", 0), ("ue", 1), distance_m=-1.0, epsilon=0.05)
-    with pytest.raises(ConfigError):
-        d2d_peer_weight(g, x, ("ue", 0), ("ue", 1), distance_m=1.0, epsilon=0.0)
 
 
 # --------------------------------------------------------------------------
