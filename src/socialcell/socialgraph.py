@@ -7,19 +7,24 @@ equipments ("ue").  From the adjacency structure we derive
   * a combined social distance matrix X = alpha * S + beta * B,
 and from X a per-UE importance score that decides which UE in each cell is
 promoted to relay duty.
+
+Edge betweenness follows Brandes (J. Math. Sociol. 2001): a breadth-first
+search from every source, then dependencies pushed back from the leaves of
+its shortest-path DAG.  The searches of a block of sources advance together,
+one BFS level at a time, in numpy.  Every floating-point sum is taken in the
+order a one-source deque BFS takes it, so the result is bit-identical to that
+loop, not merely close: the relay election breaks ties by UE id, and drift in
+the last digit could flip a relay.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, InputError
 
@@ -195,41 +200,100 @@ class BetweennessMatrix:
         object.__setattr__(self, "values", vals)
 
 
-def _brandes_edge_counts(adj_lists: list[np.ndarray], V: int) -> np.ndarray:
-    """Raw shortest-path traversal counts per edge (Brandes accumulation).
+#: Sources whose shortest-path searches run together.  A block holds a few
+#: (block, V) and (block, E) arrays plus its sources' shortest-path DAGs; at
+#: 64 they peak near 4 MB for V = 516, and the blocks are few enough that
+#: numpy's per-call overhead does not dominate.
+_SOURCE_BLOCK = 64
 
-    One BFS per source; dependencies are pushed back from the leaves of the
-    shortest-path DAG.  Summing over all sources counts every unordered pair
-    twice, so the caller halves the result.
+
+def _block_dependencies(sources: np.ndarray, dst: np.ndarray, indptr: np.ndarray,
+                        edge: np.ndarray, n_edges: int, V: int) -> np.ndarray:
+    """Dependency of every source of the block on every edge, as (block, E).
+
+    Row b holds, per undirected edge, the value Brandes' accumulation credits
+    to that edge for source sources[b] (zero off the source's shortest-path
+    DAG).  Each level of every search in the block is expanded at once.  The
+    order of every floating-point sum matches a one-source deque BFS that
+    scans neighbours by ascending id:
+
+      * sigma of a vertex adds its parents' sigma in the parents' pop order
+        (`np.bincount` sums in array order, and the arcs are gathered by
+        source, pop position of the tail, then head id);
+      * the vertices first reached on a level are queued in the order of the
+        first arc reaching them, which is the deque's order;
+      * delta of a vertex adds its children's shares by descending pop
+        position of the child, the order of the deque's reversed pops.
+
+    Search state is indexed by the flat key row * V + vertex.
     """
+    B = len(sources)
+    rows = np.arange(B)
+    dist = np.full(B * V, -1)
+    sigma = np.zeros(B * V)
+    queued = np.zeros(B * V, dtype=np.intp)   # queue position, comparable within a row
+    root = rows * V + sources
+    dist[root] = 0
+    sigma[root] = 1.0
+    n_queued = 0
+    f_row, f_vertex = rows, sources
+    levels = []
+    depth = 0
+    while len(f_vertex):
+        # every arc out of the level, by (row, queue position of tail, head id)
+        deg = indptr[f_vertex + 1] - indptr[f_vertex]
+        arc = np.arange(deg.sum()) + np.repeat(indptr[f_vertex] - np.cumsum(deg) + deg, deg)
+        a_row = np.repeat(f_row, deg)
+        tail = np.repeat(f_row * V + f_vertex, deg)
+        head = a_row * V + dst[arc]
+        # vertices first reached here, queued in the order of their first arc
+        fresh = np.flatnonzero(dist[head] < 0)
+        _, first = np.unique(head[fresh], return_index=True)
+        reached = fresh[np.sort(first)]
+        new = head[reached]
+        dist[new] = depth + 1
+        queued[new] = n_queued + np.arange(len(new))
+        n_queued += len(new)
+        dag = np.flatnonzero(dist[head] == depth + 1)
+        d_tail, d_head = tail[dag], head[dag]
+        sigma[new] = np.bincount(d_head, weights=sigma[d_tail], minlength=B * V)[new]
+        levels.append((a_row[dag], d_tail, d_head, edge[arc[dag]]))
+        f_row, f_vertex = a_row[reached], dst[arc[reached]]
+        depth += 1
+
+    delta = np.zeros(B * V)
+    deps = np.zeros((B, n_edges))
+    for d_row, d_tail, d_head, d_edge in reversed(levels):
+        c = sigma[d_tail] * ((1.0 + delta[d_head]) / sigma[d_head])
+        order = np.argsort(-queued[d_head], kind="stable")
+        delta += np.bincount(d_tail[order], weights=c[order], minlength=B * V)
+        deps[d_row, d_edge] = c
+    return deps
+
+
+def _edge_counts(adjacency: np.ndarray) -> np.ndarray:
+    """Raw shortest-path traversal counts per edge, (V, V).
+
+    Each edge adds the sources' dependencies one row at a time, in source
+    order, as the per-source loop does; a zero row entry adds nothing, while
+    a `sum` over the rows would round differently.  Summing over all sources
+    counts every unordered pair twice, so the caller halves the result.
+    """
+    V = adjacency.shape[0]
+    src, dst = np.nonzero(adjacency)
+    indptr = np.zeros(V + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=V), out=indptr[1:])
+    # both arcs of an undirected edge share one edge index
+    _, edge = np.unique(np.minimum(src, dst) * V + np.maximum(src, dst),
+                        return_inverse=True)
+    total = np.zeros(len(src) // 2)
+    for start in range(0, V, _SOURCE_BLOCK):
+        sources = np.arange(start, min(start + _SOURCE_BLOCK, V))
+        for row in _block_dependencies(sources, dst, indptr, edge, len(total), V):
+            total += row
     counts = np.zeros((V, V))
-    for s in range(V):
-        dist = np.full(V, -1)
-        sigma = np.zeros(V)
-        preds: list[list[int]] = [[] for _ in range(V)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in adj_lists[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = np.zeros(V)
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                c = sigma[v] * coeff
-                counts[v, w] += c
-                counts[w, v] += c
-                delta[v] += c
-    return counts / 2.0
+    counts[src, dst] = total[edge]
+    return counts
 
 
 def edge_betweenness(g: SocialGraph, denominator: float | None = None) -> BetweennessMatrix:
@@ -237,6 +301,13 @@ def edge_betweenness(g: SocialGraph, denominator: float | None = None) -> Betwee
 
     The default denominator is (V-1)(V-2), floored at 1 so the two-node
     graph stays finite.  B[u][v] is zero wherever there is no edge.
+
+    The raw counts come from Brandes' algorithm run on blocks of
+    `_SOURCE_BLOCK` sources: each block's breadth-first searches expand one
+    level at a time for all its sources together, and dependencies flow back
+    level by level, deepest first.  Every sum is ordered as in a per-source
+    deque BFS, and each edge adds its per-source shares in source order, so
+    the values are bit-identical to that loop's.
     """
     V = g.n_vertices
     if V < 2:
@@ -245,8 +316,7 @@ def edge_betweenness(g: SocialGraph, denominator: float | None = None) -> Betwee
         denominator = max((V - 1) * (V - 2), 1)
     if denominator <= 0:
         raise ConfigError(f"denominator must be positive, got {denominator}")
-    adj_lists = [np.flatnonzero(g.adjacency[v]) for v in range(V)]
-    raw = _brandes_edge_counts(adj_lists, V)
+    raw = _edge_counts(g.adjacency) / 2.0
     return BetweennessMatrix(values=raw / float(denominator), denominator=float(denominator))
 
 
@@ -278,8 +348,8 @@ def similarity(g: SocialGraph, normalization: str = SAW) -> SimilarityMatrices:
     """Common-neighbour similarity for every node pair.
 
     Q[m][n] sums 1/degree(z) over the common neighbours z of m and n; pairs
-    in different components score zero (they cannot share a neighbour, the
-    masking just keeps that explicit).  "saw" rescales each column by its
+    in different components score zero, because a common neighbour would put
+    them in the same component.  "saw" rescales each column by its
     maximum; "raw-clipped" instead caps raw values at 1.0, which is handy
     when comparing against references that report Q itself.
     """
@@ -290,10 +360,6 @@ def similarity(g: SocialGraph, normalization: str = SAW) -> SimilarityMatrices:
     inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     q = (adj * inv_deg[np.newaxis, :]) @ adj
     np.fill_diagonal(q, 0.0)
-
-    n_comp, labels = connected_components(csr_matrix(g.adjacency), directed=False)
-    if n_comp > 1:
-        q = q * (labels[:, np.newaxis] == labels[np.newaxis, :])
 
     col_max = q.max(axis=0)
     if normalization == SAW:

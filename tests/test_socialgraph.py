@@ -1,14 +1,20 @@
 """Social graph metrics: oracle checks, reference values, and properties.
 
-The brute-force oracle below enumerates every simple path between every
-vertex pair by plain DFS and keeps the shortest ones; it shares no code or
-algorithmic structure with the production (Brandes-style) implementation.
+Two oracles check edge betweenness.  The brute-force one enumerates every
+simple path between every vertex pair by plain DFS and keeps the shortest
+ones; it shares no code or algorithmic structure with the production
+(Brandes-style) implementation.  The per-source loop is Brandes' algorithm
+one deque BFS at a time, the arithmetic the block-batched production code
+must reproduce bit for bit.
 """
 
+from collections import deque
+
+import networkx as nx
 import numpy as np
 import pytest
 
-from socialcell import reference
+from socialcell import config, reference
 from socialcell.errors import ConfigError, InputError
 from socialcell.socialgraph import (RAW_CLIPPED, SAW, BetweennessMatrix,
                                     ErdosRenyi, ExplicitEdges, SocialGraph,
@@ -62,6 +68,44 @@ def brute_force_edge_betweenness(adj: np.ndarray, denominator: float) -> np.ndar
                     out[b, a] += credit
     return out / denominator
 
+def per_source_edge_counts(adj: np.ndarray) -> np.ndarray:
+    """Raw shortest-path traversal counts per edge, one deque BFS per source.
+
+    Brandes' accumulation: dependencies are pushed back from the leaves of
+    each source's shortest-path DAG.  Summing over all sources counts every
+    unordered pair twice, so the result is halved.
+    """
+    V = adj.shape[0]
+    adj_lists = [np.flatnonzero(adj[v]) for v in range(V)]
+    counts = np.zeros((V, V))
+    for s in range(V):
+        dist = np.full(V, -1)
+        sigma = np.zeros(V)
+        preds: list[list[int]] = [[] for _ in range(V)]
+        dist[s] = 0
+        sigma[s] = 1.0
+        order = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in adj_lists[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = np.zeros(V)
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                c = sigma[v] * coeff
+                counts[v, w] += c
+                counts[w, v] += c
+                delta[v] += c
+    return counts / 2.0
+
 def _random_graph(rng: np.random.Generator, n_vertices: int, p: float) -> SocialGraph:
     adj = np.zeros((n_vertices, n_vertices), dtype=np.int8)
     for i in range(n_vertices):
@@ -92,15 +136,87 @@ def test_oracle_reproduces_hand_counts_on_reference_graph():
         assert raw[lab[a], lab[b]] == pytest.approx(want, abs=1e-12)
 
 
-def test_brandes_equals_brute_force_on_random_graphs():
+def _random_corpus():
+    """The 200 small random graphs (3 <= V <= 8) both oracles check."""
     rng = np.random.default_rng(20240817)
     for trial in range(200):
         V = int(rng.integers(3, 9))
         p = float(rng.uniform(0.15, 0.85))
-        g = _random_graph(rng, V, p)
+        yield _random_graph(rng, V, p)
+
+
+def _config_graph(seed: int, **keys) -> SocialGraph:
+    cfg = config.ScenarioConfig(seed=seed, **keys)
+    return config.social_graph_from_config(cfg, config.scenario_from_config(cfg))
+
+
+def _graph(n_vertices: int, edges) -> SocialGraph:
+    adj = np.zeros((n_vertices, n_vertices), dtype=np.int8)
+    for a, b in edges:
+        adj[a, b] = adj[b, a] = 1
+    return SocialGraph(vertices=default_roster(1, n_vertices - 1), adjacency=adj)
+
+
+def _assert_equals_per_source_loop(g: SocialGraph) -> None:
+    b = edge_betweenness(g)
+    assert np.array_equal(b.values, per_source_edge_counts(g.adjacency) / b.denominator)
+
+
+def test_brandes_equals_brute_force_on_random_graphs():
+    for g in _random_corpus():
         b = edge_betweenness(g)
         want = brute_force_edge_betweenness(g.adjacency.astype(float), b.denominator)
         np.testing.assert_allclose(b.values, want, atol=1e-9, rtol=0)
+
+
+def test_betweenness_bit_identical_to_per_source_loop_on_random_graphs():
+    for g in _random_corpus():
+        _assert_equals_per_source_loop(g)
+
+
+# desk scale (the acceptance-6/7 sweep), the dense-stabilize cover, and a
+# sparse 500 m disk with isolated SCBSs and several components
+CONFIG_GRAPHS = [
+    pytest.param(dict(n_scbs=4, n_ues=60), id="desk-N4"),
+    pytest.param(dict(n_scbs=16, n_ues=60), id="desk-N16"),
+    pytest.param(dict(n_scbs=8, n_ues=100, macro_radius_m=100.0), id="dense-N8"),
+    pytest.param(dict(n_scbs=16, n_ues=200), id="wide-N16-M200"),
+]
+
+
+@pytest.mark.parametrize("keys", CONFIG_GRAPHS)
+def test_betweenness_bit_identical_to_per_source_loop_on_config_graphs(keys):
+    for seed in (1, 2, 3):
+        _assert_equals_per_source_loop(_config_graph(seed, **keys))
+
+
+def test_sparse_config_graph_has_isolated_vertices_and_components():
+    g = _config_graph(1, n_scbs=16, n_ues=200)
+    assert nx.number_connected_components(nx.from_numpy_array(g.adjacency)) > 1
+    assert np.any(g.adjacency.sum(axis=1) == 0)
+
+
+# the cases where a level-at-a-time search could part from a deque: tiny or
+# edgeless graphs, unreachable vertices, deep searches, many tied paths
+DEGENERATE_GRAPHS = [
+    pytest.param(_graph(2, [(0, 1)]), id="two-vertices-one-edge"),
+    pytest.param(_graph(2, []), id="two-vertices-no-edge"),
+    pytest.param(_graph(6, []), id="no-edges"),
+    pytest.param(_graph(9, [(1, 2), (2, 3), (3, 1), (5, 6), (6, 7)]),
+                 id="isolated-vertices-two-components"),
+    pytest.param(_graph(40, [(v, v + 1) for v in range(39)]), id="long-path"),
+    pytest.param(_graph(12, [(0, v) for v in range(1, 12)]), id="star"),
+    pytest.param(_graph(7, [(a, b) for a in range(7) for b in range(a + 1, 7)]),
+                 id="complete"),
+]
+
+
+@pytest.mark.parametrize("g", DEGENERATE_GRAPHS)
+def test_betweenness_on_degenerate_graphs(g):
+    _assert_equals_per_source_loop(g)
+    b = edge_betweenness(g)
+    want = brute_force_edge_betweenness(g.adjacency.astype(float), b.denominator)
+    np.testing.assert_allclose(b.values, want, atol=1e-9, rtol=0)
 
 
 def test_betweenness_zero_off_edges():
