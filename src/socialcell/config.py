@@ -233,12 +233,12 @@ def social_graph_from_config(cfg: ScenarioConfig, scenario: RadioScenario,
     ue_graph = sg.build_social_graph(
         ue_roster, model, rng_seed=cfg.seed if seed is None else seed)
 
-    edges = list(ue_graph.edges())
-    d_su = scbs_ue_distances(scenario)
-    for i in range(scenario.n_scbs):
-        for m in np.flatnonzero(d_su[i] <= scenario.scbs_radius_m):
-            edges.append(((sg.SCBS, i), (sg.UE, int(m))))
-    return sg.build_social_graph(roster, sg.ExplicitEdges(edges=tuple(edges)))
+    N = scenario.n_scbs
+    adj = np.zeros((len(roster), len(roster)), dtype=np.int8)
+    adj[N:, N:] = ue_graph.adjacency
+    adj[:N, N:] = scbs_ue_distances(scenario) <= scenario.scbs_radius_m
+    adj[N:, :N] = adj[:N, N:].T
+    return sg.SocialGraph(vertices=roster, adjacency=adj)
 
 
 def engine_config_from_config(cfg: ScenarioConfig, seed: int | None = None) -> SwapEngineConfig:

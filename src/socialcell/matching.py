@@ -7,6 +7,14 @@ halved min of backhaul/access rate for D2D-served UEs.  The search anneals
 random pair swaps and single-UE moves under a sigmoid acceptance rule and
 keeps the best state it ever visited; a separate greedy pass and audit deal
 in exactly the two-sided swap-stability condition.
+
+One numpy kernel, `AssociationProblem._evaluate_rows`, evaluates a stack of
+assignments; `evaluate` is its one-row case.  The greedy pass and the audit
+share one scanner that lists the feasible swaps with one mask and judges
+them in blocks of `_SCAN_BLOCK`, one kernel call and one vector check per
+block.  Every row of the kernel equals the evaluation of that row alone bit
+for bit (its sums run in an order independent of the block size), so the
+block scan approves exactly the swaps a one-at-a-time scan would.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -275,6 +282,23 @@ class AssociationProblem:
         self._noise_mw_hz = float(dbm_to_mw(scenario.noise_psd_dbm_hz))
         self._bw = scenario.bandwidth_hz
 
+        # Per-node tables for the evaluator, indexed by node index + 1; row 0
+        # stands for "unserved", so one gather serves every UE.  The public
+        # arrays become views of them rather than second copies.  They sit
+        # in one attribute: past 30 attributes CPython 3.11 stops sharing
+        # the instance dict's keys, which costs about 1.3 kB per problem.
+        S = self.n_sns
+        prx = np.zeros((S + 1, M))
+        prx[1:N + 1] = self.prx_scbs
+        prx[N + 1:] = self.prx_d2d
+        relay = np.zeros(S + 1, dtype=np.int64)
+        relay[N + 1:] = self.relay_ues
+        offset = np.zeros(S + 1, dtype=np.int64)
+        offset[1:] = self.sc_offset
+        self.prx_scbs, self.prx_d2d = prx[1:N + 1], prx[N + 1:]
+        self.relay_ues, self.sc_offset = relay[N + 1:], offset[1:]
+        self._node_tables = prx, relay, offset
+
     # -- assignments ------------------------------------------------------
 
     def initial_assignment(self) -> np.ndarray:
@@ -309,77 +333,79 @@ class AssociationProblem:
         Bandwidth splits equally inside each serving node.  Subcarriers go
         round-robin (by ascending UE id) from the node's seeded offset, and
         only same-index transmissions interfere.  Welfare is the serving-node
-        sum plus the UE sum, which algebraically doubles the UE total.
+        sum plus the UE sum, which algebraically doubles the UE total.  This
+        is the one-row case of `_evaluate_rows`, the only evaluator.
         """
-        N, M, C = self.n_scbs, self.n_ues, self.scenario.subcarriers
-        assign = np.asarray(assign, dtype=np.int64)
-        matched = assign >= 0
-        counts = np.bincount(assign[matched], minlength=self.n_sns)
-        share = np.zeros(self.n_sns)
-        nz = counts > 0
-        share[nz] = 1.0 / counts[nz]
+        rows = self._evaluate_rows(np.asarray(assign, dtype=np.int64)[None, :])
+        return _eval_row(rows, 0)
 
-        # round-robin subcarriers inside each serving node
-        sc = np.zeros(M, dtype=np.int64)
-        order = np.argsort(assign, kind="stable")
-        prev = -2
-        rank = 0
-        for m in order:
-            k = assign[m]
-            if k < 0:
-                continue
-            if k != prev:
-                rank = 0
-                prev = k
-            sc[m] = (self.sc_offset[k] + rank) % C
-            rank += 1
+    def _evaluate_rows(self, A: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Evaluate a (B, M) stack of assignments in one pass.
 
-        scbs_served = matched & (assign < N)
-        d2d_served = matched & (assign >= N)
-        idx = np.flatnonzero(scbs_served)
-        jdx = np.flatnonzero(d2d_served)
+        Returns (utilities, rates, sn_utilities, welfare), each with a
+        leading B axis.  Each row equals the evaluation of that row alone
+        bit for bit, because every float is summed in an order that does not
+        depend on B:
 
-        active_s = np.zeros((N, C), dtype=bool)
-        active_s[assign[idx], sc[idx]] = True
-        interference = (active_s[:, sc] * self.prx_scbs).sum(axis=0)
-        interference[idx] -= self.prx_scbs[assign[idx], idx]
+        - interference sums over the node axis of a (B, S+1, M) product,
+          which is not the contiguous axis, so it adds node by node in id
+          order; SCBSs first, then the own-signal subtraction, then relays;
+        - serving-node utilities come from one bincount whose keys are
+          offset by (S + 1) per row, so each row accumulates in ascending
+          UE order;
+        - welfare is the sum over contiguous rows of both totals.
+
+        Adding or subtracting 0.0 leaves a float unchanged, so UEs of every
+        kind go through the same vector formulas and are masked afterwards.
+        """
+        N, M, S, C = self.n_scbs, self.n_ues, self.n_sns, self.scenario.subcarriers
+        prx, relay, offset = self._node_tables
+        B = A.shape[0]
+        a = A.ravel()
+        a1 = a + 1                           # node index + 1; 0 = unserved
+        ue = np.arange(B * M)
+        col = ue % M
+        keys = a1 + np.repeat(np.arange(0, B * (S + 1), S + 1), M)
+        per_key = np.bincount(keys, minlength=B * (S + 1))
+        share = 1.0 / per_key[keys]
+
+        # round-robin subcarriers: the rank of a UE inside its (row, node)
+        # group, by ascending UE id, comes from one stable argsort
+        order = np.argsort(keys, kind="stable")
+        first = np.cumsum(per_key) - per_key
+        shift = np.tile(offset, B) - first
+        sc = np.empty(B * M, dtype=np.int64)
+        sc[order] = (shift[keys[order]] + ue) % C
+
+        on = np.zeros(B * (S + 1) * C, dtype=bool)
+        on[keys * C + sc] = True
+        heard = on[(np.arange(B * (S + 1)) * C).reshape(B, S + 1, 1)
+                   + sc.reshape(B, 1, M)] * prx
+        signal = prx[a1, col]
+        by_scbs = (a1 >= 1) & (a1 <= N)
+        by_relay = a1 > N
+        interference = (heard[:, 1:N + 1].sum(axis=1).ravel()
+                        - np.where(by_scbs, signal, 0.0))
         if self.n_relays and self.scenario.d2d_interference:
-            active_u = np.zeros((self.n_relays, C), dtype=bool)
-            active_u[assign[jdx] - N, sc[jdx]] = True
-            interference += (active_u[:, sc] * self.prx_d2d).sum(axis=0)
-            interference[jdx] -= self.prx_d2d[assign[jdx] - N, jdx]
+            interference = (interference + heard[:, N + 1:].sum(axis=1).ravel()
+                            - np.where(by_relay, signal, 0.0))
 
-        noise_hz = self._noise_mw_hz * self._bw
-        rates = np.zeros(M)
-        utilities = np.zeros(M)
+        sinr = signal / (self._noise_mw_hz * self._bw * share + interference)
+        link = share * self._bw * np.log2(1.0 + sinr)
+        scbs_rates = np.where(by_scbs, link, 0.0)
+        # a D2D UE gets half the min of its relay's downlink and its access link
+        d2d_rates = np.minimum(scbs_rates[ue - col + relay[a1]], link) / 2.0
+        rates = np.where(by_relay, d2d_rates, scbs_rates)
+        # only SCBS-served UEs use x; the others read a clipped row, masked below
+        xv = np.maximum(self.x_scbs_ue[np.minimum(a, N - 1), col], X_FLOOR)
+        utilities = np.where(by_scbs, np.where(self.is_relay[col], link / xv, link),
+                             np.where(by_relay, d2d_rates, 0.0))
 
-        if len(idx):
-            i_serv = assign[idx]
-            sh = share[i_serv]
-            sig = self.prx_scbs[i_serv, idx]
-            sinr = sig / (noise_hz * sh + interference[idx])
-            r = sh * self._bw * np.log2(1.0 + sinr)
-            rates[idx] = r
-            xv = np.maximum(self.x_scbs_ue[i_serv, idx], X_FLOOR)
-            utilities[idx] = np.where(self.is_relay[idx], r / xv, r)
-
-        if len(jdx):
-            j_serv = assign[jdx] - N
-            k_serv = assign[jdx]
-            sh = share[k_serv]
-            sig = self.prx_d2d[j_serv, jdx]
-            sinr = sig / (noise_hz * sh + interference[jdx])
-            r_access = sh * self._bw * np.log2(1.0 + sinr)
-            r_back = rates[self.relay_ues[j_serv]]
-            r = np.minimum(r_back, r_access) / 2.0
-            rates[jdx] = r
-            utilities[jdx] = r
-
-        sn_util = np.bincount(assign[matched], weights=utilities[matched],
-                              minlength=self.n_sns)
-        welfare = float(sn_util.sum() + utilities.sum())
-        return EvalResult(utilities=utilities, rates=rates,
-                          sn_utilities=sn_util, welfare=welfare)
+        sn_util = np.bincount(keys, weights=utilities, minlength=B * (S + 1))
+        sn_util = np.ascontiguousarray(sn_util.reshape(B, S + 1)[:, 1:])
+        utilities = utilities.reshape(B, M)
+        welfare = sn_util.sum(axis=1) + utilities.sum(axis=1)
+        return utilities, rates.reshape(B, M), sn_util, welfare
 
     def report(self, assign: np.ndarray) -> UtilityReport:
         ev = self.evaluate(assign)
@@ -402,6 +428,13 @@ class AssociationProblem:
         if km < 0 or kn < 0 or km == kn:
             return False
         return bool(self.feasible_sn[m, kn] and self.feasible_sn[n, km])
+
+
+def _eval_row(rows: tuple[np.ndarray, ...], i: int) -> EvalResult:
+    """Row i of an `_evaluate_rows` result."""
+    utilities, rates, sn_util, welfare = rows
+    return EvalResult(utilities=utilities[i], rates=rates[i],
+                      sn_utilities=sn_util[i], welfare=float(welfare[i]))
 
 
 def build_problem(scenario: RadioScenario, graph: SocialGraph,
@@ -465,7 +498,11 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
     cfg = problem.config
     rng = np.random.default_rng(cfg.seed)
     assign = problem.initial_assignment()
-    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
+    # Loads, quotas and each UE's feasible nodes as Python lists: filtering
+    # a UE's one or two nodes in Python beats a numpy mask per proposal.
+    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns).tolist()
+    quota = problem.quota.tolist()
+    reach = [np.flatnonzero(row).tolist() for row in problem.feasible_sn]
     w_cur = problem.evaluate(assign).welfare
     best = assign.copy()
     w_best = w_cur
@@ -497,10 +534,10 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
                 moved = (m, n)
         elif kind == MOVE_SINGLE:
             m = int(pool[rng.integers(len(pool))])
-            targets = [k for k in np.flatnonzero(problem.feasible_sn[m])
-                       if problem.move_ok(assign, counts, m, int(k))]
+            here = assign[m]
+            targets = [k for k in reach[m] if k != here and counts[k] < quota[k]]
             if targets:
-                k = int(targets[int(rng.integers(len(targets)))])
+                k = targets[int(rng.integers(len(targets)))]
                 proposal = assign.copy()
                 proposal[m] = k
                 moved = (m,)
@@ -512,8 +549,11 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
             if ok_rate:
                 p = _accept_prob(beta, ev.welfare - w_cur, w_cur, cfg.welfare_floor)
                 if rng.random() < p:
+                    if len(moved) == 1:           # a swap leaves the loads alone
+                        if assign[m] >= 0:
+                            counts[assign[m]] -= 1
+                        counts[k] += 1
                     assign = proposal
-                    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
                     w_cur = ev.welfare
                     accepted = True
                     if w_cur > w_best:
@@ -539,47 +579,43 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
 # two-sided stability
 # --------------------------------------------------------------------------
 
-def _swap_improves(problem: AssociationProblem, assign: np.ndarray,
-                   base: EvalResult, m: int, n: int | None,
-                   target: int | None) -> tuple[SwapCheck, EvalResult | None]:
-    """Check the two-sided condition; also return the post-swap evaluation."""
-    swapped = assign.copy()
-    if n is not None:
-        if n == m:
-            return SwapCheck(satisfied=False, reason="degenerate"), None
-        if not problem.swap_ok(assign, m, n):
-            return SwapCheck(satisfied=False, reason="infeasible"), None
-        swapped[m], swapped[n] = assign[n], assign[m]
-    elif target is None:
-        return SwapCheck(satisfied=False, reason="no-target"), None
-    else:
-        counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
-        if not problem.move_ok(assign, counts, m, target):
-            return SwapCheck(satisfied=False, reason="infeasible"), None
-        swapped[m] = target
-    after = problem.evaluate(swapped)
-    if (problem.config.min_rate_bps > 0
-            and any(after.rates[u] < problem.config.min_rate_bps
-                    for u in ((m,) if n is None else (m, n)))):
-        return SwapCheck(satisfied=False, reason="below-min-rate"), after
+# Reason codes of the two-sided check, in the order it tests them.
+_APPROVED, _BELOW_MIN_RATE, _SOMEONE_WORSE, _NOBODY_BETTER = range(4)
+_REASONS = ("approved", "below-min-rate", "someone-worse", "nobody-better")
 
-    befores, afters = [base.utilities[m]], [after.utilities[m]]
-    if n is not None:
-        befores.append(base.utilities[n])
-        afters.append(after.utilities[n])
-    sns = {int(assign[m])}
-    sns.add(int(assign[n]) if n is not None else int(target))
-    sns.discard(-1)
-    for k in sns:
-        befores.append(base.sn_utilities[k])
-        afters.append(after.sn_utilities[k])
+#: Candidate swaps evaluated per `_evaluate_rows` call by the scanner.
+_SCAN_BLOCK = 64
 
-    delta = after.welfare - base.welfare
-    if any(a < b for a, b in zip(afters, befores)):
-        return SwapCheck(satisfied=False, reason="someone-worse", welfare_delta=delta), after
-    if not any(a > b for a, b in zip(afters, befores)):
-        return SwapCheck(satisfied=False, reason="nobody-better", welfare_delta=delta), after
-    return SwapCheck(satisfied=True, reason="approved", welfare_delta=delta), after
+
+def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
+           m: np.ndarray, n: np.ndarray, k: np.ndarray):
+    """Evaluate a block of feasible swaps of `assign` and judge each one.
+
+    Swap i moves UE m[i] to serving node k[i]; when n[i] >= 0 it is a pair
+    swap in which UE n[i] (now on k[i]) takes m[i]'s node.  Returns the
+    reason codes, the welfare deltas against `base` (the evaluation of
+    `assign`) and the `_evaluate_rows` result of the swapped states.
+    """
+    rows = np.arange(len(m))
+    pair = n >= 0
+    swapped = np.repeat(assign[None, :], len(m), axis=0)
+    swapped[rows, m] = k
+    swapped[rows[pair], n[pair]] = assign[m[pair]]
+    after = problem._evaluate_rows(swapped)
+    utilities, rates, sn_util, welfare = after
+    # every touched player: the movers and the nodes they leave and join;
+    # a move stands in m for the missing partner and k for a missing node
+    n = np.where(pair, n, m)
+    left = np.where(assign[m] >= 0, assign[m], k)
+    now = np.stack([utilities[rows, m], utilities[rows, n],
+                    sn_util[rows, left], sn_util[rows, k]])
+    before = np.stack([base.utilities[m], base.utilities[n],
+                       base.sn_utilities[left], base.sn_utilities[k]])
+    floor = problem.config.min_rate_bps
+    low = (floor > 0) & ((rates[rows, m] < floor) | (rates[rows, n] < floor))
+    codes = np.select([low, (now < before).any(axis=0), (now > before).any(axis=0)],
+                      [_BELOW_MIN_RATE, _SOMEONE_WORSE, _APPROVED], _NOBODY_BETTER)
+    return codes, welfare - base.welfare, after
 
 
 def is_stable_swap(problem: AssociationProblem, assign: np.ndarray, m: int,
@@ -589,37 +625,90 @@ def is_stable_swap(problem: AssociationProblem, assign: np.ndarray, m: int,
     Pass `n` for a pair swap, or `target` (a serving-node index with spare
     quota) for a single move.  A True result means the swap would be
     executed by the greedy pass; an assignment is swap-stable exactly when
-    no such swap exists.
+    no such swap exists.  The check is the scanner's, on a block of one.
     """
-    return _swap_improves(problem, assign, problem.evaluate(assign), m, n, target)[0]
+    assign = np.asarray(assign, dtype=np.int64)
+    if n is not None:
+        if n == m:
+            return SwapCheck(satisfied=False, reason="degenerate")
+        if not problem.swap_ok(assign, m, n):
+            return SwapCheck(satisfied=False, reason="infeasible")
+        target = int(assign[n])
+    elif target is None:
+        return SwapCheck(satisfied=False, reason="no-target")
+    else:
+        counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
+        if not problem.move_ok(assign, counts, m, target):
+            return SwapCheck(satisfied=False, reason="infeasible")
+    codes, delta, _ = _judge(problem, assign, problem.evaluate(assign), np.array([m]),
+                             np.array([-1 if n is None else n]), np.array([target]))
+    code = int(codes[0])
+    return SwapCheck(satisfied=code == _APPROVED, reason=_REASONS[code],
+                     welfare_delta=(float("nan") if code == _BELOW_MIN_RATE
+                                    else float(delta[0])))
+
+
+def _swap_masks(problem: AssociationProblem,
+                assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, M) pair-swap and (M, S) single-move feasibility of `assign`.
+
+    Elementwise equal to `swap_ok` and to `move_ok` under the loads of
+    `assign`.
+    """
+    served = assign >= 0
+    reach = problem.feasible_sn[:, np.where(served, assign, 0)]  # m may take n's node
+    pairs = (reach & reach.T & served[:, None] & served[None, :]
+             & (assign[:, None] != assign[None, :]))
+    counts = np.bincount(assign[served], minlength=problem.n_sns)
+    moves = (problem.feasible_sn & (counts < problem.quota)
+             & (np.arange(problem.n_sns) != assign[:, None]))
+    return pairs, moves
+
+
+def _scan_order(problem: AssociationProblem, assign: np.ndarray) -> np.ndarray:
+    """Ordinals of the feasible swaps of `assign`, ascending.
+
+    Pair (m, n) with m < n is m*M + n; moving m to node k is M*M + m*S + k.
+    """
+    pairs, moves = _swap_masks(problem, assign)
+    M = problem.n_ues
+    return np.concatenate([np.flatnonzero(np.triu(pairs, 1)),
+                           M * M + np.flatnonzero(moves)])
 
 
 def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
     """Yield (violation, post-swap evaluation) for every approvable swap.
 
     Scans pair swaps m < n first, then single moves of each servable UE to
-    each feasible serving node, always reading the live `assign`.  A caller
-    may apply the yielded swap to `assign` before resuming; the scan then
-    continues from the new state, reusing the yielded evaluation.
+    each feasible serving node, always judging against the live `assign`.
+    The feasible swaps are listed by one mask and judged `_SCAN_BLOCK` at a
+    time: one `_evaluate_rows` call evaluates the block and one vector
+    check judges it, with results bit-identical to judging one swap at a
+    time.  A caller may apply the yielded swap to `assign` before resuming;
+    the scan then lists the feasible swaps of the new state and continues
+    after the applied one, with the yielded evaluation as its new base.
     """
+    M, S = problem.n_ues, problem.n_sns
     base = problem.evaluate(assign)
-    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
-    M = problem.n_ues
-    pairs = ((m, n, None) for m in range(M) if assign[m] >= 0 for n in range(m + 1, M))
-    moves = ((int(m), None, int(k)) for m in np.flatnonzero(problem.servable)
-             for k in np.flatnonzero(problem.feasible_sn[m]))
-    for m, n, k in chain(pairs, moves):
-        if not (problem.move_ok(assign, counts, m, k) if n is None
-                else problem.swap_ok(assign, m, n)):
-            continue
-        chk, after = _swap_improves(problem, assign, base, m, n, k)
-        if chk.satisfied:
-            was = assign[m]
-            target = k if n is None else int(assign[n])
-            yield StabilityViolation(m, n, target, chk.welfare_delta), after
-            if assign[m] != was:
-                base = after
-                counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
+    todo = _scan_order(problem, assign)
+    while len(todo):
+        block, todo = todo[:_SCAN_BLOCK], todo[_SCAN_BLOCK:]
+        pair = block < M * M
+        move = block - M * M
+        m = np.where(pair, block // M, move // S)
+        n = np.where(pair, block % M, -1)
+        k = np.where(pair, assign[n], move % S)
+        codes, delta, after = _judge(problem, assign, base, m, n, k)
+        for i in np.flatnonzero(codes == _APPROVED):
+            was = assign[m[i]]
+            ev = _eval_row(after, i)
+            yield StabilityViolation(int(m[i]), None if n[i] < 0 else int(n[i]),
+                                     int(k[i]), float(delta[i])), ev
+            if assign[m[i]] != was:
+                base = ev
+                todo = _scan_order(problem, assign)
+                todo = todo[todo > block[i]]
+                break
 
 
 def audit_stability(problem: AssociationProblem,

@@ -3,20 +3,30 @@
 Every rate-bearing check here runs through the independent per-link oracle
 in conftest.py (built on radio.link_rate) so the engine's vectorized
 evaluator is always compared against a second, structurally different
-computation of the same physics.
+computation of the same physics.  The batched evaluator and the block swap
+scanner are also held bit for bit to their per-UE and per-swap loops,
+`per_ue_evaluate` and `per_swap_scan`.
 """
+
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import clustered_instance, oracle_evaluate, social_ring_graph
 from socialcell import radio
 from socialcell import socialgraph as sg
 from socialcell.errors import ConfigError, InputError
 from socialcell.matching import (SN_RELAY, SN_SCBS, Matching, ServingNode,
-                                 SwapEngineConfig, assignment_from_rows,
-                                 build_problem, load_matching_csv,
-                                 matching_to_csv, max_rssi_baseline)
+                                 StabilityViolation, SwapEngineConfig,
+                                 _SCAN_BLOCK, _scan_order, _swap_masks,
+                                 assignment_from_rows, audit_stability,
+                                 build_problem, greedy_stabilize,
+                                 load_matching_csv, matching_to_csv,
+                                 max_rssi_baseline)
 
 
 def three_case_instance():
@@ -372,3 +382,307 @@ def test_matching_type_validates_indices():
     m = Matching(assign=np.array([0, -1]), serving_nodes=nodes)
     assert m.serving(0) == nodes[0]
     assert m.serving(1) is None
+
+
+# --------------------------------------------------------------------------
+# the batched evaluator and swap scanner vs their per-item loops
+# --------------------------------------------------------------------------
+
+def per_ue_evaluate(problem, assign) -> SimpleNamespace:
+    """The evaluator as a per-UE loop: round-robin subcarriers one UE at a
+    time, interference summed over (N, M) and (R, M) products on axis 0.
+
+    Reference for `evaluate` and `_evaluate_rows`, which must equal it bit
+    for bit, not merely closely: greedy_stabilize compares utilities with
+    strict inequalities, so a one-ulp drift could flip an approval.
+    """
+    N, M, C = problem.n_scbs, problem.n_ues, problem.scenario.subcarriers
+    assign = np.asarray(assign, dtype=np.int64)
+    matched = assign >= 0
+    counts = np.bincount(assign[matched], minlength=problem.n_sns)
+    share = np.zeros(problem.n_sns)
+    nz = counts > 0
+    share[nz] = 1.0 / counts[nz]
+
+    sc = np.zeros(M, dtype=np.int64)
+    prev, rank = -2, 0
+    for m in np.argsort(assign, kind="stable"):
+        k = assign[m]
+        if k < 0:
+            continue
+        if k != prev:
+            rank, prev = 0, k
+        sc[m] = (problem.sc_offset[k] + rank) % C
+        rank += 1
+
+    idx = np.flatnonzero(matched & (assign < N))
+    jdx = np.flatnonzero(assign >= N)
+    active_s = np.zeros((N, C), dtype=bool)
+    active_s[assign[idx], sc[idx]] = True
+    interference = (active_s[:, sc] * problem.prx_scbs).sum(axis=0)
+    interference[idx] -= problem.prx_scbs[assign[idx], idx]
+    if problem.n_relays and problem.scenario.d2d_interference:
+        active_u = np.zeros((problem.n_relays, C), dtype=bool)
+        active_u[assign[jdx] - N, sc[jdx]] = True
+        interference += (active_u[:, sc] * problem.prx_d2d).sum(axis=0)
+        interference[jdx] -= problem.prx_d2d[assign[jdx] - N, jdx]
+
+    noise_hz = problem._noise_mw_hz * problem._bw
+    rates = np.zeros(M)
+    utilities = np.zeros(M)
+    if len(idx):
+        i_serv = assign[idx]
+        sh = share[i_serv]
+        sinr = problem.prx_scbs[i_serv, idx] / (noise_hz * sh + interference[idx])
+        r = sh * problem._bw * np.log2(1.0 + sinr)
+        rates[idx] = r
+        xv = np.maximum(problem.x_scbs_ue[i_serv, idx], sg.X_FLOOR)
+        utilities[idx] = np.where(problem.is_relay[idx], r / xv, r)
+    if len(jdx):
+        j_serv = assign[jdx] - N
+        sh = share[assign[jdx]]
+        sinr = problem.prx_d2d[j_serv, jdx] / (noise_hz * sh + interference[jdx])
+        r_access = sh * problem._bw * np.log2(1.0 + sinr)
+        r = np.minimum(rates[problem.relay_ues[j_serv]], r_access) / 2.0
+        rates[jdx] = r
+        utilities[jdx] = r
+
+    sn_util = np.bincount(assign[matched], weights=utilities[matched],
+                          minlength=problem.n_sns)
+    return SimpleNamespace(utilities=utilities, rates=rates, sn_utilities=sn_util,
+                           welfare=float(sn_util.sum() + utilities.sum()))
+
+
+def per_swap_scan(problem, assign):
+    """The swap scanner as a per-candidate loop over `per_ue_evaluate`.
+
+    Yields (violation, post-swap evaluation, position) in the scanner's
+    order, where position counts the feasible candidates judged since the
+    scan started or the caller last applied a swap.
+    """
+    base = per_ue_evaluate(problem, assign)
+    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
+    floor = problem.config.min_rate_bps
+    M = problem.n_ues
+    pairs = ((m, n, None) for m in range(M) if assign[m] >= 0 for n in range(m + 1, M))
+    moves = ((int(m), None, int(k)) for m in np.flatnonzero(problem.servable)
+             for k in np.flatnonzero(problem.feasible_sn[m]))
+    pos = -1
+    for m, n, k in chain(pairs, moves):
+        if not (problem.move_ok(assign, counts, m, k) if n is None
+                else problem.swap_ok(assign, m, n)):
+            continue
+        pos += 1
+        target = k if n is None else int(assign[n])
+        swapped = assign.copy()
+        swapped[m] = target
+        if n is not None:
+            swapped[n] = assign[m]
+        after = per_ue_evaluate(problem, swapped)
+        movers = (m,) if n is None else (m, n)
+        if floor > 0 and any(after.rates[u] < floor for u in movers):
+            continue
+        nodes = {int(assign[m]), target} - {-1}
+        befores = ([base.utilities[u] for u in movers]
+                   + [base.sn_utilities[s] for s in nodes])
+        afters = ([after.utilities[u] for u in movers]
+                  + [after.sn_utilities[s] for s in nodes])
+        if (any(a < b for a, b in zip(afters, befores))
+                or not any(a > b for a, b in zip(afters, befores))):
+            continue
+        was = assign[m]
+        yield StabilityViolation(m, n, target, after.welfare - base.welfare), after, pos
+        if assign[m] != was:
+            base = after
+            counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
+            pos = -1
+
+
+def per_swap_stabilize(problem, assign):
+    """greedy_stabilize over `per_swap_scan`: (assignment, welfares)."""
+    assign = np.array(assign, dtype=np.int64)
+    welfares = []
+    changed = True
+    while changed:
+        changed = False
+        for v, after, _ in per_swap_scan(problem, assign):
+            if v.other_ue is None:
+                assign[v.ue] = v.target_sn
+            else:
+                assign[v.ue], assign[v.other_ue] = assign[v.other_ue], assign[v.ue]
+            welfares.append(after.welfare)
+            changed = True
+    return assign, welfares
+
+
+def random_states(problem, rng, count, p_unserved=0.15):
+    """`count` assignments putting each UE on a random feasible node or none."""
+    states = np.full((count, problem.n_ues), -1, dtype=np.int64)
+    for row in states:
+        for m in np.flatnonzero(problem.servable):
+            if rng.random() >= p_unserved:
+                row[m] = rng.choice(np.flatnonzero(problem.feasible_sn[m]))
+    return states
+
+
+def assert_rows_bit_identical(problem, states):
+    block = problem._evaluate_rows(states)
+    for b, assign in enumerate(states):
+        want = per_ue_evaluate(problem, assign)
+        one = problem.evaluate(assign)
+        for got in (one, SimpleNamespace(utilities=block[0][b], rates=block[1][b],
+                                         sn_utilities=block[2][b], welfare=block[3][b])):
+            assert np.array_equal(got.utilities, want.utilities)
+            assert np.array_equal(got.rates, want.rates)
+            assert np.array_equal(got.sn_utilities, want.sn_utilities)
+            assert got.welfare == want.welfare
+
+
+def zero_relay_problem():
+    """Every UE outside the lone cell: no cell elects a relay."""
+    scenario = radio.RadioScenario(scbs_xy=np.array([[0.0, 0.0]]),
+                                   ue_xy=np.array([[80.0, 0.0], [0.0, 90.0], [-70.0, 5.0]]))
+    graph = social_ring_graph(scenario)
+    _, _, x = sg.social_pipeline(graph)
+    return build_problem(scenario, graph, x)
+
+
+EVAL_CASES = {
+    "clustered": lambda: clustered_instance(4, n_scbs=3, n_ues=30).problem,
+    "no-d2d-interference": lambda: clustered_instance(5, n_scbs=2, n_ues=20,
+                                                      d2d_interference=False).problem,
+    "subcarrier-wraparound": lambda: clustered_instance(9, n_scbs=2, n_ues=24,
+                                                        subcarriers=4).problem,
+    "single-ue": lambda: clustered_instance(2, n_scbs=2, n_ues=1).problem,
+    # 8 or more terms per interference sum, where pairwise summation would
+    # differ from adding node by node
+    "twelve-cells": lambda: clustered_instance(6, n_scbs=12, n_ues=60).problem,
+    "three-case": three_case_instance,
+    "zero-relays": zero_relay_problem,
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_CASES))
+def test_evaluate_bit_identical_to_per_ue_loop(case):
+    problem = EVAL_CASES[case]()
+    rng = np.random.default_rng(7)
+    states = random_states(problem, rng, 40)
+    states[0] = problem.initial_assignment()
+    states[1] = -1
+    # a relay loses its downlink while its D2D UEs stay attached
+    d2d_rows = [b for b in range(2, len(states)) if (states[b] >= problem.n_scbs).any()]
+    for b in d2d_rows[:6]:
+        k = states[b][states[b] >= problem.n_scbs][0]
+        states[b, problem.serving_nodes[k].node_id] = -1
+    assert d2d_rows or case in ("single-ue", "zero-relays")
+    assert_rows_bit_identical(problem, states)
+    assert_rows_bit_identical(problem, states[:1])
+    assert_rows_bit_identical(problem, states[5:6])
+
+
+def test_scan_masks_equal_swap_ok_and_move_ok():
+    rng = np.random.default_rng(11)
+    for seed, kw in ((0, {}), (1, {"scbs_quota": 2}), (2, {"d2d_quota": 1})):
+        problem = clustered_instance(seed, n_scbs=3, n_ues=18,
+                                     engine=SwapEngineConfig(seed=seed, **kw)).problem
+        states = random_states(problem, rng, 6, p_unserved=0.3)
+        for assign in [problem.initial_assignment(), *states]:
+            pairs, moves = _swap_masks(problem, assign)
+            counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
+            for m in range(problem.n_ues):
+                for n in range(problem.n_ues):
+                    assert pairs[m, n] == problem.swap_ok(assign, m, n)
+                for k in range(problem.n_sns):
+                    assert moves[m, k] == problem.move_ok(assign, counts, m, k)
+
+
+STABILITY_SETTINGS = {
+    "default": ({}, {}),
+    "min-rate": ({"min_rate_bps": 2e5}, {}),
+    "scbs-quota-3": ({"scbs_quota": 3}, {}),
+    "no-d2d-interference": ({}, {"d2d_interference": False}),
+    "subcarriers-4-d2d-quota-2": ({"d2d_quota": 2}, {"subcarriers": 4}),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(STABILITY_SETTINGS))
+def test_audit_and_stabilize_equal_per_swap_scan(setting):
+    engine_kw, scenario_kw = STABILITY_SETTINGS[setting]
+    found = applied = 0
+    for seed in range(30):
+        problem = clustered_instance(seed, n_scbs=2 + seed % 3, n_ues=20 + seed % 5,
+                                     engine=SwapEngineConfig(seed=seed, **engine_kw),
+                                     **scenario_kw).problem
+        rng = np.random.default_rng(seed)
+        for start in (problem.initial_assignment(), random_states(problem, rng, 1)[0]):
+            want = [v for v, _, _ in per_swap_scan(problem, start.copy())]
+            assert audit_stability(problem, start) == want
+            stab = greedy_stabilize(problem, start)
+            want_assign, want_welfares = per_swap_stabilize(problem, start)
+            np.testing.assert_array_equal(stab.assign, want_assign)
+            assert stab.welfares == tuple(want_welfares)
+            assert stab.applied == len(want_welfares)
+            found += len(want)
+            applied += stab.applied
+    assert found > 20 and applied > 20          # the grid really exercises swaps
+
+
+def overlap_problem(seed, n_ues=24):
+    """Both cells cover every UE, so most pairs across the cells can swap."""
+    rng = np.random.default_rng(seed)
+    scenario = radio.RadioScenario(scbs_xy=np.array([[-30.0, 0.0], [30.0, 0.0]]),
+                                   ue_xy=rng.uniform(-15.0, 15.0, size=(n_ues, 2)),
+                                   seed=seed)
+    graph = social_ring_graph(scenario)
+    _, _, x = sg.social_pipeline(graph)
+    return build_problem(scenario, graph, x, SwapEngineConfig(seed=seed))
+
+
+# (seed, ue, target): move `ue` to `target` in the stabilized state of
+# overlap_problem(seed); the approvals of the result sit at these positions
+# in its list of feasible swaps.
+BOUNDARY_CASES = {
+    "first-at-0": (0, 1, 1, 0),
+    "first-at-63": (27, 0, 2, 63),
+    "first-at-64": (12, 10, 0, 64),
+    "spans-blocks": (2, 5, 0, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_scan_block_boundaries(case):
+    seed, ue, target, first = BOUNDARY_CASES[case]
+    assert _SCAN_BLOCK == 64
+    problem = overlap_problem(seed)
+    assign, _ = per_swap_stabilize(problem, problem.initial_assignment())
+    assert not list(per_swap_scan(problem, assign))
+    assign[ue] = target
+    want = list(per_swap_scan(problem, assign.copy()))
+    positions = [pos for _, _, pos in want]
+    assert positions[0] == first
+    assert len(_scan_order(problem, assign)) > 2 * _SCAN_BLOCK
+    if case == "spans-blocks":
+        assert {p // _SCAN_BLOCK for p in positions} >= {0, 1}
+    assert audit_stability(problem, assign) == [v for v, _, _ in want]
+    stab = greedy_stabilize(problem, assign)
+    want_assign, want_welfares = per_swap_stabilize(problem, assign)
+    np.testing.assert_array_equal(stab.assign, want_assign)
+    assert stab.welfares == tuple(want_welfares)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), n_scbs=st.integers(1, 4), n_ues=st.integers(1, 24),
+       rows=st.integers(1, 12), subcarriers=st.sampled_from([2, 4, 16]),
+       d2d_interference=st.booleans())
+def test_evaluate_rows_property(seed, n_scbs, n_ues, rows, subcarriers, d2d_interference):
+    problem = clustered_instance(seed, n_scbs=n_scbs, n_ues=n_ues, subcarriers=subcarriers,
+                                 d2d_interference=d2d_interference).problem
+    states = random_states(problem, np.random.default_rng(seed), rows)
+    block = problem._evaluate_rows(states)
+    for b, assign in enumerate(states):
+        one = problem.evaluate(assign)
+        assert np.array_equal(block[0][b], one.utilities)
+        assert np.array_equal(block[1][b], one.rates)
+        assert np.array_equal(block[2][b], one.sn_utilities)
+        assert block[3][b] == one.welfare
+        assert_matches_oracle(problem, assign)
