@@ -138,7 +138,7 @@ class Matching:
 
     def __post_init__(self):
         arr = np.asarray(self.assign, dtype=np.int64).copy()
-        if np.any(arr >= len(self.serving_nodes)):
+        if np.any((arr < -1) | (arr >= len(self.serving_nodes))):
             raise InputError("assignment references an unknown serving node")
         arr.setflags(write=False)
         object.__setattr__(self, "assign", arr)

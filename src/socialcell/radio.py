@@ -26,19 +26,9 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(x):
-    """Linear power ratio -> decibels."""
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
-
-
 def dbm_to_mw(dbm):
     """dBm -> milliwatts."""
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
-
-
-def mw_to_dbm(mw):
-    """Milliwatts -> dBm."""
-    return 10.0 * np.log10(np.asarray(mw, dtype=float))
 
 
 # --------------------------------------------------------------------------
@@ -289,29 +279,3 @@ def positions_to_csv(scenario: RadioScenario, path) -> None:
             writer.writerow([i, SCBS, repr(float(x)), repr(float(y))])
         for m, (x, y) in enumerate(scenario.ue_xy):
             writer.writerow([m, UE, repr(float(x)), repr(float(y))])
-
-
-def positions_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back a positions CSV; returns (scbs_xy, ue_xy)."""
-    scbs: dict[int, tuple[float, float]] = {}
-    ues: dict[int, tuple[float, float]] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                nid = int(row["id"])
-                kind = row["kind"]
-                xy = (float(row["x"]), float(row["y"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}: malformed position row {row!r}") from exc
-            if kind == SCBS:
-                scbs[nid] = xy
-            elif kind == UE:
-                ues[nid] = xy
-            else:
-                raise InputError(f"{path}: unknown node kind {kind!r}")
-    if sorted(scbs) != list(range(len(scbs))) or sorted(ues) != list(range(len(ues))):
-        raise InputError(f"{path}: node ids must be contiguous from 0")
-    scbs_xy = np.array([scbs[i] for i in range(len(scbs))], dtype=float)
-    ue_xy = np.array([ues[m] for m in range(len(ues))], dtype=float)
-    return scbs_xy, ue_xy

@@ -15,15 +15,19 @@ one BFS level at a time, in numpy.  Every floating-point sum is taken in the
 order a one-source deque BFS takes it, so the result is bit-identical to that
 loop, not merely close: the relay election breaks ties by UE id, and drift in
 the last digit could flip a relay.
+
+The random edge models draw from `random.Random(seed)` in exactly the order
+NetworkX 3.x's `gnp_random_graph` and `watts_strogatz_graph` do, so a seed
+gives the same graph as those generators (the tests hold them to it).  Equal
+graphs keep every sweep byte-identical to one whose graphs NetworkX drew.
 """
 
 from __future__ import annotations
 
-import csv
+import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .errors import ConfigError, InputError
@@ -139,10 +143,10 @@ def build_social_graph(roster: Sequence[NodeRef], edge_model: EdgeModel,
     if len(set(roster)) != len(roster):
         raise InputError("duplicate node in roster")
     V = len(roster)
-    adj = np.zeros((V, V), dtype=np.int8)
-    index = {ref: i for i, ref in enumerate(roster)}
 
     if isinstance(edge_model, ExplicitEdges):
+        adj = np.zeros((V, V), dtype=np.int8)
+        index = {ref: i for i, ref in enumerate(roster)}
         for a, b in edge_model.edges:
             if a not in index or b not in index:
                 missing = a if a not in index else b
@@ -154,28 +158,60 @@ def build_social_graph(roster: Sequence[NodeRef], edge_model: EdgeModel,
     elif isinstance(edge_model, ErdosRenyi):
         if not 0.0 <= edge_model.p <= 1.0:
             raise ConfigError(f"edge probability must be in [0, 1], got {edge_model.p}")
-        g = nx.gnp_random_graph(V, edge_model.p, seed=int(rng_seed))
-        for u, v in g.edges():
-            adj[u, v] = adj[v, u] = 1
+        adj = _gnp_adjacency(V, edge_model.p, random.Random(int(rng_seed)))
     elif isinstance(edge_model, WattsStrogatz):
         k = edge_model.neighbors
         if k < 0:
             raise ConfigError(f"neighbor count must be >= 0, got {k}")
         if not 0.0 <= edge_model.rewire <= 1.0:
             raise ConfigError(f"rewire probability must be in [0, 1], got {edge_model.rewire}")
-        if V >= 2:
-            if k >= V:
-                # tiny roster: the ring lattice degenerates to the complete graph
-                adj[:] = 1
-                np.fill_diagonal(adj, 0)
-            elif k >= 1:
-                g = nx.watts_strogatz_graph(V, k, edge_model.rewire, seed=int(rng_seed))
-                for u, v in g.edges():
-                    adj[u, v] = adj[v, u] = 1
+        adj = _watts_strogatz_adjacency(V, k, edge_model.rewire, random.Random(int(rng_seed)))
     else:
         raise ConfigError(f"unknown edge model {edge_model!r}")
 
     return SocialGraph(vertices=roster, adjacency=adj)
+
+
+def _gnp_adjacency(V: int, p: float, rng: random.Random) -> np.ndarray:
+    """G(n, p): one draw per vertex pair, pairs in `itertools.combinations`
+    order (which is also `np.triu_indices` order); p <= 0 and p >= 1 draw
+    nothing."""
+    if p >= 1:
+        return 1 - np.eye(V, dtype=np.int8)
+    adj = np.zeros((V, V), dtype=np.int8)
+    if p > 0:
+        u, v = np.triu_indices(V, 1)
+        hit = np.array([rng.random() for _ in range(len(u))]) < p
+        adj[u[hit], v[hit]] = adj[v[hit], u[hit]] = 1
+    return adj
+
+
+def _watts_strogatz_adjacency(V: int, k: int, p: float,
+                              rng: random.Random) -> np.ndarray:
+    """Watts-Strogatz: a ring lattice with links to the k // 2 nearest
+    vertices on each side, whose edges (u, u + j) are taken by j, then u, and
+    each rewired with probability p to a uniform vertex that is neither u nor
+    a neighbour of u.  As in NetworkX, an edge whose u already links to every
+    other vertex keeps its end, after two draws."""
+    if k >= V:
+        # tiny roster: the ring lattice degenerates to the complete graph
+        return 1 - np.eye(V, dtype=np.int8)
+    adj = np.zeros((V, V), dtype=np.int8)
+    ring = [(u, (u + j) % V) for j in range(1, k // 2 + 1) for u in range(V)]
+    for u, v in ring:
+        adj[u, v] = adj[v, u] = 1
+    nodes = range(V)
+    for u, v in ring:
+        if rng.random() < p:
+            w = rng.choice(nodes)
+            while w == u or adj[u, w]:
+                w = rng.choice(nodes)
+                if adj[u].sum() >= V - 1:
+                    break
+            else:
+                adj[u, v] = adj[v, u] = 0
+                adj[u, w] = adj[w, u] = 1
+    return adj
 
 
 def default_roster(n_scbs: int, n_ues: int) -> tuple[NodeRef, ...]:
@@ -487,16 +523,3 @@ def load_edge_list(path, roster: Sequence[NodeRef]) -> SocialGraph:
                 raise InputError(f"{path}:{lineno}: expected two node labels, got {line!r}")
             edges.append((parse_node_label(parts[0]), parse_node_label(parts[1])))
     return build_social_graph(roster, ExplicitEdges(edges=tuple(edges)))
-
-
-def matrix_to_csv(g: SocialGraph, matrix: np.ndarray, path) -> None:
-    """Dump a square per-node matrix as CSV with node labels on both axes."""
-    matrix = np.asarray(matrix)
-    if matrix.shape != (g.n_vertices, g.n_vertices):
-        raise InputError("matrix does not match the graph roster")
-    labels = [node_label(ref) for ref in g.vertices]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node"] + labels)
-        for i, lab in enumerate(labels):
-            writer.writerow([lab] + [repr(float(v)) for v in matrix[i]])

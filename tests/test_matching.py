@@ -379,6 +379,8 @@ def test_matching_type_validates_indices():
     nodes = (ServingNode(SN_SCBS, 0),)
     with pytest.raises(InputError):
         Matching(assign=np.array([3]), serving_nodes=nodes)
+    with pytest.raises(InputError):
+        Matching(assign=np.array([-2, 0]), serving_nodes=nodes)
     m = Matching(assign=np.array([0, -1]), serving_nodes=nodes)
     assert m.serving(0) == nodes[0]
     assert m.serving(1) is None
