@@ -14,14 +14,13 @@ The package splits into five layers:
 from .config import (ScenarioConfig, apply_overrides, config_as_dict,
                      config_sha, dump_config, engine_config_from_config,
                      load_config, scenario_from_config,
-                     social_graph_from_config, social_pipeline_from_config)
+                     social_graph_from_config)
 from .errors import ConfigError, InputError, LinkRangeError, SocialCellError
 from .harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
                       replication_seed, run_experiment)
 from .matching import (AnnealResult, AssociationProblem, Matching,
                        ServingNode, SwapEngineConfig, anneal_on_problem,
-                       audit_stability, build_problem, greedy_stabilize,
-                       is_stable_swap, max_rssi_baseline)
+                       audit_stability, build_problem, greedy_stabilize)
 from .radio import (LinkBudget, PathlossParams, RadioScenario, channel_gain,
                     generate_topology, link_rate, pathloss_db)
 from .socialgraph import (SocialGraph, build_social_graph, edge_betweenness,
@@ -40,9 +39,8 @@ __all__ = [
     "build_problem", "build_social_graph", "channel_gain", "config_as_dict",
     "config_sha", "dump_config", "edge_betweenness", "elect_important_ues",
     "engine_config_from_config", "generate_topology", "greedy_stabilize",
-    "importance_scores", "is_stable_swap", "link_rate", "load_config",
-    "max_rssi_baseline", "pathloss_db", "replication_seed", "run_experiment",
-    "scenario_from_config", "similarity", "social_distance",
-    "social_graph_from_config", "social_pipeline",
-    "social_pipeline_from_config", "__version__",
+    "importance_scores", "link_rate", "load_config", "pathloss_db",
+    "replication_seed", "run_experiment", "scenario_from_config", "similarity",
+    "social_distance", "social_graph_from_config", "social_pipeline",
+    "__version__",
 ]

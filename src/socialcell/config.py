@@ -256,9 +256,3 @@ def engine_config_from_config(cfg: ScenarioConfig, seed: int | None = None) -> S
         move_mix=cfg.move_mix,
         d2d_weight_epsilon=cfg.d2d_weight_epsilon,
     )
-
-
-def social_pipeline_from_config(cfg: ScenarioConfig, graph: sg.SocialGraph):
-    """Betweenness + similarity + blended distance, per the config weights."""
-    return sg.social_pipeline(graph, alpha=cfg.alpha, beta=cfg.beta,
-                              normalization=cfg.similarity_normalization)

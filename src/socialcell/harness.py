@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (ScenarioConfig, config_as_dict, engine_config_from_config,
-                     scenario_from_config, social_graph_from_config,
-                     social_pipeline_from_config)
+                     scenario_from_config, social_graph_from_config)
 from .errors import ConfigError
 from .matching import (AnnealResult, AssociationProblem, anneal_on_problem,
                        build_problem, greedy_stabilize)
 from .radio import RadioScenario
+from .socialgraph import social_pipeline
 
 METHOD_SOCIAL = "social-aware"
 METHOD_BASELINE = "max-rssi"
@@ -43,6 +43,8 @@ STREAM_ENGINE = 2
 def replication_seed(base_seed: int, point_index: int, replication: int,
                      stream: int) -> int:
     """Deterministic per-replication seed for one of the three streams."""
+    if base_seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {base_seed}")
     ss = np.random.SeedSequence([base_seed, point_index, replication, stream])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -67,6 +69,8 @@ class ExperimentSpec:
             raise ConfigError("sweep_values must not be empty")
         if any(v < 1 for v in self.sweep_values):
             raise ConfigError("sweep values must be >= 1")
+        if len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ConfigError(f"sweep_values repeats a value: {self.sweep_values}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.methods:
@@ -137,7 +141,8 @@ def build_replication(cfg: ScenarioConfig, point_index: int,
 
     scenario = scenario_from_config(cfg, seed=seed(STREAM_TOPOLOGY))
     graph = social_graph_from_config(cfg, scenario, seed=seed(STREAM_SOCIAL))
-    _, _, xmat = social_pipeline_from_config(cfg, graph)
+    _, _, xmat = social_pipeline(graph, alpha=cfg.alpha, beta=cfg.beta,
+                                 normalization=cfg.similarity_normalization)
     engine = engine_config_from_config(cfg, seed=seed(STREAM_ENGINE))
     return scenario, build_problem(scenario, graph, xmat, engine)
 

@@ -6,15 +6,18 @@ reward raw rate for plain UEs, socially discounted rate for relays, and the
 halved min of backhaul/access rate for D2D-served UEs.  The search anneals
 random pair swaps and single-UE moves under a sigmoid acceptance rule and
 keeps the best state it ever visited; a separate greedy pass and audit deal
-in exactly the two-sided swap-stability condition.
+in exactly the two-sided swap-stability condition (Bodine-Baron et al.,
+SAGT 2011): a swap is approved when nobody it touches loses and someone
+strictly gains.
 
 One numpy kernel, `AssociationProblem._evaluate_rows`, evaluates a stack of
-assignments; `evaluate` is its one-row case.  The greedy pass and the audit
-share one scanner that lists the feasible swaps with one mask and judges
-them in blocks of `_SCAN_BLOCK`, one kernel call and one vector check per
-block.  Every row of the kernel equals the evaluation of that row alone bit
-for bit (its sums run in an order independent of the block size), so the
-block scan approves exactly the swaps a one-at-a-time scan would.
+assignments; `evaluate` is its one-row case.  One scanner judges every swap
+the greedy pass and the audit see: `_swap_masks` lists the feasible swaps
+and `_judge` approves them in blocks of `_SCAN_BLOCK`, one kernel call and
+one vector check per block.  Every row of the kernel equals the evaluation
+of that row alone bit for bit (its sums run in an order independent of the
+block size), so the block scan approves exactly the swaps a one-at-a-time
+scan would.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .radio import (RadioScenario, dbm_to_mw, pathloss_db, scbs_ue_distances,
                     subcarrier_offset, ue_ue_distances)
-from .socialgraph import (SCBS, UE, X_FLOOR, ImportanceRanking,
-                          SocialDistanceMatrix, SocialGraph,
+from .socialgraph import (SCBS, UE, X_FLOOR, SocialDistanceMatrix, SocialGraph,
                           elect_important_ues, importance_scores)
 
 SN_SCBS = "scbs"
@@ -39,6 +41,9 @@ SN_NONE = "none"
 
 MOVE_SWAP = "swap"
 MOVE_SINGLE = "move"
+
+#: Welfare deltas are normalized by max(|W|, _WELFARE_FLOOR) before the sigmoid.
+_WELFARE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,7 @@ class SwapEngineConfig:
     The sigmoid acceptance uses an inverse-temperature ramp from beta_start
     to beta_end (so the walk turns greedy late).  cooling="literal" instead
     drives the multiplier from beta_start linearly down to zero, the
-    classical falling-temperature reading.  Welfare deltas are normalized
-    by max(|W|, welfare_floor) before entering the sigmoid.
+    classical falling-temperature reading.
     """
 
     max_iterations: int = 3000
@@ -76,7 +80,6 @@ class SwapEngineConfig:
     scbs_quota: int | None = None
     d2d_quota: int = 3
     move_mix: float = 0.5
-    welfare_floor: float = 1e-12
     d2d_weight_epsilon: float = 0.0
 
     def __post_init__(self):
@@ -102,8 +105,6 @@ class SwapEngineConfig:
             raise ConfigError("d2d_quota must be >= 1")
         if not 0.0 <= self.move_mix <= 1.0:
             raise ConfigError("move_mix must be in [0, 1]")
-        if self.welfare_floor <= 0:
-            raise ConfigError("welfare_floor must be positive")
         if self.d2d_weight_epsilon < 0:
             raise ConfigError("d2d_weight_epsilon must be >= 0 (0 = 1/d2d_radius)")
 
@@ -162,15 +163,6 @@ class TraceRow:
 
 
 @dataclass(frozen=True)
-class SwapCheck:
-    """Outcome of the two-sided swap condition for one proposed swap."""
-
-    satisfied: bool
-    reason: str
-    welfare_delta: float = float("nan")
-
-
-@dataclass(frozen=True)
 class StabilityViolation:
     """A swap that every touched player weakly likes and someone strictly likes."""
 
@@ -187,8 +179,6 @@ class AnnealResult:
     trace: tuple[TraceRow, ...]
     best_iteration: int
     iterations_run: int
-    ranking: ImportanceRanking
-    problem: "AssociationProblem"
 
 
 # --------------------------------------------------------------------------
@@ -217,15 +207,15 @@ class AssociationProblem:
 
         vert = {ref: i for i, ref in enumerate(graph.vertices)}
         try:
-            self._scbs_vert = np.array([vert[(SCBS, i)] for i in range(N)])
-            self._ue_vert = np.array([vert[(UE, m)] for m in range(M)])
+            scbs_vert = np.array([vert[(SCBS, i)] for i in range(N)])
+            ue_vert = np.array([vert[(UE, m)] for m in range(M)])
         except KeyError as exc:
             raise InputError(f"social graph is missing scenario node {exc.args[0]}") from None
 
-        self.prx_scbs, self.in_scbs = scbs_reception(scenario)
+        self.prx_scbs, in_scbs = scbs_reception(scenario)
 
         # Phase I seed state: classical max-RSSI association, no D2D.
-        rssi = max_rssi(self.prx_scbs, self.in_scbs)
+        rssi = max_rssi(self.prx_scbs, in_scbs)
         rssi.setflags(write=False)
         self.rssi_assignment = rssi
 
@@ -250,21 +240,21 @@ class AssociationProblem:
         self.prx_d2d = (dbm_to_mw(scenario.ue_power_dbm)
                         * 10.0 ** (-pathloss_db(UE, d_ru, scenario.pathloss) / 10.0)
                         * scenario.fading_gain)
-        self.in_d2d = d_ru <= scenario.d2d_radius_m
+        in_d2d = d_ru <= scenario.d2d_radius_m
         for j, p in enumerate(relays):
             self.prx_d2d[j, p] = 0.0       # a node neither serves nor jams itself
-            self.in_d2d[j, p] = False
-        self.in_d2d[:, self.relay_ues] = False   # relays connect only to SCBSs
+            in_d2d[j, p] = False
+        in_d2d[:, self.relay_ues] = False   # relays connect only to SCBSs
 
-        self.x_scbs_ue = x.values[np.ix_(self._scbs_vert, self._ue_vert)]
-        x_rel = x.values[np.ix_(self._ue_vert[self.relay_ues], self._ue_vert)]
+        self.x_scbs_ue = x.values[np.ix_(scbs_vert, ue_vert)]
+        x_rel = x.values[np.ix_(ue_vert[self.relay_ues], ue_vert)]
         eps = self.config.d2d_weight_epsilon or 1.0 / scenario.d2d_radius_m
         self.d2d_weight = eps * d_ru * x_rel
 
         # static target feasibility: range plus node-kind rules
         feas = np.zeros((M, self.n_sns), dtype=bool)
-        feas[:, :N] = self.in_scbs.T
-        feas[:, N:] = self.in_d2d.T
+        feas[:, :N] = in_scbs.T
+        feas[:, N:] = in_d2d.T
         feas[self.relay_ues, N:] = False
         self.feasible_sn = feas
         self.servable = feas.any(axis=1)
@@ -414,21 +404,6 @@ class AssociationProblem:
                              sn_utilities=ev.sn_utilities, welfare=ev.welfare,
                              unserved=unserved)
 
-    # -- feasibility ------------------------------------------------------
-
-    def move_ok(self, assign: np.ndarray, counts: np.ndarray, m: int, k: int) -> bool:
-        """Can UE m move to SN k under range/kind rules and quotas?"""
-        if k == assign[m] or not self.feasible_sn[m, k]:
-            return False
-        return counts[k] < self.quota[k]
-
-    def swap_ok(self, assign: np.ndarray, m: int, n: int) -> bool:
-        """Can m and n trade serving nodes?  (Loads stay equal, so no quota.)"""
-        km, kn = assign[m], assign[n]
-        if km < 0 or kn < 0 or km == kn:
-            return False
-        return bool(self.feasible_sn[m, kn] and self.feasible_sn[n, km])
-
 
 def _eval_row(rows: tuple[np.ndarray, ...], i: int) -> EvalResult:
     """Row i of an `_evaluate_rows` result."""
@@ -458,20 +433,10 @@ def scbs_reception(scenario: RadioScenario) -> tuple[np.ndarray, np.ndarray]:
 
 
 def max_rssi(prx: np.ndarray, in_range: np.ndarray) -> np.ndarray:
-    """Strongest in-range SCBS of each UE, ties to the lowest id; -1 if none."""
+    """Classical max-RSSI cell selection, with no D2D and no load awareness:
+    the strongest in-range SCBS of each UE, ties to the lowest id; -1 if none."""
     best = np.argmax(np.where(in_range, prx, -np.inf), axis=0)
     return np.where(in_range.any(axis=0), best, -1).astype(np.int64)
-
-
-def max_rssi_baseline(scenario: RadioScenario) -> Matching:
-    """Classical cell selection: strongest in-range SCBS, ties to lowest id.
-
-    No D2D, no load awareness.  UEs outside every SCBS's radius stay
-    unserved.  Invariant to any common rescaling of transmit powers, since
-    only the argmax matters.
-    """
-    nodes = tuple(ServingNode(SN_SCBS, i) for i in range(scenario.n_scbs))
-    return Matching(assign=max_rssi(*scbs_reception(scenario)), serving_nodes=nodes)
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +493,10 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
             if i2 >= i1:
                 i2 += 1
             m, n = int(pool[i1]), int(pool[i2])
-            if problem.swap_ok(assign, m, n):
+            km, kn = int(assign[m]), int(assign[n])
+            # each node in the other UE's reach, where -1 (unserved) never
+            # appears; a swap leaves the loads alone, so no quota applies
+            if km != kn and kn in reach[m] and km in reach[n]:
                 proposal = assign.copy()
                 proposal[m], proposal[n] = assign[n], assign[m]
                 moved = (m, n)
@@ -547,7 +515,7 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
             ok_rate = (cfg.min_rate_bps <= 0
                        or all(ev.rates[u] >= cfg.min_rate_bps for u in moved))
             if ok_rate:
-                p = _accept_prob(beta, ev.welfare - w_cur, w_cur, cfg.welfare_floor)
+                p = _accept_prob(beta, ev.welfare - w_cur, w_cur, _WELFARE_FLOOR)
                 if rng.random() < p:
                     if len(moved) == 1:           # a swap leaves the loads alone
                         if assign[m] >= 0:
@@ -570,18 +538,12 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
                         report=problem.report(best),
                         trace=tuple(trace),
                         best_iteration=best_iter,
-                        iterations_run=iterations,
-                        ranking=problem.ranking,
-                        problem=problem)
+                        iterations_run=iterations)
 
 
 # --------------------------------------------------------------------------
 # two-sided stability
 # --------------------------------------------------------------------------
-
-# Reason codes of the two-sided check, in the order it tests them.
-_APPROVED, _BELOW_MIN_RATE, _SOMEONE_WORSE, _NOBODY_BETTER = range(4)
-_REASONS = ("approved", "below-min-rate", "someone-worse", "nobody-better")
 
 #: Candidate swaps evaluated per `_evaluate_rows` call by the scanner.
 _SCAN_BLOCK = 64
@@ -592,9 +554,12 @@ def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
     """Evaluate a block of feasible swaps of `assign` and judge each one.
 
     Swap i moves UE m[i] to serving node k[i]; when n[i] >= 0 it is a pair
-    swap in which UE n[i] (now on k[i]) takes m[i]'s node.  Returns the
-    reason codes, the welfare deltas against `base` (the evaluation of
-    `assign`) and the `_evaluate_rows` result of the swapped states.
+    swap in which UE n[i] (now on k[i]) takes m[i]'s node.  A swap is
+    approved when every mover keeps min_rate_bps, no touched player (the
+    movers and the nodes they leave and join) loses utility and one of them
+    strictly gains.  Returns the boolean approval mask, the welfare deltas
+    against `base` (the evaluation of `assign`) and the `_evaluate_rows`
+    result of the swapped states.
     """
     rows = np.arange(len(m))
     pair = n >= 0
@@ -613,47 +578,19 @@ def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
                        base.sn_utilities[left], base.sn_utilities[k]])
     floor = problem.config.min_rate_bps
     low = (floor > 0) & ((rates[rows, m] < floor) | (rates[rows, n] < floor))
-    codes = np.select([low, (now < before).any(axis=0), (now > before).any(axis=0)],
-                      [_BELOW_MIN_RATE, _SOMEONE_WORSE, _APPROVED], _NOBODY_BETTER)
-    return codes, welfare - base.welfare, after
-
-
-def is_stable_swap(problem: AssociationProblem, assign: np.ndarray, m: int,
-                   n: int | None = None, target: int | None = None) -> SwapCheck:
-    """Two-sided swap condition: nobody touched loses, someone strictly gains.
-
-    Pass `n` for a pair swap, or `target` (a serving-node index with spare
-    quota) for a single move.  A True result means the swap would be
-    executed by the greedy pass; an assignment is swap-stable exactly when
-    no such swap exists.  The check is the scanner's, on a block of one.
-    """
-    assign = np.asarray(assign, dtype=np.int64)
-    if n is not None:
-        if n == m:
-            return SwapCheck(satisfied=False, reason="degenerate")
-        if not problem.swap_ok(assign, m, n):
-            return SwapCheck(satisfied=False, reason="infeasible")
-        target = int(assign[n])
-    elif target is None:
-        return SwapCheck(satisfied=False, reason="no-target")
-    else:
-        counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
-        if not problem.move_ok(assign, counts, m, target):
-            return SwapCheck(satisfied=False, reason="infeasible")
-    codes, delta, _ = _judge(problem, assign, problem.evaluate(assign), np.array([m]),
-                             np.array([-1 if n is None else n]), np.array([target]))
-    code = int(codes[0])
-    return SwapCheck(satisfied=code == _APPROVED, reason=_REASONS[code],
-                     welfare_delta=(float("nan") if code == _BELOW_MIN_RATE
-                                    else float(delta[0])))
+    approved = ~low & ~(now < before).any(axis=0) & (now > before).any(axis=0)
+    return approved, welfare - base.welfare, after
 
 
 def _swap_masks(problem: AssociationProblem,
                 assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M, M) pair-swap and (M, S) single-move feasibility of `assign`.
 
-    Elementwise equal to `swap_ok` and to `move_ok` under the loads of
-    `assign`.
+    This is the scanner's only feasibility rule.  UEs m and n may trade
+    nodes when both are served, on different nodes, and each node is in the
+    other UE's `feasible_sn` (a trade leaves the loads alone, so quotas do
+    not enter).  UE m may move to node k when k is in its `feasible_sn`,
+    is not its node now and is below quota under the loads of `assign`.
     """
     served = assign >= 0
     reach = problem.feasible_sn[:, np.where(served, assign, 0)]  # m may take n's node
@@ -698,8 +635,8 @@ def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
         m = np.where(pair, block // M, move // S)
         n = np.where(pair, block % M, -1)
         k = np.where(pair, assign[n], move % S)
-        codes, delta, after = _judge(problem, assign, base, m, n, k)
-        for i in np.flatnonzero(codes == _APPROVED):
+        approved, delta, after = _judge(problem, assign, base, m, n, k)
+        for i in np.flatnonzero(approved):
             was = assign[m[i]]
             ev = _eval_row(after, i)
             yield StabilityViolation(int(m[i]), None if n[i] < 0 else int(n[i]),

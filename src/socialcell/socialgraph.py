@@ -454,9 +454,8 @@ def importance_scores(g: SocialGraph, x: SocialDistanceMatrix) -> dict[int, floa
 
 @dataclass(frozen=True)
 class ImportanceRanking:
-    """Per-UE scores plus the UE elected in each cell (None for empty cells)."""
+    """The UE elected in each cell (None for empty cells)."""
 
-    scores: Mapping[int, float]
     elected: Mapping[int, int | None]
 
     @property
@@ -485,15 +484,14 @@ def elect_important_ues(scores: Mapping[int, float],
             elected[cell] = None
         else:
             elected[cell] = min(members, key=lambda m: (-scores[m], m))
-    return ImportanceRanking(scores=dict(scores), elected=elected)
+    return ImportanceRanking(elected=elected)
 
 
 def social_pipeline(g: SocialGraph, alpha: float = 0.5, beta: float = 0.5,
                     normalization: str = SAW,
-                    denominator: float | None = None,
                     ) -> tuple[BetweennessMatrix, SimilarityMatrices, SocialDistanceMatrix]:
     """Convenience wrapper running betweenness -> similarity -> distance."""
-    b = edge_betweenness(g, denominator=denominator)
+    b = edge_betweenness(g)
     s = similarity(g, normalization=normalization)
     return b, s, social_distance(b, s, alpha=alpha, beta=beta)
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import socialcell
 from socialcell.cli import main
 
 RUN_CFG = """\
@@ -207,6 +208,21 @@ def test_sweep_requires_a_sweep_variable(run_cfg, tmp_path, capsys):
 # error handling
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("run", ["--seed", "-1"], "seed must be non-negative"),
+    ("sweep", ["--override", "seed=-1"], "seed must be non-negative"),
+    ("sweep", ["--override", "sweep_values=4,6,4"], "repeats a value"),
+], ids=["run-negative-seed", "sweep-negative-seed", "sweep-repeated-value"])
+def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
+                                            sweep_cfg, tmp_path, capsys):
+    cfg = run_cfg if command == "run" else sweep_cfg
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, *flags, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (out / "replications.csv").exists()
+
+
 def test_missing_config_file_is_a_usage_error(capsys):
     assert main(["run", "--config", "/no/such/file.cfg", "--quiet"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -223,7 +239,10 @@ def test_bad_override_value_is_a_usage_error(capsys):
 
 
 def test_module_entry_point_runs_in_a_subprocess():
+    # run from the directory holding the package under test, so the child
+    # imports it even when it is not installed
     proc = subprocess.run([sys.executable, "-m", "socialcell.cli",
                            "validate", "--quiet"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          cwd=os.path.dirname(os.path.dirname(socialcell.__file__)))
     assert proc.returncode == 0

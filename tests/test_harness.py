@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from socialcell.config import (ScenarioConfig, engine_config_from_config,
-                               scenario_from_config, social_graph_from_config,
-                               social_pipeline_from_config)
+                               scenario_from_config, social_graph_from_config)
 from socialcell.errors import ConfigError
 from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL,
                                 STREAM_ENGINE, STREAM_SOCIAL, STREAM_TOPOLOGY,
@@ -17,6 +16,7 @@ from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL,
                                 replication_seed, run_experiment,
                                 sweep_csv_name)
 from socialcell.matching import build_problem
+from socialcell.socialgraph import social_pipeline
 
 SMALL_CFG = ScenarioConfig(n_scbs=2, n_ues=6, seed=9, macro_radius_m=80.0,
                            max_iterations=120, stall_window=0,
@@ -149,7 +149,8 @@ def test_replication_row_matches_a_manual_rebuild(small_result):
     graph = social_graph_from_config(
         run_cfg, scenario,
         seed=replication_seed(cfg.seed, point_index, rep, STREAM_SOCIAL))
-    _, _, xmat = social_pipeline_from_config(run_cfg, graph)
+    _, _, xmat = social_pipeline(graph, alpha=run_cfg.alpha, beta=run_cfg.beta,
+                                 normalization=run_cfg.similarity_normalization)
     engine = engine_config_from_config(
         run_cfg, seed=replication_seed(cfg.seed, point_index, rep, STREAM_ENGINE))
     problem = build_problem(scenario, graph, xmat, engine)

@@ -25,8 +25,8 @@ from socialcell.matching import (SN_RELAY, SN_SCBS, Matching, ServingNode,
                                  _SCAN_BLOCK, _scan_order, _swap_masks,
                                  assignment_from_rows, audit_stability,
                                  build_problem, greedy_stabilize,
-                                 load_matching_csv, matching_to_csv,
-                                 max_rssi_baseline)
+                                 load_matching_csv, matching_to_csv, max_rssi,
+                                 scbs_reception)
 
 
 def three_case_instance():
@@ -63,6 +63,19 @@ def three_case_instance():
     _, _, x = sg.social_pipeline(graph)
     problem = build_problem(scenario, graph, x, SwapEngineConfig(seed=3))
     return problem
+
+
+def move_ok(problem, assign, counts, m, k):
+    """Oracle: can UE m move to node k under range/kind rules and quotas?"""
+    return (k != assign[m] and bool(problem.feasible_sn[m, k])
+            and counts[k] < problem.quota[k])
+
+
+def swap_ok(problem, assign, m, n):
+    """Oracle: can m and n trade serving nodes?  (Loads stay equal, so no quota.)"""
+    km, kn = assign[m], assign[n]
+    return (km >= 0 and kn >= 0 and km != kn
+            and bool(problem.feasible_sn[m, kn] and problem.feasible_sn[n, km]))
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +203,7 @@ def test_evaluate_matches_oracle_on_random_states():
             counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
             m = int(rng.integers(problem.n_ues))
             targets = [k for k in np.flatnonzero(problem.feasible_sn[m])
-                       if problem.move_ok(assign, counts, m, int(k))]
+                       if move_ok(problem, assign, counts, m, int(k))]
             if targets:
                 assign[m] = targets[int(rng.integers(len(targets)))]
         assert_matches_oracle(problem, assign)
@@ -257,9 +270,7 @@ def test_baseline_matches_linear_scan():
     for seed in (0, 1, 2, 3):
         scenario = radio.generate_topology(6, 40, rng_seed=seed)
         want = linear_scan_rssi(scenario)
-        got = max_rssi_baseline(scenario)
-        np.testing.assert_array_equal(got.assign, want)
-        assert all(sn.kind == SN_SCBS for sn in got.serving_nodes)
+        np.testing.assert_array_equal(max_rssi(*scbs_reception(scenario)), want)
         graph = social_ring_graph(scenario)
         _, _, x = sg.social_pipeline(graph)
         problem = build_problem(scenario, graph, x)
@@ -269,20 +280,20 @@ def test_baseline_matches_linear_scan():
 def test_baseline_tie_goes_to_lowest_id():
     scenario = radio.RadioScenario(scbs_xy=np.array([[0.0, 30.0], [0.0, -30.0]]),
                                    ue_xy=np.array([[0.0, 0.0]]))
-    assert max_rssi_baseline(scenario).assign[0] == 0
+    assert max_rssi(*scbs_reception(scenario))[0] == 0
 
 
 def test_baseline_invariant_under_power_scaling():
     base = radio.generate_topology(5, 30, rng_seed=7)
     boosted = radio.generate_topology(5, 30, rng_seed=7, scbs_power_dbm=33.0)
-    np.testing.assert_array_equal(max_rssi_baseline(base).assign,
-                                  max_rssi_baseline(boosted).assign)
+    np.testing.assert_array_equal(max_rssi(*scbs_reception(base)),
+                                  max_rssi(*scbs_reception(boosted)))
 
 
 def test_baseline_leaves_far_ues_unserved():
     scenario = radio.RadioScenario(scbs_xy=np.array([[0.0, 0.0]]),
                                    ue_xy=np.array([[10.0, 0.0], [80.0, 0.0]]))
-    np.testing.assert_array_equal(max_rssi_baseline(scenario).assign, [0, -1])
+    np.testing.assert_array_equal(max_rssi(*scbs_reception(scenario)), [0, -1])
 
 
 # --------------------------------------------------------------------------
@@ -324,20 +335,20 @@ def test_move_and_swap_feasibility_rules():
     problem = three_case_instance()
     assign = problem.initial_assignment()
     counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
-    assert not problem.move_ok(assign, counts, 2, int(assign[2]))  # no-op move
-    assert not problem.move_ok(assign, counts, 2, 0)               # out of range
-    assert problem.move_ok(assign, counts, 4, 0)                   # overlap UE
+    assert not move_ok(problem, assign, counts, 2, int(assign[2]))  # no-op move
+    assert not move_ok(problem, assign, counts, 2, 0)               # out of range
+    assert move_ok(problem, assign, counts, 4, 0)                   # overlap UE
     full = counts.copy()
     full[0] = problem.quota[0]
-    assert not problem.move_ok(assign, full, 4, 0)                 # quota bound
+    assert not move_ok(problem, assign, full, 4, 0)                 # quota bound
 
-    assert not problem.swap_ok(assign, 0, 2)     # ue0 cannot reach cell B
-    assert not problem.swap_ok(assign, 4, 6)     # same serving node
+    assert not swap_ok(problem, assign, 0, 2)     # ue0 cannot reach cell B
+    assert not swap_ok(problem, assign, 4, 6)     # same serving node
     b = assign.copy()
     b[4] = 0
-    assert problem.swap_ok(b, 4, 6)              # both cover both cells
+    assert swap_ok(problem, b, 4, 6)              # both cover both cells
     b[5] = -1
-    assert not problem.swap_ok(b, 4, 5)          # unmatched partner
+    assert not swap_ok(problem, b, 4, 5)          # unmatched partner
 
 
 # --------------------------------------------------------------------------
@@ -471,8 +482,8 @@ def per_swap_scan(problem, assign):
              for k in np.flatnonzero(problem.feasible_sn[m]))
     pos = -1
     for m, n, k in chain(pairs, moves):
-        if not (problem.move_ok(assign, counts, m, k) if n is None
-                else problem.swap_ok(assign, m, n)):
+        if not (move_ok(problem, assign, counts, m, k) if n is None
+                else swap_ok(problem, assign, m, n)):
             continue
         pos += 1
         target = k if n is None else int(assign[n])
@@ -593,9 +604,9 @@ def test_scan_masks_equal_swap_ok_and_move_ok():
             counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
             for m in range(problem.n_ues):
                 for n in range(problem.n_ues):
-                    assert pairs[m, n] == problem.swap_ok(assign, m, n)
+                    assert pairs[m, n] == swap_ok(problem, assign, m, n)
                 for k in range(problem.n_sns):
-                    assert moves[m, k] == problem.move_ok(assign, counts, m, k)
+                    assert moves[m, k] == move_ok(problem, assign, counts, m, k)
 
 
 STABILITY_SETTINGS = {
