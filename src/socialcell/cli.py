@@ -54,10 +54,11 @@ def _ensure_outdir(path: str) -> str:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     sha = cfgmod.config_sha(cfg)
-    out = _ensure_outdir(args.out)
     # A single run is replication 0 of a one-point experiment, so its seed
-    # streams line up with what the sweep harness would draw.
+    # streams line up with what the sweep harness would draw.  It is built
+    # before --out is made, so a config error leaves no directory behind.
     scenario, problem = harness.build_replication(cfg, 0, 0)
+    out = _ensure_outdir(args.out)
 
     t0 = time.perf_counter()
     result, assign = harness.social_aware_assignment(problem, cfg.stabilize)
@@ -113,8 +114,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    out = _ensure_outdir(args.out)
     spec = harness.ExperimentSpec.from_config(cfg)
+    out = _ensure_outdir(args.out)
     t0 = time.perf_counter()
     result = harness.run_experiment(spec)
     paths = harness.emit_results(result, out)

@@ -71,6 +71,8 @@ class ExperimentSpec:
             raise ConfigError("sweep values must be >= 1")
         if len(set(self.sweep_values)) < len(self.sweep_values):
             raise ConfigError(f"sweep_values repeats a value: {self.sweep_values}")
+        if self.base_seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.base_seed}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.methods:

@@ -18,6 +18,13 @@ one vector check per block.  Every row of the kernel equals the evaluation
 of that row alone bit for bit (its sums run in an order independent of the
 block size), so the block scan approves exactly the swaps a one-at-a-time
 scan would.
+
+The anneal's walk revisits a few states over and over, so it keeps a memo,
+local to one `anneal_on_problem` call, from each evaluated state to its
+welfare (and its rates when a min-rate floor applies), and evaluates only
+states it has not seen.  Its random numbers come from `_Draws`, which serves
+`np.random.default_rng(seed)`'s `random()` and `integers(n)` draw for draw
+from raw 64-bit words fetched in bulk.  Neither changes a trace or a result.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,8 +160,7 @@ class Matching:
         return None if k < 0 else self.serving_nodes[k]
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     iteration: int
     welfare: float
     best_welfare: float
@@ -174,11 +180,19 @@ class StabilityViolation:
 
 @dataclass(frozen=True)
 class AnnealResult:
+    """Outcome of one annealed search.
+
+    states_evaluated counts the distinct proposals the search evaluated,
+    that is its memo misses; the seed state and the final report are not
+    counted.  No CSV or JSON output records it.
+    """
+
     matching: Matching
     report: UtilityReport
     trace: tuple[TraceRow, ...]
     best_iteration: int
     iterations_run: int
+    states_evaluated: int
 
 
 # --------------------------------------------------------------------------
@@ -458,75 +472,159 @@ def _accept_prob(beta: float, delta_w: float, w_current: float, floor: float) ->
     return 1.0 / (1.0 + math.exp(-z))
 
 
+#: Raw 64-bit words `_Draws` takes from its bit generator at a time.
+_RAW_BLOCK = 256
+
+
+class _Draws:
+    """The `random()` and `integers(n)` draws of `np.random.default_rng(seed)`,
+    served from raw PCG64 words fetched `_RAW_BLOCK` at a time.
+
+    Any interleaving of calls returns what the same calls on the generator
+    itself return, at a fraction of the cost of a scalar numpy call:
+
+    - `random()` is the top 53 bits of one word times 2**-53;
+    - a 32-bit draw takes the low half of a word and keeps its high half
+      for the next 32-bit draw, which `random()` does not consume;
+    - `integers(n)` maps one 32-bit draw x to (x * n) >> 32 (Lemire's
+      method), drawing again while the low 32 bits of x * n fall below
+      (2**32 - n) % n; n = 1 draws nothing.  numpy takes 64-bit draws
+      above n = 2**32, so those are refused.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._words: Iterator[int] = iter(())
+        self._half: int | None = None
+
+    def _word(self) -> int:
+        w = next(self._words, None)
+        if w is None:
+            self._words = iter(self._bits.random_raw(_RAW_BLOCK).tolist())
+            w = next(self._words)
+        return w
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        w = self._word()
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, n: int) -> int:
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = ((1 << 32) - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+
 def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
-    """Run the annealed swap search on a prepared problem."""
+    """Run the annealed swap search on a prepared problem.
+
+    Each iteration draws a pair swap (with probability move_mix) or a
+    single move of a random servable UE.  A feasible proposal is evaluated
+    and accepted with the sigmoid probability of its welfare change; the
+    best state ever visited is returned.  The walk revisits a few states
+    over and over, so a memo local to this call maps each evaluated state
+    (its bytes) to its welfare, plus its rates when min_rate_bps is set,
+    and `problem.evaluate` runs only on a miss.  Random numbers come from
+    `_Draws`, equal draw for draw to `np.random.default_rng(cfg.seed)`.
+    Neither changes a result: evaluation is deterministic, so a trace
+    equals that of evaluating every proposal afresh.
+    """
     cfg = problem.config
-    rng = np.random.default_rng(cfg.seed)
+    draws = _Draws(cfg.seed)
+    random, integers = draws.random, draws.integers
     assign = problem.initial_assignment()
-    # Loads, quotas and each UE's feasible nodes as Python lists: filtering
-    # a UE's one or two nodes in Python beats a numpy mask per proposal.
+    # The assignment (mirrored in `where`), loads, quotas, each UE's
+    # feasible nodes and the servable UEs as Python lists: filtering a UE's
+    # one or two nodes in Python beats a numpy mask per proposal.
+    where = assign.tolist()
     counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns).tolist()
     quota = problem.quota.tolist()
     reach = [np.flatnonzero(row).tolist() for row in problem.feasible_sn]
-    w_cur = problem.evaluate(assign).welfare
-    best = assign.copy()
+    pool = np.flatnonzero(problem.servable).tolist()
+    floor = cfg.min_rate_bps
+    ev = problem.evaluate(assign)
+    w_cur = ev.welfare
+    # state bytes -> (welfare, rates), rates kept only for the min-rate check
+    memo = {assign.tobytes(): (w_cur, ev.rates if floor > 0 else None)}
+    # every proposal is a fresh copy and no state is written to once made,
+    # so states are shared, never copied
+    best = assign
     w_best = w_cur
     best_iter = 0
 
-    pool = np.flatnonzero(problem.servable)
     trace: list[TraceRow] = []
     stall = 0
     iterations = 0
 
     for t in range(1, cfg.max_iterations + 1):
-        if len(pool) == 0:
+        if not pool:
             break
         iterations = t
-        beta = _beta_at(cfg, t - 1, cfg.max_iterations)
-        kind = MOVE_SWAP if rng.random() < cfg.move_mix else MOVE_SINGLE
+        kind = MOVE_SWAP if random() < cfg.move_mix else MOVE_SINGLE
         accepted = False
         proposal = None
 
         if kind == MOVE_SWAP and len(pool) >= 2:
-            i1 = int(rng.integers(len(pool)))
-            i2 = int(rng.integers(len(pool) - 1))
+            i1 = integers(len(pool))
+            i2 = integers(len(pool) - 1)
             if i2 >= i1:
                 i2 += 1
-            m, n = int(pool[i1]), int(pool[i2])
-            km, kn = int(assign[m]), int(assign[n])
+            m, n = pool[i1], pool[i2]
+            km, kn = where[m], where[n]
             # each node in the other UE's reach, where -1 (unserved) never
             # appears; a swap leaves the loads alone, so no quota applies
             if km != kn and kn in reach[m] and km in reach[n]:
                 proposal = assign.copy()
-                proposal[m], proposal[n] = assign[n], assign[m]
+                proposal[m], proposal[n] = kn, km
                 moved = (m, n)
         elif kind == MOVE_SINGLE:
-            m = int(pool[rng.integers(len(pool))])
-            here = assign[m]
+            m = pool[integers(len(pool))]
+            here = where[m]
             targets = [k for k in reach[m] if k != here and counts[k] < quota[k]]
             if targets:
-                k = targets[int(rng.integers(len(targets)))]
+                k = targets[integers(len(targets))]
                 proposal = assign.copy()
                 proposal[m] = k
                 moved = (m,)
 
         if proposal is not None:
-            ev = problem.evaluate(proposal)
-            ok_rate = (cfg.min_rate_bps <= 0
-                       or all(ev.rates[u] >= cfg.min_rate_bps for u in moved))
-            if ok_rate:
-                p = _accept_prob(beta, ev.welfare - w_cur, w_cur, _WELFARE_FLOOR)
-                if rng.random() < p:
+            key = proposal.tobytes()
+            seen = memo.get(key)
+            if seen is None:
+                ev = problem.evaluate(proposal)
+                seen = memo[key] = (ev.welfare, ev.rates if floor > 0 else None)
+            w_new, rates = seen
+            if rates is None or all(rates[u] >= floor for u in moved):
+                beta = _beta_at(cfg, t - 1, cfg.max_iterations)
+                p = _accept_prob(beta, w_new - w_cur, w_cur, _WELFARE_FLOOR)
+                if random() < p:
                     if len(moved) == 1:           # a swap leaves the loads alone
-                        if assign[m] >= 0:
-                            counts[assign[m]] -= 1
+                        if here >= 0:
+                            counts[here] -= 1
                         counts[k] += 1
+                        where[m] = k
+                    else:
+                        where[m], where[n] = kn, km
                     assign = proposal
-                    w_cur = ev.welfare
+                    w_cur = w_new
                     accepted = True
                     if w_cur > w_best:
                         w_best = w_cur
-                        best = assign.copy()
+                        best = assign
                         best_iter = t
 
         trace.append(TraceRow(t, w_cur, w_best, accepted, kind))
@@ -538,7 +636,8 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
                         report=problem.report(best),
                         trace=tuple(trace),
                         best_iteration=best_iter,
-                        iterations_run=iterations)
+                        iterations_run=iterations,
+                        states_evaluated=len(memo) - 1)
 
 
 # --------------------------------------------------------------------------

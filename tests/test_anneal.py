@@ -1,6 +1,12 @@
-"""Annealed swap search: schedules, trace integrity, and swap stability."""
+"""Annealed swap search: schedules, trace integrity, and swap stability.
+
+The anneal's memo of evaluated states and its bulk random draws are held to
+oracles: `per_proposal_anneal`, the loop that evaluates every proposal
+afresh and draws from `np.random.default_rng`, and numpy's generator itself.
+"""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -13,9 +19,13 @@ from socialcell import socialgraph as sg
 from socialcell.matching import (
     MOVE_SINGLE,
     MOVE_SWAP,
+    _RAW_BLOCK,
+    _WELFARE_FLOOR,
     SwapEngineConfig,
+    TraceRow,
     _accept_prob,
     _beta_at,
+    _Draws,
     _judge,
     _swap_masks,
     anneal_on_problem,
@@ -414,3 +424,187 @@ def test_trace_csv_has_one_row_per_iteration(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,welfare,best_welfare,accepted,move_kind"
     assert len(lines) == len(res.trace) + 1
+
+
+# --------------------------------------------------------------------------
+# the memo and the bulk draws against their oracles
+# --------------------------------------------------------------------------
+
+def per_proposal_anneal(problem):
+    """The anneal as one loop: `np.random.default_rng`, one `evaluate` per
+    proposal, no memo.  Returns (trace, best_iteration, iterations_run,
+    best assignment, number of proposals evaluated)."""
+    cfg = problem.config
+    rng = np.random.default_rng(cfg.seed)
+    assign = problem.initial_assignment()
+    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns).tolist()
+    quota = problem.quota.tolist()
+    reach = [np.flatnonzero(row).tolist() for row in problem.feasible_sn]
+    w_cur = problem.evaluate(assign).welfare
+    best = assign.copy()
+    w_best = w_cur
+    best_iter = 0
+
+    pool = np.flatnonzero(problem.servable)
+    trace = []
+    stall = 0
+    iterations = 0
+    evaluated = 0
+
+    for t in range(1, cfg.max_iterations + 1):
+        if len(pool) == 0:
+            break
+        iterations = t
+        beta = _beta_at(cfg, t - 1, cfg.max_iterations)
+        kind = MOVE_SWAP if rng.random() < cfg.move_mix else MOVE_SINGLE
+        accepted = False
+        proposal = None
+
+        if kind == MOVE_SWAP and len(pool) >= 2:
+            i1 = int(rng.integers(len(pool)))
+            i2 = int(rng.integers(len(pool) - 1))
+            if i2 >= i1:
+                i2 += 1
+            m, n = int(pool[i1]), int(pool[i2])
+            km, kn = int(assign[m]), int(assign[n])
+            if km != kn and kn in reach[m] and km in reach[n]:
+                proposal = assign.copy()
+                proposal[m], proposal[n] = assign[n], assign[m]
+                moved = (m, n)
+        elif kind == MOVE_SINGLE:
+            m = int(pool[rng.integers(len(pool))])
+            here = assign[m]
+            targets = [k for k in reach[m] if k != here and counts[k] < quota[k]]
+            if targets:
+                k = targets[int(rng.integers(len(targets)))]
+                proposal = assign.copy()
+                proposal[m] = k
+                moved = (m,)
+
+        if proposal is not None:
+            ev = problem.evaluate(proposal)
+            evaluated += 1
+            ok_rate = (cfg.min_rate_bps <= 0
+                       or all(ev.rates[u] >= cfg.min_rate_bps for u in moved))
+            if ok_rate:
+                p = _accept_prob(beta, ev.welfare - w_cur, w_cur, _WELFARE_FLOOR)
+                if rng.random() < p:
+                    if len(moved) == 1:
+                        if assign[m] >= 0:
+                            counts[assign[m]] -= 1
+                        counts[k] += 1
+                    assign = proposal
+                    w_cur = ev.welfare
+                    accepted = True
+                    if w_cur > w_best:
+                        w_best = w_cur
+                        best = assign.copy()
+                        best_iter = t
+
+        trace.append(TraceRow(t, w_cur, w_best, accepted, kind))
+        stall = 0 if accepted else stall + 1
+        if cfg.stall_window and stall >= cfg.stall_window:
+            break
+
+    return tuple(trace), best_iter, iterations, best, evaluated
+
+
+#: Two SCBSs 60 m apart with overlapping cells: pair swaps are feasible.
+OVERLAP = dict(n_scbs=2, n_ues=12, spread=45.0)
+#: UEs scattered past the SCBS range: at seeds 0 and 23 the seed state
+#: already serves UEs by D2D.
+SCATTERED = dict(n_scbs=2, n_ues=20, spread=70.0)
+
+ORACLE_CASES = {
+    "moves-only": (OVERLAP, dict(move_mix=0.0)),
+    "mixed": (OVERLAP, dict(move_mix=0.5)),
+    "swaps-only": (OVERLAP, dict(move_mix=1.0)),
+    "min-rate": (OVERLAP, dict(min_rate_bps=1e6)),
+    "literal-cooling": (OVERLAP, dict(cooling="literal")),
+    "geometric": (OVERLAP, dict(schedule="geometric", beta_start=0.5)),
+    "no-stall-stop": (OVERLAP, dict(stall_window=0)),
+    "d2d-seed": (SCATTERED, {}),
+}
+
+
+def oracle_problem(case, seed):
+    layout, knobs = ORACLE_CASES[case]
+    engine = SwapEngineConfig(seed=seed, max_iterations=1000, scbs_quota=8,
+                              d2d_quota=6, **knobs)
+    return clustered_instance(seed, engine=engine, **layout).problem
+
+
+@pytest.mark.parametrize("case, seed", [
+    (case, seed) for case in sorted(ORACLE_CASES)
+    for seed in ((0, 23) if case == "d2d-seed" else (3, 5))])
+def test_anneal_equals_the_per_proposal_loop(case, seed):
+    problem = oracle_problem(case, seed)
+    trace, best_iter, iterations, best, evaluated = per_proposal_anneal(problem)
+    res = anneal_on_problem(problem)
+    assert evaluated > res.states_evaluated > 0     # the memo was hit
+    assert res.trace == trace
+    assert [tuple(map(type, row)) for row in res.trace] == \
+        [tuple(map(type, row)) for row in trace]
+    assert res.best_iteration == best_iter
+    assert res.iterations_run == iterations
+    np.testing.assert_array_equal(res.matching.assign, best)
+
+
+def test_oracle_cases_reach_their_paths():
+    """The grid above covers the min-rate veto and a D2D-served seed state."""
+    assert (anneal_on_problem(oracle_problem("min-rate", 5)).trace
+            != anneal_on_problem(oracle_problem("mixed", 5)).trace)
+    for seed in (0, 23):
+        problem = oracle_problem("d2d-seed", seed)
+        assert (problem.initial_assignment() >= problem.n_scbs).any()
+
+
+def test_states_evaluated_counts_the_calls_to_evaluate():
+    problem = oracle_problem("mixed", 3)
+    inner, calls = problem.evaluate, []
+
+    def evaluate(assign):
+        calls.append(np.asarray(assign).tobytes())
+        return inner(assign)
+
+    problem.evaluate = evaluate
+    res = anneal_on_problem(problem)
+    # besides one call per memo miss, the seed state and the final report
+    proposals = calls[1:-1]
+    assert res.states_evaluated == len(proposals) > 0
+    assert len(set(proposals)) == len(proposals)
+    assert calls[0] not in proposals
+
+
+def test_states_evaluated_is_zero_without_a_feasible_proposal():
+    res = anneal_on_problem(lone_problem(SwapEngineConfig(seed=0, max_iterations=50)))
+    assert res.states_evaluated == 0
+
+
+DRAW_SIZES = [1, 2, 3, 57, 2**31 - 1, 3 * 10**9, 2**32]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**64 - 1])
+def test_draws_equal_numpy_default_rng(seed):
+    """Interleaved random() and integers(n) over several raw blocks.
+
+    n = 3e9 rejects about 30% of its first draws, so the rejection loop
+    runs; n = 1 draws nothing and n = 2**32 is a bare 32-bit draw.
+    """
+    pick = random.Random(seed)
+    ours, numpy_rng = _Draws(seed), np.random.default_rng(seed)
+    for _ in range(4 * _RAW_BLOCK):
+        if pick.random() < 0.3:
+            assert ours.random() == numpy_rng.random()
+        else:
+            n = (pick.choice(DRAW_SIZES) if pick.random() < 0.5
+                 else pick.randint(1, 2**32))
+            assert ours.integers(n) == numpy_rng.integers(n)
+
+
+def test_draws_refuse_a_range_numpy_draws_in_64_bits():
+    draws = _Draws(0)
+    with pytest.raises(ValueError):
+        draws.integers(2**32 + 1)
+    with pytest.raises(ValueError):
+        draws.integers(0)

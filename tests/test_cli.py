@@ -202,6 +202,7 @@ def test_sweep_requires_a_sweep_variable(run_cfg, tmp_path, capsys):
                "--quiet"])
     assert rc == 1
     assert "sweep_variable" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
     assert main([command, "--config", cfg, *flags, "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
-    assert not (out / "replications.csv").exists()
+    assert not out.exists()
 
 
 def test_missing_config_file_is_a_usage_error(capsys):
