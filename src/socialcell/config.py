@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from . import socialgraph as sg
 from .matching import SwapEngineConfig
-from .radio import PathlossParams, RadioScenario, generate_topology, scbs_ue_distances
+from .radio import PathlossParams, RadioScenario, generate_topology, scbs_reception
 
 
 @dataclass(frozen=True)
@@ -213,17 +213,17 @@ def social_graph_from_config(cfg: ScenarioConfig, scenario: RadioScenario,
     """Build the social graph over every SCBS and UE in the scenario.
 
     The random models wire the UE population only; every SCBS is then linked
-    to the UEs inside its service radius (it can only develop social ties
-    with users it could actually serve).  An explicit edge file replaces
-    both parts verbatim.
+    to the UEs inside its service radius, the coverage mask of
+    `radio.scbs_reception` (it can only develop social ties with users it
+    could actually serve).  An explicit edge file replaces both parts
+    verbatim.  Vertices are numbered SCBSs first, then UEs.
     """
-    roster = sg.default_roster(scenario.n_scbs, scenario.n_ues)
+    N, M = scenario.n_scbs, scenario.n_ues
     if cfg.social_model == "edges":
         if not cfg.social_edge_file:
             raise ConfigError("social_model=edges needs social_edge_file")
-        return sg.load_edge_list(cfg.social_edge_file, roster)
+        return sg.load_edge_list(cfg.social_edge_file, N, M)
 
-    ue_roster = tuple((sg.UE, m) for m in range(scenario.n_ues))
     if cfg.social_model == "watts-strogatz":
         model = sg.WattsStrogatz(neighbors=cfg.ws_neighbors, rewire=cfg.ws_rewire)
     elif cfg.social_model == "erdos-renyi":
@@ -231,14 +231,13 @@ def social_graph_from_config(cfg: ScenarioConfig, scenario: RadioScenario,
     else:
         raise ConfigError(f"unknown social_model {cfg.social_model!r}")
     ue_graph = sg.build_social_graph(
-        ue_roster, model, rng_seed=cfg.seed if seed is None else seed)
+        0, M, model, rng_seed=cfg.seed if seed is None else seed)
 
-    N = scenario.n_scbs
-    adj = np.zeros((len(roster), len(roster)), dtype=np.int8)
+    adj = np.zeros((N + M, N + M), dtype=np.int8)
     adj[N:, N:] = ue_graph.adjacency
-    adj[:N, N:] = scbs_ue_distances(scenario) <= scenario.scbs_radius_m
+    adj[:N, N:] = scbs_reception(scenario)[1]
     adj[N:, :N] = adj[:N, N:].T
-    return sg.SocialGraph(vertices=roster, adjacency=adj)
+    return sg.SocialGraph(n_scbs=N, adjacency=adj)
 
 
 def engine_config_from_config(cfg: ScenarioConfig, seed: int | None = None) -> SwapEngineConfig:

@@ -37,8 +37,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .radio import (RadioScenario, dbm_to_mw, pathloss_db, scbs_ue_distances,
-                    subcarrier_offset, ue_ue_distances)
+from .radio import (RadioScenario, dbm_to_mw, pathloss_db, scbs_reception,
+                    subcarrier_offset, ue_distances)
 from .socialgraph import (SCBS, UE, X_FLOOR, SocialDistanceMatrix, SocialGraph,
                           elect_important_ues, importance_scores)
 
@@ -219,12 +219,10 @@ class AssociationProblem:
         N, M = scenario.n_scbs, scenario.n_ues
         self.n_scbs, self.n_ues = N, M
 
-        vert = {ref: i for i, ref in enumerate(graph.vertices)}
-        try:
-            scbs_vert = np.array([vert[(SCBS, i)] for i in range(N)])
-            ue_vert = np.array([vert[(UE, m)] for m in range(M)])
-        except KeyError as exc:
-            raise InputError(f"social graph is missing scenario node {exc.args[0]}") from None
+        if graph.n_scbs != N or graph.n_vertices != N + M:
+            raise InputError(
+                f"social graph has {graph.n_scbs} SCBSs and {graph.n_vertices} nodes; "
+                f"the scenario needs {N} and {N + M}")
 
         self.prx_scbs, in_scbs = scbs_reception(scenario)
 
@@ -233,24 +231,19 @@ class AssociationProblem:
         rssi.setflags(write=False)
         self.rssi_assignment = rssi
 
-        cells = {i: [int(m) for m in np.flatnonzero(rssi == i)] for i in range(N)}
-        scores = importance_scores(graph, x)
-        self.ranking = elect_important_ues(scores, cells)
-        relays = self.ranking.relay_ues
-        self.relay_ues = np.array(relays, dtype=np.int64)
+        relays = elect_important_ues(importance_scores(graph, x), rssi)
         self.n_relays = len(relays)
         self.n_sns = N + self.n_relays
 
         nodes: list[ServingNode] = [ServingNode(SN_SCBS, i) for i in range(N)]
-        cell_of = {m: c for c, m in self.ranking.elected.items() if m is not None}
-        nodes += [ServingNode(SN_RELAY, p, cell_scbs=cell_of[p]) for p in relays]
+        nodes += [ServingNode(SN_RELAY, int(p), cell_scbs=int(rssi[p])) for p in relays]
         self.serving_nodes: tuple[ServingNode, ...] = tuple(nodes)
 
         self.is_relay = np.zeros(M, dtype=bool)
-        self.is_relay[self.relay_ues] = True
+        self.is_relay[relays] = True
         self.relay_sn_of = {int(p): N + j for j, p in enumerate(relays)}
 
-        d_ru = ue_ue_distances(scenario)[self.relay_ues, :]
+        d_ru = ue_distances(scenario, relays)
         self.prx_d2d = (dbm_to_mw(scenario.ue_power_dbm)
                         * 10.0 ** (-pathloss_db(UE, d_ru, scenario.pathloss) / 10.0)
                         * scenario.fading_gain)
@@ -258,18 +251,18 @@ class AssociationProblem:
         for j, p in enumerate(relays):
             self.prx_d2d[j, p] = 0.0       # a node neither serves nor jams itself
             in_d2d[j, p] = False
-        in_d2d[:, self.relay_ues] = False   # relays connect only to SCBSs
+        in_d2d[:, relays] = False   # relays connect only to SCBSs
 
-        self.x_scbs_ue = x.values[np.ix_(scbs_vert, ue_vert)]
-        x_rel = x.values[np.ix_(ue_vert[self.relay_ues], ue_vert)]
+        # vertex i < N of the social graph is scbs{i}, vertex N + m is ue{m}
+        self.x_scbs_ue = x.values[:N, N:]
         eps = self.config.d2d_weight_epsilon or 1.0 / scenario.d2d_radius_m
-        self.d2d_weight = eps * d_ru * x_rel
+        self.d2d_weight = eps * d_ru * x.values[N + relays, N:]
 
         # static target feasibility: range plus node-kind rules
         feas = np.zeros((M, self.n_sns), dtype=bool)
         feas[:, :N] = in_scbs.T
         feas[:, N:] = in_d2d.T
-        feas[self.relay_ues, N:] = False
+        feas[relays, N:] = False
         self.feasible_sn = feas
         self.servable = feas.any(axis=1)
 
@@ -296,7 +289,7 @@ class AssociationProblem:
         prx[1:N + 1] = self.prx_scbs
         prx[N + 1:] = self.prx_d2d
         relay = np.zeros(S + 1, dtype=np.int64)
-        relay[N + 1:] = self.relay_ues
+        relay[N + 1:] = relays
         offset = np.zeros(S + 1, dtype=np.int64)
         offset[1:] = self.sc_offset
         self.prx_scbs, self.prx_d2d = prx[1:N + 1], prx[N + 1:]
@@ -436,15 +429,6 @@ def build_problem(scenario: RadioScenario, graph: SocialGraph,
 # --------------------------------------------------------------------------
 # baseline
 # --------------------------------------------------------------------------
-
-def scbs_reception(scenario: RadioScenario) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M) SCBS-to-UE received power in mW and the matching in-range mask."""
-    d_su = scbs_ue_distances(scenario)
-    prx = (dbm_to_mw(scenario.scbs_power_dbm)
-           * 10.0 ** (-pathloss_db(SCBS, d_su, scenario.pathloss) / 10.0)
-           * scenario.fading_gain)
-    return prx, d_su <= scenario.scbs_radius_m
-
 
 def max_rssi(prx: np.ndarray, in_range: np.ndarray) -> np.ndarray:
     """Classical max-RSSI cell selection, with no D2D and no load awareness:

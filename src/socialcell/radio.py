@@ -194,10 +194,21 @@ def scbs_ue_distances(scenario: RadioScenario) -> np.ndarray:
     return np.linalg.norm(diff, axis=2)
 
 
-def ue_ue_distances(scenario: RadioScenario) -> np.ndarray:
-    """(M, M) matrix of UE-to-UE distances in metres."""
-    diff = scenario.ue_xy[:, np.newaxis, :] - scenario.ue_xy[np.newaxis, :, :]
+def ue_distances(scenario: RadioScenario, ues: np.ndarray) -> np.ndarray:
+    """(len(ues), M) matrix of distances in metres from the given UEs to
+    every UE."""
+    diff = scenario.ue_xy[ues, np.newaxis, :] - scenario.ue_xy[np.newaxis, :, :]
     return np.linalg.norm(diff, axis=2)
+
+
+def scbs_reception(scenario: RadioScenario) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M) SCBS-to-UE received power in mW and the in-range mask: the UEs
+    inside each SCBS's service radius."""
+    d_su = scbs_ue_distances(scenario)
+    prx = (dbm_to_mw(scenario.scbs_power_dbm)
+           * 10.0 ** (-pathloss_db(SCBS, d_su, scenario.pathloss) / 10.0)
+           * scenario.fading_gain)
+    return prx, d_su <= scenario.scbs_radius_m
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 from .socialgraph import (RAW_CLIPPED, BetweennessMatrix, ExplicitEdges,
                           SocialGraph, build_social_graph, edge_betweenness,
-                          importance_scores, similarity, social_distance)
+                          importance_scores, parse_node_label, similarity,
+                          social_distance, vertex)
 
-_ROSTER = (("scbs", 0), ("ue", 0), ("ue", 1), ("ue", 2), ("ue", 3))
+_N_SCBS, _N_UES = 1, 4
 _EDGES = (
     (("scbs", 0), ("ue", 0)),
     (("scbs", 0), ("ue", 1)),
@@ -70,7 +71,7 @@ TOLERANCE = 1e-3
 
 
 def reference_graph() -> SocialGraph:
-    return build_social_graph(_ROSTER, ExplicitEdges(edges=_EDGES))
+    return build_social_graph(_N_SCBS, _N_UES, ExplicitEdges(edges=_EDGES))
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,9 @@ class CheckRow:
     ok: bool
 
 
-def _entry(g: SocialGraph, matrix, a: str, b: str) -> float:
-    labels = [f"{kind}{nid}" for kind, nid in g.vertices]
-    return float(matrix[labels.index(a), labels.index(b)])
+def _entry(matrix, a: str, b: str) -> float:
+    u, v = (vertex(parse_node_label(label), _N_SCBS, _N_UES) for label in (a, b))
+    return float(matrix[u, v])
 
 
 def golden_checks(alpha: float = 0.5, beta: float = 0.5,
@@ -107,15 +108,14 @@ def golden_checks(alpha: float = 0.5, beta: float = 0.5,
                              ok=abs(actual - expected) <= TOLERANCE))
 
     for (a, c), want in EXPECTED_B.items():
-        num_check(f"B[{a},{c}]", want, _entry(g, b.values, a, c))
+        num_check(f"B[{a},{c}]", want, _entry(b.values, a, c))
     for (a, c), want in EXPECTED_Q.items():
-        num_check(f"Q[{a},{c}]", want, _entry(g, s.raw, a, c))
+        num_check(f"Q[{a},{c}]", want, _entry(s.raw, a, c))
     for (a, c), want in EXPECTED_X.items():
-        num_check(f"X[{a},{c}]", want, _entry(g, x.values, a, c))
+        num_check(f"X[{a},{c}]", want, _entry(x.values, a, c))
 
     scores = importance_scores(g, x)
-    top = min(scores, key=lambda m: (-scores[m], m))
-    bottom = min(scores, key=lambda m: (scores[m], m))
+    top, bottom = int(scores.argmax()), int(scores.argmin())   # ties to the lowest id
     rows.append(CheckRow(name="importance.top", expected=TOP_UE,
                          actual=f"ue{top}", ok=f"ue{top}" == TOP_UE))
     rows.append(CheckRow(name="importance.bottom", expected=BOTTOM_UE,

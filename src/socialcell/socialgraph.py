@@ -1,7 +1,10 @@
 """Social graph construction and the metrics used to rank relay candidates.
 
 The graph mixes two node kinds: small cell base stations ("scbs") and user
-equipments ("ue").  From the adjacency structure we derive
+equipments ("ue").  Vertices are numbered by one rule, not by a stored
+roster: in a graph of N SCBSs, vertex i < N is scbs{i} and vertex N + m is
+ue{m}.  `vertex` maps a (kind, id) node to its vertex.  From the adjacency
+structure we derive
   * edge betweenness (how much shortest-path traffic an edge carries),
   * a common-neighbour similarity score per node pair,
   * a combined social distance matrix X = alpha * S + beta * B,
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,21 +37,16 @@ from .errors import ConfigError, InputError
 SCBS = "scbs"
 UE = "ue"
 
-#: (kind, network id) pair naming a node independently of its vertex index.
+#: (kind, network id) pair naming a node, e.g. ("ue", 3) for ue3.
 NodeRef = tuple[str, int]
 
 #: Social distance values below this floor are clamped before any division.
 X_FLOOR = 0.01
 
 
-def node_label(ref: NodeRef) -> str:
-    """Text form of a node reference, e.g. ("ue", 3) -> "ue3"."""
-    kind, nid = ref
-    return f"{kind}{nid}"
-
-
 def parse_node_label(text: str) -> NodeRef:
-    """Inverse of :func:`node_label`; raises InputError on junk."""
+    """Node reference of a text label, e.g. "ue3" -> ("ue", 3); raises
+    InputError on junk."""
     text = text.strip()
     for kind in (SCBS, UE):
         if text.startswith(kind) and text[len(kind):].isdigit():
@@ -57,24 +54,35 @@ def parse_node_label(text: str) -> NodeRef:
     raise InputError(f"unrecognized node label {text!r}")
 
 
+def vertex(ref: NodeRef, n_scbs: int, n_ues: int) -> int:
+    """Vertex of node `ref` in a graph of n_scbs SCBSs and n_ues UEs:
+    scbs{i} is vertex i and ue{m} is vertex n_scbs + m.  Raises InputError
+    for a node the graph does not have."""
+    kind, nid = ref
+    if kind == SCBS and 0 <= nid < n_scbs:
+        return nid
+    if kind == UE and 0 <= nid < n_ues:
+        return n_scbs + nid
+    raise InputError(f"unknown node {kind}{nid}")
+
+
 @dataclass(frozen=True)
 class SocialGraph:
-    """Undirected, unweighted graph over a fixed roster of nodes.
+    """Undirected, unweighted graph over N SCBSs and the UEs.
 
-    vertices   -- roster in vertex-index order (SCBS entries first by id,
-                  then UEs by id, when built through build_social_graph)
+    n_scbs     -- N: vertex i < N is scbs{i}, vertex N + m is ue{m}
     adjacency  -- (V, V) 0/1 matrix, symmetric, zero diagonal
     """
 
-    vertices: tuple[NodeRef, ...]
+    n_scbs: int
     adjacency: np.ndarray
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise InputError("adjacency must be a square matrix")
-        if adj.shape[0] != len(self.vertices):
-            raise InputError("adjacency size does not match the roster")
+        if not 0 <= self.n_scbs <= adj.shape[0]:
+            raise InputError(f"{self.n_scbs} SCBSs do not fit a {adj.shape[0]}-node graph")
         if not np.array_equal(adj, adj.T):
             raise InputError("adjacency must be symmetric")
         if np.any(np.diagonal(adj) != 0):
@@ -87,22 +95,7 @@ class SocialGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    def index(self, ref: NodeRef) -> int:
-        try:
-            return self.vertices.index(ref)
-        except ValueError:
-            raise InputError(f"node {node_label(ref)} is not in the roster") from None
-
-    def edges(self) -> list[tuple[NodeRef, NodeRef]]:
-        out = []
-        for u, v in zip(*np.nonzero(np.triu(self.adjacency))):
-            out.append((self.vertices[int(u)], self.vertices[int(v)]))
-        return out
-
-    def ue_indices(self) -> list[int]:
-        return [i for i, (kind, _) in enumerate(self.vertices) if kind == UE]
+        return self.adjacency.shape[0]
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +110,7 @@ class ExplicitEdges:
 
 @dataclass(frozen=True)
 class ErdosRenyi:
-    """Independent edge probability p over every roster pair."""
+    """Independent edge probability p over every vertex pair."""
     p: float
 
 
@@ -131,30 +124,22 @@ class WattsStrogatz:
 EdgeModel = ExplicitEdges | ErdosRenyi | WattsStrogatz
 
 
-def build_social_graph(roster: Sequence[NodeRef], edge_model: EdgeModel,
+def build_social_graph(n_scbs: int, n_ues: int, edge_model: EdgeModel,
                        rng_seed: int = 0) -> SocialGraph:
-    """Build a SocialGraph over `roster` using the requested edge model.
+    """Build a SocialGraph over n_scbs SCBSs and n_ues UEs, numbered SCBSs
+    first, using the requested edge model.
 
-    The random models wire the whole roster; an explicit edge list gives the
-    caller full control (and ignores the seed).  Node order in the roster is
-    preserved as the vertex order.
+    The random models wire every vertex; an explicit edge list gives the
+    caller full control (and ignores the seed).
     """
-    roster = tuple(roster)
-    if len(set(roster)) != len(roster):
-        raise InputError("duplicate node in roster")
-    V = len(roster)
-
+    V = n_scbs + n_ues
     if isinstance(edge_model, ExplicitEdges):
         adj = np.zeros((V, V), dtype=np.int8)
-        index = {ref: i for i, ref in enumerate(roster)}
         for a, b in edge_model.edges:
-            if a not in index or b not in index:
-                missing = a if a not in index else b
-                raise InputError(f"edge references unknown node {node_label(missing)}")
-            if a == b:
-                raise InputError(f"self-loop on {node_label(a)}")
-            adj[index[a], index[b]] = 1
-            adj[index[b], index[a]] = 1
+            u, v = vertex(a, n_scbs, n_ues), vertex(b, n_scbs, n_ues)
+            if u == v:
+                raise InputError(f"self-loop on {a[0]}{a[1]}")
+            adj[u, v] = adj[v, u] = 1
     elif isinstance(edge_model, ErdosRenyi):
         if not 0.0 <= edge_model.p <= 1.0:
             raise ConfigError(f"edge probability must be in [0, 1], got {edge_model.p}")
@@ -169,7 +154,7 @@ def build_social_graph(roster: Sequence[NodeRef], edge_model: EdgeModel,
     else:
         raise ConfigError(f"unknown edge model {edge_model!r}")
 
-    return SocialGraph(vertices=roster, adjacency=adj)
+    return SocialGraph(n_scbs=n_scbs, adjacency=adj)
 
 
 def _gnp_adjacency(V: int, p: float, rng: random.Random) -> np.ndarray:
@@ -194,7 +179,7 @@ def _watts_strogatz_adjacency(V: int, k: int, p: float,
     a neighbour of u.  As in NetworkX, an edge whose u already links to every
     other vertex keeps its end, after two draws."""
     if k >= V:
-        # tiny roster: the ring lattice degenerates to the complete graph
+        # tiny graph: the ring lattice degenerates to the complete graph
         return 1 - np.eye(V, dtype=np.int8)
     adj = np.zeros((V, V), dtype=np.int8)
     ring = [(u, (u + j) % V) for j in range(1, k // 2 + 1) for u in range(V)]
@@ -212,11 +197,6 @@ def _watts_strogatz_adjacency(V: int, k: int, p: float,
                 adj[u, v] = adj[v, u] = 0
                 adj[u, w] = adj[w, u] = 1
     return adj
-
-
-def default_roster(n_scbs: int, n_ues: int) -> tuple[NodeRef, ...]:
-    """SCBS nodes first (by id), then UE nodes (by id)."""
-    return tuple([(SCBS, i) for i in range(n_scbs)] + [(UE, m) for m in range(n_ues)])
 
 
 # --------------------------------------------------------------------------
@@ -413,7 +393,7 @@ def similarity(g: SocialGraph, normalization: str = SAW) -> SimilarityMatrices:
 
 @dataclass(frozen=True)
 class SocialDistanceMatrix:
-    """Blend X = alpha * sym(S) + beta * B over the whole roster."""
+    """Blend X = alpha * sym(S) + beta * B over every vertex pair."""
 
     values: np.ndarray
     alpha: float
@@ -444,47 +424,24 @@ def social_distance(b: BetweennessMatrix, s: SimilarityMatrices,
     return SocialDistanceMatrix(values=x, alpha=alpha, beta=beta)
 
 
-def importance_scores(g: SocialGraph, x: SocialDistanceMatrix) -> dict[int, float]:
-    """Importance of each UE: the row sum of X over every other node."""
+def importance_scores(g: SocialGraph, x: SocialDistanceMatrix) -> np.ndarray:
+    """Importance of each UE, indexed by UE id: its row sum of X over every
+    vertex (the full-row sum, sliced, so the floats match any one UE's)."""
     if x.values.shape[0] != g.n_vertices:
-        raise InputError("distance matrix does not match the graph roster")
-    row_sums = x.values.sum(axis=1)
-    return {g.vertices[v][1]: float(row_sums[v]) for v in g.ue_indices()}
+        raise InputError("distance matrix does not match the graph")
+    return x.values.sum(axis=1)[g.n_scbs:]
 
 
-@dataclass(frozen=True)
-class ImportanceRanking:
-    """The UE elected in each cell (None for empty cells)."""
+def elect_important_ues(scores: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Relay UEs, ascending: the highest-scoring member of each non-empty cell.
 
-    elected: Mapping[int, int | None]
-
-    @property
-    def relay_ues(self) -> tuple[int, ...]:
-        return tuple(sorted(m for m in self.elected.values() if m is not None))
-
-
-def elect_important_ues(scores: Mapping[int, float],
-                        cells: Mapping[int, Iterable[int]]) -> ImportanceRanking:
-    """Pick the highest-scoring UE of each cell; ties go to the lowest UE id.
-
-    `cells` maps SCBS id -> the UE ids currently associated with it.  A UE
-    may appear in at most one cell; every listed UE needs a score.
+    `cells[m]` is the SCBS serving UE m (its max-RSSI cell), -1 for none;
+    `scores[m]` is its importance.  Ties go to the lowest UE id.
     """
-    seen: set[int] = set()
-    elected: dict[int, int | None] = {}
-    for cell in sorted(cells):
-        members = sorted(set(cells[cell]))
-        for m in members:
-            if m in seen:
-                raise InputError(f"ue{m} appears in more than one cell")
-            if m not in scores:
-                raise InputError(f"no importance score for ue{m}")
-            seen.add(m)
-        if not members:
-            elected[cell] = None
-        else:
-            elected[cell] = min(members, key=lambda m: (-scores[m], m))
-    return ImportanceRanking(elected=elected)
+    relays = [members[np.argmax(scores[members])]
+              for members in (np.flatnonzero(cells == c)
+                              for c in np.unique(cells[cells >= 0]))]
+    return np.sort(np.array(relays, dtype=np.int64))
 
 
 def social_pipeline(g: SocialGraph, alpha: float = 0.5, beta: float = 0.5,
@@ -500,16 +457,13 @@ def social_pipeline(g: SocialGraph, alpha: float = 0.5, beta: float = 0.5,
 # file I/O
 # --------------------------------------------------------------------------
 
-def save_edge_list(g: SocialGraph, path) -> None:
-    """One `label label` pair per line; `#` starts a comment."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# social graph edge list\n")
-        for a, b in g.edges():
-            fh.write(f"{node_label(a)} {node_label(b)}\n")
+def load_edge_list(path, n_scbs: int, n_ues: int) -> SocialGraph:
+    """Read an edge-list file over n_scbs SCBSs and n_ues UEs.
 
-
-def load_edge_list(path, roster: Sequence[NodeRef]) -> SocialGraph:
-    """Read an edge-list file; every label must belong to `roster`."""
+    One `label label` pair per line, such as `scbs0 ue3`; `#` starts a
+    comment and blank lines are skipped.  A label naming a node the graph
+    does not have raises InputError.
+    """
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -520,4 +474,4 @@ def load_edge_list(path, roster: Sequence[NodeRef]) -> SocialGraph:
             if len(parts) != 2:
                 raise InputError(f"{path}:{lineno}: expected two node labels, got {line!r}")
             edges.append((parse_node_label(parts[0]), parse_node_label(parts[1])))
-    return build_social_graph(roster, ExplicitEdges(edges=tuple(edges)))
+    return build_social_graph(n_scbs, n_ues, ExplicitEdges(edges=tuple(edges)))

@@ -46,7 +46,7 @@ def social_ring_graph(scenario: radio.RadioScenario) -> sg.SocialGraph:
     for i in range(n):
         for u in np.flatnonzero(d[i] <= scenario.scbs_radius_m):
             edges.append(((sg.SCBS, i), (sg.UE, int(u))))
-    return sg.build_social_graph(sg.default_roster(n, m),
+    return sg.build_social_graph(n, m,
                                  sg.ExplicitEdges(edges=tuple(edges)))
 
 
@@ -111,7 +111,7 @@ def oracle_evaluate(problem, assign) -> SimpleNamespace:
                                  share=1.0 / counts[k])
         rates[m] = budget.rate_bps
         if m in relay_set:
-            xv = float(x.values[graph.index((sg.SCBS, k)), graph.index((sg.UE, m))])
+            xv = float(x.values[sg.vertex((sg.SCBS, k), N, M), sg.vertex((sg.UE, m), N, M)])
             utilities[m] = rates[m] / max(xv, 0.01)
         else:
             utilities[m] = rates[m]

@@ -70,12 +70,13 @@ def test_acceptance_1_golden_reference_network():
     elapsed_ms = 1e3 * (time.perf_counter() - t0)
 
     g = reference.reference_graph()
-    labels = [f"{kind}{nid}" for kind, nid in g.vertices]
     b = sg.edge_betweenness(g)
     raw = sg.similarity(g).raw
 
     def entry(matrix, a, c):
-        return float(matrix[labels.index(a), labels.index(c)])
+        u, v = (sg.vertex(sg.parse_node_label(label), g.n_scbs, g.n_vertices - g.n_scbs)
+                for label in (a, c))
+        return float(matrix[u, v])
 
     spot_ok = (b.denominator == pytest.approx(12.0)
                and entry(raw, "scbs0", "ue1") == pytest.approx(0.583, abs=1e-3)

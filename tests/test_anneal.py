@@ -105,7 +105,7 @@ def crossed_pair(min_rate=0.0):
     edges = (((sg.SCBS, 0), (sg.UE, 0)), ((sg.SCBS, 0), (sg.UE, 1)),
              ((sg.SCBS, 1), (sg.UE, 0)), ((sg.SCBS, 1), (sg.UE, 1)),
              ((sg.UE, 0), (sg.UE, 1)))
-    graph = sg.build_social_graph(sg.default_roster(2, 2),
+    graph = sg.build_social_graph(2, 2,
                                   sg.ExplicitEdges(edges=edges))
     _, _, x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x,
@@ -135,7 +135,7 @@ def twin_pair():
     assert (radio.subcarrier_offset(scenario, (sg.SCBS, 0))
             == radio.subcarrier_offset(scenario, (sg.SCBS, 1)))
     edges = (((sg.SCBS, 0), (sg.UE, 2)),)
-    graph = sg.build_social_graph(sg.default_roster(2, 4),
+    graph = sg.build_social_graph(2, 4,
                                   sg.ExplicitEdges(edges=edges))
     _, _, x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x, SwapEngineConfig(seed=20))
@@ -351,7 +351,7 @@ def lone_problem(engine):
     scenario = radio.RadioScenario(scbs_xy=np.array([[0.0, 0.0]]),
                                    ue_xy=np.array([[10.0, 0.0]]), seed=2)
     graph = sg.build_social_graph(
-        sg.default_roster(1, 1),
+        1, 1,
         sg.ExplicitEdges(edges=(((sg.SCBS, 0), (sg.UE, 0)),)))
     _, _, x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x, engine)
@@ -387,7 +387,7 @@ def test_no_servable_ues_short_circuits():
     scenario = radio.RadioScenario(scbs_xy=np.array([[0.0, 0.0]]),
                                    ue_xy=np.array([[200.0, 0.0]]), seed=0)
     graph = sg.build_social_graph(
-        sg.default_roster(1, 1),
+        1, 1,
         sg.ExplicitEdges(edges=(((sg.SCBS, 0), (sg.UE, 0)),)))
     _, _, x = sg.social_pipeline(graph)
     problem = build_problem(scenario, graph, x, SwapEngineConfig(seed=0))

@@ -121,6 +121,58 @@ def test_run_seed_flag_overrides_config(run_cfg, tmp_path):
 
 
 # --------------------------------------------------------------------------
+# the edge-file social model
+# --------------------------------------------------------------------------
+
+EDGE_FILE = """\
+# hand-written social ties over 2 SCBSs and 60 UEs
+
+scbs0 ue0
+scbs1   ue1      # an SCBS tie
+ue0 ue1
+ue1 ue2
+ue2 ue59
+"""
+
+
+def _edge_run(run_cfg, tmp_path, text, *overrides):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    out = tmp_path / "out"
+    flags = ["--override", "social_model=edges", "--override", "n_ues=60",
+             "--override", f"social_edge_file={path}"]
+    for item in overrides:
+        flags += ["--override", item]
+    return main(["run", "--config", run_cfg, *flags, "--out", str(out), "--quiet"]), out
+
+
+def test_run_with_an_edge_file_writes_outputs(run_cfg, tmp_path):
+    rc, out = _edge_run(run_cfg, tmp_path, EDGE_FILE)
+    assert rc == 0
+    for name in ("positions.csv", "matching_social-aware.csv",
+                 "matching_max-rssi.csv", "trace_social-aware.csv",
+                 "metrics.json"):
+        assert (out / name).exists(), name
+    metrics = json.load(open(out / "metrics.json"))
+    assert metrics["config"]["social_model"] == "edges"
+
+
+def test_edge_file_naming_an_unknown_ue_is_a_usage_error(run_cfg, tmp_path, capsys):
+    rc, out = _edge_run(run_cfg, tmp_path, EDGE_FILE + "ue3 ue60\n")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ue60" in err
+    assert not out.exists()
+
+
+def test_edges_model_without_an_edge_file_is_a_usage_error(run_cfg, tmp_path, capsys):
+    rc, out = _edge_run(run_cfg, tmp_path, EDGE_FILE, "social_edge_file=")
+    assert rc == 1
+    assert "social_edge_file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --------------------------------------------------------------------------
 # audit
 # --------------------------------------------------------------------------
 

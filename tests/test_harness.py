@@ -1,6 +1,7 @@
 """Monte Carlo sweep harness: seeding, aggregation, parallelism, emission."""
 
 import dataclasses
+import hashlib
 import json
 import statistics
 
@@ -243,3 +244,35 @@ def test_emitted_csv_parses_back_to_the_rows(small_result, tmp_path):
     assert int(first[0]) == row.x
     assert first[1] == row.method
     assert float(first[3]) == row.avg_rate_bps  # repr round-trips exactly
+
+
+# --------------------------------------------------------------------------
+# pinned outputs
+# --------------------------------------------------------------------------
+
+#: Two small sweeps and the sha256 of the CSVs they emit: one desk-shaped
+#: (N swept at M = 60), one dense-shaped with stabilize on.
+PINNED_SWEEPS = [
+    pytest.param(
+        ScenarioConfig(sweep_variable="n_scbs", sweep_values=(4, 16), n_ues=60,
+                       replications=4),
+        {"sweep_N.csv": "dcb19c33c74392f78779b8f1f5deed6653bb038a498f4deab127b637edaaca8f",
+         "replications.csv": "ba2a64c1c293de71f8809ae2f232bdc781fe276c3971cf7c15cb393f2c1ecfcb"},
+        id="desk"),
+    pytest.param(
+        ScenarioConfig(n_scbs=8, macro_radius_m=100.0, sweep_variable="n_ues",
+                       sweep_values=(40,), replications=2, stabilize=True),
+        {"sweep_M.csv": "0bf32431db923f4909de2539b6b0c0ce420e47162274cf159597210d15d177d2",
+         "replications.csv": "08dabe7fd39001a0546317b74c1990f8d02becbbe5df4e293076dfd56ff0c02b"},
+        id="dense-stabilize"),
+]
+
+
+@pytest.mark.parametrize("cfg, digests", PINNED_SWEEPS)
+def test_sweep_outputs_match_pinned_digests(cfg, digests, tmp_path):
+    emit_results(run_experiment(ExperimentSpec.from_config(cfg)), tmp_path)
+    for name, want in digests.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == want, (
+            f"{name} changed (sha256 {got}).  Sweep outputs are pinned: a change "
+            "that alters them must name the change in CHANGES.md and update the pin.")

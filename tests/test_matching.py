@@ -25,8 +25,8 @@ from socialcell.matching import (SN_RELAY, SN_SCBS, Matching, ServingNode,
                                  _SCAN_BLOCK, _scan_order, _swap_masks,
                                  assignment_from_rows, audit_stability,
                                  build_problem, greedy_stabilize,
-                                 load_matching_csv, matching_to_csv, max_rssi,
-                                 scbs_reception)
+                                 load_matching_csv, matching_to_csv, max_rssi)
+from socialcell.radio import scbs_reception
 
 
 def three_case_instance():
@@ -58,7 +58,7 @@ def three_case_instance():
         ((sg.SCBS, 1), (sg.UE, 3)), ((sg.SCBS, 1), (sg.UE, 4)),
         ((sg.SCBS, 1), (sg.UE, 6)),
     )
-    graph = sg.build_social_graph(sg.default_roster(2, 7),
+    graph = sg.build_social_graph(2, 7,
                                   sg.ExplicitEdges(edges=edges))
     _, _, x = sg.social_pipeline(graph)
     problem = build_problem(scenario, graph, x, SwapEngineConfig(seed=3))
@@ -103,7 +103,9 @@ def test_rssi_cells_and_election():
     # ue4 and ue6 hear both SCBSs but sit nearer scbs1
     np.testing.assert_array_equal(problem.rssi_assignment,
                                   [0, 1, 1, 1, 1, -1, 1])
-    assert sorted(problem.ranking.elected.items()) == [(0, 0), (1, 1)]
+    # each cell elects one relay, and a relay's cell is its own max-RSSI cell
+    assert tuple(problem.relay_ues) == (0, 1)
+    assert [sn.cell_scbs for sn in problem.serving_nodes[2:]] == [0, 1]
 
 
 def test_d2d_feasibility_mask():
@@ -124,7 +126,8 @@ def test_d2d_weight_definition_and_errors():
         for j, p in enumerate(problem.relay_ues):
             for m in range(problem.n_ues):
                 d = float(np.linalg.norm(scen.ue_xy[p] - scen.ue_xy[m]))
-                xval = float(x.values[graph.index(("ue", int(p))), graph.index(("ue", m))])
+                xval = float(x.values[sg.vertex(("ue", int(p)), 2, 7),
+                                      sg.vertex(("ue", m), 2, 7)])
                 assert problem.d2d_weight[j, m] == pytest.approx(want_eps * d * xval,
                                                                  abs=1e-12)
     with pytest.raises(ConfigError):
@@ -133,10 +136,14 @@ def test_d2d_weight_definition_and_errors():
 
 def test_graph_must_cover_scenario_nodes():
     inst = clustered_instance(0, n_scbs=2, n_ues=4)
-    small_graph = sg.build_social_graph(sg.default_roster(2, 3),
+    small_graph = sg.build_social_graph(2, 3,
                                         sg.ExplicitEdges(edges=()))
     with pytest.raises(InputError):
         build_problem(inst.scenario, small_graph, inst.x)
+    # as many vertices as the scenario has nodes, but split 3 + 3, not 2 + 4
+    shifted = sg.SocialGraph(n_scbs=3, adjacency=inst.graph.adjacency)
+    with pytest.raises(InputError):
+        build_problem(inst.scenario, shifted, inst.x)
 
 
 def test_engine_config_validation():
@@ -172,8 +179,8 @@ def test_three_case_utilities_match_oracle():
     assert_matches_oracle(problem, assign)
     ev = problem.evaluate(assign)
     # relay case: downlink rate scaled by 1/x against its serving SCBS
-    g, x = problem.graph, problem.x
-    xv = float(x.values[g.index((sg.SCBS, 0)), g.index((sg.UE, 0))])
+    x = problem.x
+    xv = float(x.values[sg.vertex((sg.SCBS, 0), 2, 7), sg.vertex((sg.UE, 0), 2, 7)])
     assert ev.utilities[0] == pytest.approx(ev.rates[0] / max(xv, 0.01), rel=1e-12)
     assert ev.utilities[0] > ev.rates[0]
     # regular case: utility is the plain rate
@@ -308,7 +315,7 @@ def quota_instance():
     scenario = radio.RadioScenario(scbs_xy=scbs_xy, ue_xy=ue_xy, seed=1)
     edges = tuple([((sg.SCBS, 0), (sg.UE, 0))]
                   + [((sg.UE, 0), (sg.UE, m)) for m in range(1, 5)])
-    graph = sg.build_social_graph(sg.default_roster(1, 5),
+    graph = sg.build_social_graph(1, 5,
                                   sg.ExplicitEdges(edges=edges))
     _, _, x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x, SwapEngineConfig(seed=1))

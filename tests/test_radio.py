@@ -11,7 +11,7 @@ from socialcell.radio import (PathlossParams, RadioScenario, channel_gain,
                               db_to_linear, dbm_to_mw, generate_topology,
                               link_rate, pathloss_db, positions_to_csv,
                               received_power_mw, scbs_ue_distances,
-                              subcarrier_offset, ue_ue_distances)
+                              subcarrier_offset, ue_distances)
 
 PARAMS = PathlossParams()
 
@@ -216,9 +216,16 @@ def test_distance_matrices_match_manual_norms():
     assert d_su.shape == (2, 2)
     assert d_su[0, 0] == pytest.approx(30.0)
     assert d_su[1, 0] == pytest.approx(50.0)
-    d_uu = ue_ue_distances(scen)
-    assert d_uu[0, 1] == pytest.approx(40.0)
-    assert np.all(np.diag(d_uu) == 0.0)
+    d_uu = ue_distances(scen, np.array([1]))
+    assert d_uu.shape == (1, 2)
+    assert d_uu[0, 0] == pytest.approx(40.0)
+    assert d_uu[0, 1] == 0.0
+    # rows of the given UEs, in the given order, against every UE
+    scen = generate_topology(3, 25, rng_seed=6)
+    ues = np.array([7, 0, 19])
+    want = [[np.linalg.norm(scen.ue_xy[u] - scen.ue_xy[m]) for m in range(25)] for u in ues]
+    np.testing.assert_allclose(ue_distances(scen, ues), want, rtol=1e-12, atol=0)
+    assert ue_distances(scen, np.array([], dtype=np.int64)).shape == (0, 25)
 
 
 def test_channel_gain_includes_fading():

@@ -25,11 +25,10 @@ from socialcell.errors import ConfigError, InputError
 from socialcell.socialgraph import (RAW_CLIPPED, SAW, BetweennessMatrix,
                                     ErdosRenyi, ExplicitEdges, SocialGraph,
                                     WattsStrogatz, build_social_graph,
-                                    default_roster,
                                     edge_betweenness, elect_important_ues,
                                     importance_scores, load_edge_list,
-                                    save_edge_list, similarity,
-                                    social_distance, social_pipeline)
+                                    parse_node_label, similarity,
+                                    social_distance, social_pipeline, vertex)
 
 
 # --------------------------------------------------------------------------
@@ -118,7 +117,12 @@ def _random_graph(rng: np.random.Generator, n_vertices: int, p: float) -> Social
         for j in range(i + 1, n_vertices):
             if rng.random() < p:
                 adj[i, j] = adj[j, i] = 1
-    return SocialGraph(vertices=default_roster(1, n_vertices - 1), adjacency=adj)
+    return SocialGraph(n_scbs=1, adjacency=adj)
+
+
+def _ref_vertex(label: str) -> int:
+    """Vertex of a node of the reference network (one SCBS, four UEs)."""
+    return vertex(parse_node_label(label), 1, 4)
 
 
 def test_oracle_reproduces_hand_counts_on_reference_graph():
@@ -126,7 +130,6 @@ def test_oracle_reproduces_hand_counts_on_reference_graph():
     # by listing the shortest paths by hand
     g = reference.reference_graph()
     raw = brute_force_edge_betweenness(g.adjacency.astype(float), 1.0)
-    lab = {f"{k}{i}": v for v, (k, i) in enumerate(g.vertices)}
     expected = {
         ("scbs0", "ue0"): 1.0,
         ("scbs0", "ue1"): 1.5,
@@ -139,7 +142,7 @@ def test_oracle_reproduces_hand_counts_on_reference_graph():
         ("ue1", "ue3"): 0.0,
     }
     for (a, b), want in expected.items():
-        assert raw[lab[a], lab[b]] == pytest.approx(want, abs=1e-12)
+        assert raw[_ref_vertex(a), _ref_vertex(b)] == pytest.approx(want, abs=1e-12)
 
 
 def _random_corpus():
@@ -160,7 +163,7 @@ def _graph(n_vertices: int, edges) -> SocialGraph:
     adj = np.zeros((n_vertices, n_vertices), dtype=np.int8)
     for a, b in edges:
         adj[a, b] = adj[b, a] = 1
-    return SocialGraph(vertices=default_roster(1, n_vertices - 1), adjacency=adj)
+    return SocialGraph(n_scbs=1, adjacency=adj)
 
 
 def _assert_equals_per_source_loop(g: SocialGraph) -> None:
@@ -245,27 +248,26 @@ def test_betweenness_denominator_default_and_override():
 # reference-network numbers
 # --------------------------------------------------------------------------
 
-def _ref_entry(g, matrix, a, b):
-    lab = {f"{k}{i}": v for v, (k, i) in enumerate(g.vertices)}
-    return float(matrix[lab[a], lab[b]])
+def _ref_entry(matrix, a, b):
+    return float(matrix[_ref_vertex(a), _ref_vertex(b)])
 
 
 def test_reference_betweenness_values():
     g = reference.reference_graph()
     b = edge_betweenness(g)
     for (a, c), want in reference.EXPECTED_B.items():
-        assert _ref_entry(g, b.values, a, c) == pytest.approx(want, abs=1e-3)
+        assert _ref_entry(b.values, a, c) == pytest.approx(want, abs=1e-3)
 
 
 def test_reference_similarity_values():
     g = reference.reference_graph()
     s = similarity(g)
     for (a, c), want in reference.EXPECTED_Q.items():
-        assert _ref_entry(g, s.raw, a, c) == pytest.approx(want, abs=1e-3)
+        assert _ref_entry(s.raw, a, c) == pytest.approx(want, abs=1e-3)
     # the one supra-1 raw entry is capped in raw-clipped mode
     clipped = similarity(g, normalization=RAW_CLIPPED)
-    assert _ref_entry(g, s.raw, "scbs0", "ue0") == pytest.approx(7.0 / 6.0, abs=1e-9)
-    assert _ref_entry(g, clipped.normalized, "scbs0", "ue0") == pytest.approx(1.0)
+    assert _ref_entry(s.raw, "scbs0", "ue0") == pytest.approx(7.0 / 6.0, abs=1e-9)
+    assert _ref_entry(clipped.normalized, "scbs0", "ue0") == pytest.approx(1.0)
 
 
 def test_reference_distance_values_under_documented_rescaling():
@@ -276,7 +278,7 @@ def test_reference_distance_values_under_documented_rescaling():
     half = BetweennessMatrix(values=b.values / 2.0, denominator=b.denominator * 2.0)
     x = social_distance(half, s, alpha=0.5, beta=0.5)
     for (a, c), want in reference.EXPECTED_X.items():
-        assert _ref_entry(g, x.values, a, c) == pytest.approx(want, abs=1e-3)
+        assert _ref_entry(x.values, a, c) == pytest.approx(want, abs=1e-3)
 
 
 def test_reference_importance_ranking():
@@ -286,9 +288,9 @@ def test_reference_importance_ranking():
     half = BetweennessMatrix(values=b.values / 2.0, denominator=b.denominator * 2.0)
     x = social_distance(half, s, alpha=0.5, beta=0.5)
     scores = importance_scores(g, x)
-    assert set(scores) == {0, 1, 2, 3}
-    assert max(scores, key=scores.get) == 0
-    assert min(scores, key=scores.get) == 3
+    assert scores.shape == (4,)
+    assert scores.argmax() == 0
+    assert scores.argmin() == 3
 
 
 def test_reference_golden_checks_all_pass():
@@ -348,14 +350,13 @@ def test_similarity_saw_columns_peak_at_one():
 
 def test_similarity_grows_with_added_common_neighbour():
     # wiring a fresh degree-2 vertex to both endpoints adds exactly 1/2
-    roster = default_roster(1, 3)
-    base = build_social_graph(roster, ExplicitEdges(edges=(
+    base = build_social_graph(1, 3, ExplicitEdges(edges=(
         ((("scbs", 0)), ("ue", 0)),
         ((("ue", 0)), ("ue", 1)),
     )))
     q0 = similarity(base).raw
     i_s, i_u1 = 0, 2   # scbs0 and ue1 share no neighbour apart from ue0
-    extended = build_social_graph(default_roster(1, 4), ExplicitEdges(edges=(
+    extended = build_social_graph(1, 4, ExplicitEdges(edges=(
         ((("scbs", 0)), ("ue", 0)),
         ((("ue", 0)), ("ue", 1)),
         ((("scbs", 0)), ("ue", 3)),
@@ -366,8 +367,7 @@ def test_similarity_grows_with_added_common_neighbour():
 
 
 def test_similarity_zero_across_components():
-    roster = default_roster(1, 4)
-    g = build_social_graph(roster, ExplicitEdges(edges=(
+    g = build_social_graph(1, 4, ExplicitEdges(edges=(
         ((("scbs", 0)), ("ue", 0)),
         ((("ue", 1)), ("ue", 2)),
         ((("ue", 1)), ("ue", 3)),
@@ -396,8 +396,7 @@ def test_metrics_are_permutation_equivariant():
         g = _random_graph(rng, V, 0.5)
         perm = rng.permutation(V)
         adj_p = g.adjacency[np.ix_(perm, perm)]
-        g_p = SocialGraph(vertices=tuple(g.vertices[i] for i in perm),
-                          adjacency=adj_p.astype(np.int8))
+        g_p = SocialGraph(n_scbs=1, adjacency=adj_p.astype(np.int8))
         b, s = edge_betweenness(g), similarity(g)
         b_p, s_p = edge_betweenness(g_p), similarity(g_p)
         np.testing.assert_allclose(b_p.values, b.values[np.ix_(perm, perm)],
@@ -440,23 +439,18 @@ def test_importance_scores_are_row_sums():
     g = reference.reference_graph()
     _, _, x = social_pipeline(g)
     scores = importance_scores(g, x)
-    for v in g.ue_indices():
-        ue_id = g.vertices[v][1]
-        assert scores[ue_id] == pytest.approx(float(x.values[v].sum()), abs=1e-12)
+    assert scores.shape == (4,)
+    for m in range(4):
+        assert scores[m] == pytest.approx(float(x.values[g.n_scbs + m].sum()), abs=1e-12)
 
 
 def test_election_per_cell_with_ties_to_lowest_id():
-    scores = {0: 1.0, 1: 2.0, 2: 2.0, 3: 0.5, 4: 3.0}
-    ranking = elect_important_ues(scores, {0: [1, 2], 1: [0, 3], 2: [], 3: [4]})
-    assert ranking.elected == {0: 1, 1: 0, 2: None, 3: 4}
-    assert ranking.relay_ues == (0, 1, 4)
-
-
-def test_election_rejects_shared_or_unscored_ues():
-    with pytest.raises(InputError):
-        elect_important_ues({0: 1.0, 1: 2.0}, {0: [0, 1], 1: [1]})
-    with pytest.raises(InputError):
-        elect_important_ues({0: 1.0}, {0: [0, 5]})
+    scores = np.array([1.0, 2.0, 2.0, 0.5, 3.0, 9.0])
+    # cell 0 holds ue1 and ue2 (tied), cell 1 ue0 and ue3, cell 2 nobody,
+    # cell 3 ue4; ue5 has no cell, so its top score elects nothing
+    cells = np.array([1, 0, 0, 1, 3, -1])
+    np.testing.assert_array_equal(elect_important_ues(scores, cells), [0, 1, 4])
+    assert elect_important_ues(scores, np.full(6, -1)).shape == (0,)
 
 
 # --------------------------------------------------------------------------
@@ -464,40 +458,46 @@ def test_election_rejects_shared_or_unscored_ues():
 # --------------------------------------------------------------------------
 
 def test_explicit_edges_reject_unknown_nodes_and_self_loops():
-    roster = default_roster(1, 2)
+    for bad in (("ue", 9), ("ue", 2), ("scbs", 1), ("bs", 0), ("ue", -1)):
+        with pytest.raises(InputError):
+            build_social_graph(1, 2, ExplicitEdges(edges=((("ue", 0), bad),)))
     with pytest.raises(InputError):
-        build_social_graph(roster, ExplicitEdges(edges=((("ue", 0), ("ue", 9)),)))
-    with pytest.raises(InputError):
-        build_social_graph(roster, ExplicitEdges(edges=((("ue", 0), ("ue", 0)),)))
-    with pytest.raises(InputError):
-        build_social_graph((("ue", 0), ("ue", 0)), ExplicitEdges(edges=()))
+        build_social_graph(1, 2, ExplicitEdges(edges=((("ue", 0), ("ue", 0)),)))
+
+
+def test_vertex_numbers_scbs_first_then_ues():
+    assert [vertex(("scbs", i), 2, 3) for i in range(2)] == [0, 1]
+    assert [vertex(("ue", m), 2, 3) for m in range(3)] == [2, 3, 4]
+    g = build_social_graph(2, 3, ExplicitEdges(edges=((("scbs", 1), ("ue", 2)),)))
+    assert g.n_scbs == 2 and g.n_vertices == 5
+    assert list(zip(*np.nonzero(g.adjacency))) == [(1, 4), (4, 1)]
 
 
 def test_adjacency_validation():
-    roster = default_roster(0, 3)
     bad = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]], dtype=np.int8)
     with pytest.raises(InputError):
-        SocialGraph(vertices=roster, adjacency=bad)      # asymmetric
+        SocialGraph(n_scbs=0, adjacency=bad)      # asymmetric
     loop = np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=np.int8)
     with pytest.raises(InputError):
-        SocialGraph(vertices=roster, adjacency=loop)     # self-loop
+        SocialGraph(n_scbs=0, adjacency=loop)     # self-loop
+    with pytest.raises(InputError):
+        SocialGraph(n_scbs=4, adjacency=np.zeros((3, 3), dtype=np.int8))
 
 
 def test_random_models_are_seeded_and_validated():
-    roster = default_roster(2, 10)
-    g1 = build_social_graph(roster, ErdosRenyi(p=0.3), rng_seed=5)
-    g2 = build_social_graph(roster, ErdosRenyi(p=0.3), rng_seed=5)
-    g3 = build_social_graph(roster, ErdosRenyi(p=0.3), rng_seed=6)
+    g1 = build_social_graph(2, 10, ErdosRenyi(p=0.3), rng_seed=5)
+    g2 = build_social_graph(2, 10, ErdosRenyi(p=0.3), rng_seed=5)
+    g3 = build_social_graph(2, 10, ErdosRenyi(p=0.3), rng_seed=6)
     np.testing.assert_array_equal(g1.adjacency, g2.adjacency)
     assert not np.array_equal(g1.adjacency, g3.adjacency)
     with pytest.raises(ConfigError):
-        build_social_graph(roster, ErdosRenyi(p=1.5))
+        build_social_graph(2, 10, ErdosRenyi(p=1.5))
     with pytest.raises(ConfigError):
-        build_social_graph(roster, WattsStrogatz(neighbors=4, rewire=2.0))
+        build_social_graph(2, 10, WattsStrogatz(neighbors=4, rewire=2.0))
 
 
 def test_watts_strogatz_complete_fallback_on_tiny_rosters():
-    g = build_social_graph(default_roster(1, 2), WattsStrogatz(neighbors=4))
+    g = build_social_graph(1, 2, WattsStrogatz(neighbors=4))
     assert g.adjacency.sum() == 3 * 2  # complete graph on 3 vertices
     assert np.all(np.diag(g.adjacency) == 0)
 
@@ -523,23 +523,21 @@ def _nx_adjacency(g: nx.Graph) -> np.ndarray:
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_erdos_renyi_matches_networkx(n):
-    roster = default_roster(0, n)
     for p in (0.0, 0.05, 0.3, 1.0):
         for seed in _oracle_seeds(n):
-            got = build_social_graph(roster, ErdosRenyi(p), rng_seed=seed).adjacency
+            got = build_social_graph(0, n, ErdosRenyi(p), rng_seed=seed).adjacency
             want = _nx_adjacency(nx.gnp_random_graph(n, p, seed=seed))
             np.testing.assert_array_equal(got, want, err_msg=f"p={p} seed={seed}")
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_watts_strogatz_matches_networkx(n):
-    roster = default_roster(0, n)
     for k in (2, 4, 6):
         if k > n:      # networkx refuses k > n; the fallback test covers it
             continue
         for rewire in (0.0, 0.1, 0.5, 1.0):
             for seed in _oracle_seeds(n):
-                got = build_social_graph(roster, WattsStrogatz(k, rewire), rng_seed=seed).adjacency
+                got = build_social_graph(0, n, WattsStrogatz(k, rewire), rng_seed=seed).adjacency
                 want = _nx_adjacency(nx.watts_strogatz_graph(n, k, rewire, seed=seed))
                 np.testing.assert_array_equal(got, want, err_msg=f"k={k} rewire={rewire} seed={seed}")
 
@@ -553,17 +551,28 @@ def test_import_loads_neither_networkx_nor_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_edge_list_round_trip(tmp_path):
-    g = reference.reference_graph()
+def test_edge_list_loads_hand_written_file(tmp_path):
     path = tmp_path / "edges.txt"
-    save_edge_list(g, path)
-    back = load_edge_list(path, g.vertices)
-    np.testing.assert_array_equal(back.adjacency, g.adjacency)
-    assert back.vertices == g.vertices
+    path.write_text("# one SCBS, three UEs\n"
+                    "\n"
+                    "scbs0 ue0\n"
+                    "  ue0\tue2   # a friendship\n"
+                    "ue2 ue0\n"
+                    "   \n"
+                    "ue1 scbs0\n")
+    g = load_edge_list(path, 1, 3)
+    assert g.n_scbs == 1
+    want = np.zeros((4, 4), dtype=np.int8)
+    for u, v in ((0, 1), (1, 3), (2, 0)):
+        want[u, v] = want[v, u] = 1
+    np.testing.assert_array_equal(g.adjacency, want)
+    path.write_text("scbs0 ue3\n")
+    with pytest.raises(InputError, match="ue3"):
+        load_edge_list(path, 1, 3)
 
 
 def test_edge_list_load_reports_line_numbers(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("scbs0 ue0\nue0 ue1 ue2\n")
     with pytest.raises(InputError, match="2"):
-        load_edge_list(path, default_roster(1, 3))
+        load_edge_list(path, 1, 3)
