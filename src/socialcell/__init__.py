@@ -23,8 +23,8 @@ from .matching import (AnnealResult, AssociationProblem, Matching,
                        audit_stability, build_problem, greedy_stabilize)
 from .radio import (LinkBudget, PathlossParams, RadioScenario, channel_gain,
                     generate_topology, link_rate, pathloss_db)
-from .socialgraph import (SocialGraph, build_social_graph, edge_betweenness,
-                          elect_important_ues, importance_scores, similarity,
+from .socialgraph import (SocialGraph, edge_betweenness, elect_important_ues,
+                          graph_from_edges, importance_scores, similarity,
                           social_distance, social_pipeline)
 
 __version__ = "0.1.0"
@@ -36,9 +36,10 @@ __all__ = [
     "ScenarioConfig", "ServingNode", "SocialCellError", "SocialGraph",
     "SwapEngineConfig", "anneal_on_problem", "apply_overrides",
     "audit_stability",
-    "build_problem", "build_social_graph", "channel_gain", "config_as_dict",
+    "build_problem", "channel_gain", "config_as_dict",
     "config_sha", "dump_config", "edge_betweenness", "elect_important_ues",
-    "engine_config_from_config", "generate_topology", "greedy_stabilize",
+    "engine_config_from_config", "generate_topology", "graph_from_edges",
+    "greedy_stabilize",
     "importance_scores", "link_rate", "load_config", "pathloss_db",
     "replication_seed", "run_experiment", "scenario_from_config", "similarity",
     "social_distance", "social_graph_from_config", "social_pipeline",

@@ -80,7 +80,7 @@ def cmd_run(args) -> int:
 
     def method_stats(report):
         return {
-            "avg_rate_bps": float(report.ue_rates.sum() / problem.n_ues),
+            "avg_rate_bps": float(report.ue_rates.mean()),
             "welfare": float(report.welfare),
             "unserved": list(report.unserved),
         }

@@ -224,17 +224,14 @@ def social_graph_from_config(cfg: ScenarioConfig, scenario: RadioScenario,
             raise ConfigError("social_model=edges needs social_edge_file")
         return sg.load_edge_list(cfg.social_edge_file, N, M)
 
+    seed = cfg.seed if seed is None else seed
+    adj = np.zeros((N + M, N + M), dtype=np.int8)
     if cfg.social_model == "watts-strogatz":
-        model = sg.WattsStrogatz(neighbors=cfg.ws_neighbors, rewire=cfg.ws_rewire)
+        adj[N:, N:] = sg.watts_strogatz_adjacency(M, cfg.ws_neighbors, cfg.ws_rewire, seed)
     elif cfg.social_model == "erdos-renyi":
-        model = sg.ErdosRenyi(p=cfg.er_edge_prob)
+        adj[N:, N:] = sg.gnp_adjacency(M, cfg.er_edge_prob, seed)
     else:
         raise ConfigError(f"unknown social_model {cfg.social_model!r}")
-    ue_graph = sg.build_social_graph(
-        0, M, model, rng_seed=cfg.seed if seed is None else seed)
-
-    adj = np.zeros((N + M, N + M), dtype=np.int8)
-    adj[N:, N:] = ue_graph.adjacency
     adj[:N, N:] = scbs_reception(scenario)[1]
     adj[N:, :N] = adj[:N, N:].T
     return sg.SocialGraph(n_scbs=N, adjacency=adj)

@@ -143,8 +143,8 @@ def build_replication(cfg: ScenarioConfig, point_index: int,
 
     scenario = scenario_from_config(cfg, seed=seed(STREAM_TOPOLOGY))
     graph = social_graph_from_config(cfg, scenario, seed=seed(STREAM_SOCIAL))
-    _, _, xmat = social_pipeline(graph, alpha=cfg.alpha, beta=cfg.beta,
-                                 normalization=cfg.similarity_normalization)
+    xmat = social_pipeline(graph, alpha=cfg.alpha, beta=cfg.beta,
+                           normalization=cfg.similarity_normalization)
     engine = engine_config_from_config(cfg, seed=seed(STREAM_ENGINE))
     return scenario, build_problem(scenario, graph, xmat, engine)
 

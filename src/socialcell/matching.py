@@ -39,8 +39,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .radio import (RadioScenario, dbm_to_mw, pathloss_db, scbs_reception,
                     subcarrier_offset, ue_distances)
-from .socialgraph import (SCBS, UE, X_FLOOR, SocialDistanceMatrix, SocialGraph,
-                          elect_important_ues, importance_scores)
+from .socialgraph import (SCBS, UE, X_FLOOR, SocialGraph, elect_important_ues,
+                          importance_scores)
 
 SN_SCBS = "scbs"
 SN_RELAY = "relay"
@@ -55,15 +55,11 @@ _WELFARE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ServingNode:
-    """One side of the many-to-one matching: an SCBS or a relay UE.
-
-    For relays, node_id is the UE id and cell_scbs records the SCBS whose
-    initial cell elected it.
-    """
+    """One side of the many-to-one matching: an SCBS or a relay UE (whose
+    node_id is its UE id)."""
 
     kind: str
     node_id: int
-    cell_scbs: int | None = None
 
 
 @dataclass(frozen=True)
@@ -210,7 +206,7 @@ class AssociationProblem:
     """
 
     def __init__(self, scenario: RadioScenario, graph: SocialGraph,
-                 x: SocialDistanceMatrix, config: SwapEngineConfig | None = None):
+                 x: np.ndarray, config: SwapEngineConfig | None = None):
         self.scenario = scenario
         self.graph = graph
         self.x = x
@@ -236,7 +232,7 @@ class AssociationProblem:
         self.n_sns = N + self.n_relays
 
         nodes: list[ServingNode] = [ServingNode(SN_SCBS, i) for i in range(N)]
-        nodes += [ServingNode(SN_RELAY, int(p), cell_scbs=int(rssi[p])) for p in relays]
+        nodes += [ServingNode(SN_RELAY, int(p)) for p in relays]
         self.serving_nodes: tuple[ServingNode, ...] = tuple(nodes)
 
         self.is_relay = np.zeros(M, dtype=bool)
@@ -254,9 +250,9 @@ class AssociationProblem:
         in_d2d[:, relays] = False   # relays connect only to SCBSs
 
         # vertex i < N of the social graph is scbs{i}, vertex N + m is ue{m}
-        self.x_scbs_ue = x.values[:N, N:]
+        self.x_scbs_ue = x[:N, N:]
         eps = self.config.d2d_weight_epsilon or 1.0 / scenario.d2d_radius_m
-        self.d2d_weight = eps * d_ru * x.values[N + relays, N:]
+        self.d2d_weight = eps * d_ru * x[N + relays, N:]
 
         # static target feasibility: range plus node-kind rules
         feas = np.zeros((M, self.n_sns), dtype=bool)
@@ -420,7 +416,7 @@ def _eval_row(rows: tuple[np.ndarray, ...], i: int) -> EvalResult:
 
 
 def build_problem(scenario: RadioScenario, graph: SocialGraph,
-                  x: SocialDistanceMatrix,
+                  x: np.ndarray,
                   config: SwapEngineConfig | None = None) -> AssociationProblem:
     """Front door for constructing an AssociationProblem."""
     return AssociationProblem(scenario, graph, x, config)

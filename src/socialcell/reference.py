@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .socialgraph import (RAW_CLIPPED, BetweennessMatrix, ExplicitEdges,
-                          SocialGraph, build_social_graph, edge_betweenness,
-                          importance_scores, parse_node_label, similarity,
-                          social_distance, vertex)
+from .socialgraph import (RAW_CLIPPED, SocialGraph, common_neighbours,
+                          edge_betweenness, graph_from_edges, importance_scores,
+                          parse_node_label, similarity, social_distance, vertex)
 
 _N_SCBS, _N_UES = 1, 4
 _EDGES = (
@@ -71,7 +70,7 @@ TOLERANCE = 1e-3
 
 
 def reference_graph() -> SocialGraph:
-    return build_social_graph(_N_SCBS, _N_UES, ExplicitEdges(edges=_EDGES))
+    return graph_from_edges(_EDGES, _N_SCBS, _N_UES)
 
 
 @dataclass(frozen=True)
@@ -87,18 +86,15 @@ def _entry(matrix, a: str, b: str) -> float:
     return float(matrix[u, v])
 
 
-def golden_checks(alpha: float = 0.5, beta: float = 0.5,
-                  denominator: float | None = None) -> list[CheckRow]:
+def golden_checks(alpha: float = 0.5, beta: float = 0.5) -> list[CheckRow]:
     """Recompute the reference metrics and compare against the known values.
 
-    alpha/beta weight the blended distance; the betweenness denominator can
-    be forced to demonstrate how the check reacts to a wrong normalization.
+    alpha/beta weight the blended distance.
     """
     g = reference_graph()
-    b = edge_betweenness(g, denominator=denominator)
-    s = similarity(g, normalization=RAW_CLIPPED)
-    b_half = BetweennessMatrix(values=b.values / 2.0, denominator=b.denominator * 2.0)
-    x = social_distance(b_half, s, alpha=alpha, beta=beta)
+    b = edge_betweenness(g)
+    x = social_distance(b / 2.0, similarity(g, normalization=RAW_CLIPPED),
+                        alpha=alpha, beta=beta)
 
     rows: list[CheckRow] = []
 
@@ -108,11 +104,12 @@ def golden_checks(alpha: float = 0.5, beta: float = 0.5,
                              ok=abs(actual - expected) <= TOLERANCE))
 
     for (a, c), want in EXPECTED_B.items():
-        num_check(f"B[{a},{c}]", want, _entry(b.values, a, c))
+        num_check(f"B[{a},{c}]", want, _entry(b, a, c))
+    q = common_neighbours(g)
     for (a, c), want in EXPECTED_Q.items():
-        num_check(f"Q[{a},{c}]", want, _entry(s.raw, a, c))
+        num_check(f"Q[{a},{c}]", want, _entry(q, a, c))
     for (a, c), want in EXPECTED_X.items():
-        num_check(f"X[{a},{c}]", want, _entry(x.values, a, c))
+        num_check(f"X[{a},{c}]", want, _entry(x, a, c))
 
     scores = importance_scores(g, x)
     top, bottom = int(scores.argmax()), int(scores.argmin())   # ties to the lowest id

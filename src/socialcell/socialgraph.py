@@ -3,11 +3,13 @@
 The graph mixes two node kinds: small cell base stations ("scbs") and user
 equipments ("ue").  Vertices are numbered by one rule, not by a stored
 roster: in a graph of N SCBSs, vertex i < N is scbs{i} and vertex N + m is
-ue{m}.  `vertex` maps a (kind, id) node to its vertex.  From the adjacency
-structure we derive
-  * edge betweenness (how much shortest-path traffic an edge carries),
-  * a common-neighbour similarity score per node pair,
-  * a combined social distance matrix X = alpha * S + beta * B,
+ue{m}.  `vertex` maps a (kind, id) node to its vertex.  A graph comes from
+explicit edges (`graph_from_edges`, `load_edge_list`) or from an adjacency
+drawn by `gnp_adjacency` or `watts_strogatz_adjacency`.  From the adjacency
+structure we derive, each as a plain read-only (V, V) array,
+  * edge betweenness B (how much shortest-path traffic an edge carries),
+  * common-neighbour scores Q and their normalized similarity S,
+  * the social distance X = alpha * sym(S) + beta * B,
 and from X a per-UE importance score that decides which UE in each cell is
 promoted to relay duty.
 
@@ -102,92 +104,64 @@ class SocialGraph:
 # edge models
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExplicitEdges:
-    """Caller-supplied edge list; no randomness involved."""
-    edges: tuple[tuple[NodeRef, NodeRef], ...]
+def _vertex_pair(a: NodeRef, b: NodeRef, n_scbs: int, n_ues: int) -> tuple[int, int]:
+    """Vertices of the edge a-b; raises InputError for an unknown node or a
+    self-loop."""
+    u, v = vertex(a, n_scbs, n_ues), vertex(b, n_scbs, n_ues)
+    if u == v:
+        raise InputError(f"self-loop on {a[0]}{a[1]}")
+    return u, v
 
 
-@dataclass(frozen=True)
-class ErdosRenyi:
-    """Independent edge probability p over every vertex pair."""
-    p: float
-
-
-@dataclass(frozen=True)
-class WattsStrogatz:
-    """Ring lattice with `neighbors` links per node, rewired with prob `rewire`."""
-    neighbors: int = 4
-    rewire: float = 0.1
-
-
-EdgeModel = ExplicitEdges | ErdosRenyi | WattsStrogatz
-
-
-def build_social_graph(n_scbs: int, n_ues: int, edge_model: EdgeModel,
-                       rng_seed: int = 0) -> SocialGraph:
-    """Build a SocialGraph over n_scbs SCBSs and n_ues UEs, numbered SCBSs
-    first, using the requested edge model.
-
-    The random models wire every vertex; an explicit edge list gives the
-    caller full control (and ignores the seed).
-    """
+def graph_from_edges(edges, n_scbs: int, n_ues: int) -> SocialGraph:
+    """SocialGraph over n_scbs SCBSs and n_ues UEs with exactly the given
+    (NodeRef, NodeRef) edges; repeats are merged."""
     V = n_scbs + n_ues
-    if isinstance(edge_model, ExplicitEdges):
-        adj = np.zeros((V, V), dtype=np.int8)
-        for a, b in edge_model.edges:
-            u, v = vertex(a, n_scbs, n_ues), vertex(b, n_scbs, n_ues)
-            if u == v:
-                raise InputError(f"self-loop on {a[0]}{a[1]}")
-            adj[u, v] = adj[v, u] = 1
-    elif isinstance(edge_model, ErdosRenyi):
-        if not 0.0 <= edge_model.p <= 1.0:
-            raise ConfigError(f"edge probability must be in [0, 1], got {edge_model.p}")
-        adj = _gnp_adjacency(V, edge_model.p, random.Random(int(rng_seed)))
-    elif isinstance(edge_model, WattsStrogatz):
-        k = edge_model.neighbors
-        if k < 0:
-            raise ConfigError(f"neighbor count must be >= 0, got {k}")
-        if not 0.0 <= edge_model.rewire <= 1.0:
-            raise ConfigError(f"rewire probability must be in [0, 1], got {edge_model.rewire}")
-        adj = _watts_strogatz_adjacency(V, k, edge_model.rewire, random.Random(int(rng_seed)))
-    else:
-        raise ConfigError(f"unknown edge model {edge_model!r}")
-
+    adj = np.zeros((V, V), dtype=np.int8)
+    for a, b in edges:
+        u, v = _vertex_pair(a, b, n_scbs, n_ues)
+        adj[u, v] = adj[v, u] = 1
     return SocialGraph(n_scbs=n_scbs, adjacency=adj)
 
 
-def _gnp_adjacency(V: int, p: float, rng: random.Random) -> np.ndarray:
-    """G(n, p): one draw per vertex pair, pairs in `itertools.combinations`
-    order (which is also `np.triu_indices` order); p <= 0 and p >= 1 draw
-    nothing."""
+def gnp_adjacency(V: int, p: float, seed: int) -> np.ndarray:
+    """G(n, p) over V vertices: one draw per vertex pair, pairs in
+    `itertools.combinations` order (which is also `np.triu_indices` order);
+    p <= 0 and p >= 1 draw nothing."""
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"edge probability must be in [0, 1], got {p}")
     if p >= 1:
         return 1 - np.eye(V, dtype=np.int8)
     adj = np.zeros((V, V), dtype=np.int8)
     if p > 0:
+        rng = random.Random(int(seed))
         u, v = np.triu_indices(V, 1)
         hit = np.array([rng.random() for _ in range(len(u))]) < p
         adj[u[hit], v[hit]] = adj[v[hit], u[hit]] = 1
     return adj
 
 
-def _watts_strogatz_adjacency(V: int, k: int, p: float,
-                              rng: random.Random) -> np.ndarray:
-    """Watts-Strogatz: a ring lattice with links to the k // 2 nearest
-    vertices on each side, whose edges (u, u + j) are taken by j, then u, and
-    each rewired with probability p to a uniform vertex that is neither u nor
-    a neighbour of u.  As in NetworkX, an edge whose u already links to every
-    other vertex keeps its end, after two draws."""
+def watts_strogatz_adjacency(V: int, k: int, rewire: float, seed: int) -> np.ndarray:
+    """Watts-Strogatz over V vertices: a ring lattice with links to the k // 2
+    nearest vertices on each side, whose edges (u, u + j) are taken by j,
+    then u, and each rewired with probability `rewire` to a uniform vertex
+    that is neither u nor a neighbour of u.  As in NetworkX, an edge whose u
+    already links to every other vertex keeps its end, after two draws."""
+    if k < 0:
+        raise ConfigError(f"neighbor count must be >= 0, got {k}")
+    if not 0.0 <= rewire <= 1.0:
+        raise ConfigError(f"rewire probability must be in [0, 1], got {rewire}")
     if k >= V:
         # tiny graph: the ring lattice degenerates to the complete graph
         return 1 - np.eye(V, dtype=np.int8)
+    rng = random.Random(int(seed))
     adj = np.zeros((V, V), dtype=np.int8)
     ring = [(u, (u + j) % V) for j in range(1, k // 2 + 1) for u in range(V)]
     for u, v in ring:
         adj[u, v] = adj[v, u] = 1
     nodes = range(V)
     for u, v in ring:
-        if rng.random() < p:
+        if rng.random() < rewire:
             w = rng.choice(nodes)
             while w == u or adj[u, w]:
                 w = rng.choice(nodes)
@@ -199,22 +173,14 @@ def _watts_strogatz_adjacency(V: int, k: int, p: float,
     return adj
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 # --------------------------------------------------------------------------
 # edge betweenness
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BetweennessMatrix:
-    """Normalized edge betweenness values plus the denominator that was used."""
-
-    values: np.ndarray
-    denominator: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
 
 #: Sources whose shortest-path searches run together.  A block holds a few
 #: (block, V) and (block, E) arrays plus its sources' shortest-path DAGs; at
@@ -312,10 +278,10 @@ def _edge_counts(adjacency: np.ndarray) -> np.ndarray:
     return counts
 
 
-def edge_betweenness(g: SocialGraph, denominator: float | None = None) -> BetweennessMatrix:
-    """Edge betweenness of every edge, normalized by `denominator`.
+def edge_betweenness(g: SocialGraph) -> np.ndarray:
+    """Edge betweenness of every edge, as a read-only (V, V) array.
 
-    The default denominator is (V-1)(V-2), floored at 1 so the two-node
+    Raw counts are normalized by (V-1)(V-2), floored at 1 so the two-node
     graph stays finite.  B[u][v] is zero wherever there is no edge.
 
     The raw counts come from Brandes' algorithm run on blocks of
@@ -328,12 +294,8 @@ def edge_betweenness(g: SocialGraph, denominator: float | None = None) -> Betwee
     V = g.n_vertices
     if V < 2:
         raise InputError("betweenness needs at least two vertices")
-    if denominator is None:
-        denominator = max((V - 1) * (V - 2), 1)
-    if denominator <= 0:
-        raise ConfigError(f"denominator must be positive, got {denominator}")
     raw = _edge_counts(g.adjacency) / 2.0
-    return BetweennessMatrix(values=raw / float(denominator), denominator=float(denominator))
+    return _read_only(raw / float(max((V - 1) * (V - 2), 1)))
 
 
 # --------------------------------------------------------------------------
@@ -344,70 +306,48 @@ SAW = "saw"
 RAW_CLIPPED = "raw-clipped"
 
 
-@dataclass(frozen=True)
-class SimilarityMatrices:
-    """Raw common-neighbour scores Q and their normalized form S."""
-
-    raw: np.ndarray
-    normalized: np.ndarray
-    column_max: np.ndarray
-    normalization: str
-
-    def __post_init__(self):
-        for name in ("raw", "normalized", "column_max"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def similarity(g: SocialGraph, normalization: str = SAW) -> SimilarityMatrices:
-    """Common-neighbour similarity for every node pair.
+def common_neighbours(g: SocialGraph) -> np.ndarray:
+    """Raw common-neighbour scores Q, read-only (V, V).
 
     Q[m][n] sums 1/degree(z) over the common neighbours z of m and n; pairs
     in different components score zero, because a common neighbour would put
-    them in the same component.  "saw" rescales each column by its
-    maximum; "raw-clipped" instead caps raw values at 1.0, which is handy
-    when comparing against references that report Q itself.
+    them in the same component.  The diagonal is zero.
     """
-    if normalization not in (SAW, RAW_CLIPPED):
-        raise ConfigError(f"unknown similarity normalization {normalization!r}")
     adj = g.adjacency.astype(float)
     deg = adj.sum(axis=1)
     inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     q = (adj * inv_deg[np.newaxis, :]) @ adj
     np.fill_diagonal(q, 0.0)
+    return _read_only(q)
 
-    col_max = q.max(axis=0)
+
+def similarity(g: SocialGraph, normalization: str = SAW) -> np.ndarray:
+    """Normalized common-neighbour similarity S, read-only (V, V).
+
+    "saw" rescales each column of Q by its maximum; "raw-clipped" instead
+    caps Q at 1.0, which is handy when comparing against references that
+    report Q itself.
+    """
+    if normalization not in (SAW, RAW_CLIPPED):
+        raise ConfigError(f"unknown similarity normalization {normalization!r}")
+    q = common_neighbours(g)
     if normalization == SAW:
+        col_max = q.max(axis=0)
         s = np.divide(q, col_max[np.newaxis, :],
                       out=np.zeros_like(q), where=col_max > 0)
     else:
         s = np.minimum(q, 1.0)
-    return SimilarityMatrices(raw=q, normalized=s, column_max=col_max,
-                              normalization=normalization)
+    return _read_only(s)
 
 
 # --------------------------------------------------------------------------
 # social distance and importance
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SocialDistanceMatrix:
-    """Blend X = alpha * sym(S) + beta * B over every vertex pair."""
-
-    values: np.ndarray
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-def social_distance(b: BetweennessMatrix, s: SimilarityMatrices,
-                    alpha: float = 0.5, beta: float = 0.5) -> SocialDistanceMatrix:
-    """Combine similarity and betweenness into one distance matrix.
+def social_distance(b: np.ndarray, s: np.ndarray,
+                    alpha: float = 0.5, beta: float = 0.5) -> np.ndarray:
+    """Blend X = alpha * sym(S) + beta * B of betweenness B and similarity
+    S, read-only (V, V).
 
     Column-wise normalization can leave S slightly asymmetric, so S is
     symmetrized as (S + S^T) / 2 before blending.  alpha and beta must be
@@ -417,19 +357,18 @@ def social_distance(b: BetweennessMatrix, s: SimilarityMatrices,
         raise ConfigError(f"alpha/beta must lie in [0, 1], got {alpha}, {beta}")
     if abs(alpha + beta - 1.0) > 1e-9:
         raise ConfigError(f"alpha + beta must equal 1, got {alpha + beta}")
-    if b.values.shape != s.normalized.shape:
+    if b.shape != s.shape:
         raise InputError("betweenness and similarity matrices differ in shape")
-    s_sym = (s.normalized + s.normalized.T) / 2.0
-    x = alpha * s_sym + beta * b.values
-    return SocialDistanceMatrix(values=x, alpha=alpha, beta=beta)
+    s_sym = (s + s.T) / 2.0
+    return _read_only(alpha * s_sym + beta * b)
 
 
-def importance_scores(g: SocialGraph, x: SocialDistanceMatrix) -> np.ndarray:
+def importance_scores(g: SocialGraph, x: np.ndarray) -> np.ndarray:
     """Importance of each UE, indexed by UE id: its row sum of X over every
     vertex (the full-row sum, sliced, so the floats match any one UE's)."""
-    if x.values.shape[0] != g.n_vertices:
+    if x.shape[0] != g.n_vertices:
         raise InputError("distance matrix does not match the graph")
-    return x.values.sum(axis=1)[g.n_scbs:]
+    return x.sum(axis=1)[g.n_scbs:]
 
 
 def elect_important_ues(scores: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -445,12 +384,10 @@ def elect_important_ues(scores: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def social_pipeline(g: SocialGraph, alpha: float = 0.5, beta: float = 0.5,
-                    normalization: str = SAW,
-                    ) -> tuple[BetweennessMatrix, SimilarityMatrices, SocialDistanceMatrix]:
-    """Convenience wrapper running betweenness -> similarity -> distance."""
-    b = edge_betweenness(g)
-    s = similarity(g, normalization=normalization)
-    return b, s, social_distance(b, s, alpha=alpha, beta=beta)
+                    normalization: str = SAW) -> np.ndarray:
+    """Social distance X of g: betweenness -> similarity -> distance."""
+    return social_distance(edge_betweenness(g), similarity(g, normalization=normalization),
+                           alpha=alpha, beta=beta)
 
 
 # --------------------------------------------------------------------------
@@ -461,8 +398,9 @@ def load_edge_list(path, n_scbs: int, n_ues: int) -> SocialGraph:
     """Read an edge-list file over n_scbs SCBSs and n_ues UEs.
 
     One `label label` pair per line, such as `scbs0 ue3`; `#` starts a
-    comment and blank lines are skipped.  A label naming a node the graph
-    does not have raises InputError.
+    comment and blank lines are skipped.  A malformed line, a label naming a
+    node the graph does not have, or a self-loop raises InputError naming
+    `path:lineno`.
     """
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -471,7 +409,12 @@ def load_edge_list(path, n_scbs: int, n_ues: int) -> SocialGraph:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected two node labels, got {line!r}")
-            edges.append((parse_node_label(parts[0]), parse_node_label(parts[1])))
-    return build_social_graph(n_scbs, n_ues, ExplicitEdges(edges=tuple(edges)))
+            try:
+                if len(parts) != 2:
+                    raise InputError(f"expected two node labels, got {line!r}")
+                a, b = parse_node_label(parts[0]), parse_node_label(parts[1])
+                _vertex_pair(a, b, n_scbs, n_ues)
+            except InputError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+            edges.append((a, b))
+    return graph_from_edges(edges, n_scbs, n_ues)

@@ -46,8 +46,7 @@ def social_ring_graph(scenario: radio.RadioScenario) -> sg.SocialGraph:
     for i in range(n):
         for u in np.flatnonzero(d[i] <= scenario.scbs_radius_m):
             edges.append(((sg.SCBS, i), (sg.UE, int(u))))
-    return sg.build_social_graph(n, m,
-                                 sg.ExplicitEdges(edges=tuple(edges)))
+    return sg.graph_from_edges(edges, n, m)
 
 
 def clustered_instance(seed: int, n_scbs: int = 2, n_ues: int = 8,
@@ -62,7 +61,7 @@ def clustered_instance(seed: int, n_scbs: int = 2, n_ues: int = 8,
                                    seed=seed, **scenario_kw)
     if graph is None:
         graph = social_ring_graph(scenario)
-    _, _, x = sg.social_pipeline(graph)
+    x = sg.social_pipeline(graph)
     problem = matching.build_problem(scenario, graph, x,
                                      engine or SwapEngineConfig(seed=seed))
     return SimpleNamespace(problem=problem, scenario=scenario, graph=graph, x=x)
@@ -111,7 +110,7 @@ def oracle_evaluate(problem, assign) -> SimpleNamespace:
                                  share=1.0 / counts[k])
         rates[m] = budget.rate_bps
         if m in relay_set:
-            xv = float(x.values[sg.vertex((sg.SCBS, k), N, M), sg.vertex((sg.UE, m), N, M)])
+            xv = float(x[sg.vertex((sg.SCBS, k), N, M), sg.vertex((sg.UE, m), N, M)])
             utilities[m] = rates[m] / max(xv, 0.01)
         else:
             utilities[m] = rates[m]

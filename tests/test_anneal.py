@@ -105,9 +105,8 @@ def crossed_pair(min_rate=0.0):
     edges = (((sg.SCBS, 0), (sg.UE, 0)), ((sg.SCBS, 0), (sg.UE, 1)),
              ((sg.SCBS, 1), (sg.UE, 0)), ((sg.SCBS, 1), (sg.UE, 1)),
              ((sg.UE, 0), (sg.UE, 1)))
-    graph = sg.build_social_graph(2, 2,
-                                  sg.ExplicitEdges(edges=edges))
-    _, _, x = sg.social_pipeline(graph)
+    graph = sg.graph_from_edges(edges, 2, 2)
+    x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x,
                          SwapEngineConfig(seed=11, min_rate_bps=min_rate))
 
@@ -135,9 +134,8 @@ def twin_pair():
     assert (radio.subcarrier_offset(scenario, (sg.SCBS, 0))
             == radio.subcarrier_offset(scenario, (sg.SCBS, 1)))
     edges = (((sg.SCBS, 0), (sg.UE, 2)),)
-    graph = sg.build_social_graph(2, 4,
-                                  sg.ExplicitEdges(edges=edges))
-    _, _, x = sg.social_pipeline(graph)
+    graph = sg.graph_from_edges(edges, 2, 4)
+    x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x, SwapEngineConfig(seed=20))
 
 
@@ -350,10 +348,8 @@ def lone_problem(engine):
     """One UE under one SCBS: no feasible proposal ever exists."""
     scenario = radio.RadioScenario(scbs_xy=np.array([[0.0, 0.0]]),
                                    ue_xy=np.array([[10.0, 0.0]]), seed=2)
-    graph = sg.build_social_graph(
-        1, 1,
-        sg.ExplicitEdges(edges=(((sg.SCBS, 0), (sg.UE, 0)),)))
-    _, _, x = sg.social_pipeline(graph)
+    graph = sg.graph_from_edges((((sg.SCBS, 0), (sg.UE, 0)),), 1, 1)
+    x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x, engine)
 
 
@@ -386,10 +382,8 @@ def test_min_rate_floor_can_freeze_the_initial_state():
 def test_no_servable_ues_short_circuits():
     scenario = radio.RadioScenario(scbs_xy=np.array([[0.0, 0.0]]),
                                    ue_xy=np.array([[200.0, 0.0]]), seed=0)
-    graph = sg.build_social_graph(
-        1, 1,
-        sg.ExplicitEdges(edges=(((sg.SCBS, 0), (sg.UE, 0)),)))
-    _, _, x = sg.social_pipeline(graph)
+    graph = sg.graph_from_edges((((sg.SCBS, 0), (sg.UE, 0)),), 1, 1)
+    x = sg.social_pipeline(graph)
     problem = build_problem(scenario, graph, x, SwapEngineConfig(seed=0))
     res = anneal_on_problem(problem)
     assert res.iterations_run == 0

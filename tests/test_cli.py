@@ -1,5 +1,6 @@
 """Command line interface: exit codes, outputs, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -112,6 +113,25 @@ def test_run_outputs_are_deterministic(run_cfg, tmp_path):
     assert m1 == m2
 
 
+def test_run_metrics_equal_a_one_replication_sweep(run_cfg, tmp_path):
+    # `run` is replication 0 of a one-point experiment: its figures must be
+    # the sweep's rows exactly, through both files' float formatting
+    assert main(["run", "--config", run_cfg, "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())["methods"]
+    assert main(["sweep", "--config", run_cfg, "--override", "sweep_variable=n_ues",
+                 "--override", "sweep_values=8", "--override", "replications=1",
+                 "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
+    with open(tmp_path / "sweep" / "replications.csv", newline="") as fh:
+        rows = {row["method"]: row for row in csv.DictReader(fh)}
+    assert set(rows) == set(metrics)
+    for method, row in rows.items():
+        got = metrics[method]
+        assert got["avg_rate_bps"] == float(row["avg_rate_bps"]), method
+        assert got["welfare"] == float(row["welfare"]), method
+        assert got["iterations"] == int(row["iterations"]), method
+        assert len(got["unserved"]) == int(row["unserved"]), method
+
+
 def test_run_seed_flag_overrides_config(run_cfg, tmp_path):
     out = str(tmp_path / "out")
     assert main(["run", "--config", run_cfg, "--seed", "11",
@@ -161,7 +181,8 @@ def test_edge_file_naming_an_unknown_ue_is_a_usage_error(run_cfg, tmp_path, caps
     rc, out = _edge_run(run_cfg, tmp_path, EDGE_FILE + "ue3 ue60\n")
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "ue60" in err
+    # EDGE_FILE has seven lines, so the bad edge is on line 8
+    assert err.startswith(f"error: {tmp_path / 'edges.txt'}:8: ") and "ue60" in err
     assert not out.exists()
 
 

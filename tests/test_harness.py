@@ -150,8 +150,8 @@ def test_replication_row_matches_a_manual_rebuild(small_result):
     graph = social_graph_from_config(
         run_cfg, scenario,
         seed=replication_seed(cfg.seed, point_index, rep, STREAM_SOCIAL))
-    _, _, xmat = social_pipeline(graph, alpha=run_cfg.alpha, beta=run_cfg.beta,
-                                 normalization=run_cfg.similarity_normalization)
+    xmat = social_pipeline(graph, alpha=run_cfg.alpha, beta=run_cfg.beta,
+                           normalization=run_cfg.similarity_normalization)
     engine = engine_config_from_config(
         run_cfg, seed=replication_seed(cfg.seed, point_index, rep, STREAM_ENGINE))
     problem = build_problem(scenario, graph, xmat, engine)

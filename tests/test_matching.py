@@ -58,9 +58,8 @@ def three_case_instance():
         ((sg.SCBS, 1), (sg.UE, 3)), ((sg.SCBS, 1), (sg.UE, 4)),
         ((sg.SCBS, 1), (sg.UE, 6)),
     )
-    graph = sg.build_social_graph(2, 7,
-                                  sg.ExplicitEdges(edges=edges))
-    _, _, x = sg.social_pipeline(graph)
+    graph = sg.graph_from_edges(edges, 2, 7)
+    x = sg.social_pipeline(graph)
     problem = build_problem(scenario, graph, x, SwapEngineConfig(seed=3))
     return problem
 
@@ -88,8 +87,7 @@ def test_serving_nodes_are_scbs_then_relays():
     kinds = [sn.kind for sn in problem.serving_nodes]
     assert kinds == [SN_SCBS, SN_SCBS, SN_RELAY, SN_RELAY]
     assert problem.serving_nodes[2].node_id == 0
-    assert problem.serving_nodes[2].cell_scbs == 0
-    assert problem.serving_nodes[3].cell_scbs == 1
+    np.testing.assert_array_equal(problem.rssi_assignment[problem.relay_ues], [0, 1])
 
 
 def test_relays_cannot_take_d2d_service():
@@ -105,7 +103,7 @@ def test_rssi_cells_and_election():
                                   [0, 1, 1, 1, 1, -1, 1])
     # each cell elects one relay, and a relay's cell is its own max-RSSI cell
     assert tuple(problem.relay_ues) == (0, 1)
-    assert [sn.cell_scbs for sn in problem.serving_nodes[2:]] == [0, 1]
+    np.testing.assert_array_equal(problem.rssi_assignment[problem.relay_ues], [0, 1])
 
 
 def test_d2d_feasibility_mask():
@@ -126,7 +124,7 @@ def test_d2d_weight_definition_and_errors():
         for j, p in enumerate(problem.relay_ues):
             for m in range(problem.n_ues):
                 d = float(np.linalg.norm(scen.ue_xy[p] - scen.ue_xy[m]))
-                xval = float(x.values[sg.vertex(("ue", int(p)), 2, 7),
+                xval = float(x[sg.vertex(("ue", int(p)), 2, 7),
                                       sg.vertex(("ue", m), 2, 7)])
                 assert problem.d2d_weight[j, m] == pytest.approx(want_eps * d * xval,
                                                                  abs=1e-12)
@@ -136,8 +134,7 @@ def test_d2d_weight_definition_and_errors():
 
 def test_graph_must_cover_scenario_nodes():
     inst = clustered_instance(0, n_scbs=2, n_ues=4)
-    small_graph = sg.build_social_graph(2, 3,
-                                        sg.ExplicitEdges(edges=()))
+    small_graph = sg.graph_from_edges((), 2, 3)
     with pytest.raises(InputError):
         build_problem(inst.scenario, small_graph, inst.x)
     # as many vertices as the scenario has nodes, but split 3 + 3, not 2 + 4
@@ -180,7 +177,7 @@ def test_three_case_utilities_match_oracle():
     ev = problem.evaluate(assign)
     # relay case: downlink rate scaled by 1/x against its serving SCBS
     x = problem.x
-    xv = float(x.values[sg.vertex((sg.SCBS, 0), 2, 7), sg.vertex((sg.UE, 0), 2, 7)])
+    xv = float(x[sg.vertex((sg.SCBS, 0), 2, 7), sg.vertex((sg.UE, 0), 2, 7)])
     assert ev.utilities[0] == pytest.approx(ev.rates[0] / max(xv, 0.01), rel=1e-12)
     assert ev.utilities[0] > ev.rates[0]
     # regular case: utility is the plain rate
@@ -279,7 +276,7 @@ def test_baseline_matches_linear_scan():
         want = linear_scan_rssi(scenario)
         np.testing.assert_array_equal(max_rssi(*scbs_reception(scenario)), want)
         graph = social_ring_graph(scenario)
-        _, _, x = sg.social_pipeline(graph)
+        x = sg.social_pipeline(graph)
         problem = build_problem(scenario, graph, x)
         np.testing.assert_array_equal(problem.rssi_assignment, want)
 
@@ -315,9 +312,8 @@ def quota_instance():
     scenario = radio.RadioScenario(scbs_xy=scbs_xy, ue_xy=ue_xy, seed=1)
     edges = tuple([((sg.SCBS, 0), (sg.UE, 0))]
                   + [((sg.UE, 0), (sg.UE, m)) for m in range(1, 5)])
-    graph = sg.build_social_graph(1, 5,
-                                  sg.ExplicitEdges(edges=edges))
-    _, _, x = sg.social_pipeline(graph)
+    graph = sg.graph_from_edges(edges, 1, 5)
+    x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x, SwapEngineConfig(seed=1))
 
 
@@ -563,7 +559,7 @@ def zero_relay_problem():
     scenario = radio.RadioScenario(scbs_xy=np.array([[0.0, 0.0]]),
                                    ue_xy=np.array([[80.0, 0.0], [0.0, 90.0], [-70.0, 5.0]]))
     graph = social_ring_graph(scenario)
-    _, _, x = sg.social_pipeline(graph)
+    x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x)
 
 
@@ -654,7 +650,7 @@ def overlap_problem(seed, n_ues=24):
                                    ue_xy=rng.uniform(-15.0, 15.0, size=(n_ues, 2)),
                                    seed=seed)
     graph = social_ring_graph(scenario)
-    _, _, x = sg.social_pipeline(graph)
+    x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x, SwapEngineConfig(seed=seed))
 
 

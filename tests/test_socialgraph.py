@@ -10,6 +10,7 @@ one deque BFS at a time, the arithmetic the block-batched production code
 must reproduce bit for bit.
 """
 
+import re
 import subprocess
 import sys
 from collections import deque
@@ -22,13 +23,14 @@ import pytest
 import socialcell
 from socialcell import config, harness, reference
 from socialcell.errors import ConfigError, InputError
-from socialcell.socialgraph import (RAW_CLIPPED, SAW, BetweennessMatrix,
-                                    ErdosRenyi, ExplicitEdges, SocialGraph,
-                                    WattsStrogatz, build_social_graph,
-                                    edge_betweenness, elect_important_ues,
-                                    importance_scores, load_edge_list,
-                                    parse_node_label, similarity,
-                                    social_distance, social_pipeline, vertex)
+from socialcell.socialgraph import (RAW_CLIPPED, SAW, SocialGraph,
+                                    common_neighbours, edge_betweenness,
+                                    elect_important_ues, gnp_adjacency,
+                                    graph_from_edges, importance_scores,
+                                    load_edge_list, parse_node_label,
+                                    similarity, social_distance,
+                                    social_pipeline, vertex,
+                                    watts_strogatz_adjacency)
 
 
 # --------------------------------------------------------------------------
@@ -72,6 +74,10 @@ def brute_force_edge_betweenness(adj: np.ndarray, denominator: float) -> np.ndar
                     out[a, b] += credit
                     out[b, a] += credit
     return out / denominator
+
+def betweenness_denominator(n_vertices: int) -> int:
+    """(V-1)(V-2), floored at 1 so the two-vertex graph stays finite."""
+    return max((n_vertices - 1) * (n_vertices - 2), 1)
 
 def per_source_edge_counts(adj: np.ndarray) -> np.ndarray:
     """Raw shortest-path traversal counts per edge, one deque BFS per source.
@@ -168,14 +174,16 @@ def _graph(n_vertices: int, edges) -> SocialGraph:
 
 def _assert_equals_per_source_loop(g: SocialGraph) -> None:
     b = edge_betweenness(g)
-    assert np.array_equal(b.values, per_source_edge_counts(g.adjacency) / b.denominator)
+    assert np.array_equal(b, per_source_edge_counts(g.adjacency)
+                          / betweenness_denominator(g.n_vertices))
 
 
 def test_brandes_equals_brute_force_on_random_graphs():
     for g in _random_corpus():
         b = edge_betweenness(g)
-        want = brute_force_edge_betweenness(g.adjacency.astype(float), b.denominator)
-        np.testing.assert_allclose(b.values, want, atol=1e-9, rtol=0)
+        want = brute_force_edge_betweenness(g.adjacency.astype(float),
+                                            betweenness_denominator(g.n_vertices))
+        np.testing.assert_allclose(b, want, atol=1e-9, rtol=0)
 
 
 def test_betweenness_bit_identical_to_per_source_loop_on_random_graphs():
@@ -224,24 +232,37 @@ DEGENERATE_GRAPHS = [
 def test_betweenness_on_degenerate_graphs(g):
     _assert_equals_per_source_loop(g)
     b = edge_betweenness(g)
-    want = brute_force_edge_betweenness(g.adjacency.astype(float), b.denominator)
-    np.testing.assert_allclose(b.values, want, atol=1e-9, rtol=0)
+    want = brute_force_edge_betweenness(g.adjacency.astype(float),
+                                        betweenness_denominator(g.n_vertices))
+    np.testing.assert_allclose(b, want, atol=1e-9, rtol=0)
 
 
 def test_betweenness_zero_off_edges():
     g = reference.reference_graph()
     b = edge_betweenness(g)
-    assert np.all(b.values[g.adjacency == 0] == 0.0)
+    assert np.all(b[g.adjacency == 0] == 0.0)
 
 
-def test_betweenness_denominator_default_and_override():
+def test_betweenness_normalized_by_v_minus_1_times_v_minus_2():
     g = reference.reference_graph()
-    b = edge_betweenness(g)
-    assert b.denominator == 12  # (V-1)(V-2) for V=5
-    forced = edge_betweenness(g, denominator=16.0)
-    np.testing.assert_allclose(forced.values * 16.0, b.values * 12.0, atol=1e-12)
-    with pytest.raises(ConfigError):
-        edge_betweenness(g, denominator=0.0)
+    raw = brute_force_edge_betweenness(g.adjacency.astype(float), 1.0)
+    np.testing.assert_allclose(edge_betweenness(g) * 12, raw, atol=1e-12, rtol=0)
+    # the two-vertex graph's denominator is floored at 1, not 0
+    np.testing.assert_array_equal(edge_betweenness(_graph(2, [(0, 1)])),
+                                  [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InputError):
+        edge_betweenness(_graph(1, []))
+
+
+def test_social_layer_arrays_are_read_only():
+    g = reference.reference_graph()
+    b, q, s = edge_betweenness(g), common_neighbours(g), similarity(g)
+    for name, arr in (("B", b), ("Q", q), ("S", s),
+                      ("S raw-clipped", similarity(g, normalization=RAW_CLIPPED)),
+                      ("X", social_distance(b, s)), ("pipeline X", social_pipeline(g))):
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 # --------------------------------------------------------------------------
@@ -256,18 +277,18 @@ def test_reference_betweenness_values():
     g = reference.reference_graph()
     b = edge_betweenness(g)
     for (a, c), want in reference.EXPECTED_B.items():
-        assert _ref_entry(b.values, a, c) == pytest.approx(want, abs=1e-3)
+        assert _ref_entry(b, a, c) == pytest.approx(want, abs=1e-3)
 
 
 def test_reference_similarity_values():
     g = reference.reference_graph()
-    s = similarity(g)
+    q = common_neighbours(g)
     for (a, c), want in reference.EXPECTED_Q.items():
-        assert _ref_entry(s.raw, a, c) == pytest.approx(want, abs=1e-3)
+        assert _ref_entry(q, a, c) == pytest.approx(want, abs=1e-3)
     # the one supra-1 raw entry is capped in raw-clipped mode
     clipped = similarity(g, normalization=RAW_CLIPPED)
-    assert _ref_entry(s.raw, "scbs0", "ue0") == pytest.approx(7.0 / 6.0, abs=1e-9)
-    assert _ref_entry(clipped.normalized, "scbs0", "ue0") == pytest.approx(1.0)
+    assert _ref_entry(q, "scbs0", "ue0") == pytest.approx(7.0 / 6.0, abs=1e-9)
+    assert _ref_entry(clipped, "scbs0", "ue0") == pytest.approx(1.0)
 
 
 def test_reference_distance_values_under_documented_rescaling():
@@ -275,18 +296,16 @@ def test_reference_distance_values_under_documented_rescaling():
     g = reference.reference_graph()
     b = edge_betweenness(g)
     s = similarity(g, normalization=RAW_CLIPPED)
-    half = BetweennessMatrix(values=b.values / 2.0, denominator=b.denominator * 2.0)
-    x = social_distance(half, s, alpha=0.5, beta=0.5)
+    x = social_distance(b / 2.0, s, alpha=0.5, beta=0.5)
     for (a, c), want in reference.EXPECTED_X.items():
-        assert _ref_entry(x.values, a, c) == pytest.approx(want, abs=1e-3)
+        assert _ref_entry(x, a, c) == pytest.approx(want, abs=1e-3)
 
 
 def test_reference_importance_ranking():
     g = reference.reference_graph()
     b = edge_betweenness(g)
     s = similarity(g, normalization=RAW_CLIPPED)
-    half = BetweennessMatrix(values=b.values / 2.0, denominator=b.denominator * 2.0)
-    x = social_distance(half, s, alpha=0.5, beta=0.5)
+    x = social_distance(b / 2.0, s, alpha=0.5, beta=0.5)
     scores = importance_scores(g, x)
     assert scores.shape == (4,)
     assert scores.argmax() == 0
@@ -307,8 +326,11 @@ def test_reference_golden_checks_flag_wrong_weights():
     assert all(r.ok for r in rows if r.name.startswith(("B[", "Q[")))
 
 
-def test_reference_golden_checks_flag_wrong_denominator():
-    rows = reference.golden_checks(denominator=16.0)
+def test_reference_golden_checks_flag_wrong_denominator(monkeypatch):
+    # betweenness normalized by 16 instead of (V-1)(V-2) = 12
+    monkeypatch.setattr(reference, "edge_betweenness",
+                        lambda g: edge_betweenness(g) * 12.0 / 16.0)
+    rows = reference.golden_checks()
     assert any(not r.ok for r in rows if r.name.startswith("B["))
 
 
@@ -323,7 +345,7 @@ def test_similarity_matches_direct_sum_on_random_graphs():
     for _ in range(50):
         V = int(rng.integers(3, 9))
         g = _random_graph(rng, V, float(rng.uniform(0.2, 0.8)))
-        q = similarity(g).raw
+        q = common_neighbours(g)
         adj = g.adjacency
         deg = adj.sum(axis=1)
         for m in range(V):
@@ -340,9 +362,10 @@ def test_similarity_saw_columns_peak_at_one():
     rng = np.random.default_rng(11)
     g = _random_graph(rng, 7, 0.5)
     s = similarity(g, normalization=SAW)
+    col_max = common_neighbours(g).max(axis=0)
     for col in range(7):
-        colvals = s.normalized[:, col]
-        if s.column_max[col] > 0:
+        colvals = s[:, col]
+        if col_max[col] > 0:
             assert colvals.max() == pytest.approx(1.0, abs=1e-12)
         else:
             assert np.all(colvals == 0.0)
@@ -350,30 +373,30 @@ def test_similarity_saw_columns_peak_at_one():
 
 def test_similarity_grows_with_added_common_neighbour():
     # wiring a fresh degree-2 vertex to both endpoints adds exactly 1/2
-    base = build_social_graph(1, 3, ExplicitEdges(edges=(
+    base = graph_from_edges((
         ((("scbs", 0)), ("ue", 0)),
         ((("ue", 0)), ("ue", 1)),
-    )))
-    q0 = similarity(base).raw
+    ), 1, 3)
+    q0 = common_neighbours(base)
     i_s, i_u1 = 0, 2   # scbs0 and ue1 share no neighbour apart from ue0
-    extended = build_social_graph(1, 4, ExplicitEdges(edges=(
+    extended = graph_from_edges((
         ((("scbs", 0)), ("ue", 0)),
         ((("ue", 0)), ("ue", 1)),
         ((("scbs", 0)), ("ue", 3)),
         ((("ue", 1)), ("ue", 3)),
-    )))
-    q1 = similarity(extended).raw
+    ), 1, 4)
+    q1 = common_neighbours(extended)
     assert q1[i_s, i_u1] == pytest.approx(q0[i_s, i_u1] + 0.5, abs=1e-12)
 
 
 def test_similarity_zero_across_components():
-    g = build_social_graph(1, 4, ExplicitEdges(edges=(
+    g = graph_from_edges((
         ((("scbs", 0)), ("ue", 0)),
         ((("ue", 1)), ("ue", 2)),
         ((("ue", 1)), ("ue", 3)),
         ((("ue", 2)), ("ue", 3)),
-    )))
-    q = similarity(g).raw
+    ), 1, 4)
+    q = common_neighbours(g)
     # scbs0/ue0 component vs the ue1-ue2-ue3 triangle
     for a in (0, 1):
         for b in (2, 3, 4):
@@ -397,12 +420,10 @@ def test_metrics_are_permutation_equivariant():
         perm = rng.permutation(V)
         adj_p = g.adjacency[np.ix_(perm, perm)]
         g_p = SocialGraph(n_scbs=1, adjacency=adj_p.astype(np.int8))
-        b, s = edge_betweenness(g), similarity(g)
-        b_p, s_p = edge_betweenness(g_p), similarity(g_p)
-        np.testing.assert_allclose(b_p.values, b.values[np.ix_(perm, perm)],
-                                   atol=1e-9)
-        np.testing.assert_allclose(s_p.raw, s.raw[np.ix_(perm, perm)],
-                                   atol=1e-9)
+        b, q = edge_betweenness(g), common_neighbours(g)
+        b_p, q_p = edge_betweenness(g_p), common_neighbours(g_p)
+        np.testing.assert_allclose(b_p, b[np.ix_(perm, perm)], atol=1e-9)
+        np.testing.assert_allclose(q_p, q[np.ix_(perm, perm)], atol=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -421,27 +442,27 @@ def test_social_distance_weight_validation():
 def test_social_distance_is_symmetric():
     rng = np.random.default_rng(3)
     g = _random_graph(rng, 8, 0.4)
-    _, _, x = social_pipeline(g)
-    np.testing.assert_allclose(x.values, x.values.T, atol=1e-12)
+    x = social_pipeline(g)
+    np.testing.assert_allclose(x, x.T, atol=1e-12)
 
 
 def test_social_distance_endpoints_recover_inputs():
     g = reference.reference_graph()
     b, s = edge_betweenness(g), similarity(g)
-    s_sym = (s.normalized + s.normalized.T) / 2.0
+    s_sym = (s + s.T) / 2.0
     only_s = social_distance(b, s, alpha=1.0, beta=0.0)
     only_b = social_distance(b, s, alpha=0.0, beta=1.0)
-    np.testing.assert_allclose(only_s.values, s_sym, atol=1e-12)
-    np.testing.assert_allclose(only_b.values, b.values, atol=1e-12)
+    np.testing.assert_allclose(only_s, s_sym, atol=1e-12)
+    np.testing.assert_allclose(only_b, b, atol=1e-12)
 
 
 def test_importance_scores_are_row_sums():
     g = reference.reference_graph()
-    _, _, x = social_pipeline(g)
+    x = social_pipeline(g)
     scores = importance_scores(g, x)
     assert scores.shape == (4,)
     for m in range(4):
-        assert scores[m] == pytest.approx(float(x.values[g.n_scbs + m].sum()), abs=1e-12)
+        assert scores[m] == pytest.approx(float(x[g.n_scbs + m].sum()), abs=1e-12)
 
 
 def test_election_per_cell_with_ties_to_lowest_id():
@@ -460,15 +481,15 @@ def test_election_per_cell_with_ties_to_lowest_id():
 def test_explicit_edges_reject_unknown_nodes_and_self_loops():
     for bad in (("ue", 9), ("ue", 2), ("scbs", 1), ("bs", 0), ("ue", -1)):
         with pytest.raises(InputError):
-            build_social_graph(1, 2, ExplicitEdges(edges=((("ue", 0), bad),)))
+            graph_from_edges(((("ue", 0), bad),), 1, 2)
     with pytest.raises(InputError):
-        build_social_graph(1, 2, ExplicitEdges(edges=((("ue", 0), ("ue", 0)),)))
+        graph_from_edges(((("ue", 0), ("ue", 0)),), 1, 2)
 
 
 def test_vertex_numbers_scbs_first_then_ues():
     assert [vertex(("scbs", i), 2, 3) for i in range(2)] == [0, 1]
     assert [vertex(("ue", m), 2, 3) for m in range(3)] == [2, 3, 4]
-    g = build_social_graph(2, 3, ExplicitEdges(edges=((("scbs", 1), ("ue", 2)),)))
+    g = graph_from_edges(((("scbs", 1), ("ue", 2)),), 2, 3)
     assert g.n_scbs == 2 and g.n_vertices == 5
     assert list(zip(*np.nonzero(g.adjacency))) == [(1, 4), (4, 1)]
 
@@ -485,21 +506,23 @@ def test_adjacency_validation():
 
 
 def test_random_models_are_seeded_and_validated():
-    g1 = build_social_graph(2, 10, ErdosRenyi(p=0.3), rng_seed=5)
-    g2 = build_social_graph(2, 10, ErdosRenyi(p=0.3), rng_seed=5)
-    g3 = build_social_graph(2, 10, ErdosRenyi(p=0.3), rng_seed=6)
-    np.testing.assert_array_equal(g1.adjacency, g2.adjacency)
-    assert not np.array_equal(g1.adjacency, g3.adjacency)
-    with pytest.raises(ConfigError):
-        build_social_graph(2, 10, ErdosRenyi(p=1.5))
-    with pytest.raises(ConfigError):
-        build_social_graph(2, 10, WattsStrogatz(neighbors=4, rewire=2.0))
+    a1 = gnp_adjacency(12, 0.3, 5)
+    a2 = gnp_adjacency(12, 0.3, 5)
+    a3 = gnp_adjacency(12, 0.3, 6)
+    np.testing.assert_array_equal(a1, a2)
+    assert not np.array_equal(a1, a3)
+    for p in (-0.1, 1.5):
+        with pytest.raises(ConfigError):
+            gnp_adjacency(12, p, 0)
+    for k, rewire in ((4, 2.0), (4, -0.5), (-2, 0.1)):
+        with pytest.raises(ConfigError):
+            watts_strogatz_adjacency(12, k, rewire, 0)
 
 
 def test_watts_strogatz_complete_fallback_on_tiny_rosters():
-    g = build_social_graph(1, 2, WattsStrogatz(neighbors=4))
-    assert g.adjacency.sum() == 3 * 2  # complete graph on 3 vertices
-    assert np.all(np.diag(g.adjacency) == 0)
+    adj = watts_strogatz_adjacency(3, 4, 0.1, 0)
+    assert adj.sum() == 3 * 2  # complete graph on 3 vertices
+    assert np.all(np.diag(adj) == 0)
 
 
 # small seeds, and the 64-bit seeds the sweep harness hands the social model
@@ -525,7 +548,7 @@ def _nx_adjacency(g: nx.Graph) -> np.ndarray:
 def test_erdos_renyi_matches_networkx(n):
     for p in (0.0, 0.05, 0.3, 1.0):
         for seed in _oracle_seeds(n):
-            got = build_social_graph(0, n, ErdosRenyi(p), rng_seed=seed).adjacency
+            got = gnp_adjacency(n, p, seed)
             want = _nx_adjacency(nx.gnp_random_graph(n, p, seed=seed))
             np.testing.assert_array_equal(got, want, err_msg=f"p={p} seed={seed}")
 
@@ -537,7 +560,7 @@ def test_watts_strogatz_matches_networkx(n):
             continue
         for rewire in (0.0, 0.1, 0.5, 1.0):
             for seed in _oracle_seeds(n):
-                got = build_social_graph(0, n, WattsStrogatz(k, rewire), rng_seed=seed).adjacency
+                got = watts_strogatz_adjacency(n, k, rewire, seed)
                 want = _nx_adjacency(nx.watts_strogatz_graph(n, k, rewire, seed=seed))
                 np.testing.assert_array_equal(got, want, err_msg=f"k={k} rewire={rewire} seed={seed}")
 
@@ -566,13 +589,13 @@ def test_edge_list_loads_hand_written_file(tmp_path):
     for u, v in ((0, 1), (1, 3), (2, 0)):
         want[u, v] = want[v, u] = 1
     np.testing.assert_array_equal(g.adjacency, want)
-    path.write_text("scbs0 ue3\n")
-    with pytest.raises(InputError, match="ue3"):
-        load_edge_list(path, 1, 3)
-
 
 def test_edge_list_load_reports_line_numbers(tmp_path):
+    # a malformed line, a junk label, a node the graph lacks and a self-loop,
+    # each on line 3 after a comment
     path = tmp_path / "edges.txt"
-    path.write_text("scbs0 ue0\nue0 ue1 ue2\n")
-    with pytest.raises(InputError, match="2"):
-        load_edge_list(path, 1, 3)
+    for bad, what in (("ue0 ue1 ue2", "two node labels"), ("ue0 bs1", "label"),
+                      ("scbs0 ue3", "ue3"), ("ue0 ue0", "self-loop")):
+        path.write_text(f"# one SCBS, three UEs\nscbs0 ue0\n{bad}\nue1 ue2\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: .*{what}"):
+            load_edge_list(path, 1, 3)
