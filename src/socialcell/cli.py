@@ -115,9 +115,18 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     spec = harness.ExperimentSpec.from_config(cfg)
+    # The replications check the rest of the config only as they build,
+    # after --out is made, so a config or input error removes --out again
+    # if this call made it (rmdir refuses a non-empty directory).
+    made = not os.path.isdir(args.out)
     out = _ensure_outdir(args.out)
     t0 = time.perf_counter()
-    result = harness.run_experiment(spec)
+    try:
+        result = harness.run_experiment(spec)
+    except (ConfigError, InputError):
+        if made:
+            os.rmdir(out)
+        raise
     paths = harness.emit_results(result, out)
     _say(args, f"sweep complete in {time.perf_counter() - t0:.2f}s")
     for p in paths.values():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,6 @@ class ScenarioConfig:
     scbs_pathloss_slope_db: float = 36.7
     min_distance_m: float = 1.0
     d2d_interference: bool = True
-    fading_gain: float = 1.0
     # social graph
     alpha: float = 0.5
     beta: float = 0.5
@@ -57,18 +57,14 @@ class ScenarioConfig:
     er_edge_prob: float = 0.1
     social_edge_file: str = ""
     similarity_normalization: str = sg.SAW
-    d2d_weight_epsilon: float = 0.0
     # swap engine
     max_iterations: int = 3000
     beta_start: float = 1.0
     beta_end: float = 50.0
-    schedule: str = "linear"
-    cooling: str = "anneal"
     stall_window: int = 200
     min_rate_bps: float = 0.0
     scbs_quota: int = 0
     d2d_quota: int = 3
-    move_mix: float = 0.5
     stabilize: bool = False
     # sweep / harness
     sweep_variable: str = ""
@@ -97,7 +93,10 @@ def _parse_value(name: str, text: str):
         if ftype == "int":
             return int(text)
         if ftype == "float":
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {text!r}")
+            return value
         if ftype == "str":
             return text
         if ftype == "tuple[int, ...]":
@@ -204,7 +203,6 @@ def scenario_from_config(cfg: ScenarioConfig, seed: int | None = None) -> RadioS
             min_distance_m=cfg.min_distance_m,
         ),
         d2d_interference=cfg.d2d_interference,
-        fading_gain=cfg.fading_gain,
     )
 
 
@@ -242,13 +240,9 @@ def engine_config_from_config(cfg: ScenarioConfig, seed: int | None = None) -> S
         max_iterations=cfg.max_iterations,
         beta_start=cfg.beta_start,
         beta_end=cfg.beta_end,
-        schedule=cfg.schedule,
-        cooling=cfg.cooling,
         seed=cfg.seed if seed is None else seed,
         min_rate_bps=cfg.min_rate_bps,
         stall_window=cfg.stall_window,
         scbs_quota=cfg.scbs_quota or None,
         d2d_quota=cfg.d2d_quota,
-        move_mix=cfg.move_mix,
-        d2d_weight_epsilon=cfg.d2d_weight_epsilon,
     )

@@ -49,6 +49,10 @@ SN_NONE = "none"
 MOVE_SWAP = "swap"
 MOVE_SINGLE = "move"
 
+#: Share of the anneal's proposals that are pair swaps; the rest are single
+#: moves.  An even split lets neither kind of neighbour dominate the walk.
+_SWAP_SHARE = 0.5
+
 #: Welfare deltas are normalized by max(|W|, _WELFARE_FLOOR) before the sigmoid.
 _WELFARE_FLOOR = 1e-12
 
@@ -66,36 +70,24 @@ class ServingNode:
 class SwapEngineConfig:
     """Knobs of the annealed swap search.
 
-    The sigmoid acceptance uses an inverse-temperature ramp from beta_start
-    to beta_end (so the walk turns greedy late).  cooling="literal" instead
-    drives the multiplier from beta_start linearly down to zero, the
-    classical falling-temperature reading.
+    The sigmoid acceptance uses an inverse-temperature ramp, linear from
+    beta_start to beta_end, so the walk turns greedy late.
     """
 
     max_iterations: int = 3000
     beta_start: float = 1.0
     beta_end: float = 50.0
-    schedule: str = "linear"
-    cooling: str = "anneal"
     seed: int = 0
     min_rate_bps: float = 0.0
     stall_window: int = 200
     scbs_quota: int | None = None
     d2d_quota: int = 3
-    move_mix: float = 0.5
-    d2d_weight_epsilon: float = 0.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.schedule not in ("linear", "geometric"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if self.cooling not in ("anneal", "literal"):
-            raise ConfigError(f"unknown cooling mode {self.cooling!r}")
         if self.beta_start < 0 or self.beta_end < 0:
-            raise ConfigError("schedule endpoints must be >= 0")
-        if self.schedule == "geometric" and (self.beta_start <= 0 or self.beta_end <= 0):
-            raise ConfigError("geometric schedule needs positive beta endpoints")
+            raise ConfigError("beta_start and beta_end must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.min_rate_bps < 0:
@@ -106,10 +98,6 @@ class SwapEngineConfig:
             raise ConfigError("scbs_quota must be >= 1 when set")
         if self.d2d_quota < 1:
             raise ConfigError("d2d_quota must be >= 1")
-        if not 0.0 <= self.move_mix <= 1.0:
-            raise ConfigError("move_mix must be in [0, 1]")
-        if self.d2d_weight_epsilon < 0:
-            raise ConfigError("d2d_weight_epsilon must be >= 0 (0 = 1/d2d_radius)")
 
 
 @dataclass(frozen=True)
@@ -241,8 +229,7 @@ class AssociationProblem:
 
         d_ru = ue_distances(scenario, relays)
         self.prx_d2d = (dbm_to_mw(scenario.ue_power_dbm)
-                        * 10.0 ** (-pathloss_db(UE, d_ru, scenario.pathloss) / 10.0)
-                        * scenario.fading_gain)
+                        * 10.0 ** (-pathloss_db(UE, d_ru, scenario.pathloss) / 10.0))
         in_d2d = d_ru <= scenario.d2d_radius_m
         for j, p in enumerate(relays):
             self.prx_d2d[j, p] = 0.0       # a node neither serves nor jams itself
@@ -251,8 +238,7 @@ class AssociationProblem:
 
         # vertex i < N of the social graph is scbs{i}, vertex N + m is ue{m}
         self.x_scbs_ue = x[:N, N:]
-        eps = self.config.d2d_weight_epsilon or 1.0 / scenario.d2d_radius_m
-        self.d2d_weight = eps * d_ru * x[N + relays, N:]
+        self.d2d_weight = 1.0 / scenario.d2d_radius_m * d_ru * x[N + relays, N:]
 
         # static target feasibility: range plus node-kind rules
         feas = np.zeros((M, self.n_sns), dtype=bool)
@@ -439,11 +425,7 @@ def max_rssi(prx: np.ndarray, in_range: np.ndarray) -> np.ndarray:
 
 def _beta_at(cfg: SwapEngineConfig, t: int, total: int) -> float:
     frac = 0.0 if total <= 1 else t / (total - 1)
-    if cfg.cooling == "literal":
-        return cfg.beta_start * (1.0 - frac)
-    if cfg.schedule == "linear":
-        return cfg.beta_start + (cfg.beta_end - cfg.beta_start) * frac
-    return cfg.beta_start * (cfg.beta_end / cfg.beta_start) ** frac
+    return cfg.beta_start + (cfg.beta_end - cfg.beta_start) * frac
 
 
 def _accept_prob(beta: float, delta_w: float, w_current: float, floor: float) -> float:
@@ -512,7 +494,7 @@ class _Draws:
 def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
     """Run the annealed swap search on a prepared problem.
 
-    Each iteration draws a pair swap (with probability move_mix) or a
+    Each iteration draws a pair swap (with probability _SWAP_SHARE) or a
     single move of a random servable UE.  A feasible proposal is evaluated
     and accepted with the sigmoid probability of its welfare change; the
     best state ever visited is returned.  The walk revisits a few states
@@ -554,7 +536,7 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
         if not pool:
             break
         iterations = t
-        kind = MOVE_SWAP if random() < cfg.move_mix else MOVE_SINGLE
+        kind = MOVE_SWAP if random() < _SWAP_SHARE else MOVE_SINGLE
         accepted = False
         proposal = None
 

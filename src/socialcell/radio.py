@@ -1,9 +1,9 @@
 """System-level radio model: topology, pathloss, SINR and link rates.
 
-Distance-based pathloss only (a multiplicative fading hook is available but
-defaults to 1), equal bandwidth sharing inside each serving node, and
-subcarrier-level co-channel interference.  All powers are handled in mW
-internally; the public parameters use the customary dBm / dB units.
+Distance-based pathloss only (no fading), equal bandwidth sharing inside
+each serving node, and subcarrier-level co-channel interference.  All
+powers are handled in mW internally; the public parameters use the
+customary dBm / dB units.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class RadioScenario:
     macro_radius_m: float = 500.0
     pathloss: PathlossParams = field(default_factory=PathlossParams)
     d2d_interference: bool = True
-    fading_gain: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -91,7 +90,7 @@ class RadioScenario:
         if len(scbs_xy) < 1 or len(ue_xy) < 1:
             raise ConfigError("need at least one SCBS and one UE")
         for name in ("bandwidth_hz", "scbs_radius_m", "d2d_radius_m",
-                     "macro_radius_m", "fading_gain"):
+                     "macro_radius_m"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.subcarriers < 1:
@@ -176,9 +175,8 @@ def pathloss_db(tx_kind: str, distance_m, params: PathlossParams):
 
 
 def channel_gain(tx_kind: str, distance_m, scenario: RadioScenario):
-    """Linear channel gain (pathloss plus the scenario's fading factor)."""
-    return db_to_linear(-pathloss_db(tx_kind, distance_m, scenario.pathloss)) \
-        * scenario.fading_gain
+    """Linear channel gain: the inverse of the pathloss."""
+    return db_to_linear(-pathloss_db(tx_kind, distance_m, scenario.pathloss))
 
 
 def received_power_mw(tx: NodeRef, rx_ue: int, scenario: RadioScenario) -> float:
@@ -206,8 +204,7 @@ def scbs_reception(scenario: RadioScenario) -> tuple[np.ndarray, np.ndarray]:
     inside each SCBS's service radius."""
     d_su = scbs_ue_distances(scenario)
     prx = (dbm_to_mw(scenario.scbs_power_dbm)
-           * 10.0 ** (-pathloss_db(SCBS, d_su, scenario.pathloss) / 10.0)
-           * scenario.fading_gain)
+           * 10.0 ** (-pathloss_db(SCBS, d_su, scenario.pathloss) / 10.0))
     return prx, d_su <= scenario.scbs_radius_m
 
 

@@ -1,4 +1,4 @@
-"""Annealed swap search: schedules, trace integrity, and swap stability.
+"""Annealed swap search: schedule, trace integrity, and swap stability.
 
 The anneal's memo of evaluated states and its bulk random draws are held to
 oracles: `per_proposal_anneal`, the loop that evaluates every proposal
@@ -41,32 +41,15 @@ from socialcell.matching import (
 # --------------------------------------------------------------------------
 
 def test_linear_schedule_hits_endpoints_and_midpoint():
-    cfg = SwapEngineConfig(beta_start=1.0, beta_end=50.0, schedule="linear")
+    cfg = SwapEngineConfig(beta_start=1.0, beta_end=50.0)
     assert _beta_at(cfg, 0, 100) == pytest.approx(1.0)
     assert _beta_at(cfg, 99, 100) == pytest.approx(50.0)
     assert _beta_at(cfg, 33, 100) == pytest.approx(1.0 + 49.0 * (33.0 / 99.0))
 
 
-def test_geometric_schedule_hits_endpoints_and_midpoint():
-    cfg = SwapEngineConfig(beta_start=2.0, beta_end=32.0, schedule="geometric")
-    assert _beta_at(cfg, 0, 3) == pytest.approx(2.0)
-    assert _beta_at(cfg, 1, 3) == pytest.approx(8.0)      # sqrt(2 * 32)
-    assert _beta_at(cfg, 2, 3) == pytest.approx(32.0)
-
-
-def test_literal_cooling_falls_from_start_to_zero():
-    cfg = SwapEngineConfig(beta_start=5.0, cooling="literal")
-    assert _beta_at(cfg, 0, 11) == pytest.approx(5.0)
-    assert _beta_at(cfg, 5, 11) == pytest.approx(2.5)
-    assert _beta_at(cfg, 10, 11) == pytest.approx(0.0)
-    betas = [_beta_at(cfg, t, 11) for t in range(11)]
-    assert all(b1 >= b2 for b1, b2 in zip(betas, betas[1:]))
-
-
 def test_single_iteration_schedule_uses_start_value():
-    for kw in ({}, {"schedule": "geometric"}, {"cooling": "literal"}):
-        cfg = SwapEngineConfig(beta_start=3.0, beta_end=50.0, **kw)
-        assert _beta_at(cfg, 0, 1) == pytest.approx(3.0)
+    cfg = SwapEngineConfig(beta_start=3.0, beta_end=50.0)
+    assert _beta_at(cfg, 0, 1) == pytest.approx(3.0)
 
 
 def test_acceptance_probability_sigmoid_shape():
@@ -450,7 +433,8 @@ def per_proposal_anneal(problem):
             break
         iterations = t
         beta = _beta_at(cfg, t - 1, cfg.max_iterations)
-        kind = MOVE_SWAP if rng.random() < cfg.move_mix else MOVE_SINGLE
+        # half pair swaps, half single moves, written out as a literal
+        kind = MOVE_SWAP if rng.random() < 0.5 else MOVE_SINGLE
         accepted = False
         proposal = None
 
@@ -510,12 +494,8 @@ OVERLAP = dict(n_scbs=2, n_ues=12, spread=45.0)
 SCATTERED = dict(n_scbs=2, n_ues=20, spread=70.0)
 
 ORACLE_CASES = {
-    "moves-only": (OVERLAP, dict(move_mix=0.0)),
-    "mixed": (OVERLAP, dict(move_mix=0.5)),
-    "swaps-only": (OVERLAP, dict(move_mix=1.0)),
+    "mixed": (OVERLAP, {}),
     "min-rate": (OVERLAP, dict(min_rate_bps=1e6)),
-    "literal-cooling": (OVERLAP, dict(cooling="literal")),
-    "geometric": (OVERLAP, dict(schedule="geometric", beta_start=0.5)),
     "no-stall-stop": (OVERLAP, dict(stall_window=0)),
     "d2d-seed": (SCATTERED, {}),
 }

@@ -286,7 +286,15 @@ def test_sweep_requires_a_sweep_variable(run_cfg, tmp_path, capsys):
     ("run", ["--seed", "-1"], "seed must be non-negative"),
     ("sweep", ["--override", "seed=-1"], "seed must be non-negative"),
     ("sweep", ["--override", "sweep_values=4,6,4"], "repeats a value"),
-], ids=["run-negative-seed", "sweep-negative-seed", "sweep-repeated-value"])
+    ("run", ["--override", "macro_radius_m=nan"], "not a finite number"),
+    ("run", ["--override", "noise_psd_dbm_hz=nan"], "not a finite number"),
+    ("run", ["--override", "beta_end=nan"], "not a finite number"),
+    ("sweep", ["--override", "scbs_power_dbm=-inf"], "not a finite number"),
+    ("sweep", ["--override", "d2d_quota=0"], "d2d_quota must be >= 1"),
+    ("sweep", ["--override", "social_model=foo"], "unknown social_model"),
+], ids=["run-negative-seed", "sweep-negative-seed", "sweep-repeated-value",
+        "run-nan-radius", "run-nan-noise", "run-nan-beta-end",
+        "sweep-inf-power", "sweep-zero-d2d-quota", "sweep-unknown-social-model"])
 def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
                                             sweep_cfg, tmp_path, capsys):
     cfg = run_cfg if command == "run" else sweep_cfg
@@ -302,9 +310,18 @@ def test_missing_config_file_is_a_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_override_key_is_a_usage_error(capsys):
+def test_unknown_override_key_is_a_usage_error(tmp_path, capsys):
     assert main(["validate", "--override", "warp_factor=9"]) == 1
     assert "error:" in capsys.readouterr().err
+    # keys of search and radio variants the simulator no longer has
+    for key, value in (("cooling", "literal"), ("schedule", "geometric"),
+                       ("move_mix", "0.5"), ("d2d_weight_epsilon", "0.05"),
+                       ("fading_gain", "1.0")):
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key} = {value}\n")
+        for flags in (["--config", str(path)], ["--override", f"{key}={value}"]):
+            assert main(["validate", *flags, "--quiet"]) == 1
+            assert f"unknown configuration key {key!r}" in capsys.readouterr().err
 
 
 def test_bad_override_value_is_a_usage_error(capsys):

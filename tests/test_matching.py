@@ -8,6 +8,7 @@ scanner are also held bit for bit to their per-UE and per-swap loops,
 `per_ue_evaluate` and `per_swap_scan`.
 """
 
+import dataclasses
 from itertools import chain
 from types import SimpleNamespace
 
@@ -116,20 +117,18 @@ def test_d2d_feasibility_mask():
 
 def test_d2d_weight_definition_and_errors():
     base = three_case_instance()
-    scen, graph, x = base.scenario, base.graph, base.x
-    for eps in (0.0, 0.05):               # 0 selects 1 / d2d_radius
-        problem = build_problem(scen, graph, x,
-                                SwapEngineConfig(seed=3, d2d_weight_epsilon=eps))
-        want_eps = eps or 1.0 / scen.d2d_radius_m
-        for j, p in enumerate(problem.relay_ues):
-            for m in range(problem.n_ues):
-                d = float(np.linalg.norm(scen.ue_xy[p] - scen.ue_xy[m]))
-                xval = float(x[sg.vertex(("ue", int(p)), 2, 7),
-                                      sg.vertex(("ue", m), 2, 7)])
-                assert problem.d2d_weight[j, m] == pytest.approx(want_eps * d * xval,
-                                                                 abs=1e-12)
+    scen, x = base.scenario, base.x
+    problem = build_problem(scen, base.graph, x, SwapEngineConfig(seed=3))
+    for j, p in enumerate(problem.relay_ues):
+        for m in range(problem.n_ues):
+            d = float(np.linalg.norm(scen.ue_xy[p] - scen.ue_xy[m]))
+            xval = float(x[sg.vertex(("ue", int(p)), 2, 7),
+                           sg.vertex(("ue", m), 2, 7)])
+            assert problem.d2d_weight[j, m] == pytest.approx(
+                d * xval / scen.d2d_radius_m, abs=1e-12)
+    # the weight divides by the D2D radius, so a scenario refuses radius 0
     with pytest.raises(ConfigError):
-        SwapEngineConfig(d2d_weight_epsilon=-0.05)
+        dataclasses.replace(scen, d2d_radius_m=0.0)
 
 
 def test_graph_must_cover_scenario_nodes():
@@ -146,10 +145,6 @@ def test_graph_must_cover_scenario_nodes():
 def test_engine_config_validation():
     with pytest.raises(ConfigError):
         SwapEngineConfig(max_iterations=0)
-    with pytest.raises(ConfigError):
-        SwapEngineConfig(schedule="cubic")
-    with pytest.raises(ConfigError):
-        SwapEngineConfig(move_mix=1.5)
     with pytest.raises(ConfigError):
         SwapEngineConfig(beta_start=-1.0)
 

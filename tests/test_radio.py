@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from socialcell.errors import ConfigError, InputError, LinkRangeError
-from socialcell.radio import (PathlossParams, RadioScenario, channel_gain,
-                              db_to_linear, dbm_to_mw, generate_topology,
+from socialcell.radio import (PathlossParams, RadioScenario, db_to_linear,
+                              dbm_to_mw, generate_topology,
                               link_rate, pathloss_db, positions_to_csv,
                               received_power_mw, scbs_ue_distances,
                               subcarrier_offset, ue_distances)
@@ -72,21 +72,21 @@ def test_conversion_anchor_points():
 # link budget
 # --------------------------------------------------------------------------
 
-def _fading_for_target_sinr(target_sinr, distance, share, tx_kind="scbs"):
-    """Fading factor that makes one interference-free link hit `target_sinr`."""
+def _noise_for_target_sinr(target_sinr, distance, share, tx_kind="scbs"):
+    """Noise density (dBm/Hz) that makes one interference-free link hit
+    `target_sinr`."""
     base = scenario_with([[0.0, 0.0]], [[distance, 0.0]])
-    noise = float(dbm_to_mw(base.noise_psd_dbm_hz)) * share * base.bandwidth_hz
-    received_unit = (float(dbm_to_mw(base.tx_power_dbm(tx_kind)))
-                     * db_to_linear(-pathloss_db(tx_kind, distance, base.pathloss)))
-    return target_sinr * noise / received_unit
+    received = (float(dbm_to_mw(base.tx_power_dbm(tx_kind)))
+                * db_to_linear(-pathloss_db(tx_kind, distance, base.pathloss)))
+    return 10.0 * math.log10(received / (target_sinr * share * base.bandwidth_hz))
 
 
 def test_engineered_rate_quarter_share():
     # share*BW = 5 MHz / 16 = 312.5 kHz and SINR = 15 gives exactly
     # 312.5 kHz * log2(16) = 1.25 Mb/s
     share = 1.0 / 16.0
-    fading = _fading_for_target_sinr(15.0, 40.0, share)
-    scen = scenario_with([[0.0, 0.0]], [[40.0, 0.0]], fading_gain=fading)
+    noise = _noise_for_target_sinr(15.0, 40.0, share)
+    scen = scenario_with([[0.0, 0.0]], [[40.0, 0.0]], noise_psd_dbm_hz=noise)
     budget = link_rate(("scbs", 0), 0, 0, scen, share=share)
     assert budget.rate_bps == pytest.approx(1.25e6, rel=1e-9)
     assert budget.sinr == pytest.approx(15.0, rel=1e-9)
@@ -128,11 +128,12 @@ def test_rate_decreases_with_noise():
 
 
 def test_rate_linear_in_share_at_fixed_sinr():
-    # doubling the share doubles the noise, so doubling fading as well holds
-    # SINR fixed and the rate must double exactly
-    f1 = _fading_for_target_sinr(7.0, 35.0, 0.25)
-    s1 = scenario_with([[0.0, 0.0]], [[35.0, 0.0]], fading_gain=f1)
-    s2 = scenario_with([[0.0, 0.0]], [[35.0, 0.0]], fading_gain=2.0 * f1)
+    # doubling the share doubles the noise, so halving the noise density as
+    # well holds SINR fixed and the rate must double exactly
+    s1 = scenario_with([[0.0, 0.0]], [[35.0, 0.0]],
+                       noise_psd_dbm_hz=_noise_for_target_sinr(7.0, 35.0, 0.25))
+    s2 = scenario_with([[0.0, 0.0]], [[35.0, 0.0]],
+                       noise_psd_dbm_hz=_noise_for_target_sinr(7.0, 35.0, 0.5))
     r1 = link_rate(("scbs", 0), 0, 0, s1, share=0.25)
     r2 = link_rate(("scbs", 0), 0, 0, s2, share=0.5)
     assert r1.sinr == pytest.approx(r2.sinr, rel=1e-12)
@@ -226,12 +227,6 @@ def test_distance_matrices_match_manual_norms():
     want = [[np.linalg.norm(scen.ue_xy[u] - scen.ue_xy[m]) for m in range(25)] for u in ues]
     np.testing.assert_allclose(ue_distances(scen, ues), want, rtol=1e-12, atol=0)
     assert ue_distances(scen, np.array([], dtype=np.int64)).shape == (0, 25)
-
-
-def test_channel_gain_includes_fading():
-    scen = scenario_with([[0.0, 0.0]], [[10.0, 0.0]], fading_gain=0.5)
-    plain = db_to_linear(-pathloss_db("scbs", 10.0, scen.pathloss))
-    assert channel_gain("scbs", 10.0, scen) == pytest.approx(0.5 * plain, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

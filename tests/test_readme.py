@@ -1,9 +1,11 @@
-"""The README's library example runs, and every exported name exists."""
+"""The README's library example runs, its config example parses, and every
+exported name exists."""
 
 import re
 from pathlib import Path
 
 import socialcell
+from socialcell.config import parse_config_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,6 +15,14 @@ def test_readme_library_block_runs():
     section = text.split("## Library use", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_config_block_parses():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", text, re.DOTALL)
+    assert blocks
+    for block in blocks:
+        parse_config_text(block)
 
 
 def test_every_exported_name_imports():
