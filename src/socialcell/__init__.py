@@ -19,8 +19,8 @@ from .errors import ConfigError, InputError, LinkRangeError, SocialCellError
 from .harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
                       replication_seed, run_experiment)
 from .matching import (AnnealResult, AssociationProblem, Matching,
-                       ServingNode, SwapEngineConfig, anneal_on_problem,
-                       audit_stability, build_problem, greedy_stabilize)
+                       SwapEngineConfig, anneal_on_problem, audit_stability,
+                       build_problem, greedy_stabilize)
 from .radio import (LinkBudget, PathlossParams, RadioScenario, channel_gain,
                     generate_topology, link_rate, pathloss_db)
 from .socialgraph import (SocialGraph, edge_betweenness, elect_important_ues,
@@ -33,7 +33,7 @@ __all__ = [
     "AnnealResult", "AssociationProblem", "ConfigError", "ExperimentSpec",
     "InputError", "LinkBudget", "LinkRangeError", "Matching",
     "METHOD_BASELINE", "METHOD_SOCIAL", "PathlossParams", "RadioScenario",
-    "ScenarioConfig", "ServingNode", "SocialCellError", "SocialGraph",
+    "ScenarioConfig", "SocialCellError", "SocialGraph",
     "SwapEngineConfig", "anneal_on_problem", "apply_overrides",
     "audit_stability",
     "build_problem", "channel_gain", "config_as_dict",

@@ -167,7 +167,9 @@ def cmd_audit(args) -> int:
         return 0
     for v in violations:
         other = "<open slot>" if v.other_ue is None else f"ue{v.other_ue}"
-        _say(args, f"unstable: ue{v.ue} <-> {other} via sn{v.target_sn} "
+        kind, node_id = matching.serving_node(v.target_sn, problem.n_scbs, problem.relay_ues)
+        node = f"scbs{node_id}" if kind == matching.SN_SCBS else f"relay ue{node_id}"
+        _say(args, f"unstable: ue{v.ue} <-> {other} via {node} "
                    f"(welfare delta {v.welfare_delta:+.6g})")
     _say(args, f"{len(violations)} approved swap(s) remain")
     return 3

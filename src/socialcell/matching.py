@@ -1,14 +1,18 @@
 """Many-to-one association of UEs to serving nodes (SCBSs or relay UEs).
 
 The association is searched as a swap game over a fixed serving-node set:
-every SCBS plus one socially elected relay UE per initial cell.  Utilities
-reward raw rate for plain UEs, socially discounted rate for relays, and the
-halved min of backhaul/access rate for D2D-served UEs.  The search anneals
-random pair swaps and single-UE moves under a sigmoid acceptance rule and
-keeps the best state it ever visited; a separate greedy pass and audit deal
-in exactly the two-sided swap-stability condition (Bodine-Baron et al.,
-SAGT 2011): a swap is approved when nobody it touches loses and someone
-strictly gains.
+every SCBS plus one socially elected relay UE per initial cell.  Nodes are
+numbered by rule, with no stored roster: node k < N is scbs{k} and node
+N + j is the relay ue{relay_ues[j]}, relays in ascending UE id, and
+`serving_node` names node k.  Utilities reward raw rate for plain UEs,
+socially discounted rate for relays, and the halved min of backhaul/access
+rate for D2D-served UEs.  The search starts from the max-RSSI state plus a
+D2D attachment of the UEs no SCBS covers, computed once per problem.  It
+anneals random pair swaps and single-UE moves under a sigmoid acceptance
+rule and keeps the best state it ever visited; a separate greedy pass and
+audit deal in exactly the two-sided swap-stability condition (Bodine-Baron
+et al., SAGT 2011): a swap is approved when nobody it touches loses and
+someone strictly gains.
 
 One numpy kernel, `AssociationProblem._evaluate_rows`, evaluates a stack of
 assignments; `evaluate` is its one-row case.  One scanner judges every swap
@@ -55,15 +59,6 @@ _SWAP_SHARE = 0.5
 
 #: Welfare deltas are normalized by max(|W|, _WELFARE_FLOOR) before the sigmoid.
 _WELFARE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class ServingNode:
-    """One side of the many-to-one matching: an SCBS or a relay UE (whose
-    node_id is its UE id)."""
-
-    kind: str
-    node_id: int
 
 
 @dataclass(frozen=True)
@@ -121,16 +116,24 @@ class UtilityReport:
     unserved: tuple[int, ...]
 
 
+def serving_node(k: int, n_scbs: int, relay_ues: np.ndarray) -> tuple[str, int]:
+    """(kind, id) of serving node k: (SN_SCBS, k) for k < n_scbs, else
+    (SN_RELAY, the relay's UE id relay_ues[k - n_scbs])."""
+    return (SN_SCBS, k) if k < n_scbs else (SN_RELAY, int(relay_ues[k - n_scbs]))
+
+
 @dataclass(frozen=True)
 class Matching:
-    """Assignment of each UE to a serving-node index (-1 = unserved)."""
+    """Assignment of each UE to a serving-node index (-1 = unserved) over
+    n_scbs SCBSs and the relays `relay_ues`."""
 
     assign: np.ndarray
-    serving_nodes: tuple[ServingNode, ...]
+    n_scbs: int
+    relay_ues: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.assign, dtype=np.int64).copy()
-        if np.any((arr < -1) | (arr >= len(self.serving_nodes))):
+        if np.any((arr < -1) | (arr >= self.n_scbs + len(self.relay_ues))):
             raise InputError("assignment references an unknown serving node")
         arr.setflags(write=False)
         object.__setattr__(self, "assign", arr)
@@ -139,9 +142,9 @@ class Matching:
     def n_ues(self) -> int:
         return len(self.assign)
 
-    def serving(self, m: int) -> ServingNode | None:
+    def serving(self, m: int) -> tuple[str, int] | None:
         k = int(self.assign[m])
-        return None if k < 0 else self.serving_nodes[k]
+        return None if k < 0 else serving_node(k, self.n_scbs, self.relay_ues)
 
 
 class TraceRow(NamedTuple):
@@ -167,12 +170,11 @@ class AnnealResult:
     """Outcome of one annealed search.
 
     states_evaluated counts the distinct proposals the search evaluated,
-    that is its memo misses; the seed state and the final report are not
-    counted.  No CSV or JSON output records it.
+    that is its memo misses; the start state is not counted.  No CSV or
+    JSON output records it.
     """
 
     matching: Matching
-    report: UtilityReport
     trace: tuple[TraceRow, ...]
     best_iteration: int
     iterations_run: int
@@ -187,17 +189,19 @@ class AssociationProblem:
     """Precomputed context for evaluating and searching assignments.
 
     Construction runs the social election: UEs are first associated by
-    max-RSSI, each non-empty cell elects its highest-importance UE as relay,
-    and the serving-node list is frozen as [every SCBS] + [relays by UE id].
-    All pairwise received powers, range masks and social weights are cached
-    so that evaluating an assignment is a handful of vector operations.
+    max-RSSI and each non-empty cell elects its highest-importance UE as
+    relay.  Node k < N is scbs{k} and node N + j is the relay
+    ue{relay_ues[j]}.  The start state of the search, `start_assignment`,
+    is the max-RSSI state plus the D2D attachment of every UE no SCBS
+    covers: to the first relay in range with room left, in ascending order
+    of link distance times social distance.  The graph and X are read only
+    while building; what is kept are read-only per-node tables, so that
+    evaluating an assignment is a handful of vector operations.
     """
 
     def __init__(self, scenario: RadioScenario, graph: SocialGraph,
                  x: np.ndarray, config: SwapEngineConfig | None = None):
         self.scenario = scenario
-        self.graph = graph
-        self.x = x
         self.config = config or SwapEngineConfig()
 
         N, M = scenario.n_scbs, scenario.n_ues
@@ -208,55 +212,57 @@ class AssociationProblem:
                 f"social graph has {graph.n_scbs} SCBSs and {graph.n_vertices} nodes; "
                 f"the scenario needs {N} and {N + M}")
 
-        self.prx_scbs, in_scbs = scbs_reception(scenario)
+        prx_scbs, in_scbs = scbs_reception(scenario)
 
         # Phase I seed state: classical max-RSSI association, no D2D.
-        rssi = max_rssi(self.prx_scbs, in_scbs)
+        rssi = max_rssi(prx_scbs, in_scbs)
         rssi.setflags(write=False)
         self.rssi_assignment = rssi
 
         relays = elect_important_ues(importance_scores(graph, x), rssi)
-        self.n_relays = len(relays)
-        self.n_sns = N + self.n_relays
-
-        nodes: list[ServingNode] = [ServingNode(SN_SCBS, i) for i in range(N)]
-        nodes += [ServingNode(SN_RELAY, int(p)) for p in relays]
-        self.serving_nodes: tuple[ServingNode, ...] = tuple(nodes)
+        self.n_relays = R = len(relays)
+        self.n_sns = S = N + R
 
         self.is_relay = np.zeros(M, dtype=bool)
         self.is_relay[relays] = True
-        self.relay_sn_of = {int(p): N + j for j, p in enumerate(relays)}
 
         d_ru = ue_distances(scenario, relays)
-        self.prx_d2d = (dbm_to_mw(scenario.ue_power_dbm)
-                        * 10.0 ** (-pathloss_db(UE, d_ru, scenario.pathloss) / 10.0))
+        prx_d2d = (dbm_to_mw(scenario.ue_power_dbm)
+                   * 10.0 ** (-pathloss_db(UE, d_ru, scenario.pathloss) / 10.0))
         in_d2d = d_ru <= scenario.d2d_radius_m
-        for j, p in enumerate(relays):
-            self.prx_d2d[j, p] = 0.0       # a node neither serves nor jams itself
-            in_d2d[j, p] = False
+        prx_d2d[np.arange(R), relays] = 0.0   # a node neither serves nor jams itself
+        in_d2d[np.arange(R), relays] = False
         in_d2d[:, relays] = False   # relays connect only to SCBSs
 
-        # vertex i < N of the social graph is scbs{i}, vertex N + m is ue{m}
-        self.x_scbs_ue = x[:N, N:]
-        self.d2d_weight = 1.0 / scenario.d2d_radius_m * d_ru * x[N + relays, N:]
+        # vertex i < N of the social graph is scbs{i}, vertex N + m is ue{m};
+        # an owned copy, so that nothing keeps X alive
+        self.x_scbs_ue = np.maximum(x[:N, N:], X_FLOOR)
 
         # static target feasibility: range plus node-kind rules
-        feas = np.zeros((M, self.n_sns), dtype=bool)
+        feas = np.zeros((M, S), dtype=bool)
         feas[:, :N] = in_scbs.T
         feas[:, N:] = in_d2d.T
         feas[relays, N:] = False
         self.feasible_sn = feas
         self.servable = feas.any(axis=1)
 
-        quota = np.full(self.n_sns, self.config.scbs_quota or scenario.subcarriers,
-                        dtype=np.int64)
+        quota = np.full(S, self.config.scbs_quota or scenario.subcarriers, dtype=np.int64)
         quota[N:] = self.config.d2d_quota
         self.quota = quota
 
-        self.sc_offset = np.array(
-            [subcarrier_offset(scenario, (SCBS, sn.node_id) if sn.kind == SN_SCBS
-                               else (UE, sn.node_id)) for sn in self.serving_nodes],
-            dtype=np.int64) if self.n_sns else np.zeros(0, dtype=np.int64)
+        # the start state, as the class docstring says; ties go to the lower relay
+        start = rssi.copy()
+        counts = np.bincount(start[start >= 0], minlength=S)
+        weight = d_ru * x[N + relays, N:]
+        for m in np.flatnonzero((start < 0) & self.servable):
+            near = np.flatnonzero(feas[m, N:])
+            for j in near[np.argsort(weight[near, m], kind="stable")]:
+                k = N + int(j)
+                if counts[k] < quota[k]:
+                    start[m] = k
+                    counts[k] += 1
+                    break
+        self.start_assignment = start
 
         self._noise_mw_hz = float(dbm_to_mw(scenario.noise_psd_dbm_hz))
         self._bw = scenario.bandwidth_hz
@@ -266,43 +272,27 @@ class AssociationProblem:
         # arrays become views of them rather than second copies.  They sit
         # in one attribute: past 30 attributes CPython 3.11 stops sharing
         # the instance dict's keys, which costs about 1.3 kB per problem.
-        S = self.n_sns
         prx = np.zeros((S + 1, M))
-        prx[1:N + 1] = self.prx_scbs
-        prx[N + 1:] = self.prx_d2d
+        prx[1:N + 1] = prx_scbs
+        prx[N + 1:] = prx_d2d
         relay = np.zeros(S + 1, dtype=np.int64)
         relay[N + 1:] = relays
         offset = np.zeros(S + 1, dtype=np.int64)
-        offset[1:] = self.sc_offset
+        offset[1:] = ([subcarrier_offset(scenario, (SCBS, i)) for i in range(N)]
+                      + [subcarrier_offset(scenario, (UE, int(p))) for p in relays])
+        # Every array is read-only, since a write after the build would
+        # disagree with the start state; the views below inherit the flag.
+        for arr in (prx, relay, offset, self.x_scbs_ue, self.is_relay, self.feasible_sn,
+                    self.servable, self.quota, self.start_assignment):
+            arr.setflags(write=False)
+        self._node_tables = prx, relay, offset
         self.prx_scbs, self.prx_d2d = prx[1:N + 1], prx[N + 1:]
         self.relay_ues, self.sc_offset = relay[N + 1:], offset[1:]
-        self._node_tables = prx, relay, offset
 
     # -- assignments ------------------------------------------------------
 
-    def initial_assignment(self) -> np.ndarray:
-        """Max-RSSI seed plus D2D attachment of otherwise uncovered UEs.
-
-        UEs with no SCBS in range but at least one relay in D2D range are
-        attached to their cheapest relay (ascending pairing weight), quota
-        permitting.  The result is the state the swap search starts from.
-        """
-        assign = self.rssi_assignment.copy()
-        assign.setflags(write=True)
-        counts = np.bincount(assign[assign >= 0], minlength=self.n_sns)
-        for m in np.flatnonzero((assign < 0) & self.servable):
-            relays = np.flatnonzero(self.feasible_sn[m, self.n_scbs:])
-            order = np.argsort(self.d2d_weight[relays, m], kind="stable")
-            for j in relays[order]:
-                k = self.n_scbs + int(j)
-                if counts[k] < self.quota[k]:
-                    assign[m] = k
-                    counts[k] += 1
-                    break
-        return assign
-
     def matching(self, assign: np.ndarray) -> Matching:
-        return Matching(assign=assign, serving_nodes=self.serving_nodes)
+        return Matching(assign=assign, n_scbs=self.n_scbs, relay_ues=self.relay_ues)
 
     # -- evaluation -------------------------------------------------------
 
@@ -376,7 +366,7 @@ class AssociationProblem:
         d2d_rates = np.minimum(scbs_rates[ue - col + relay[a1]], link) / 2.0
         rates = np.where(by_relay, d2d_rates, scbs_rates)
         # only SCBS-served UEs use x; the others read a clipped row, masked below
-        xv = np.maximum(self.x_scbs_ue[np.minimum(a, N - 1), col], X_FLOOR)
+        xv = self.x_scbs_ue[np.minimum(a, N - 1), col]
         utilities = np.where(by_scbs, np.where(self.is_relay[col], link / xv, link),
                              np.where(by_relay, d2d_rates, 0.0))
 
@@ -508,7 +498,7 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
     cfg = problem.config
     draws = _Draws(cfg.seed)
     random, integers = draws.random, draws.integers
-    assign = problem.initial_assignment()
+    assign = problem.start_assignment
     # The assignment (mirrored in `where`), loads, quotas, each UE's
     # feasible nodes and the servable UEs as Python lists: filtering a UE's
     # one or two nodes in Python beats a numpy mask per proposal.
@@ -595,7 +585,6 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
             break
 
     return AnnealResult(matching=problem.matching(best),
-                        report=problem.report(best),
                         trace=tuple(trace),
                         best_iteration=best_iter,
                         iterations_run=iterations,
@@ -770,7 +759,8 @@ def matching_to_csv(matching: Matching, report: UtilityReport, path,
             if sn is None:
                 writer.writerow([m, -1, SN_NONE, repr(0.0), repr(0.0)])
             else:
-                writer.writerow([m, sn.node_id, sn.kind,
+                kind, node_id = sn
+                writer.writerow([m, node_id, kind,
                                  repr(float(report.ue_rates[m])),
                                  repr(float(report.ue_utilities[m]))])
 
@@ -820,9 +810,10 @@ def assignment_from_rows(problem: AssociationProblem,
                 raise InputError(f"matching row references unknown scbs{sn_id}")
             k = sn_id
         elif kind == SN_RELAY:
-            if sn_id not in problem.relay_sn_of:
+            j = int(np.searchsorted(problem.relay_ues, sn_id))
+            if j == problem.n_relays or problem.relay_ues[j] != sn_id:
                 raise InputError(f"ue{sn_id} is not a relay in this scenario")
-            k = problem.relay_sn_of[sn_id]
+            k = problem.n_scbs + j
         else:
             raise InputError(f"unknown serving-node kind {kind!r}")
         if not problem.feasible_sn[ue, k]:

@@ -71,30 +71,31 @@ def clustered_instance(seed: int, n_scbs: int = 2, n_ues: int = 8,
 # independent welfare oracle
 # --------------------------------------------------------------------------
 
-def _sn_node(sn) -> tuple[str, int]:
-    return (sg.SCBS if sn.kind == matching.SN_SCBS else sg.UE, sn.node_id)
+def oracle_evaluate(problem, assign, x) -> SimpleNamespace:
+    """Recompute rates/utilities/welfare per link via radio.link_rate.
 
-
-def oracle_evaluate(problem, assign) -> SimpleNamespace:
-    """Recompute rates/utilities/welfare per link via radio.link_rate."""
+    `x` is the social distance the problem was built from.  Serving node
+    k < N is scbs{k} and node N + j is the relay ue{relay_ues[j]}.
+    """
     scen = problem.scenario
-    graph, x = problem.graph, problem.x
     N, M, C = problem.n_scbs, problem.n_ues, scen.subcarriers
     assign = np.asarray(assign, dtype=np.int64)
+    nodes = ([(sg.SCBS, i) for i in range(N)]
+             + [(sg.UE, int(p)) for p in problem.relay_ues])
 
     members: dict[int, list[int]] = {}
     sc: dict[int, int] = {}
-    for k, sn in enumerate(problem.serving_nodes):
+    for k, node in enumerate(nodes):
         mine = sorted(int(m) for m in np.flatnonzero(assign == k))
         members[k] = mine
-        off = radio.subcarrier_offset(scen, _sn_node(sn))
+        off = radio.subcarrier_offset(scen, node)
         for rank, m in enumerate(mine):
             sc[m] = (off + rank) % C
 
     active: dict[int, set] = {c: set() for c in range(C)}
-    for k, sn in enumerate(problem.serving_nodes):
+    for k, node in enumerate(nodes):
         for m in members[k]:
-            active[sc[m]].add(_sn_node(sn))
+            active[sc[m]].add(node)
 
     counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
     rates = np.zeros(M)
@@ -119,7 +120,7 @@ def oracle_evaluate(problem, assign) -> SimpleNamespace:
         k = int(assign[m])
         if k < N:
             continue
-        relay = problem.serving_nodes[k].node_id
+        relay = nodes[k][1]
         access = radio.link_rate(("ue", relay), m, sc[m], scen,
                                  cochannel=sorted(active[sc[m]]),
                                  share=1.0 / counts[k])

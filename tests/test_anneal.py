@@ -260,7 +260,7 @@ def test_anneal_and_stabilize_keep_the_node_rules(seed, n_scbs, n_ues, quotas):
     """
     engine = SwapEngineConfig(seed=seed, max_iterations=400, **quotas)
     problem = clustered_instance(seed, n_scbs=n_scbs, n_ues=n_ues, engine=engine).problem
-    start = problem.initial_assignment()
+    start = problem.start_assignment
     cap = np.maximum(problem.quota,
                      np.bincount(start[start >= 0], minlength=problem.n_sns))
     annealed = anneal_on_problem(problem).matching.assign
@@ -281,7 +281,7 @@ def test_trace_best_is_running_max_from_initial(seed):
                               engine=SwapEngineConfig(seed=seed,
                                                       max_iterations=400))
     res = anneal_on_problem(inst.problem)
-    w0 = inst.problem.evaluate(inst.problem.initial_assignment()).welfare
+    w0 = inst.problem.evaluate(inst.problem.start_assignment).welfare
     assert len(res.trace) == res.iterations_run
     best = w0
     for i, row in enumerate(res.trace):
@@ -290,7 +290,7 @@ def test_trace_best_is_running_max_from_initial(seed):
         best = max(best, row.welfare)
         assert row.best_welfare == best          # exact running max
     assert res.trace[-1].best_welfare >= w0
-    assert res.report.welfare == res.trace[-1].best_welfare
+    assert inst.problem.evaluate(res.matching.assign).welfare == res.trace[-1].best_welfare
     assert 0 <= res.best_iteration <= res.iterations_run
 
 
@@ -301,7 +301,7 @@ def test_best_state_reproducible_on_fresh_problem(seed):
     res = anneal_on_problem(inst.problem)
     fresh = build_problem(inst.scenario, inst.graph, inst.x, engine)
     w = fresh.evaluate(res.matching.assign).welfare
-    assert w == pytest.approx(res.report.welfare, rel=1e-9)
+    assert w == pytest.approx(res.trace[-1].best_welfare, rel=1e-9)
 
 
 def test_anneal_is_deterministic_for_a_seed():
@@ -342,7 +342,7 @@ def test_stall_window_stops_a_stuck_search():
     res = anneal_on_problem(problem)
     assert res.iterations_run == 7
     assert not any(row.accepted for row in res.trace)
-    assert res.report.welfare == problem.evaluate(problem.initial_assignment()).welfare
+    np.testing.assert_array_equal(res.matching.assign, problem.start_assignment)
 
 
 def test_stall_window_zero_disables_early_stop():
@@ -359,7 +359,7 @@ def test_min_rate_floor_can_freeze_the_initial_state():
     res = anneal_on_problem(inst.problem)
     assert not any(row.accepted for row in res.trace)
     np.testing.assert_array_equal(res.matching.assign,
-                                  inst.problem.initial_assignment())
+                                  inst.problem.start_assignment)
 
 
 def test_no_servable_ues_short_circuits():
@@ -371,7 +371,7 @@ def test_no_servable_ues_short_circuits():
     res = anneal_on_problem(problem)
     assert res.iterations_run == 0
     assert res.trace == ()
-    assert res.report.welfare == 0.0
+    assert problem.report(res.matching.assign).welfare == 0.0
     np.testing.assert_array_equal(res.matching.assign, [-1])
 
 
@@ -381,14 +381,15 @@ def test_anneal_reaches_the_enumerated_optimum(seed):
     inst = clustered_instance(seed, n_ues=6, engine=engine)
     problem = inst.problem
     assert state_count(problem) <= 300_000
-    init = problem.initial_assignment()
+    init = problem.start_assignment
     # every servable UE starts served, so the walk stays inside the space
     # of total assignments that the enumeration covers
     assert (init[problem.servable] >= 0).all()
     w_star = exhaustive_best_welfare(problem)
     res = anneal_on_problem(problem)
-    assert res.report.welfare <= w_star * (1.0 + 1e-9)
-    assert res.report.welfare == pytest.approx(w_star, rel=1e-9)
+    w = res.trace[-1].best_welfare
+    assert w <= w_star * (1.0 + 1e-9)
+    assert w == pytest.approx(w_star, rel=1e-9)
 
 
 def test_trace_csv_has_one_row_per_iteration(tmp_path):
@@ -413,7 +414,7 @@ def per_proposal_anneal(problem):
     best assignment, number of proposals evaluated)."""
     cfg = problem.config
     rng = np.random.default_rng(cfg.seed)
-    assign = problem.initial_assignment()
+    assign = problem.start_assignment
     counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns).tolist()
     quota = problem.quota.tolist()
     reach = [np.flatnonzero(row).tolist() for row in problem.feasible_sn]
@@ -530,7 +531,7 @@ def test_oracle_cases_reach_their_paths():
             != anneal_on_problem(oracle_problem("mixed", 5)).trace)
     for seed in (0, 23):
         problem = oracle_problem("d2d-seed", seed)
-        assert (problem.initial_assignment() >= problem.n_scbs).any()
+        assert (problem.start_assignment >= problem.n_scbs).any()
 
 
 def test_states_evaluated_counts_the_calls_to_evaluate():
@@ -543,8 +544,8 @@ def test_states_evaluated_counts_the_calls_to_evaluate():
 
     problem.evaluate = evaluate
     res = anneal_on_problem(problem)
-    # besides one call per memo miss, the seed state and the final report
-    proposals = calls[1:-1]
+    # besides one call per memo miss, the start state
+    proposals = calls[1:]
     assert res.states_evaluated == len(proposals) > 0
     assert len(set(proposals)) == len(proposals)
     assert calls[0] not in proposals

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, outputs, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -140,6 +141,32 @@ def test_run_seed_flag_overrides_config(run_cfg, tmp_path):
     assert metrics["config"]["seed"] == 11
 
 
+#: Seed 2, N8/M40 over a 100 m disk: the social-aware matching serves two
+#: UEs by relay, and the max-RSSI audit then names a relay target.
+RELAY_RUN = ["--seed", "2", "--override", "n_scbs=8", "--override", "macro_radius_m=100",
+             "--override", "n_ues=40"]
+
+#: sha256 of what `run` writes for RELAY_RUN, besides the timed metrics.json.
+RELAY_RUN_PINS = {
+    "positions.csv": "e83d8f25ced0adc2c916cdaf743dceb025f98cc960d7972a51ed962b4ed97e8d",
+    "matching_max-rssi.csv": "481021d537f7b67bc771edbaec6179e1f49b321324650d496351b9d729a9ca4e",
+    "matching_social-aware.csv":
+        "b297ac1df03605144ffd5f7811af0b0ebbae50f0e33ba46df5031716b73c2e44",
+    "trace_social-aware.csv": "3e76d5087562732675857fea54058bcc3c53fe67b7d1afb4a878e628313cf2a6",
+}
+
+
+def test_run_outputs_match_pinned_digests(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", *RELAY_RUN, "--out", str(out), "--quiet"]) == 0
+    assert ",relay," in (out / "matching_social-aware.csv").read_text()
+    for name, want in RELAY_RUN_PINS.items():
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == want, (
+            f"{name} changed (sha256 {got}).  Run outputs are pinned: a change "
+            "that alters them must name the change in CHANGES.md and update the pin.")
+
+
 # --------------------------------------------------------------------------
 # the edge-file social model
 # --------------------------------------------------------------------------
@@ -213,6 +240,19 @@ def test_audit_flags_the_unstable_baseline(run_cfg, tmp_path, capsys):
                "--matching", os.path.join(out, "matching_max-rssi.csv")])
     assert rc == 3
     assert "unstable" in capsys.readouterr().out
+
+
+def test_audit_names_a_relay_target_by_its_ue_id(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", *RELAY_RUN, "--out", str(out), "--quiet"])
+    capsys.readouterr()
+    rc = main(["audit", *RELAY_RUN, "--matching", str(out / "matching_social-aware.csv")])
+    assert rc == 3
+    lines = capsys.readouterr().out.splitlines()
+    # node 9 is relay ue18, the 2nd relay after the 8 SCBSs
+    assert lines[0].startswith("unstable: ue19 <-> <open slot> via relay ue18 ")
+    assert all(" via relay ue" in ln or " via scbs" in ln for ln in lines[:-1])
+    assert not any(" via sn" in ln for ln in lines)
 
 
 def test_audit_rejects_a_stale_config_hash(run_cfg, tmp_path, capsys):

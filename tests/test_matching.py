@@ -8,7 +8,8 @@ scanner are also held bit for bit to their per-UE and per-swap loops,
 `per_ue_evaluate` and `per_swap_scan`.
 """
 
-import dataclasses
+import gc
+import weakref
 from itertools import chain
 from types import SimpleNamespace
 
@@ -21,12 +22,12 @@ from conftest import clustered_instance, oracle_evaluate, social_ring_graph
 from socialcell import radio
 from socialcell import socialgraph as sg
 from socialcell.errors import ConfigError, InputError
-from socialcell.matching import (SN_RELAY, SN_SCBS, Matching, ServingNode,
-                                 StabilityViolation, SwapEngineConfig,
-                                 _SCAN_BLOCK, _scan_order, _swap_masks,
-                                 assignment_from_rows, audit_stability,
-                                 build_problem, greedy_stabilize,
-                                 load_matching_csv, matching_to_csv, max_rssi)
+from socialcell.matching import (SN_RELAY, SN_SCBS, Matching, StabilityViolation,
+                                 SwapEngineConfig, _SCAN_BLOCK, _scan_order,
+                                 _swap_masks, assignment_from_rows,
+                                 audit_stability, build_problem,
+                                 greedy_stabilize, load_matching_csv,
+                                 matching_to_csv, max_rssi, serving_node)
 from socialcell.radio import scbs_reception
 
 
@@ -62,7 +63,7 @@ def three_case_instance():
     graph = sg.graph_from_edges(edges, 2, 7)
     x = sg.social_pipeline(graph)
     problem = build_problem(scenario, graph, x, SwapEngineConfig(seed=3))
-    return problem
+    return SimpleNamespace(problem=problem, x=x)
 
 
 def move_ok(problem, assign, counts, m, k):
@@ -82,23 +83,23 @@ def swap_ok(problem, assign, m, n):
 # problem construction
 # --------------------------------------------------------------------------
 
-def test_serving_nodes_are_scbs_then_relays():
-    problem = three_case_instance()
+def test_nodes_are_numbered_scbs_then_relays():
+    problem = three_case_instance().problem
     assert tuple(problem.relay_ues) == (0, 1)
-    kinds = [sn.kind for sn in problem.serving_nodes]
-    assert kinds == [SN_SCBS, SN_SCBS, SN_RELAY, SN_RELAY]
-    assert problem.serving_nodes[2].node_id == 0
+    names = [serving_node(k, problem.n_scbs, problem.relay_ues)
+             for k in range(problem.n_sns)]
+    assert names == [(SN_SCBS, 0), (SN_SCBS, 1), (SN_RELAY, 0), (SN_RELAY, 1)]
     np.testing.assert_array_equal(problem.rssi_assignment[problem.relay_ues], [0, 1])
 
 
 def test_relays_cannot_take_d2d_service():
-    problem = three_case_instance()
+    problem = three_case_instance().problem
     for p in problem.relay_ues:
         assert not problem.feasible_sn[p, problem.n_scbs:].any()
 
 
 def test_rssi_cells_and_election():
-    problem = three_case_instance()
+    problem = three_case_instance().problem
     # ue4 and ue6 hear both SCBSs but sit nearer scbs1
     np.testing.assert_array_equal(problem.rssi_assignment,
                                   [0, 1, 1, 1, 1, -1, 1])
@@ -108,27 +109,31 @@ def test_rssi_cells_and_election():
 
 
 def test_d2d_feasibility_mask():
-    problem = three_case_instance()
-    sn_relay_a = problem.relay_sn_of[0]
+    problem = three_case_instance().problem
+    sn_relay_a = problem.n_scbs            # node N + 0 is relay ue0
     assert problem.feasible_sn[5, sn_relay_a]          # 13 m < 20 m
     assert not problem.feasible_sn[5, :2].any()        # no SCBS in range
     assert problem.servable[5]
 
 
-def test_d2d_weight_definition_and_errors():
-    base = three_case_instance()
-    scen, x = base.scenario, base.x
-    problem = build_problem(scen, base.graph, x, SwapEngineConfig(seed=3))
-    for j, p in enumerate(problem.relay_ues):
-        for m in range(problem.n_ues):
-            d = float(np.linalg.norm(scen.ue_xy[p] - scen.ue_xy[m]))
-            xval = float(x[sg.vertex(("ue", int(p)), 2, 7),
-                           sg.vertex(("ue", m), 2, 7)])
-            assert problem.d2d_weight[j, m] == pytest.approx(
-                d * xval / scen.d2d_radius_m, abs=1e-12)
-    # the weight divides by the D2D radius, so a scenario refuses radius 0
-    with pytest.raises(ConfigError):
-        dataclasses.replace(scen, d2d_radius_m=0.0)
+def test_start_state_prefers_the_socially_closer_relay():
+    """ue2 sits outside both cells, 17.2 m from relay ue0 and 18.9 m from
+    relay ue1, its only friend: link distance times social distance ranks
+    ue1 first, so ue2 starts on ue1 though ue0 is nearer."""
+    scenario = radio.RadioScenario(scbs_xy=np.array([[-15.0, 0.0], [15.0, 0.0]]),
+                                   ue_xy=np.array([[-15.0, 45.0], [15.0, 45.0],
+                                                   [-1.0, 55.0]]), seed=4)
+    edges = (((sg.SCBS, 0), (sg.UE, 0)), ((sg.SCBS, 1), (sg.UE, 1)),
+             ((sg.UE, 0), (sg.UE, 1)), ((sg.UE, 1), (sg.UE, 2)))
+    graph = sg.graph_from_edges(edges, 2, 3)
+    x = sg.social_pipeline(graph)
+    problem = build_problem(scenario, graph, x)
+    assert tuple(problem.relay_ues) == (0, 1)
+    assert problem.feasible_sn[2].tolist() == [False, False, True, True]
+    d = np.linalg.norm(scenario.ue_xy[:2] - scenario.ue_xy[2], axis=1)
+    key = d * x[[2, 3], 4]                  # vertices ue0, ue1 against ue2
+    assert d[0] < d[1] and key[1] < key[0]
+    np.testing.assert_array_equal(problem.start_assignment, [0, 1, 3])
 
 
 def test_graph_must_cover_scenario_nodes():
@@ -142,6 +147,33 @@ def test_graph_must_cover_scenario_nodes():
         build_problem(inst.scenario, shifted, inst.x)
 
 
+PROBLEM_ARRAYS = ("feasible_sn", "servable", "quota", "is_relay", "relay_ues",
+                  "sc_offset", "prx_scbs", "prx_d2d", "x_scbs_ue",
+                  "rssi_assignment", "start_assignment")
+
+
+def test_problem_arrays_are_read_only():
+    problem = clustered_instance(23, n_scbs=2, n_ues=20, spread=70.0).problem
+    assert problem.n_relays and (problem.start_assignment >= problem.n_scbs).any()
+    for name in PROBLEM_ARRAYS:
+        arr = getattr(problem, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr.flat[0] = arr.flat[0]
+
+
+def test_problem_keeps_neither_x_nor_the_graph():
+    scenario = clustered_instance(23, n_scbs=2, n_ues=20, spread=70.0).scenario
+    graph = social_ring_graph(scenario)
+    x = sg.social_pipeline(graph)
+    problem = build_problem(scenario, graph, x)
+    refs = weakref.ref(graph), weakref.ref(x)
+    del graph, x
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert problem.evaluate(problem.start_assignment).welfare > 0
+
+
 def test_engine_config_validation():
     with pytest.raises(ConfigError):
         SwapEngineConfig(max_iterations=0)
@@ -153,9 +185,9 @@ def test_engine_config_validation():
 # evaluation vs the independent oracle
 # --------------------------------------------------------------------------
 
-def assert_matches_oracle(problem, assign):
+def assert_matches_oracle(problem, assign, x):
     mine = problem.evaluate(assign)
-    ref = oracle_evaluate(problem, assign)
+    ref = oracle_evaluate(problem, assign, x)
     np.testing.assert_allclose(mine.rates, ref.rates, rtol=1e-9, atol=1e-6)
     np.testing.assert_allclose(mine.utilities, ref.utilities, rtol=1e-9, atol=1e-6)
     np.testing.assert_allclose(mine.sn_utilities, ref.sn_utilities,
@@ -164,14 +196,14 @@ def assert_matches_oracle(problem, assign):
 
 
 def test_three_case_utilities_match_oracle():
-    problem = three_case_instance()
-    assign = problem.initial_assignment()
+    inst = three_case_instance()
+    problem, x = inst.problem, inst.x
+    assign = problem.start_assignment
     # the instance exercises all three utility cases at once
-    assert assign[5] == problem.relay_sn_of[0]
-    assert_matches_oracle(problem, assign)
+    assert assign[5] == problem.n_scbs         # relay ue0
+    assert_matches_oracle(problem, assign, x)
     ev = problem.evaluate(assign)
     # relay case: downlink rate scaled by 1/x against its serving SCBS
-    x = problem.x
     xv = float(x[sg.vertex((sg.SCBS, 0), 2, 7), sg.vertex((sg.UE, 0), 2, 7)])
     assert ev.utilities[0] == pytest.approx(ev.rates[0] / max(xv, 0.01), rel=1e-12)
     assert ev.utilities[0] > ev.rates[0]
@@ -183,12 +215,13 @@ def test_three_case_utilities_match_oracle():
 
 
 def test_unserved_relay_starves_its_d2d_ue():
-    problem = three_case_instance()
-    assign = problem.initial_assignment()
+    inst = three_case_instance()
+    problem = inst.problem
+    assign = problem.start_assignment.copy()
     assign[0] = -1                       # relay loses its own downlink
     ev = problem.evaluate(assign)
     assert ev.rates[5] == 0.0
-    assert_matches_oracle(problem, assign)
+    assert_matches_oracle(problem, assign, inst.x)
 
 
 def test_evaluate_matches_oracle_on_random_states():
@@ -196,8 +229,8 @@ def test_evaluate_matches_oracle_on_random_states():
     for seed in range(12):
         inst = clustered_instance(seed, n_scbs=2 + seed % 2, n_ues=10)
         problem = inst.problem
-        assign = problem.initial_assignment()
-        assert_matches_oracle(problem, assign)
+        assign = problem.start_assignment.copy()
+        assert_matches_oracle(problem, assign, inst.x)
         for _ in range(4):               # random feasible mutations
             counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
             m = int(rng.integers(problem.n_ues))
@@ -205,34 +238,34 @@ def test_evaluate_matches_oracle_on_random_states():
                        if move_ok(problem, assign, counts, m, int(k))]
             if targets:
                 assign[m] = targets[int(rng.integers(len(targets)))]
-        assert_matches_oracle(problem, assign)
+        assert_matches_oracle(problem, assign, inst.x)
 
 
 def test_evaluate_matches_oracle_without_d2d_interference():
     inst = clustered_instance(5, n_scbs=2, n_ues=10, d2d_interference=False)
-    assert_matches_oracle(inst.problem, inst.problem.initial_assignment())
+    assert_matches_oracle(inst.problem, inst.problem.start_assignment, inst.x)
 
 
 def test_evaluate_matches_oracle_with_subcarrier_wraparound():
     # more UEs per cell than subcarriers forces same-index reuse in-cell
     inst = clustered_instance(9, n_scbs=2, n_ues=12, subcarriers=4)
     problem = inst.problem
-    assign = problem.initial_assignment()
+    assign = problem.start_assignment
     counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
     assert counts.max() > 4
-    assert_matches_oracle(problem, assign)
+    assert_matches_oracle(problem, assign, inst.x)
 
 
 def test_welfare_is_twice_the_ue_total():
-    problem = three_case_instance()
-    ev = problem.evaluate(problem.initial_assignment())
+    problem = three_case_instance().problem
+    ev = problem.evaluate(problem.start_assignment)
     assert ev.welfare == pytest.approx(2.0 * ev.utilities.sum(), rel=1e-12)
     assert ev.welfare == pytest.approx(ev.sn_utilities.sum() + ev.utilities.sum(),
                                        rel=1e-12)
 
 
 def test_empty_assignment_has_zero_welfare():
-    problem = three_case_instance()
+    problem = three_case_instance().problem
     assign = np.full(problem.n_ues, -1, dtype=np.int64)
     ev = problem.evaluate(assign)
     assert ev.welfare == 0.0
@@ -240,7 +273,7 @@ def test_empty_assignment_has_zero_welfare():
 
 
 def test_report_lists_unserved_ues():
-    problem = three_case_instance()
+    problem = three_case_instance().problem
     report = problem.report(problem.rssi_assignment)
     assert report.unserved == (5,)
 
@@ -299,7 +332,7 @@ def test_baseline_leaves_far_ues_unserved():
 # initial assignment and quotas
 # --------------------------------------------------------------------------
 
-def quota_instance():
+def quota_instance(engine=SwapEngineConfig(seed=1)):
     """One covered hub UE (the relay) with four D2D-only hangers-on."""
     scbs_xy = np.array([[0.0, 0.0]])
     ue_xy = np.array([[0.0, 45.0],
@@ -309,29 +342,27 @@ def quota_instance():
                   + [((sg.UE, 0), (sg.UE, m)) for m in range(1, 5)])
     graph = sg.graph_from_edges(edges, 1, 5)
     x = sg.social_pipeline(graph)
-    return build_problem(scenario, graph, x, SwapEngineConfig(seed=1))
+    return build_problem(scenario, graph, x, engine)
 
 
-def test_initial_assignment_attaches_nearest_d2d_first():
+def test_start_state_attaches_nearest_d2d_first():
     problem = quota_instance()
     assert tuple(problem.relay_ues) == (0,)
-    assign = problem.initial_assignment()
-    relay_sn = problem.relay_sn_of[0]
+    relay_sn = problem.n_scbs                  # node N + 0 is relay ue0
     # quota 3: the three closest hangers-on attach, the farthest misses out
-    np.testing.assert_array_equal(assign, [0, relay_sn, relay_sn, relay_sn, -1])
+    np.testing.assert_array_equal(problem.start_assignment,
+                                  [0, relay_sn, relay_sn, relay_sn, -1])
 
 
-def test_initial_assignment_respects_lower_quota():
-    problem = quota_instance()
-    problem.quota[problem.relay_sn_of[0]] = 1
-    assign = problem.initial_assignment()
-    assert (assign == problem.relay_sn_of[0]).sum() == 1
-    assert assign[1] == problem.relay_sn_of[0]
+def test_start_state_respects_lower_quota():
+    problem = quota_instance(SwapEngineConfig(seed=1, d2d_quota=1))
+    relay_sn = problem.n_scbs
+    np.testing.assert_array_equal(problem.start_assignment, [0, relay_sn, -1, -1, -1])
 
 
 def test_move_and_swap_feasibility_rules():
-    problem = three_case_instance()
-    assign = problem.initial_assignment()
+    problem = three_case_instance().problem
+    assign = problem.start_assignment
     counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
     assert not move_ok(problem, assign, counts, 2, int(assign[2]))  # no-op move
     assert not move_ok(problem, assign, counts, 2, 0)               # out of range
@@ -354,8 +385,8 @@ def test_move_and_swap_feasibility_rules():
 # --------------------------------------------------------------------------
 
 def test_matching_csv_round_trip(tmp_path):
-    problem = three_case_instance()
-    assign = problem.initial_assignment()
+    problem = three_case_instance().problem
+    assign = problem.start_assignment
     report = problem.report(assign)
     path = tmp_path / "matching.csv"
     matching_to_csv(problem.matching(assign), report, path,
@@ -366,7 +397,7 @@ def test_matching_csv_round_trip(tmp_path):
 
 
 def test_matching_csv_marks_unserved(tmp_path):
-    problem = three_case_instance()
+    problem = three_case_instance().problem
     report = problem.report(problem.rssi_assignment)
     path = tmp_path / "matching.csv"
     matching_to_csv(problem.matching(problem.rssi_assignment), report, path)
@@ -375,7 +406,7 @@ def test_matching_csv_marks_unserved(tmp_path):
 
 
 def test_assignment_from_rows_rejects_stale_rows():
-    problem = three_case_instance()
+    problem = three_case_instance().problem
     with pytest.raises(InputError, match="unknown scbs9"):
         assignment_from_rows(problem, [(0, 9, "scbs")])
     with pytest.raises(InputError, match="ue4 is not a relay"):
@@ -385,14 +416,15 @@ def test_assignment_from_rows_rejects_stale_rows():
 
 
 def test_matching_type_validates_indices():
-    nodes = (ServingNode(SN_SCBS, 0),)
+    relays = np.array([4])                     # one SCBS and the relay ue4
     with pytest.raises(InputError):
-        Matching(assign=np.array([3]), serving_nodes=nodes)
+        Matching(assign=np.array([2]), n_scbs=1, relay_ues=relays)
     with pytest.raises(InputError):
-        Matching(assign=np.array([-2, 0]), serving_nodes=nodes)
-    m = Matching(assign=np.array([0, -1]), serving_nodes=nodes)
-    assert m.serving(0) == nodes[0]
+        Matching(assign=np.array([-2, 0]), n_scbs=1, relay_ues=relays)
+    m = Matching(assign=np.array([0, -1, 1]), n_scbs=1, relay_ues=relays)
+    assert m.serving(0) == (SN_SCBS, 0)
     assert m.serving(1) is None
+    assert m.serving(2) == (SN_RELAY, 4)
 
 
 # --------------------------------------------------------------------------
@@ -568,7 +600,7 @@ EVAL_CASES = {
     # 8 or more terms per interference sum, where pairwise summation would
     # differ from adding node by node
     "twelve-cells": lambda: clustered_instance(6, n_scbs=12, n_ues=60).problem,
-    "three-case": three_case_instance,
+    "three-case": lambda: three_case_instance().problem,
     "zero-relays": zero_relay_problem,
 }
 
@@ -578,13 +610,13 @@ def test_evaluate_bit_identical_to_per_ue_loop(case):
     problem = EVAL_CASES[case]()
     rng = np.random.default_rng(7)
     states = random_states(problem, rng, 40)
-    states[0] = problem.initial_assignment()
+    states[0] = problem.start_assignment
     states[1] = -1
     # a relay loses its downlink while its D2D UEs stay attached
     d2d_rows = [b for b in range(2, len(states)) if (states[b] >= problem.n_scbs).any()]
     for b in d2d_rows[:6]:
         k = states[b][states[b] >= problem.n_scbs][0]
-        states[b, problem.serving_nodes[k].node_id] = -1
+        states[b, problem.relay_ues[k - problem.n_scbs]] = -1
     assert d2d_rows or case in ("single-ue", "zero-relays")
     assert_rows_bit_identical(problem, states)
     assert_rows_bit_identical(problem, states[:1])
@@ -597,7 +629,7 @@ def test_scan_masks_equal_swap_ok_and_move_ok():
         problem = clustered_instance(seed, n_scbs=3, n_ues=18,
                                      engine=SwapEngineConfig(seed=seed, **kw)).problem
         states = random_states(problem, rng, 6, p_unserved=0.3)
-        for assign in [problem.initial_assignment(), *states]:
+        for assign in [problem.start_assignment, *states]:
             pairs, moves = _swap_masks(problem, assign)
             counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
             for m in range(problem.n_ues):
@@ -625,7 +657,7 @@ def test_audit_and_stabilize_equal_per_swap_scan(setting):
                                      engine=SwapEngineConfig(seed=seed, **engine_kw),
                                      **scenario_kw).problem
         rng = np.random.default_rng(seed)
-        for start in (problem.initial_assignment(), random_states(problem, rng, 1)[0]):
+        for start in (problem.start_assignment, random_states(problem, rng, 1)[0]):
             want = [v for v, _, _ in per_swap_scan(problem, start.copy())]
             assert audit_stability(problem, start) == want
             stab = greedy_stabilize(problem, start)
@@ -665,7 +697,7 @@ def test_scan_block_boundaries(case):
     seed, ue, target, first = BOUNDARY_CASES[case]
     assert _SCAN_BLOCK == 64
     problem = overlap_problem(seed)
-    assign, _ = per_swap_stabilize(problem, problem.initial_assignment())
+    assign, _ = per_swap_stabilize(problem, problem.start_assignment)
     assert not list(per_swap_scan(problem, assign))
     assign[ue] = target
     want = list(per_swap_scan(problem, assign.copy()))
@@ -686,8 +718,9 @@ def test_scan_block_boundaries(case):
        rows=st.integers(1, 12), subcarriers=st.sampled_from([2, 4, 16]),
        d2d_interference=st.booleans())
 def test_evaluate_rows_property(seed, n_scbs, n_ues, rows, subcarriers, d2d_interference):
-    problem = clustered_instance(seed, n_scbs=n_scbs, n_ues=n_ues, subcarriers=subcarriers,
-                                 d2d_interference=d2d_interference).problem
+    inst = clustered_instance(seed, n_scbs=n_scbs, n_ues=n_ues, subcarriers=subcarriers,
+                              d2d_interference=d2d_interference)
+    problem = inst.problem
     states = random_states(problem, np.random.default_rng(seed), rows)
     block = problem._evaluate_rows(states)
     for b, assign in enumerate(states):
@@ -696,4 +729,4 @@ def test_evaluate_rows_property(seed, n_scbs, n_ues, rows, subcarriers, d2d_inte
         assert np.array_equal(block[1][b], one.rates)
         assert np.array_equal(block[2][b], one.sn_utilities)
         assert block[3][b] == one.welfare
-        assert_matches_oracle(problem, assign)
+        assert_matches_oracle(problem, assign, inst.x)

@@ -198,6 +198,8 @@ def test_generate_topology_validation():
         generate_topology(1, 10, macro_radius_m=-5.0)
     with pytest.raises(ConfigError):
         generate_topology(1, 10, rng_seed=-1)
+    with pytest.raises(ConfigError):
+        generate_topology(1, 10, d2d_radius_m=0.0)
 
 
 def test_scenario_validation():
