@@ -17,11 +17,12 @@ someone strictly gains.
 One numpy kernel, `AssociationProblem._evaluate_rows`, evaluates a stack of
 assignments; `evaluate` is its one-row case.  One scanner judges every swap
 the greedy pass and the audit see: `_swap_masks` lists the feasible swaps
-and `_judge` approves them in blocks of `_SCAN_BLOCK`, one kernel call and
-one vector check per block.  Every row of the kernel equals the evaluation
-of that row alone bit for bit (its sums run in an order independent of the
-block size), so the block scan approves exactly the swaps a one-at-a-time
-scan would.
+and `_judge` approves them in blocks of at most `_SCAN_BLOCK` swaps (fewer
+where the block's (rows, S + 1, M) gather would pass `_SCAN_ELEMENTS`), one
+kernel call and one vector check per block.  Every row of the kernel equals
+the evaluation of that row alone bit for bit (its sums run in an order
+independent of the block size), so the block scan approves exactly the swaps
+a one-at-a-time scan would.
 
 The anneal's walk revisits a few states over and over, so it keeps a memo,
 local to one `anneal_on_problem` call, from each evaluated state to its
@@ -595,8 +596,16 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
 # two-sided stability
 # --------------------------------------------------------------------------
 
-#: Candidate swaps evaluated per `_evaluate_rows` call by the scanner.
+#: Candidate swaps evaluated per `_evaluate_rows` call by the scanner, at
+#: most; `_SCAN_ELEMENTS` lowers it on large problems.
 _SCAN_BLOCK = 64
+
+#: Entries of the (rows, S + 1, M) interference gather that one scan block
+#: may build: a block judges max(1, _SCAN_ELEMENTS // ((S + 1) * M)) swaps
+#: when that is below `_SCAN_BLOCK`.  Desk and dense problems keep 64 rows
+#: ((S + 1) * M <= 1,980); wide-m500 (S = 31, M = 500) takes 8, and one
+#: block at N32/M2000 stays near 1 MB per gather array instead of 75 MB.
+_SCAN_ELEMENTS = 1 << 17
 
 
 def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
@@ -668,18 +677,21 @@ def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
 
     Scans pair swaps m < n first, then single moves of each servable UE to
     each feasible serving node, always judging against the live `assign`.
-    The feasible swaps are listed by one mask and judged `_SCAN_BLOCK` at a
-    time: one `_evaluate_rows` call evaluates the block and one vector
-    check judges it, with results bit-identical to judging one swap at a
-    time.  A caller may apply the yielded swap to `assign` before resuming;
-    the scan then lists the feasible swaps of the new state and continues
-    after the applied one, with the yielded evaluation as its new base.
+    The feasible swaps are listed by one mask and judged in blocks of at
+    most `_SCAN_BLOCK`, fewer where a block's gather would pass
+    `_SCAN_ELEMENTS`: one `_evaluate_rows` call evaluates the block and one
+    vector check judges it, with results bit-identical to judging one swap
+    at a time.  A caller may apply the yielded swap to `assign` before
+    resuming; the scan then lists the feasible swaps of the new state and
+    continues after the applied one, with the yielded evaluation as its new
+    base.
     """
     M, S = problem.n_ues, problem.n_sns
+    size = min(_SCAN_BLOCK, max(1, _SCAN_ELEMENTS // ((S + 1) * M)))
     base = problem.evaluate(assign)
     todo = _scan_order(problem, assign)
     while len(todo):
-        block, todo = todo[:_SCAN_BLOCK], todo[_SCAN_BLOCK:]
+        block, todo = todo[:size], todo[size:]
         pair = block < M * M
         move = block - M * M
         m = np.where(pair, block // M, move // S)

@@ -13,13 +13,21 @@ structure we derive, each as a plain read-only (V, V) array,
 and from X a per-UE importance score that decides which UE in each cell is
 promoted to relay duty.
 
-Edge betweenness follows Brandes (J. Math. Sociol. 2001): a breadth-first
-search from every source, then dependencies pushed back from the leaves of
-its shortest-path DAG.  The searches of a block of sources advance together,
-one BFS level at a time, in numpy.  Every floating-point sum is taken in the
-order a one-source deque BFS takes it, so the result is bit-identical to that
-loop, not merely close: the relay election breaks ties by UE id, and drift in
-the last digit could flip a relay.
+Edge betweenness follows Brandes (J. Math. Sociol. 2001; the edge variant in
+Social Networks 2008): a breadth-first search from every source, then
+dependencies pushed back from the leaves of its shortest-path DAG.  The
+searches of a block of sources advance together, one BFS level at a time, in
+numpy; a block holds as many sources as fit `_ARC_BUDGET` arcs.  Every
+floating-point sum is taken in the order a one-source deque BFS takes it, so
+the result is bit-identical to that loop, not merely close: the relay
+election breaks ties by UE id, and drift in the last digit could flip a
+relay.  Three order rules give that, with no comparison sort:
+  * sigma (path counts) of a vertex adds its parents' sigma in the parents'
+    pop order;
+  * the vertices first reached on a level are queued in the order of the
+    first arc reaching them;
+  * delta (dependency) of a vertex adds its children's shares by descending
+    pop position of the child, read from the arcs listed at the child's side.
 
 The random edge models draw from `random.Random(seed)` in exactly the order
 NetworkX 3.x's `gnp_random_graph` and `watts_strogatz_graph` do, so a seed
@@ -182,11 +190,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # edge betweenness
 # --------------------------------------------------------------------------
 
-#: Sources whose shortest-path searches run together.  A block holds a few
-#: (block, V) and (block, E) arrays plus its sources' shortest-path DAGs; at
-#: 64 they peak near 4 MB for V = 516, and the blocks are few enough that
-#: numpy's per-call overhead does not dominate.
-_SOURCE_BLOCK = 64
+#: Arcs (an edge is two arcs, one per direction) that the searches of one
+#: block of sources expand in all: a block runs max(1, _ARC_BUDGET // arcs)
+#: sources.  Desk and dense graphs fit one block; wide-m500 (2,150 arcs)
+#: runs about 60 sources a block.  Time of `edge_betweenness` over the
+#: seed-1 graphs of each workload (median of 9 rounds; one N32/M2000 graph,
+#: 3 rounds; 2-vCPU VM, numpy 2.4) and the largest tracemalloc peak of one
+#: call:
+#:
+#:   budget     desk (160)    wide (3)      dense (24)    N32/M2000
+#:   2^16       0.230 s       0.187 s       0.090 s       1.04 s
+#:   2^17       0.236 s       0.172 s       0.083 s       0.96 s
+#:   2^18       0.232 s       0.170 s       0.084 s       0.92 s
+#:   peak 2^16  0.55 MB       2.29 MB       2.26 MB       33.5 MB
+#:   peak 2^17  0.55 MB       3.94 MB       2.75 MB       33.5 MB
+#:   peak 2^18  0.55 MB       7.70 MB       2.75 MB       34.0 MB
+#:
+#: 2^16 is slower on wide and at N32/M2000; 2^18 doubles wide's peak for
+#: a few percent.  (64 sources a block, before arc budgets: 0.43, 0.32,
+#: 0.15 and 1.9 s.)
+_ARC_BUDGET = 1 << 17
 
 
 def _block_dependencies(sources: np.ndarray, dst: np.ndarray, indptr: np.ndarray,
@@ -195,71 +218,79 @@ def _block_dependencies(sources: np.ndarray, dst: np.ndarray, indptr: np.ndarray
 
     Row b holds, per undirected edge, the value Brandes' accumulation credits
     to that edge for source sources[b] (zero off the source's shortest-path
-    DAG).  Each level of every search in the block is expanded at once.  The
-    order of every floating-point sum matches a one-source deque BFS that
+    DAG).  Each level of every search in the block is expanded at once, and
+    every floating-point sum is ordered as in a one-source deque BFS that
     scans neighbours by ascending id:
 
-      * sigma of a vertex adds its parents' sigma in the parents' pop order
-        (`np.bincount` sums in array order, and the arcs are gathered by
-        source, pop position of the tail, then head id);
-      * the vertices first reached on a level are queued in the order of the
-        first arc reaching them, which is the deque's order;
-      * delta of a vertex adds its children's shares by descending pop
-        position of the child, the order of the deque's reversed pops.
+      * sigma: the arcs out of a level are listed by pop position of the
+        tail, then head id, and `np.bincount` sums in array order, so a
+        vertex adds its parents' sigma in their pop order;
+      * queue order: `np.minimum.at` marks the first arc reaching each new
+        vertex, and the new vertices are queued in the order of those arcs,
+        which is the deque's order;
+      * delta: expanding a level also lists the DAG arcs into it from the
+        child's side, by pop position of the child, then parent id; summed in
+        reverse, each parent adds its children by descending pop position,
+        the order of the deque's reversed pops.
 
-    Search state is indexed by the flat key row * V + vertex.
+    Search state is indexed by the flat key row * V + vertex.  `pos` holds a
+    reached key's position in its level (its queue order), and while a level
+    is being found, the first arc that reaches each new key.  A level keeps
+    its keys and sigma, and the (parent position, child position, edge) of
+    its DAG arcs.
     """
     B = len(sources)
-    rows = np.arange(B)
+    degree, first_arc = np.diff(indptr), indptr[:-1]
     dist = np.full(B * V, -1)
-    sigma = np.zeros(B * V)
-    queued = np.zeros(B * V, dtype=np.intp)   # queue position, comparable within a row
-    root = rows * V + sources
-    dist[root] = 0
-    sigma[root] = 1.0
-    n_queued = 0
-    f_row, f_vertex = rows, sources
+    pos = np.full(B * V, np.iinfo(np.intp).max)
+    f_key = np.arange(B) * V + sources
+    sigma = np.ones(B)
+    dist[f_key] = 0
+    pos[f_key] = np.arange(B)
     levels = []
     depth = 0
-    while len(f_vertex):
-        # every arc out of the level, by (row, queue position of tail, head id)
-        deg = indptr[f_vertex + 1] - indptr[f_vertex]
-        arc = np.arange(deg.sum()) + np.repeat(indptr[f_vertex] - np.cumsum(deg) + deg, deg)
-        a_row = np.repeat(f_row, deg)
-        tail = np.repeat(f_row * V + f_vertex, deg)
-        head = a_row * V + dst[arc]
-        # vertices first reached here, queued in the order of their first arc
-        fresh = np.flatnonzero(dist[head] < 0)
-        _, first = np.unique(head[fresh], return_index=True)
-        reached = fresh[np.sort(first)]
-        new = head[reached]
-        dist[new] = depth + 1
-        queued[new] = n_queued + np.arange(len(new))
-        n_queued += len(new)
-        dag = np.flatnonzero(dist[head] == depth + 1)
-        d_tail, d_head = tail[dag], head[dag]
-        sigma[new] = np.bincount(d_head, weights=sigma[d_tail], minlength=B * V)[new]
-        levels.append((a_row[dag], d_tail, d_head, edge[arc[dag]]))
-        f_row, f_vertex = a_row[reached], dst[arc[reached]]
+    while len(f_key):
+        # every arc out of the level, by pop position of the tail, then head id
+        f_vertex = f_key % V
+        deg = degree[f_vertex]
+        tail = np.repeat(np.arange(len(f_key)), deg)   # the tail's position in the level
+        arc = (first_arc[f_vertex] - np.cumsum(deg) + deg)[tail]
+        arc += np.arange(len(tail))
+        head = (f_key - f_vertex)[tail]
+        head += dst[arc]
+        reach = dist[head]
+        if depth:
+            back = np.flatnonzero(reach == depth - 1)
+            levels.append((f_key, sigma, up_sigma, pos[head[back]], tail[back],
+                           edge[arc[back]]))
+        fresh = np.flatnonzero(reach < 0)
+        h = head[fresh]
+        np.minimum.at(pos, h, fresh)
+        f_key = h[pos[h] == fresh]
+        pos[f_key] = np.arange(len(f_key))
+        up_sigma, sigma = sigma, np.bincount(pos[h], weights=sigma[tail[fresh]],
+                                             minlength=len(f_key))
         depth += 1
+        dist[f_key] = depth
 
-    delta = np.zeros(B * V)
     deps = np.zeros((B, n_edges))
-    for d_row, d_tail, d_head, d_edge in reversed(levels):
-        c = sigma[d_tail] * ((1.0 + delta[d_head]) / sigma[d_head])
-        order = np.argsort(-queued[d_head], kind="stable")
-        delta += np.bincount(d_tail[order], weights=c[order], minlength=B * V)
-        deps[d_row, d_edge] = c
+    delta = 0.0                       # the deepest level has no children
+    for key, sigma, up_sigma, parent, child, d_edge in reversed(levels):
+        c = up_sigma[parent] * ((1.0 + delta) / sigma)[child]
+        deps[key[child] // V, d_edge] = c
+        delta = np.bincount(parent[::-1], weights=c[::-1], minlength=len(up_sigma))
     return deps
 
 
 def _edge_counts(adjacency: np.ndarray) -> np.ndarray:
     """Raw shortest-path traversal counts per edge, (V, V).
 
-    Each edge adds the sources' dependencies one row at a time, in source
-    order, as the per-source loop does; a zero row entry adds nothing, while
-    a `sum` over the rows would round differently.  Summing over all sources
-    counts every unordered pair twice, so the caller halves the result.
+    Sources run in blocks of max(1, _ARC_BUDGET // arcs).  Each edge adds
+    the sources' dependencies one at a time, in source order, as the
+    per-source loop does: `np.cumsum` down a block's rows, starting from the
+    running total, adds row by row, where a `sum` over the rows would round
+    differently.  Summing over all sources counts every unordered pair
+    twice, so the caller halves the result.
     """
     V = adjacency.shape[0]
     src, dst = np.nonzero(adjacency)
@@ -269,10 +300,12 @@ def _edge_counts(adjacency: np.ndarray) -> np.ndarray:
     _, edge = np.unique(np.minimum(src, dst) * V + np.maximum(src, dst),
                         return_inverse=True)
     total = np.zeros(len(src) // 2)
-    for start in range(0, V, _SOURCE_BLOCK):
-        sources = np.arange(start, min(start + _SOURCE_BLOCK, V))
-        for row in _block_dependencies(sources, dst, indptr, edge, len(total), V):
-            total += row
+    block = max(1, _ARC_BUDGET // max(len(src), 1))
+    for start in range(0, V, block):
+        sources = np.arange(start, min(start + block, V))
+        deps = _block_dependencies(sources, dst, indptr, edge, len(total), V)
+        deps[0] += total
+        total = np.cumsum(deps, axis=0, out=deps)[-1].copy()
     counts = np.zeros((V, V))
     counts[src, dst] = total[edge]
     return counts
@@ -284,18 +317,23 @@ def edge_betweenness(g: SocialGraph) -> np.ndarray:
     Raw counts are normalized by (V-1)(V-2), floored at 1 so the two-node
     graph stays finite.  B[u][v] is zero wherever there is no edge.
 
-    The raw counts come from Brandes' algorithm run on blocks of
-    `_SOURCE_BLOCK` sources: each block's breadth-first searches expand one
-    level at a time for all its sources together, and dependencies flow back
-    level by level, deepest first.  Every sum is ordered as in a per-source
-    deque BFS, and each edge adds its per-source shares in source order, so
-    the values are bit-identical to that loop's.
+    The raw counts come from Brandes' algorithm run on blocks of sources,
+    each as many as fit `_ARC_BUDGET` arcs: a block's breadth-first searches
+    expand one level at a time for all its sources together, and
+    dependencies flow back level by level, deepest first.  Every sum is
+    ordered as in a per-source deque BFS (sigma in the parents' pop order,
+    the queue in the order of each vertex's first arc, delta by descending
+    pop position of the child, from the arcs listed at the child's side),
+    and each edge adds its per-source shares in source order, so the values
+    are bit-identical to that loop's.
     """
     V = g.n_vertices
     if V < 2:
         raise InputError("betweenness needs at least two vertices")
-    raw = _edge_counts(g.adjacency) / 2.0
-    return _read_only(raw / float(max((V - 1) * (V - 2), 1)))
+    b = _edge_counts(g.adjacency)
+    b /= 2.0
+    b /= float(max((V - 1) * (V - 2), 1))
+    return _read_only(b)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clustered_instance, oracle_evaluate, social_ring_graph
-from socialcell import radio
+from socialcell import matching, radio
 from socialcell import socialgraph as sg
 from socialcell.errors import ConfigError, InputError
 from socialcell.matching import (SN_RELAY, SN_SCBS, Matching, StabilityViolation,
@@ -711,6 +711,32 @@ def test_scan_block_boundaries(case):
     want_assign, want_welfares = per_swap_stabilize(problem, assign)
     np.testing.assert_array_equal(stab.assign, want_assign)
     assert stab.welfares == tuple(want_welfares)
+
+
+def test_scan_element_budget_one_row_blocks(monkeypatch):
+    # an element budget below one row's gather leaves one swap per block;
+    # the audit and the greedy pass must not change
+    seed, ue, target, _ = BOUNDARY_CASES["spans-blocks"]
+    problem = overlap_problem(seed)
+    assign, _ = per_swap_stabilize(problem, problem.start_assignment)
+    assign[ue] = target
+    audit = audit_stability(problem, assign)
+    stab = greedy_stabilize(problem, assign)
+    assert audit and stab.applied
+    rows = []
+    evaluate_rows = matching.AssociationProblem._evaluate_rows
+
+    def spy(self, A):
+        rows.append(len(A))
+        return evaluate_rows(self, A)
+
+    monkeypatch.setattr(matching, "_SCAN_ELEMENTS", 1)
+    monkeypatch.setattr(matching.AssociationProblem, "_evaluate_rows", spy)
+    assert audit_stability(problem, assign) == audit
+    one = greedy_stabilize(problem, assign)
+    np.testing.assert_array_equal(one.assign, stab.assign)
+    assert one.welfares == stab.welfares
+    assert set(rows) == {1} and len(rows) > 2 * _SCAN_BLOCK
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

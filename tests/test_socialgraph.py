@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import socialcell
-from socialcell import config, harness, reference
+from socialcell import config, harness, reference, socialgraph
 from socialcell.errors import ConfigError, InputError
 from socialcell.socialgraph import (RAW_CLIPPED, SAW, SocialGraph,
                                     common_neighbours, edge_betweenness,
@@ -172,10 +172,34 @@ def _graph(n_vertices: int, edges) -> SocialGraph:
     return SocialGraph(n_scbs=1, adjacency=adj)
 
 
-def _assert_equals_per_source_loop(g: SocialGraph) -> None:
+def _sources_per_block(monkeypatch, g: SocialGraph, per_block: int) -> None:
+    """Make edge_betweenness search `per_block` sources of g at a time."""
+    monkeypatch.setattr(socialgraph, "_ARC_BUDGET",
+                        per_block * max(int(g.adjacency.sum()), 1))
+
+
+def _assert_equals_per_source_loop(g: SocialGraph, monkeypatch=None,
+                                   blocks=None) -> None:
+    """edge_betweenness(g) equals the per-source loop bit for bit, with the
+    sources split as `blocks(V)` per block (the arc budget's split if None)."""
+    if blocks is not None:
+        _sources_per_block(monkeypatch, g, blocks(g.n_vertices))
     b = edge_betweenness(g)
     assert np.array_equal(b, per_source_edge_counts(g.adjacency)
                           / betweenness_denominator(g.n_vertices))
+
+
+#: Every graph below fits one block under the default arc budget, so each
+#: also runs in one-source blocks and in two blocks whose last is shorter.
+BLOCK_SPLITS = {"": None,
+                "-1-source-blocks": lambda V: 1,
+                "-uneven-blocks": lambda V: V // 2 + 1}
+
+
+def _in_every_split(params):
+    """Each param, with its id, once per split of `BLOCK_SPLITS`."""
+    return [pytest.param(*p.values, blocks, id=p.id + suffix)
+            for p in params for suffix, blocks in BLOCK_SPLITS.items()]
 
 
 def test_brandes_equals_brute_force_on_random_graphs():
@@ -201,10 +225,11 @@ CONFIG_GRAPHS = [
 ]
 
 
-@pytest.mark.parametrize("keys", CONFIG_GRAPHS)
-def test_betweenness_bit_identical_to_per_source_loop_on_config_graphs(keys):
+@pytest.mark.parametrize("keys, blocks", _in_every_split(CONFIG_GRAPHS))
+def test_betweenness_bit_identical_to_per_source_loop_on_config_graphs(keys, blocks,
+                                                                        monkeypatch):
     for seed in (1, 2, 3):
-        _assert_equals_per_source_loop(_config_graph(seed, **keys))
+        _assert_equals_per_source_loop(_config_graph(seed, **keys), monkeypatch, blocks)
 
 
 def test_sparse_config_graph_has_isolated_vertices_and_components():
@@ -228,13 +253,52 @@ DEGENERATE_GRAPHS = [
 ]
 
 
-@pytest.mark.parametrize("g", DEGENERATE_GRAPHS)
-def test_betweenness_on_degenerate_graphs(g):
-    _assert_equals_per_source_loop(g)
+@pytest.mark.parametrize("g, blocks", _in_every_split(DEGENERATE_GRAPHS))
+def test_betweenness_on_degenerate_graphs(g, blocks, monkeypatch):
+    _assert_equals_per_source_loop(g, monkeypatch, blocks)
     b = edge_betweenness(g)
     want = brute_force_edge_betweenness(g.adjacency.astype(float),
                                         betweenness_denominator(g.n_vertices))
     np.testing.assert_allclose(b, want, atol=1e-9, rtol=0)
+
+
+def _layered_graph(seed: int, layers: int = 40, width: int = 5) -> SocialGraph:
+    """`layers` layers of `width` vertices, each pair of vertices in
+    neighbouring layers linked with probability 0.6, vertex ids shuffled."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(layers * width).reshape(layers, width)
+    edges = [(a, b) for upper, lower in zip(ids, ids[1:])
+             for a in upper for b in lower if rng.random() < 0.6]
+    return _graph(layers * width, edges)
+
+
+def _path_counts(adj: np.ndarray, s: int) -> list[int]:
+    """Exact number of shortest paths from s to every vertex (0 if none)."""
+    dist, sigma, frontier = {s: 0}, [0] * adj.shape[0], [s]
+    sigma[s] = 1
+    while frontier:
+        later = []
+        for v in frontier:
+            for w in np.flatnonzero(adj[v]):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    later.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+        frontier = later
+    return sigma
+
+
+def test_betweenness_bit_identical_past_2_to_the_53_paths(monkeypatch):
+    # path counts past 2**53 round as they are summed, so sigma must add a
+    # vertex's parents in the deque's pop order, not in parent-id order
+    g = _layered_graph(3)
+    V = g.n_vertices
+    assert any(max(_path_counts(g.adjacency, s)) > 2 ** 53 for s in range(V))
+    want = per_source_edge_counts(g.adjacency) / betweenness_denominator(V)
+    for per_block in (1, 7, V):
+        _sources_per_block(monkeypatch, g, per_block)
+        assert np.array_equal(edge_betweenness(g), want), per_block
 
 
 def test_betweenness_zero_off_edges():
