@@ -13,7 +13,6 @@ import dataclasses
 import datetime
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +195,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
              for pi, x in enumerate(spec.sweep_values)
              for ri in range(spec.replications)]
     if spec.workers > 1:
+        # imported here: it costs about a tenth of `import socialcell`
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             chunks = list(pool.map(_replication_task, tasks))
     else:
@@ -206,26 +207,20 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 def aggregate(rows) -> list[PointAggregate]:
     """Mean / sample-std per (point, method), plus rate gain over max-RSSI."""
-    rows = list(rows)
-    seen: list[tuple[int, str]] = []
+    groups: dict[tuple[int, str], list[ReplicationRow]] = {}
     for row in rows:
-        if (row.x, row.method) not in seen:
-            seen.append((row.x, row.method))
+        groups.setdefault((row.x, row.method), []).append(row)
 
     def stats(values):
         arr = np.array(values, dtype=float)
         std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
         return float(arr.mean()), std
 
-    baseline_rate = {}
-    for x, method in seen:
-        if method == METHOD_BASELINE:
-            vals = [r.avg_rate_bps for r in rows if (r.x, r.method) == (x, method)]
-            baseline_rate[x] = float(np.mean(vals))
+    baseline_rate = {x: stats([r.avg_rate_bps for r in sub])[0]
+                     for (x, method), sub in groups.items() if method == METHOD_BASELINE}
 
     out = []
-    for x, method in seen:
-        sub = [r for r in rows if (r.x, r.method) == (x, method)]
+    for (x, method), sub in groups.items():
         mean_rate, std_rate = stats([r.avg_rate_bps for r in sub])
         mean_w, std_w = stats([r.welfare for r in sub])
         mean_it = float(np.mean([r.iterations for r in sub]))

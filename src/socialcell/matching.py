@@ -12,7 +12,8 @@ anneals random pair swaps and single-UE moves under a sigmoid acceptance
 rule and keeps the best state it ever visited; a separate greedy pass and
 audit deal in exactly the two-sided swap-stability condition (Bodine-Baron
 et al., SAGT 2011): a swap is approved when nobody it touches loses and
-someone strictly gains.
+someone strictly gains.  The quotas and the search's knobs come from the
+one `ScenarioConfig` that also describes the scenario, which bounds them.
 
 One numpy kernel, `AssociationProblem._evaluate_rows`, evaluates a stack of
 assignments; `evaluate` is its one-row case.  One scanner judges every swap
@@ -41,7 +42,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .config import ScenarioConfig
+from .errors import InputError
 from .radio import (RadioScenario, dbm_to_mw, pathloss_db, scbs_reception,
                     subcarrier_offset, ue_distances)
 from .socialgraph import (SCBS, UE, X_FLOOR, SocialGraph, elect_important_ues,
@@ -60,40 +62,6 @@ _SWAP_SHARE = 0.5
 
 #: Welfare deltas are normalized by max(|W|, _WELFARE_FLOOR) before the sigmoid.
 _WELFARE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class SwapEngineConfig:
-    """Knobs of the annealed swap search.
-
-    The sigmoid acceptance uses an inverse-temperature ramp, linear from
-    beta_start to beta_end, so the walk turns greedy late.
-    """
-
-    max_iterations: int = 3000
-    beta_start: float = 1.0
-    beta_end: float = 50.0
-    seed: int = 0
-    min_rate_bps: float = 0.0
-    stall_window: int = 200
-    scbs_quota: int | None = None
-    d2d_quota: int = 3
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.beta_start < 0 or self.beta_end < 0:
-            raise ConfigError("beta_start and beta_end must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.min_rate_bps < 0:
-            raise ConfigError("min_rate_bps must be >= 0")
-        if self.stall_window < 0:
-            raise ConfigError("stall_window must be >= 0 (0 disables early stop)")
-        if self.scbs_quota is not None and self.scbs_quota < 1:
-            raise ConfigError("scbs_quota must be >= 1 when set")
-        if self.d2d_quota < 1:
-            raise ConfigError("d2d_quota must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -198,12 +166,18 @@ class AssociationProblem:
     of link distance times social distance.  The graph and X are read only
     while building; what is kept are read-only per-node tables, so that
     evaluating an assignment is a handful of vector operations.
+
+    `config` is the run's `ScenarioConfig`.  The problem reads its
+    `scbs_quota` (0 = one UE per subcarrier), `d2d_quota` and
+    `min_rate_bps`; the anneal reads `max_iterations`, `beta_start`,
+    `beta_end`, `seed` and `stall_window`.  Its other keys, such as
+    `n_scbs`, are not read here: the scenario and the graph carry them.
     """
 
     def __init__(self, scenario: RadioScenario, graph: SocialGraph,
-                 x: np.ndarray, config: SwapEngineConfig | None = None):
+                 x: np.ndarray, config: ScenarioConfig):
         self.scenario = scenario
-        self.config = config or SwapEngineConfig()
+        self.config = config
 
         N, M = scenario.n_scbs, scenario.n_ues
         self.n_scbs, self.n_ues = N, M
@@ -393,8 +367,7 @@ def _eval_row(rows: tuple[np.ndarray, ...], i: int) -> EvalResult:
 
 
 def build_problem(scenario: RadioScenario, graph: SocialGraph,
-                  x: np.ndarray,
-                  config: SwapEngineConfig | None = None) -> AssociationProblem:
+                  x: np.ndarray, config: ScenarioConfig) -> AssociationProblem:
     """Front door for constructing an AssociationProblem."""
     return AssociationProblem(scenario, graph, x, config)
 
@@ -414,7 +387,7 @@ def max_rssi(prx: np.ndarray, in_range: np.ndarray) -> np.ndarray:
 # annealed swap search
 # --------------------------------------------------------------------------
 
-def _beta_at(cfg: SwapEngineConfig, t: int, total: int) -> float:
+def _beta_at(cfg: ScenarioConfig, t: int, total: int) -> float:
     frac = 0.0 if total <= 1 else t / (total - 1)
     return cfg.beta_start + (cfg.beta_end - cfg.beta_start) * frac
 

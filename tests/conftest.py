@@ -11,7 +11,7 @@ import numpy as np
 
 from socialcell import matching, radio
 from socialcell import socialgraph as sg
-from socialcell.matching import SwapEngineConfig
+from socialcell.config import ScenarioConfig
 
 SCBS_RING_RADIUS = 70.0
 
@@ -51,7 +51,7 @@ def social_ring_graph(scenario: radio.RadioScenario) -> sg.SocialGraph:
 
 def clustered_instance(seed: int, n_scbs: int = 2, n_ues: int = 8,
                        spread: float = 45.0,
-                       engine: SwapEngineConfig | None = None,
+                       engine: ScenarioConfig | None = None,
                        graph: sg.SocialGraph | None = None,
                        **scenario_kw) -> SimpleNamespace:
     """A fully-built association problem over a clustered layout."""
@@ -63,7 +63,7 @@ def clustered_instance(seed: int, n_scbs: int = 2, n_ues: int = 8,
         graph = social_ring_graph(scenario)
     x = sg.social_pipeline(graph)
     problem = matching.build_problem(scenario, graph, x,
-                                     engine or SwapEngineConfig(seed=seed))
+                                     engine or ScenarioConfig(seed=seed))
     return SimpleNamespace(problem=problem, scenario=scenario, graph=graph, x=x)
 
 

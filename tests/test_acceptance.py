@@ -6,8 +6,8 @@ failures carry the evidence in their message.
 """
 
 import json
-import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +21,8 @@ from socialcell.cli import main as cli_main
 from socialcell.config import ScenarioConfig
 from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
                                 run_experiment)
-from socialcell.matching import (SwapEngineConfig, anneal_on_problem,
-                                 audit_stability, build_problem,
-                                 greedy_stabilize)
+from socialcell.matching import (anneal_on_problem, audit_stability,
+                                 build_problem, greedy_stabilize)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> str:
@@ -123,7 +122,7 @@ def test_acceptance_3_anneal_matches_exhaustive_search():
     t0 = time.perf_counter()
     hits = exceeds = 0
     for seed in range(100):
-        engine = SwapEngineConfig(seed=seed, max_iterations=3000, stall_window=0)
+        engine = ScenarioConfig(seed=seed, max_iterations=3000, stall_window=0)
         inst = clustered_instance(seed, n_scbs=2, n_ues=8, engine=engine)
         problem = inst.problem
         assert len(problem.relay_ues) <= 2
@@ -155,7 +154,7 @@ def test_acceptance_4_stability_after_greedy_post_pass():
         n_ues = 8 + seed % 13           # 8..20 UEs
         n_scbs = 2 + seed % 3
         assert n_ues <= 20
-        engine = SwapEngineConfig(seed=seed, max_iterations=400)
+        engine = ScenarioConfig(seed=seed, max_iterations=400)
         inst = clustered_instance(seed, n_scbs=n_scbs, n_ues=n_ues, engine=engine)
         result = anneal_on_problem(inst.problem)
         settled = greedy_stabilize(inst.problem, result.matching.assign)
@@ -193,7 +192,7 @@ def test_acceptance_5_welfare_trace_integrity():
     worst_rel = 0.0
     monotone = True
     for seed in range(8):
-        engine = SwapEngineConfig(seed=seed, max_iterations=400)
+        engine = ScenarioConfig(seed=seed, max_iterations=400)
         inst = clustered_instance(seed, n_ues=10 + seed % 5, engine=engine)
         recorder = _RecordingProblem(inst.problem)
         result = anneal_on_problem(recorder)
@@ -312,11 +311,11 @@ def test_acceptance_9_sweep_runs_are_byte_identical(tmp_path):
 
     identical = {}
     for name in ("sweep_M.csv", "replications.csv"):
-        b1 = open(os.path.join(outs[0], name), "rb").read()
-        b2 = open(os.path.join(outs[1], name), "rb").read()
+        b1 = Path(outs[0], name).read_bytes()
+        b2 = Path(outs[1], name).read_bytes()
         identical[name] = b1 == b2
-    s1 = json.load(open(os.path.join(outs[0], "summary.json")))
-    s2 = json.load(open(os.path.join(outs[1], "summary.json")))
+    s1 = json.loads(Path(outs[0], "summary.json").read_text())
+    s2 = json.loads(Path(outs[1], "summary.json").read_text())
     s1.pop("generated_at"), s2.pop("generated_at")
     ok = all(identical.values()) and s1 == s2
     line = _verdict(9, ok, "two sweep invocations: "

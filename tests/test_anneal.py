@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from conftest import clustered_instance, exhaustive_best_welfare, state_count
 from socialcell import radio
 from socialcell import socialgraph as sg
+from socialcell.config import ScenarioConfig
 from socialcell.matching import (
     MOVE_SINGLE,
     MOVE_SWAP,
     _RAW_BLOCK,
     _WELFARE_FLOOR,
-    SwapEngineConfig,
     TraceRow,
     _accept_prob,
     _beta_at,
@@ -41,14 +41,14 @@ from socialcell.matching import (
 # --------------------------------------------------------------------------
 
 def test_linear_schedule_hits_endpoints_and_midpoint():
-    cfg = SwapEngineConfig(beta_start=1.0, beta_end=50.0)
+    cfg = ScenarioConfig(beta_start=1.0, beta_end=50.0)
     assert _beta_at(cfg, 0, 100) == pytest.approx(1.0)
     assert _beta_at(cfg, 99, 100) == pytest.approx(50.0)
     assert _beta_at(cfg, 33, 100) == pytest.approx(1.0 + 49.0 * (33.0 / 99.0))
 
 
 def test_single_iteration_schedule_uses_start_value():
-    cfg = SwapEngineConfig(beta_start=3.0, beta_end=50.0)
+    cfg = ScenarioConfig(beta_start=3.0, beta_end=50.0)
     assert _beta_at(cfg, 0, 1) == pytest.approx(3.0)
 
 
@@ -91,7 +91,7 @@ def crossed_pair(min_rate=0.0):
     graph = sg.graph_from_edges(edges, 2, 2)
     x = sg.social_pipeline(graph)
     return build_problem(scenario, graph, x,
-                         SwapEngineConfig(seed=11, min_rate_bps=min_rate))
+                         ScenarioConfig(seed=11, min_rate_bps=min_rate))
 
 
 CROSSED = np.array([0, 1])
@@ -119,7 +119,7 @@ def twin_pair():
     edges = (((sg.SCBS, 0), (sg.UE, 2)),)
     graph = sg.graph_from_edges(edges, 2, 4)
     x = sg.social_pipeline(graph)
-    return build_problem(scenario, graph, x, SwapEngineConfig(seed=20))
+    return build_problem(scenario, graph, x, ScenarioConfig(seed=20))
 
 
 def judge_pair_swap(problem, assign, m, n):
@@ -193,7 +193,7 @@ def test_greedy_stabilize_swap_cap_raises():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_greedy_stabilize_settles_random_instances(seed):
     inst = clustered_instance(seed, n_ues=10,
-                              engine=SwapEngineConfig(seed=seed,
+                              engine=ScenarioConfig(seed=seed,
                                                       max_iterations=300))
     res = anneal_on_problem(inst.problem)
     stab = greedy_stabilize(inst.problem, res.matching.assign)
@@ -233,7 +233,7 @@ def test_stabilize_and_audit_are_pinned(key):
     budget, n_scbs, n_ues = key
     applied, audits, digest = [], {}, hashlib.sha256()
     for seed in range(12):
-        engine = SwapEngineConfig(seed=seed, d2d_quota=4, max_iterations=budget)
+        engine = ScenarioConfig(seed=seed, d2d_quota=4, max_iterations=budget)
         problem = clustered_instance(seed, n_scbs=n_scbs, n_ues=n_ues,
                                      engine=engine).problem
         assign = anneal_on_problem(problem).matching.assign
@@ -258,7 +258,7 @@ def test_anneal_and_stabilize_keep_the_node_rules(seed, n_scbs, n_ues, quotas):
     The seed may already overload a cell (it ignores scbs_quota), so a
     node's load is bounded by max(quota, its load in the seed).
     """
-    engine = SwapEngineConfig(seed=seed, max_iterations=400, **quotas)
+    engine = ScenarioConfig(seed=seed, max_iterations=400, **quotas)
     problem = clustered_instance(seed, n_scbs=n_scbs, n_ues=n_ues, engine=engine).problem
     start = problem.start_assignment
     cap = np.maximum(problem.quota,
@@ -278,7 +278,7 @@ def test_anneal_and_stabilize_keep_the_node_rules(seed, n_scbs, n_ues, quotas):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
 def test_trace_best_is_running_max_from_initial(seed):
     inst = clustered_instance(seed, n_ues=10,
-                              engine=SwapEngineConfig(seed=seed,
+                              engine=ScenarioConfig(seed=seed,
                                                       max_iterations=400))
     res = anneal_on_problem(inst.problem)
     w0 = inst.problem.evaluate(inst.problem.start_assignment).welfare
@@ -296,7 +296,7 @@ def test_trace_best_is_running_max_from_initial(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_best_state_reproducible_on_fresh_problem(seed):
-    engine = SwapEngineConfig(seed=seed, max_iterations=300)
+    engine = ScenarioConfig(seed=seed, max_iterations=300)
     inst = clustered_instance(seed, n_ues=10, engine=engine)
     res = anneal_on_problem(inst.problem)
     fresh = build_problem(inst.scenario, inst.graph, inst.x, engine)
@@ -308,7 +308,7 @@ def test_anneal_is_deterministic_for_a_seed():
     runs = []
     for _ in range(2):
         inst = clustered_instance(7, n_ues=12,
-                                  engine=SwapEngineConfig(seed=7,
+                                  engine=ScenarioConfig(seed=7,
                                                           max_iterations=300))
         runs.append(anneal_on_problem(inst.problem))
     a, b = runs
@@ -321,7 +321,7 @@ def test_engine_seed_changes_the_search_path():
     traces = []
     for engine_seed in (0, 1):
         inst = clustered_instance(7, n_ues=12,
-                                  engine=SwapEngineConfig(seed=engine_seed,
+                                  engine=ScenarioConfig(seed=engine_seed,
                                                           max_iterations=300))
         traces.append(anneal_on_problem(inst.problem).trace)
     assert traces[0] != traces[1]
@@ -337,7 +337,7 @@ def lone_problem(engine):
 
 
 def test_stall_window_stops_a_stuck_search():
-    problem = lone_problem(SwapEngineConfig(seed=0, max_iterations=500,
+    problem = lone_problem(ScenarioConfig(seed=0, max_iterations=500,
                                             stall_window=7))
     res = anneal_on_problem(problem)
     assert res.iterations_run == 7
@@ -346,14 +346,14 @@ def test_stall_window_stops_a_stuck_search():
 
 
 def test_stall_window_zero_disables_early_stop():
-    problem = lone_problem(SwapEngineConfig(seed=0, max_iterations=37,
+    problem = lone_problem(ScenarioConfig(seed=0, max_iterations=37,
                                             stall_window=0))
     res = anneal_on_problem(problem)
     assert res.iterations_run == 37
 
 
 def test_min_rate_floor_can_freeze_the_initial_state():
-    engine = SwapEngineConfig(seed=3, max_iterations=120, stall_window=0,
+    engine = ScenarioConfig(seed=3, max_iterations=120, stall_window=0,
                               min_rate_bps=1e18)
     inst = clustered_instance(3, n_ues=8, engine=engine)
     res = anneal_on_problem(inst.problem)
@@ -367,7 +367,7 @@ def test_no_servable_ues_short_circuits():
                                    ue_xy=np.array([[200.0, 0.0]]), seed=0)
     graph = sg.graph_from_edges((((sg.SCBS, 0), (sg.UE, 0)),), 1, 1)
     x = sg.social_pipeline(graph)
-    problem = build_problem(scenario, graph, x, SwapEngineConfig(seed=0))
+    problem = build_problem(scenario, graph, x, ScenarioConfig(seed=0))
     res = anneal_on_problem(problem)
     assert res.iterations_run == 0
     assert res.trace == ()
@@ -377,7 +377,7 @@ def test_no_servable_ues_short_circuits():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_anneal_reaches_the_enumerated_optimum(seed):
-    engine = SwapEngineConfig(seed=seed, max_iterations=3000, stall_window=0)
+    engine = ScenarioConfig(seed=seed, max_iterations=3000, stall_window=0)
     inst = clustered_instance(seed, n_ues=6, engine=engine)
     problem = inst.problem
     assert state_count(problem) <= 300_000
@@ -394,7 +394,7 @@ def test_anneal_reaches_the_enumerated_optimum(seed):
 
 def test_trace_csv_has_one_row_per_iteration(tmp_path):
     inst = clustered_instance(1, n_ues=6,
-                              engine=SwapEngineConfig(seed=1, max_iterations=50,
+                              engine=ScenarioConfig(seed=1, max_iterations=50,
                                                       stall_window=0))
     res = anneal_on_problem(inst.problem)
     path = tmp_path / "trace.csv"
@@ -504,7 +504,7 @@ ORACLE_CASES = {
 
 def oracle_problem(case, seed):
     layout, knobs = ORACLE_CASES[case]
-    engine = SwapEngineConfig(seed=seed, max_iterations=1000, scbs_quota=8,
+    engine = ScenarioConfig(seed=seed, max_iterations=1000, scbs_quota=8,
                               d2d_quota=6, **knobs)
     return clustered_instance(seed, engine=engine, **layout).problem
 
@@ -552,7 +552,7 @@ def test_states_evaluated_counts_the_calls_to_evaluate():
 
 
 def test_states_evaluated_is_zero_without_a_feasible_proposal():
-    res = anneal_on_problem(lone_problem(SwapEngineConfig(seed=0, max_iterations=50)))
+    res = anneal_on_problem(lone_problem(ScenarioConfig(seed=0, max_iterations=50)))
     assert res.states_evaluated == 0
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_run_writes_expected_outputs(run_cfg, tmp_path, capsys):
                  "matching_max-rssi.csv", "trace_social-aware.csv",
                  "metrics.json"):
         assert os.path.exists(os.path.join(out, name)), name
-    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    metrics = json.loads(Path(out, "metrics.json").read_text())
     assert len(metrics["config_sha"]) == 12
     assert metrics["config"]["n_ues"] == 8
     assert metrics["config"]["seed"] == 18
@@ -105,11 +106,11 @@ def test_run_outputs_are_deterministic(run_cfg, tmp_path):
         outs.append(out)
     for name in ("positions.csv", "matching_social-aware.csv",
                  "matching_max-rssi.csv", "trace_social-aware.csv"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         assert a == b, name
-    m1 = json.load(open(os.path.join(outs[0], "metrics.json")))
-    m2 = json.load(open(os.path.join(outs[1], "metrics.json")))
+    m1 = json.loads(Path(outs[0], "metrics.json").read_text())
+    m2 = json.loads(Path(outs[1], "metrics.json").read_text())
     m1.pop("elapsed_s"), m2.pop("elapsed_s")
     assert m1 == m2
 
@@ -137,7 +138,7 @@ def test_run_seed_flag_overrides_config(run_cfg, tmp_path):
     out = str(tmp_path / "out")
     assert main(["run", "--config", run_cfg, "--seed", "11",
                  "--out", out, "--quiet"]) == 0
-    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    metrics = json.loads(Path(out, "metrics.json").read_text())
     assert metrics["config"]["seed"] == 11
 
 
@@ -200,7 +201,7 @@ def test_run_with_an_edge_file_writes_outputs(run_cfg, tmp_path):
                  "matching_max-rssi.csv", "trace_social-aware.csv",
                  "metrics.json"):
         assert (out / name).exists(), name
-    metrics = json.load(open(out / "metrics.json"))
+    metrics = json.loads(Path(out / "metrics.json").read_text())
     assert metrics["config"]["social_model"] == "edges"
 
 
@@ -267,7 +268,7 @@ def test_audit_rejects_a_stale_config_hash(run_cfg, tmp_path, capsys):
 def test_audit_rejects_a_malformed_matching_file(run_cfg, tmp_path, capsys):
     out = str(tmp_path / "out")
     main(["run", "--config", run_cfg, "--out", out, "--quiet"])
-    lines = open(os.path.join(out, "matching_social-aware.csv")).read().splitlines()
+    lines = Path(out, "matching_social-aware.csv").read_text().splitlines()
     head = [ln for ln in lines if ln.startswith("#")] + ["ue_id,sn_id,sn_kind,rate_bps,utility"]
     rows = lines[len(head):]
     everyone_on_scbs0 = [f"{r.split(',')[0]},0,scbs,0.0,0.0" for r in rows]
@@ -294,7 +295,7 @@ def test_sweep_writes_aggregates_and_rows(sweep_cfg, tmp_path):
     assert main(["sweep", "--config", sweep_cfg, "--out", out, "--quiet"]) == 0
     for name in ("sweep_M.csv", "replications.csv", "summary.json"):
         assert os.path.exists(os.path.join(out, name)), name
-    lines = open(os.path.join(out, "replications.csv")).read().strip().splitlines()
+    lines = Path(out, "replications.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 2 * 2        # 2 points x 2 reps x 2 methods
 
 
@@ -305,8 +306,8 @@ def test_sweep_is_byte_deterministic(sweep_cfg, tmp_path):
         assert main(["sweep", "--config", sweep_cfg, "--out", out, "--quiet"]) == 0
         outs.append(out)
     for name in ("sweep_M.csv", "replications.csv"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         assert a == b, name
 
 
@@ -343,6 +344,21 @@ def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("max_iterations=0", "max_iterations must be >= 1"),
+    ("beta_end=-1", "beta_start and beta_end must be >= 0"),
+    ("min_rate_bps=-1", "min_rate_bps must be >= 0"),
+    ("stall_window=-1", "stall_window must be >= 0"),
+    ("scbs_quota=-1", "scbs_quota must be >= 0"),
+    ("d2d_quota=0", "d2d_quota must be >= 1"),
+])
+def test_validate_rejects_out_of_bounds_engine_values(override, message, capsys):
+    # the bounds hold when the config is read, not when a problem is built
+    assert main(["validate", "--override", override, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_missing_config_file_is_a_usage_error(capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,12 +212,12 @@ def test_emitted_files_are_byte_deterministic(small_result, tmp_path):
     assert set(p1) == {"aggregates", "replications", "summary"}
     assert p1["aggregates"].endswith("sweep_M.csv")
     for key in ("aggregates", "replications"):
-        b1 = open(p1[key], "rb").read()
-        b2 = open(p2[key], "rb").read()
+        b1 = Path(p1[key]).read_bytes()
+        b2 = Path(p2[key]).read_bytes()
         assert b1 == b2
 
-    s1 = json.load(open(p1["summary"]))
-    s2 = json.load(open(p2["summary"]))
+    s1 = json.loads(Path(p1["summary"]).read_text())
+    s2 = json.loads(Path(p2["summary"]).read_text())
     assert s1.pop("generated_at") != ""
     assert s2.pop("generated_at") != ""
     assert s1 == s2
@@ -224,7 +225,7 @@ def test_emitted_files_are_byte_deterministic(small_result, tmp_path):
 
 def test_summary_json_carries_the_full_config(small_result, tmp_path):
     paths = emit_results(small_result, tmp_path / "out")
-    summary = json.load(open(paths["summary"]))
+    summary = json.loads(Path(paths["summary"]).read_text())
     assert summary["config"]["n_scbs"] == SMALL_CFG.n_scbs
     assert summary["config"]["seed"] == SMALL_CFG.seed
     assert summary["sweep_variable"] == "n_ues"
@@ -236,7 +237,7 @@ def test_summary_json_carries_the_full_config(small_result, tmp_path):
 
 def test_emitted_csv_parses_back_to_the_rows(small_result, tmp_path):
     paths = emit_results(small_result, tmp_path / "out")
-    lines = open(paths["replications"]).read().strip().splitlines()
+    lines = Path(paths["replications"]).read_text().strip().splitlines()
     assert lines[0] == "x,method,replication,avg_rate_bps,welfare,iterations,unserved"
     assert len(lines) == len(small_result.rows) + 1
     first = lines[1].split(",")

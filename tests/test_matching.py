@@ -8,6 +8,7 @@ scanner are also held bit for bit to their per-UE and per-swap loops,
 `per_ue_evaluate` and `per_swap_scan`.
 """
 
+import dataclasses
 import gc
 import weakref
 from itertools import chain
@@ -21,9 +22,10 @@ from hypothesis import strategies as st
 from conftest import clustered_instance, oracle_evaluate, social_ring_graph
 from socialcell import matching, radio
 from socialcell import socialgraph as sg
+from socialcell.config import ScenarioConfig
 from socialcell.errors import ConfigError, InputError
 from socialcell.matching import (SN_RELAY, SN_SCBS, Matching, StabilityViolation,
-                                 SwapEngineConfig, _SCAN_BLOCK, _scan_order,
+                                 _SCAN_BLOCK, _scan_order,
                                  _swap_masks, assignment_from_rows,
                                  audit_stability, build_problem,
                                  greedy_stabilize, load_matching_csv,
@@ -62,7 +64,7 @@ def three_case_instance():
     )
     graph = sg.graph_from_edges(edges, 2, 7)
     x = sg.social_pipeline(graph)
-    problem = build_problem(scenario, graph, x, SwapEngineConfig(seed=3))
+    problem = build_problem(scenario, graph, x, ScenarioConfig(seed=3))
     return SimpleNamespace(problem=problem, x=x)
 
 
@@ -127,7 +129,7 @@ def test_start_state_prefers_the_socially_closer_relay():
              ((sg.UE, 0), (sg.UE, 1)), ((sg.UE, 1), (sg.UE, 2)))
     graph = sg.graph_from_edges(edges, 2, 3)
     x = sg.social_pipeline(graph)
-    problem = build_problem(scenario, graph, x)
+    problem = build_problem(scenario, graph, x, ScenarioConfig(seed=0))
     assert tuple(problem.relay_ues) == (0, 1)
     assert problem.feasible_sn[2].tolist() == [False, False, True, True]
     d = np.linalg.norm(scenario.ue_xy[:2] - scenario.ue_xy[2], axis=1)
@@ -140,11 +142,11 @@ def test_graph_must_cover_scenario_nodes():
     inst = clustered_instance(0, n_scbs=2, n_ues=4)
     small_graph = sg.graph_from_edges((), 2, 3)
     with pytest.raises(InputError):
-        build_problem(inst.scenario, small_graph, inst.x)
+        build_problem(inst.scenario, small_graph, inst.x, ScenarioConfig(seed=0))
     # as many vertices as the scenario has nodes, but split 3 + 3, not 2 + 4
     shifted = sg.SocialGraph(n_scbs=3, adjacency=inst.graph.adjacency)
     with pytest.raises(InputError):
-        build_problem(inst.scenario, shifted, inst.x)
+        build_problem(inst.scenario, shifted, inst.x, ScenarioConfig(seed=0))
 
 
 PROBLEM_ARRAYS = ("feasible_sn", "servable", "quota", "is_relay", "relay_ues",
@@ -166,7 +168,7 @@ def test_problem_keeps_neither_x_nor_the_graph():
     scenario = clustered_instance(23, n_scbs=2, n_ues=20, spread=70.0).scenario
     graph = social_ring_graph(scenario)
     x = sg.social_pipeline(graph)
-    problem = build_problem(scenario, graph, x)
+    problem = build_problem(scenario, graph, x, ScenarioConfig(seed=0))
     refs = weakref.ref(graph), weakref.ref(x)
     del graph, x
     gc.collect()
@@ -174,11 +176,33 @@ def test_problem_keeps_neither_x_nor_the_graph():
     assert problem.evaluate(problem.start_assignment).welfare > 0
 
 
+ENGINE_BOUNDS = (
+    ({"max_iterations": 0}, "max_iterations must be >= 1"),
+    ({"beta_start": -1.0}, "beta_start and beta_end must be >= 0"),
+    ({"beta_end": -1.0}, "beta_start and beta_end must be >= 0"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"min_rate_bps": -1.0}, "min_rate_bps must be >= 0"),
+    ({"stall_window": -1}, "stall_window must be >= 0"),
+    ({"scbs_quota": -1}, "scbs_quota must be >= 0"),
+    ({"d2d_quota": 0}, "d2d_quota must be >= 1"),
+)
+
+
 def test_engine_config_validation():
-    with pytest.raises(ConfigError):
-        SwapEngineConfig(max_iterations=0)
-    with pytest.raises(ConfigError):
-        SwapEngineConfig(beta_start=-1.0)
+    for bad, message in ENGINE_BOUNDS:
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(**bad)
+        # replace() re-runs the checks on an instance that passed them
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(ScenarioConfig(), **bad)
+    assert ScenarioConfig(scbs_quota=0, stall_window=0).scbs_quota == 0
+
+
+def test_zero_scbs_quota_means_one_per_subcarrier():
+    inst = clustered_instance(23, n_scbs=2, n_ues=20, spread=70.0)
+    problem = build_problem(inst.scenario, inst.graph, inst.x,
+                            ScenarioConfig(scbs_quota=0))
+    assert problem.quota[:2].tolist() == [inst.scenario.subcarriers] * 2
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +329,7 @@ def test_baseline_matches_linear_scan():
         np.testing.assert_array_equal(max_rssi(*scbs_reception(scenario)), want)
         graph = social_ring_graph(scenario)
         x = sg.social_pipeline(graph)
-        problem = build_problem(scenario, graph, x)
+        problem = build_problem(scenario, graph, x, ScenarioConfig(seed=0))
         np.testing.assert_array_equal(problem.rssi_assignment, want)
 
 
@@ -332,7 +356,7 @@ def test_baseline_leaves_far_ues_unserved():
 # initial assignment and quotas
 # --------------------------------------------------------------------------
 
-def quota_instance(engine=SwapEngineConfig(seed=1)):
+def quota_instance(engine=ScenarioConfig(seed=1)):
     """One covered hub UE (the relay) with four D2D-only hangers-on."""
     scbs_xy = np.array([[0.0, 0.0]])
     ue_xy = np.array([[0.0, 45.0],
@@ -355,7 +379,7 @@ def test_start_state_attaches_nearest_d2d_first():
 
 
 def test_start_state_respects_lower_quota():
-    problem = quota_instance(SwapEngineConfig(seed=1, d2d_quota=1))
+    problem = quota_instance(ScenarioConfig(seed=1, d2d_quota=1))
     relay_sn = problem.n_scbs
     np.testing.assert_array_equal(problem.start_assignment, [0, relay_sn, -1, -1, -1])
 
@@ -587,7 +611,7 @@ def zero_relay_problem():
                                    ue_xy=np.array([[80.0, 0.0], [0.0, 90.0], [-70.0, 5.0]]))
     graph = social_ring_graph(scenario)
     x = sg.social_pipeline(graph)
-    return build_problem(scenario, graph, x)
+    return build_problem(scenario, graph, x, ScenarioConfig(seed=0))
 
 
 EVAL_CASES = {
@@ -627,7 +651,7 @@ def test_scan_masks_equal_swap_ok_and_move_ok():
     rng = np.random.default_rng(11)
     for seed, kw in ((0, {}), (1, {"scbs_quota": 2}), (2, {"d2d_quota": 1})):
         problem = clustered_instance(seed, n_scbs=3, n_ues=18,
-                                     engine=SwapEngineConfig(seed=seed, **kw)).problem
+                                     engine=ScenarioConfig(seed=seed, **kw)).problem
         states = random_states(problem, rng, 6, p_unserved=0.3)
         for assign in [problem.start_assignment, *states]:
             pairs, moves = _swap_masks(problem, assign)
@@ -654,7 +678,7 @@ def test_audit_and_stabilize_equal_per_swap_scan(setting):
     found = applied = 0
     for seed in range(30):
         problem = clustered_instance(seed, n_scbs=2 + seed % 3, n_ues=20 + seed % 5,
-                                     engine=SwapEngineConfig(seed=seed, **engine_kw),
+                                     engine=ScenarioConfig(seed=seed, **engine_kw),
                                      **scenario_kw).problem
         rng = np.random.default_rng(seed)
         for start in (problem.start_assignment, random_states(problem, rng, 1)[0]):
@@ -678,7 +702,7 @@ def overlap_problem(seed, n_ues=24):
                                    seed=seed)
     graph = social_ring_graph(scenario)
     x = sg.social_pipeline(graph)
-    return build_problem(scenario, graph, x, SwapEngineConfig(seed=seed))
+    return build_problem(scenario, graph, x, ScenarioConfig(seed=seed))
 
 
 # (seed, ue, target): move `ue` to `target` in the stabilized state of

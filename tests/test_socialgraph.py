@@ -630,8 +630,10 @@ def test_watts_strogatz_matches_networkx(n):
 
 
 def test_import_loads_neither_networkx_nor_scipy():
+    # nor the process pool, which only sweeps with workers > 1 use
     probe = ("import sys, socialcell; "
-             "print(sorted(m for m in sys.modules if m.startswith(('networkx', 'scipy'))))")
+             "print(sorted(m for m in sys.modules if m.startswith(('networkx', 'scipy')) "
+             "or m == 'concurrent.futures.process'))")
     src = str(Path(socialcell.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
                          text=True, check=True)
