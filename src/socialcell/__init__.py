@@ -19,8 +19,8 @@ from .errors import ConfigError, InputError, LinkRangeError, SocialCellError
 from .harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
                       replication_seed, run_experiment)
 from .matching import (AnnealResult, AssociationProblem, Matching,
-                       anneal_on_problem, audit_stability, build_problem,
-                       greedy_stabilize)
+                       anneal_on_problem, anneal_problems, audit_stability,
+                       build_problem, greedy_stabilize)
 from .radio import (LinkBudget, PathlossParams, RadioScenario, channel_gain,
                     generate_topology, link_rate, pathloss_db)
 from .socialgraph import (SocialGraph, edge_betweenness, elect_important_ues,
@@ -34,7 +34,7 @@ __all__ = [
     "InputError", "LinkBudget", "LinkRangeError", "Matching",
     "METHOD_BASELINE", "METHOD_SOCIAL", "PathlossParams", "RadioScenario",
     "ScenarioConfig", "SocialCellError", "SocialGraph",
-    "anneal_on_problem", "apply_overrides", "audit_stability",
+    "anneal_on_problem", "anneal_problems", "apply_overrides", "audit_stability",
     "build_problem", "channel_gain", "config_as_dict",
     "config_sha", "dump_config", "edge_betweenness", "elect_important_ues",
     "engine_config_from_config", "generate_topology", "graph_from_edges",

@@ -21,7 +21,7 @@ from .config import (ScenarioConfig, config_as_dict, engine_config_from_config,
                      scenario_from_config, social_graph_from_config)
 from .errors import ConfigError
 from .matching import (AnnealResult, AssociationProblem, anneal_on_problem,
-                       build_problem, greedy_stabilize)
+                       anneal_problems, build_problem, greedy_stabilize)
 from .radio import RadioScenario
 from .socialgraph import social_pipeline
 
@@ -155,28 +155,30 @@ def social_aware_assignment(problem: AssociationProblem,
     Returns the search result and the final assignment.
     """
     result = anneal_on_problem(problem)
+    return result, _settled(problem, result, stabilize)
+
+
+def _settled(problem: AssociationProblem, result: AnnealResult,
+             stabilize: bool) -> np.ndarray:
+    """The search's matching, after the greedy pass when `stabilize` is set."""
     assign = result.matching.assign
-    if stabilize:
-        assign = greedy_stabilize(problem, assign).assign
-    return result, assign
+    return greedy_stabilize(problem, assign).assign if stabilize else assign
 
 
-def _replication_task(args) -> list[ReplicationRow]:
-    base, sweep_variable, x, point_index, replication, methods = args
-    cfg = dataclasses.replace(base, **{sweep_variable: int(x)})
-    _, problem = build_replication(cfg, point_index, replication)
-
+def _replication_rows(cfg: ScenarioConfig, x: int, replication: int, methods,
+                      problem: AssociationProblem,
+                      result: AnnealResult | None) -> list[ReplicationRow]:
+    """One row per method of one replication; `result` is its search."""
     rows = []
     for method in methods:
         if method == METHOD_BASELINE:
             report = problem.report(problem.rssi_assignment)
             iters = 0
         else:
-            result, assign = social_aware_assignment(problem, cfg.stabilize)
-            report = problem.report(assign)
+            report = problem.report(_settled(problem, result, cfg.stabilize))
             iters = result.best_iteration
         rows.append(ReplicationRow(
-            x=int(x), method=method, replication=replication,
+            x=x, method=method, replication=replication,
             avg_rate_bps=float(report.ue_rates.mean()),
             welfare=float(report.welfare),
             iterations=int(iters),
@@ -184,23 +186,54 @@ def _replication_task(args) -> list[ReplicationRow]:
     return rows
 
 
+def _point_task(args) -> list[ReplicationRow]:
+    """Rows of a run of replications of one sweep point, ordered by
+    (replication, method).
+
+    The point's searches run side by side through `anneal_problems`, which
+    asks for each problem only when its window has room for the search.
+    Each replication is stabilized and reported as soon as its search ends,
+    and its problem is dropped then.
+    """
+    base, sweep_variable, x, point_index, replications, methods = args
+    cfg = dataclasses.replace(base, **{sweep_variable: int(x)})
+    built: dict[int, AssociationProblem] = {}
+
+    def problems():
+        for i, replication in enumerate(replications):
+            built[i] = build_replication(cfg, point_index, replication)[1]
+            yield built[i]
+
+    searched = (anneal_problems(problems()) if METHOD_SOCIAL in methods
+                else ((i, None) for i, _ in enumerate(problems())))
+    rows: list[list[ReplicationRow]] = [[] for _ in replications]
+    for i, result in searched:
+        rows[i] = _replication_rows(cfg, int(x), replications[i], methods,
+                                    built.pop(i), result)
+        del result      # so that no search outlives its rows
+    return [row for chunk in rows for row in chunk]
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every (point, replication) cell, in parallel when asked.
 
-    Results are ordered by (point, replication, method) regardless of the
-    execution schedule, so parallel and sequential runs aggregate to the
-    same bytes.
+    Each task is one run of a point's replications: the whole point with
+    one worker, or one of `workers` contiguous runs of it, so that a sweep
+    of one point still spreads over the workers.  Results are ordered by
+    (point, replication, method) regardless of the execution schedule, so
+    parallel and sequential runs aggregate to the same bytes.
     """
-    tasks = [(spec.base, spec.sweep_variable, x, pi, ri, spec.methods)
-             for pi, x in enumerate(spec.sweep_values)
-             for ri in range(spec.replications)]
-    if spec.workers > 1:
+    R, W = spec.replications, spec.workers
+    runs = [range(R * c // W, R * (c + 1) // W) for c in range(W)]
+    tasks = [(spec.base, spec.sweep_variable, x, pi, run, spec.methods)
+             for pi, x in enumerate(spec.sweep_values) for run in runs if run]
+    if W > 1:
         # imported here: it costs about a tenth of `import socialcell`
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            chunks = list(pool.map(_replication_task, tasks))
+        with ProcessPoolExecutor(max_workers=W) as pool:
+            chunks = list(pool.map(_point_task, tasks))
     else:
-        chunks = [_replication_task(t) for t in tasks]
+        chunks = [_point_task(t) for t in tasks]
     rows = tuple(row for chunk in chunks for row in chunk)
     return ExperimentResult(spec=spec, rows=rows, aggregates=tuple(aggregate(rows)))
 

@@ -15,8 +15,14 @@ et al., SAGT 2011): a swap is approved when nobody it touches loses and
 someone strictly gains.  The quotas and the search's knobs come from the
 one `ScenarioConfig` that also describes the scenario, which bounds them.
 
-One numpy kernel, `AssociationProblem._evaluate_rows`, evaluates a stack of
-assignments; `evaluate` is its one-row case.  One scanner judges every swap
+One numpy kernel, `_evaluate_rows`, evaluates a stack of assignments, and
+each row may come from a different problem of one kernel shape (the same
+N, M, S, subcarriers, bandwidth, noise and `d2d_interference`): it reads
+one problem's node tables in place, or the tables of a stack of problems
+(`_stack_tables`) at each row's own problem.  `AssociationProblem.
+_evaluate_rows` is its one-problem case and `evaluate` its one-row case.
+Rows are grouped by shape, never padded: numpy sums a row pairwise, so
+zero-padding would change bits.  One scanner judges every swap
 the greedy pass and the audit see: `_swap_masks` lists the feasible swaps
 and `_judge` approves them in blocks of at most `_SCAN_BLOCK` swaps (fewer
 where the block's (rows, S + 1, M) gather would pass `_SCAN_ELEMENTS`), one
@@ -26,11 +32,18 @@ independent of the block size), so the block scan approves exactly the swaps
 a one-at-a-time scan would.
 
 The anneal's walk revisits a few states over and over, so it keeps a memo,
-local to one `anneal_on_problem` call, from each evaluated state to its
-welfare (and its rates when a min-rate floor applies), and evaluates only
-states it has not seen.  Its random numbers come from `_Draws`, which serves
+local to one search, from each evaluated state to its welfare (and its
+rates when a min-rate floor applies), and evaluates only states it has not
+seen.  Its random numbers come from `_Draws`, which serves
 `np.random.default_rng(seed)`'s `random()` and `integers(n)` draw for draw
 from raw 64-bit words fetched in bulk.  Neither changes a trace or a result.
+
+Each search is a chain that stops at every state its memo lacks, and
+`anneal_problems` runs up to `_WINDOW` chains in lockstep: one kernel call
+per shape and round evaluates the waiting state of every live chain.  The
+chains share nothing and a kernel row does not depend on its neighbours,
+so each result equals that of the search run alone; `anneal_on_problem`
+is `anneal_problems` over one problem.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,7 +273,11 @@ class AssociationProblem:
         for arr in (prx, relay, offset, self.x_scbs_ue, self.is_relay, self.feasible_sn,
                     self.servable, self.quota, self.start_assignment):
             arr.setflags(write=False)
-        self._node_tables = prx, relay, offset
+        self._node_tables = prx, relay, offset, self.x_scbs_ue, self.is_relay
+        # what the kernel reads besides the tables; problems that agree on it
+        # can share one kernel call
+        self._shape = (N, M, S, scenario.subcarriers, self._bw, self._noise_mw_hz,
+                       bool(scenario.d2d_interference))
         self.prx_scbs, self.prx_d2d = prx[1:N + 1], prx[N + 1:]
         self.relay_ues, self.sc_offset = relay[N + 1:], offset[1:]
 
@@ -284,72 +301,10 @@ class AssociationProblem:
         return _eval_row(rows, 0)
 
     def _evaluate_rows(self, A: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Evaluate a (B, M) stack of assignments in one pass.
-
-        Returns (utilities, rates, sn_utilities, welfare), each with a
-        leading B axis.  Each row equals the evaluation of that row alone
-        bit for bit, because every float is summed in an order that does not
-        depend on B:
-
-        - interference sums over the node axis of a (B, S+1, M) product,
-          which is not the contiguous axis, so it adds node by node in id
-          order; SCBSs first, then the own-signal subtraction, then relays;
-        - serving-node utilities come from one bincount whose keys are
-          offset by (S + 1) per row, so each row accumulates in ascending
-          UE order;
-        - welfare is the sum over contiguous rows of both totals.
-
-        Adding or subtracting 0.0 leaves a float unchanged, so UEs of every
-        kind go through the same vector formulas and are masked afterwards.
-        """
-        N, M, S, C = self.n_scbs, self.n_ues, self.n_sns, self.scenario.subcarriers
-        prx, relay, offset = self._node_tables
-        B = A.shape[0]
-        a = A.ravel()
-        a1 = a + 1                           # node index + 1; 0 = unserved
-        ue = np.arange(B * M)
-        col = ue % M
-        keys = a1 + np.repeat(np.arange(0, B * (S + 1), S + 1), M)
-        per_key = np.bincount(keys, minlength=B * (S + 1))
-        share = 1.0 / per_key[keys]
-
-        # round-robin subcarriers: the rank of a UE inside its (row, node)
-        # group, by ascending UE id, comes from one stable argsort
-        order = np.argsort(keys, kind="stable")
-        first = np.cumsum(per_key) - per_key
-        shift = np.tile(offset, B) - first
-        sc = np.empty(B * M, dtype=np.int64)
-        sc[order] = (shift[keys[order]] + ue) % C
-
-        on = np.zeros(B * (S + 1) * C, dtype=bool)
-        on[keys * C + sc] = True
-        heard = on[(np.arange(B * (S + 1)) * C).reshape(B, S + 1, 1)
-                   + sc.reshape(B, 1, M)] * prx
-        signal = prx[a1, col]
-        by_scbs = (a1 >= 1) & (a1 <= N)
-        by_relay = a1 > N
-        interference = (heard[:, 1:N + 1].sum(axis=1).ravel()
-                        - np.where(by_scbs, signal, 0.0))
-        if self.n_relays and self.scenario.d2d_interference:
-            interference = (interference + heard[:, N + 1:].sum(axis=1).ravel()
-                            - np.where(by_relay, signal, 0.0))
-
-        sinr = signal / (self._noise_mw_hz * self._bw * share + interference)
-        link = share * self._bw * np.log2(1.0 + sinr)
-        scbs_rates = np.where(by_scbs, link, 0.0)
-        # a D2D UE gets half the min of its relay's downlink and its access link
-        d2d_rates = np.minimum(scbs_rates[ue - col + relay[a1]], link) / 2.0
-        rates = np.where(by_relay, d2d_rates, scbs_rates)
-        # only SCBS-served UEs use x; the others read a clipped row, masked below
-        xv = self.x_scbs_ue[np.minimum(a, N - 1), col]
-        utilities = np.where(by_scbs, np.where(self.is_relay[col], link / xv, link),
-                             np.where(by_relay, d2d_rates, 0.0))
-
-        sn_util = np.bincount(keys, weights=utilities, minlength=B * (S + 1))
-        sn_util = np.ascontiguousarray(sn_util.reshape(B, S + 1)[:, 1:])
-        utilities = utilities.reshape(B, M)
-        welfare = sn_util.sum(axis=1) + utilities.sum(axis=1)
-        return utilities, rates.reshape(B, M), sn_util, welfare
+        """Evaluate a (B, M) stack of assignments of this problem in one pass:
+        `_evaluate_rows` over the problem's own tables, which every row
+        reads in place."""
+        return _evaluate_rows(self._shape, self._node_tables, A)
 
     def report(self, assign: np.ndarray) -> UtilityReport:
         ev = self.evaluate(assign)
@@ -357,6 +312,101 @@ class AssociationProblem:
         return UtilityReport(ue_utilities=ev.utilities, ue_rates=ev.rates,
                              sn_utilities=ev.sn_utilities, welfare=ev.welfare,
                              unserved=unserved)
+
+
+def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...],
+                   A: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Evaluate a (B, M) stack of assignments in one pass: the one kernel.
+
+    `shape` and `tables` are a problem's `_shape` and `_node_tables`, which
+    every row then reads, or the output of `_stack_tables` for B problems of
+    one shape, in which row b reads problem b's tables.  Returns (utilities,
+    rates, sn_utilities, welfare), each with a leading B axis.  Each row
+    equals the evaluation of that row alone bit for bit, because every float
+    is summed in an order that does not depend on B or on the stacking:
+
+    - interference sums over the node axis of a (B, S+1, M) product,
+      which is not the contiguous axis, so it adds node by node in id
+      order; SCBSs first, then the own-signal subtraction, then relays;
+    - serving-node utilities come from one bincount whose keys are
+      offset by (S + 1) per row, so each row accumulates in ascending
+      UE order;
+    - welfare is the sum over contiguous rows of both totals.
+
+    Adding or subtracting 0.0 leaves a float unchanged, so UEs of every
+    kind go through the same vector formulas and are masked afterwards.
+    """
+    N, M, S, C, bw, noise_mw_hz, d2d_interference = shape
+    prx, relay, offset, x, is_relay = tables
+    B = A.shape[0]
+    a = A.ravel()
+    a1 = a + 1                           # node index + 1; 0 = unserved
+    ue = np.arange(B * M)
+    col = ue % M
+    keys = a1 + np.repeat(np.arange(0, B * (S + 1), S + 1), M)
+    per_key = np.bincount(keys, minlength=B * (S + 1))
+    share = 1.0 / per_key[keys]
+    # where each UE's entries sit in the tables: one problem's are read in
+    # place, a stack's at the row's own problem.  Only SCBS-served UEs use
+    # x; the others read a clipped row of it, masked below.
+    xi = np.minimum(a, N - 1)
+    if prx.ndim == 3:
+        node, own = keys, ue
+        offset = offset.ravel()
+        xi = xi + np.repeat(np.arange(0, B * N, N), M)
+        relay, is_relay = relay.ravel(), is_relay.ravel()
+        prx_at, x = prx.reshape(-1, M), x.reshape(-1, M)
+    else:
+        node, own = a1, col
+        offset = np.tile(offset, B)
+        prx_at = prx
+
+    # round-robin subcarriers: the rank of a UE inside its (row, node)
+    # group, by ascending UE id, comes from one stable argsort
+    order = np.argsort(keys, kind="stable")
+    first = np.cumsum(per_key) - per_key
+    shift = offset - first
+    sc = np.empty(B * M, dtype=np.int64)
+    sc[order] = (shift[keys[order]] + ue) % C
+
+    on = np.zeros(B * (S + 1) * C, dtype=bool)
+    on[keys * C + sc] = True
+    heard = on[(np.arange(B * (S + 1)) * C).reshape(B, S + 1, 1)
+               + sc.reshape(B, 1, M)] * prx
+    signal = prx_at[node, col]
+    by_scbs = (a1 >= 1) & (a1 <= N)
+    by_relay = a1 > N
+    interference = (heard[:, 1:N + 1].sum(axis=1).ravel()
+                    - np.where(by_scbs, signal, 0.0))
+    if S > N and d2d_interference:
+        interference = (interference + heard[:, N + 1:].sum(axis=1).ravel()
+                        - np.where(by_relay, signal, 0.0))
+
+    sinr = signal / (noise_mw_hz * bw * share + interference)
+    link = share * bw * np.log2(1.0 + sinr)
+    scbs_rates = np.where(by_scbs, link, 0.0)
+    # a D2D UE gets half the min of its relay's downlink and its access link
+    d2d_rates = np.minimum(scbs_rates[ue - col + relay[node]], link) / 2.0
+    rates = np.where(by_relay, d2d_rates, scbs_rates)
+    xv = x[xi, col]
+    utilities = np.where(by_scbs, np.where(is_relay[own], link / xv, link),
+                         np.where(by_relay, d2d_rates, 0.0))
+
+    sn_util = np.bincount(keys, weights=utilities, minlength=B * (S + 1))
+    sn_util = np.ascontiguousarray(sn_util.reshape(B, S + 1)[:, 1:])
+    utilities = utilities.reshape(B, M)
+    welfare = sn_util.sum(axis=1) + utilities.sum(axis=1)
+    return utilities, rates.reshape(B, M), sn_util, welfare
+
+
+def _stack_tables(problems: Sequence[AssociationProblem]) -> tuple[tuple, tuple]:
+    """(shape, tables) for `_evaluate_rows` over one row per problem: the
+    problems' node tables stacked along a new leading axis.  Problems of
+    different shapes cannot share a call; mixing them raises ValueError."""
+    shape = problems[0]._shape
+    if any(p._shape != shape for p in problems):
+        raise ValueError("a stack of problems mixes kernel shapes")
+    return shape, tuple(np.stack(t) for t in zip(*(p._node_tables for p in problems)))
 
 
 def _eval_row(rows: tuple[np.ndarray, ...], i: int) -> EvalResult:
@@ -455,44 +505,155 @@ class _Draws:
         return m >> 32
 
 
+#: Chains `anneal_problems` runs in lockstep, at most.  Each live chain
+#: holds its problem and its memo, so the window trades kernel calls for
+#: memory.  `socialcell sweep` of the dense-stabilize workload (24
+#: replications of N8/M100, stabilize on, seed 1), medians of 3 runs on a
+#: 2-vCPU VM, one anneal after another at "serial"; the bench RSS is the
+#: high-water mark of one `perfbench/run.py --trace 0` process:
+#:
+#:   window           serial   1      2      4      6      8      16     24
+#:   wall (s)         4.80     5.17   3.77   2.93   2.96   2.60   2.82   2.75
+#:   RSS (MB)         43.0     43.1   43.3   43.8   44.0   44.5   46.3   46.8
+#:   bench RSS (MB)   44.4     44.5   44.7   45.2   45.4   45.9   -      -
+#:
+#: Past 4 the time gained is within the machine's drift, while every slot
+#: adds about 0.2 MB.
+_WINDOW = 4
+
+
 def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
-    """Run the annealed swap search on a prepared problem.
+    """Run the annealed swap search on a prepared problem: `anneal_problems`
+    over this one problem."""
+    [(_, result)] = anneal_problems([problem])
+    return result
+
+
+def anneal_problems(problems: Iterable[AssociationProblem]
+                    ) -> Iterator[tuple[int, AnnealResult]]:
+    """Run the annealed swap search on each problem, and yield (index,
+    result) as each search ends.
+
+    Each search is a chain (`_chain`) that stops at every proposal its memo
+    lacks.  Up to `_WINDOW` chains run in lockstep, as Lee, Yau, Giles,
+    Doucet and Holmes (JCGS 2010) run independent Monte Carlo chains: each
+    round evaluates the waiting proposal of every live chain, one
+    `_evaluate_rows` call per problem shape, and runs each chain on to its
+    next miss or its end.  The chains share nothing, and a kernel row does
+    not depend on the rows beside it, so every result equals that of the
+    chain run alone.  Problems are pulled from `problems` only as slots in
+    the window free up, and a chain's state is dropped when it ends and its
+    problem by the end of that round, so no more than `_WINDOW` searches
+    are held here at once.
+    """
+    source = enumerate(problems)
+    live: list[list] = []               # [index, problem, chain, proposal]
+    stacks: dict[tuple, tuple] = {}     # shape -> (problems, their stacked tables)
+    while True:
+        while len(live) < _WINDOW:
+            if not (yield from _pull(source, live)):
+                break
+        if not live:
+            return
+        yield from _round(live, stacks)
+
+
+def _pull(source: Iterator[tuple[int, AssociationProblem]], live: list[list]
+          ) -> Generator[tuple[int, AnnealResult], None, bool]:
+    """Start the chain of the next problem of `source` and add it to `live`,
+    or yield its result if it ends before its first proposal.  Returns
+    False when `source` is spent."""
+    pulled = next(source, None)
+    if pulled is None:
+        return False
+    index, problem = pulled
+    chain = _chain(problem)
+    try:
+        live.append([index, problem, chain, next(chain)])
+    except StopIteration as end:
+        yield index, end.value
+    return True
+
+
+def _round(live: list[list], stacks: dict[tuple, tuple]
+           ) -> Iterator[tuple[int, AnnealResult]]:
+    """Evaluate the waiting proposal of every live chain, one kernel call per
+    problem shape, and run each chain on to its next proposal.  A chain
+    that ends leaves `live`, and its result is yielded at once.
+
+    `stacks` keeps the stacked tables of each shape's chains from round to
+    round; they are restacked when a chain of that shape ends or joins.
+    """
+    groups: dict[tuple, list[list]] = {}
+    for entry in live:
+        groups.setdefault(entry[1]._shape, []).append(entry)
+    for shape, group in groups.items():
+        A = np.stack([entry[3] for entry in group], dtype=np.int64)
+        if len(group) == 1:
+            rows = group[0][1]._evaluate_rows(A)
+        else:
+            members = [entry[1] for entry in group]
+            if shape not in stacks or stacks[shape][0] != members:
+                stacks[shape] = members, _stack_tables(members)[1]
+            rows = _evaluate_rows(shape, stacks[shape][1], A)
+        for entry, w, r in zip(group, rows[3].tolist(), rows[1]):
+            try:
+                entry[3] = entry[2].send((w, r))
+            except StopIteration as end:
+                entry[3] = None
+                stacks.pop(shape, None)
+                yield entry[0], end.value
+    live[:] = [entry for entry in live if entry[3] is not None]
+
+
+def _chain(problem: AssociationProblem
+           ) -> Generator[np.ndarray, tuple[float, np.ndarray], AnnealResult]:
+    """The annealed swap search on one problem, as a generator.
 
     Each iteration draws a pair swap (with probability _SWAP_SHARE) or a
     single move of a random servable UE.  A feasible proposal is evaluated
     and accepted with the sigmoid probability of its welfare change; the
     best state ever visited is returned.  The walk revisits a few states
-    over and over, so a memo local to this call maps each evaluated state
-    (its bytes) to its welfare, plus its rates when min_rate_bps is set,
-    and `problem.evaluate` runs only on a miss.  Random numbers come from
+    over and over, so a memo local to the chain maps each evaluated state
+    (its bytes) to its welfare, plus its rates when min_rate_bps is set.
+    The chain yields each proposal the memo lacks, is sent back its
+    (welfare, rates) and returns its AnnealResult; it evaluates only its
+    start state itself, with `problem.evaluate`.  Random numbers come from
     `_Draws`, equal draw for draw to `np.random.default_rng(cfg.seed)`.
     Neither changes a result: evaluation is deterministic, so a trace
     equals that of evaluating every proposal afresh.
+
+    A chain keeps little, since `_WINDOW` of them live at once: its states
+    are held in the narrowest integer dtype that holds every node index, so
+    a memo key is M bytes up to S = 128; a memo value is a bare float when no
+    min-rate floor applies; and the trace is held as one byte per iteration
+    plus the welfare of each acceptance, and made TraceRows at the end.
     """
     cfg = problem.config
     draws = _Draws(cfg.seed)
     random, integers = draws.random, draws.integers
-    assign = problem.start_assignment
+    start = problem.start_assignment
+    assign = start.astype(np.min_scalar_type(-problem.n_sns))
     # The assignment (mirrored in `where`), loads, quotas, each UE's
     # feasible nodes and the servable UEs as Python lists: filtering a UE's
     # one or two nodes in Python beats a numpy mask per proposal.
     where = assign.tolist()
-    counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns).tolist()
+    counts = np.bincount(start[start >= 0], minlength=problem.n_sns).tolist()
     quota = problem.quota.tolist()
     reach = [np.flatnonzero(row).tolist() for row in problem.feasible_sn]
     pool = np.flatnonzero(problem.servable).tolist()
     floor = cfg.min_rate_bps
-    ev = problem.evaluate(assign)
-    w_cur = ev.welfare
-    # state bytes -> (welfare, rates), rates kept only for the min-rate check
-    memo = {assign.tobytes(): (w_cur, ev.rates if floor > 0 else None)}
+    ev = problem.evaluate(start)
+    w_start = w_cur = w_best = ev.welfare
+    # state bytes -> welfare, or (welfare, rates) under a min-rate floor
+    memo = {assign.tobytes(): w_cur if floor <= 0 else (w_cur, ev.rates)}
     # every proposal is a fresh copy and no state is written to once made,
     # so states are shared, never copied
     best = assign
-    w_best = w_cur
     best_iter = 0
 
-    trace: list[TraceRow] = []
+    moves = bytearray()         # per iteration: 2 for a pair swap, + 1 if accepted
+    accepted_welfare: list[float] = []     # memo values, so no new floats
     stall = 0
     iterations = 0
 
@@ -500,11 +661,11 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
         if not pool:
             break
         iterations = t
-        kind = MOVE_SWAP if random() < _SWAP_SHARE else MOVE_SINGLE
+        swap = random() < _SWAP_SHARE
         accepted = False
         proposal = None
 
-        if kind == MOVE_SWAP and len(pool) >= 2:
+        if swap and len(pool) >= 2:
             i1 = integers(len(pool))
             i2 = integers(len(pool) - 1)
             if i2 >= i1:
@@ -517,7 +678,7 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
                 proposal = assign.copy()
                 proposal[m], proposal[n] = kn, km
                 moved = (m, n)
-        elif kind == MOVE_SINGLE:
+        elif not swap:
             m = pool[integers(len(pool))]
             here = where[m]
             targets = [k for k in reach[m] if k != here and counts[k] < quota[k]]
@@ -531,10 +692,10 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
             key = proposal.tobytes()
             seen = memo.get(key)
             if seen is None:
-                ev = problem.evaluate(proposal)
-                seen = memo[key] = (ev.welfare, ev.rates if floor > 0 else None)
-            w_new, rates = seen
-            if rates is None or all(rates[u] >= floor for u in moved):
+                w_new, rates = yield proposal
+                seen = memo[key] = w_new if floor <= 0 else (w_new, rates.copy())
+            w_new = seen if floor <= 0 else seen[0]
+            if floor <= 0 or all(seen[1][u] >= floor for u in moved):
                 beta = _beta_at(cfg, t - 1, cfg.max_iterations)
                 p = _accept_prob(beta, w_new - w_cur, w_cur, _WELFARE_FLOOR)
                 if random() < p:
@@ -548,21 +709,41 @@ def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
                     assign = proposal
                     w_cur = w_new
                     accepted = True
+                    accepted_welfare.append(w_cur)
                     if w_cur > w_best:
                         w_best = w_cur
                         best = assign
                         best_iter = t
 
-        trace.append(TraceRow(t, w_cur, w_best, accepted, kind))
+        moves.append(2 * swap + accepted)
         stall = 0 if accepted else stall + 1
         if cfg.stall_window and stall >= cfg.stall_window:
             break
 
     return AnnealResult(matching=problem.matching(best),
-                        trace=tuple(trace),
+                        trace=_trace_rows(w_start, moves, accepted_welfare),
                         best_iteration=best_iter,
                         iterations_run=iterations,
                         states_evaluated=len(memo) - 1)
+
+
+def _trace_rows(w_start: float, moves: bytearray,
+                accepted_welfare: list[float]) -> tuple[TraceRow, ...]:
+    """The TraceRows of a chain's compact trace: the current and best
+    welfare replayed from the start welfare and each acceptance's."""
+    make = tuple.__new__    # TraceRow(...) without its Python-level __new__
+    rows = []
+    w_cur = w_best = w_start
+    welfares = iter(accepted_welfare)
+    for t, move in enumerate(moves, 1):
+        accepted = bool(move & 1)
+        if accepted:
+            w_cur = next(welfares)
+            if w_cur > w_best:
+                w_best = w_cur
+        rows.append(make(TraceRow, (t, w_cur, w_best, accepted,
+                                    MOVE_SWAP if move & 2 else MOVE_SINGLE)))
+    return tuple(rows)
 
 
 # --------------------------------------------------------------------------

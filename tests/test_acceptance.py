@@ -21,8 +21,8 @@ from socialcell.cli import main as cli_main
 from socialcell.config import ScenarioConfig
 from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
                                 run_experiment)
-from socialcell.matching import (anneal_on_problem, audit_stability,
-                                 build_problem, greedy_stabilize)
+from socialcell.matching import (AssociationProblem, anneal_on_problem,
+                                 audit_stability, build_problem, greedy_stabilize)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> str:
@@ -172,7 +172,10 @@ def test_acceptance_4_stability_after_greedy_post_pass():
 # --------------------------------------------------------------------------
 
 class _RecordingProblem:
-    """Pass-through wrapper that logs every welfare evaluation."""
+    """Pass-through wrapper that logs every row the kernel evaluates."""
+
+    # the start state's `evaluate` reaches the kernel through the wrapper too
+    evaluate = AssociationProblem.evaluate
 
     def __init__(self, inner):
         self._inner = inner
@@ -181,10 +184,10 @@ class _RecordingProblem:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def evaluate(self, assign):
-        ev = self._inner.evaluate(assign)
-        self.calls.append((np.array(assign), ev.welfare))
-        return ev
+    def _evaluate_rows(self, A):
+        rows = self._inner._evaluate_rows(A)
+        self.calls.extend(zip(np.array(A), rows[3].tolist()))
+        return rows
 
 
 def test_acceptance_5_welfare_trace_integrity():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clustered_instance, exhaustive_best_welfare, state_count
-from socialcell import radio
+from socialcell import matching, radio
 from socialcell import socialgraph as sg
 from socialcell.config import ScenarioConfig
 from socialcell.matching import (
@@ -29,6 +29,7 @@ from socialcell.matching import (
     _judge,
     _swap_masks,
     anneal_on_problem,
+    anneal_problems,
     audit_stability,
     build_problem,
     greedy_stabilize,
@@ -362,12 +363,17 @@ def test_min_rate_floor_can_freeze_the_initial_state():
                                   inst.problem.start_assignment)
 
 
-def test_no_servable_ues_short_circuits():
+def unservable_problem():
+    """One UE out of range of the only SCBS: the search ends at once."""
     scenario = radio.RadioScenario(scbs_xy=np.array([[0.0, 0.0]]),
                                    ue_xy=np.array([[200.0, 0.0]]), seed=0)
     graph = sg.graph_from_edges((((sg.SCBS, 0), (sg.UE, 0)),), 1, 1)
-    x = sg.social_pipeline(graph)
-    problem = build_problem(scenario, graph, x, ScenarioConfig(seed=0))
+    return build_problem(scenario, graph, sg.social_pipeline(graph),
+                         ScenarioConfig(seed=0))
+
+
+def test_no_servable_ues_short_circuits():
+    problem = unservable_problem()
     res = anneal_on_problem(problem)
     assert res.iterations_run == 0
     assert res.trace == ()
@@ -536,19 +542,70 @@ def test_oracle_cases_reach_their_paths():
 
 def test_states_evaluated_counts_the_calls_to_evaluate():
     problem = oracle_problem("mixed", 3)
-    inner, calls = problem.evaluate, []
+    inner, calls = problem._evaluate_rows, []
 
-    def evaluate(assign):
-        calls.append(np.asarray(assign).tobytes())
-        return inner(assign)
+    def evaluate_rows(A):
+        calls.extend(row.tobytes() for row in A)
+        return inner(A)
 
-    problem.evaluate = evaluate
+    problem._evaluate_rows = evaluate_rows
     res = anneal_on_problem(problem)
-    # besides one call per memo miss, the start state
+    # besides one kernel row per memo miss, the start state
     proposals = calls[1:]
     assert res.states_evaluated == len(proposals) > 0
     assert len(set(proposals)) == len(proposals)
     assert calls[0] not in proposals
+
+
+# --------------------------------------------------------------------------
+# chains in lockstep against the single anneal
+# --------------------------------------------------------------------------
+
+def lockstep_problems():
+    """Two shapes (12 and 20 UEs), a min-rate floor, a search with no stall
+    stop and one that ends at once, interleaved."""
+    return [oracle_problem("mixed", 3), oracle_problem("d2d-seed", 0),
+            oracle_problem("min-rate", 5), unservable_problem(),
+            oracle_problem("no-stall-stop", 3), oracle_problem("mixed", 5),
+            oracle_problem("d2d-seed", 23), oracle_problem("min-rate", 3)]
+
+
+@pytest.mark.parametrize("window", [1, 2, 9])
+def test_lockstep_equals_the_single_anneal(window, monkeypatch):
+    problems = lockstep_problems()
+    shapes = [p._shape for p in problems]
+    assert len(set(shapes)) < len(shapes) - 1     # some chains share kernel calls
+    want = [anneal_on_problem(p) for p in problems]
+    monkeypatch.setattr(matching, "_WINDOW", window)
+    got = dict(anneal_problems(problems))
+    assert sorted(got) == list(range(len(problems)))
+    for i, res in got.items():
+        ref = want[i]
+        assert res.trace == ref.trace
+        assert [tuple(map(type, row)) for row in res.trace] == \
+            [tuple(map(type, row)) for row in ref.trace]
+        assert res.best_iteration == ref.best_iteration
+        assert res.iterations_run == ref.iterations_run
+        assert res.states_evaluated == ref.states_evaluated
+        np.testing.assert_array_equal(res.matching.assign, ref.matching.assign)
+
+
+def test_lockstep_holds_at_most_a_window_of_problems(monkeypatch):
+    monkeypatch.setattr(matching, "_WINDOW", 3)
+    problems = lockstep_problems()
+    pulled = 0
+
+    def counting():
+        nonlocal pulled
+        for problem in problems:
+            pulled += 1
+            yield problem
+
+    held = []
+    for yielded, _ in enumerate(anneal_problems(counting())):
+        held.append(pulled - yielded)
+    assert len(held) == len(problems)
+    assert max(held) == 3
 
 
 def test_states_evaluated_is_zero_without_a_feasible_proposal():

@@ -780,3 +780,51 @@ def test_evaluate_rows_property(seed, n_scbs, n_ues, rows, subcarriers, d2d_inte
         assert np.array_equal(block[2][b], one.sn_utilities)
         assert block[3][b] == one.welfare
         assert_matches_oracle(problem, assign, inst.x)
+
+
+def same_shape_problems(seed, count, **keys):
+    """`count` problems of one kernel shape, from consecutive seeds."""
+    groups = {}
+    for s in range(seed, seed + 200):
+        problem = clustered_instance(s, **keys).problem
+        group = groups.setdefault(problem._shape, [])
+        group.append(problem)
+        if len(group) == count:
+            return group
+    raise AssertionError("no shape repeats")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), n_scbs=st.integers(1, 4), n_ues=st.integers(1, 24),
+       rows=st.integers(3, 12), subcarriers=st.sampled_from([2, 4, 16]),
+       d2d_interference=st.booleans())
+def test_stacked_rows_equal_their_own_problem(seed, n_scbs, n_ues, rows, subcarriers,
+                                              d2d_interference):
+    """Rows of several same-shape problems, in shuffled problem order, share
+    one kernel call and each equals its own problem's `evaluate`."""
+    problems = same_shape_problems(seed, 3, n_scbs=n_scbs, n_ues=n_ues,
+                                   subcarriers=subcarriers,
+                                   d2d_interference=d2d_interference)
+    rng = np.random.default_rng(seed)
+    owners = rng.permutation(np.resize(np.arange(len(problems)), rows))
+    row_problems = [problems[i] for i in owners]
+    states = np.concatenate([random_states(p, rng, 1) for p in row_problems])
+    block = matching._evaluate_rows(*matching._stack_tables(row_problems), states)
+    for b, (problem, assign) in enumerate(zip(row_problems, states)):
+        one = problem.evaluate(assign)
+        assert np.array_equal(block[0][b], one.utilities)
+        assert np.array_equal(block[1][b], one.rates)
+        assert np.array_equal(block[2][b], one.sn_utilities)
+        assert block[3][b] == one.welfare
+
+
+def test_a_stack_of_mixed_shapes_raises():
+    problems = [clustered_instance(s, n_scbs=3, n_ues=6).problem for s in range(40)]
+    by_s = {p.n_sns: p for p in problems}
+    assert len(by_s) > 1
+    with pytest.raises(ValueError, match="mixes"):
+        matching._stack_tables(list(by_s.values()))
+    same = same_shape_problems(0, 2, n_scbs=2, n_ues=8)
+    other = same_shape_problems(0, 1, n_scbs=2, n_ues=8, d2d_interference=False)
+    with pytest.raises(ValueError, match="mixes"):
+        matching._stack_tables(same + other)
