@@ -61,7 +61,8 @@ def cmd_run(args) -> int:
     out = _ensure_outdir(args.out)
 
     t0 = time.perf_counter()
-    result, assign = harness.social_aware_assignment(problem, cfg.stabilize)
+    result = matching.anneal_on_problem(problem)
+    assign = harness.settled(problem, result, cfg.stabilize)
     final = problem.matching(assign)
     social_report = problem.report(assign)
     baseline_report = problem.report(problem.rssi_assignment)

@@ -21,7 +21,7 @@ from .radio import PathlossParams, RadioScenario, generate_topology, scbs_recept
 
 # Slotted: every AssociationProblem holds its replication's config, and the
 # benchmark keeps every problem alive for its audit.  A dict-backed instance
-# of these 37 fields takes about 1.6 kB, a slotted one about 330 B.
+# of these 36 fields takes about 1.6 kB, a slotted one about 330 B.
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """Every tunable in one place, with the stock defaults.
@@ -71,7 +71,6 @@ class ScenarioConfig:
     beta_start: float = 1.0
     beta_end: float = 50.0
     stall_window: int = 200
-    min_rate_bps: float = 0.0
     scbs_quota: int = 0
     d2d_quota: int = 3
     stabilize: bool = False
@@ -89,8 +88,6 @@ class ScenarioConfig:
             raise ConfigError("beta_start and beta_end must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.min_rate_bps < 0:
-            raise ConfigError("min_rate_bps must be >= 0")
         if self.stall_window < 0:
             raise ConfigError("stall_window must be >= 0 (0 disables early stop)")
         if self.scbs_quota < 0:

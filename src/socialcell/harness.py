@@ -20,8 +20,8 @@ import numpy as np
 from .config import (ScenarioConfig, config_as_dict, engine_config_from_config,
                      scenario_from_config, social_graph_from_config)
 from .errors import ConfigError
-from .matching import (AnnealResult, AssociationProblem, anneal_on_problem,
-                       anneal_problems, build_problem, greedy_stabilize)
+from .matching import (AnnealResult, AssociationProblem, anneal_problems,
+                       build_problem, greedy_stabilize)
 from .radio import RadioScenario
 from .socialgraph import social_pipeline
 
@@ -42,8 +42,6 @@ STREAM_ENGINE = 2
 def replication_seed(base_seed: int, point_index: int, replication: int,
                      stream: int) -> int:
     """Deterministic per-replication seed for one of the three streams."""
-    if base_seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {base_seed}")
     ss = np.random.SeedSequence([base_seed, point_index, replication, stream])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -57,7 +55,6 @@ class ExperimentSpec:
     sweep_values: tuple[int, ...]
     replications: int
     methods: tuple[str, ...]
-    base_seed: int
     workers: int = 1
 
     def __post_init__(self):
@@ -70,8 +67,6 @@ class ExperimentSpec:
             raise ConfigError("sweep values must be >= 1")
         if len(set(self.sweep_values)) < len(self.sweep_values):
             raise ConfigError(f"sweep_values repeats a value: {self.sweep_values}")
-        if self.base_seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.base_seed}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.methods:
@@ -82,6 +77,11 @@ class ExperimentSpec:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
+    @property
+    def base_seed(self) -> int:
+        """The seed every replication's streams derive from: `base.seed`."""
+        return self.base.seed
+
     @classmethod
     def from_config(cls, cfg: ScenarioConfig) -> "ExperimentSpec":
         if not cfg.sweep_variable:
@@ -89,7 +89,7 @@ class ExperimentSpec:
         return cls(base=cfg, sweep_variable=cfg.sweep_variable,
                    sweep_values=tuple(cfg.sweep_values),
                    replications=cfg.replications, methods=tuple(cfg.methods),
-                   base_seed=cfg.seed, workers=cfg.workers)
+                   workers=cfg.workers)
 
 
 @dataclass(frozen=True)
@@ -148,18 +148,8 @@ def build_replication(cfg: ScenarioConfig, point_index: int,
     return scenario, build_problem(scenario, graph, xmat, engine)
 
 
-def social_aware_assignment(problem: AssociationProblem,
-                            stabilize: bool) -> tuple[AnnealResult, np.ndarray]:
-    """Anneal, then apply the greedy stable-swap pass when `stabilize` is set.
-
-    Returns the search result and the final assignment.
-    """
-    result = anneal_on_problem(problem)
-    return result, _settled(problem, result, stabilize)
-
-
-def _settled(problem: AssociationProblem, result: AnnealResult,
-             stabilize: bool) -> np.ndarray:
+def settled(problem: AssociationProblem, result: AnnealResult,
+            stabilize: bool) -> np.ndarray:
     """The search's matching, after the greedy pass when `stabilize` is set."""
     assign = result.matching.assign
     return greedy_stabilize(problem, assign).assign if stabilize else assign
@@ -175,7 +165,7 @@ def _replication_rows(cfg: ScenarioConfig, x: int, replication: int, methods,
             report = problem.report(problem.rssi_assignment)
             iters = 0
         else:
-            report = problem.report(_settled(problem, result, cfg.stabilize))
+            report = problem.report(settled(problem, result, cfg.stabilize))
             iters = result.best_iteration
         rows.append(ReplicationRow(
             x=x, method=method, replication=replication,

@@ -32,11 +32,10 @@ independent of the block size), so the block scan approves exactly the swaps
 a one-at-a-time scan would.
 
 The anneal's walk revisits a few states over and over, so it keeps a memo,
-local to one search, from each evaluated state to its welfare (and its
-rates when a min-rate floor applies), and evaluates only states it has not
-seen.  Its random numbers come from `_Draws`, which serves
-`np.random.default_rng(seed)`'s `random()` and `integers(n)` draw for draw
-from raw 64-bit words fetched in bulk.  Neither changes a trace or a result.
+local to one search, from each evaluated state to its welfare, and
+evaluates only states it has not seen.  Its random numbers come from
+`_Draws`, which serves `np.random.default_rng(seed)`'s `random()` and
+`integers(n)` draw for draw from raw 64-bit words fetched in bulk.  Neither changes a trace or a result.
 
 Each search is a chain that stops at every state its memo lacks, and
 `anneal_problems` runs up to `_WINDOW` chains in lockstep: one kernel call
@@ -154,13 +153,24 @@ class AnnealResult:
     states_evaluated counts the distinct proposals the search evaluated,
     that is its memo misses; the start state is not counted.  No CSV or
     JSON output records it.
+
+    The search's trace is kept compact: the start welfare, one byte per
+    iteration in `moves` (2 for a pair swap, + 1 if accepted) and the
+    welfare of each acceptance.  `trace` rebuilds its TraceRows from them
+    on each access, so a search whose trace nobody reads builds none.
     """
 
     matching: Matching
-    trace: tuple[TraceRow, ...]
     best_iteration: int
     iterations_run: int
     states_evaluated: int
+    start_welfare: float
+    moves: bytes
+    accepted_welfares: tuple[float, ...]
+
+    @property
+    def trace(self) -> tuple[TraceRow, ...]:
+        return _trace_rows(self.start_welfare, self.moves, self.accepted_welfares)
 
 
 # --------------------------------------------------------------------------
@@ -181,9 +191,9 @@ class AssociationProblem:
     evaluating an assignment is a handful of vector operations.
 
     `config` is the run's `ScenarioConfig`.  The problem reads its
-    `scbs_quota` (0 = one UE per subcarrier), `d2d_quota` and
-    `min_rate_bps`; the anneal reads `max_iterations`, `beta_start`,
-    `beta_end`, `seed` and `stall_window`.  Its other keys, such as
+    `scbs_quota` (0 = one UE per subcarrier) and `d2d_quota`; the anneal
+    reads `max_iterations`, `beta_start`, `beta_end`, `seed` and
+    `stall_window`.  Its other keys, such as
     `n_scbs`, are not read here: the scenario and the graph carry them.
     """
 
@@ -596,9 +606,9 @@ def _round(live: list[list], stacks: dict[tuple, tuple]
             if shape not in stacks or stacks[shape][0] != members:
                 stacks[shape] = members, _stack_tables(members)[1]
             rows = _evaluate_rows(shape, stacks[shape][1], A)
-        for entry, w, r in zip(group, rows[3].tolist(), rows[1]):
+        for entry, w in zip(group, rows[3].tolist()):
             try:
-                entry[3] = entry[2].send((w, r))
+                entry[3] = entry[2].send(w)
             except StopIteration as end:
                 entry[3] = None
                 stacks.pop(shape, None)
@@ -607,7 +617,7 @@ def _round(live: list[list], stacks: dict[tuple, tuple]
 
 
 def _chain(problem: AssociationProblem
-           ) -> Generator[np.ndarray, tuple[float, np.ndarray], AnnealResult]:
+           ) -> Generator[np.ndarray, float, AnnealResult]:
     """The annealed swap search on one problem, as a generator.
 
     Each iteration draws a pair swap (with probability _SWAP_SHARE) or a
@@ -615,19 +625,19 @@ def _chain(problem: AssociationProblem
     and accepted with the sigmoid probability of its welfare change; the
     best state ever visited is returned.  The walk revisits a few states
     over and over, so a memo local to the chain maps each evaluated state
-    (its bytes) to its welfare, plus its rates when min_rate_bps is set.
-    The chain yields each proposal the memo lacks, is sent back its
-    (welfare, rates) and returns its AnnealResult; it evaluates only its
-    start state itself, with `problem.evaluate`.  Random numbers come from
-    `_Draws`, equal draw for draw to `np.random.default_rng(cfg.seed)`.
-    Neither changes a result: evaluation is deterministic, so a trace
-    equals that of evaluating every proposal afresh.
+    (its bytes) to its welfare.  The chain yields each proposal the memo
+    lacks, is sent back its welfare and returns its AnnealResult; it
+    evaluates only its start state itself, with `problem.evaluate`.  Random
+    numbers come from `_Draws`, equal draw for draw to
+    `np.random.default_rng(cfg.seed)`.  Neither changes a result:
+    evaluation is deterministic, so a trace equals that of evaluating every
+    proposal afresh.
 
     A chain keeps little, since `_WINDOW` of them live at once: its states
     are held in the narrowest integer dtype that holds every node index, so
-    a memo key is M bytes up to S = 128; a memo value is a bare float when no
-    min-rate floor applies; and the trace is held as one byte per iteration
-    plus the welfare of each acceptance, and made TraceRows at the end.
+    a memo key is M bytes up to S = 128 and a memo value a bare float; and
+    the trace is kept as one byte per iteration plus the welfare of each
+    acceptance, which the result turns into TraceRows only when asked.
     """
     cfg = problem.config
     draws = _Draws(cfg.seed)
@@ -642,11 +652,8 @@ def _chain(problem: AssociationProblem
     quota = problem.quota.tolist()
     reach = [np.flatnonzero(row).tolist() for row in problem.feasible_sn]
     pool = np.flatnonzero(problem.servable).tolist()
-    floor = cfg.min_rate_bps
-    ev = problem.evaluate(start)
-    w_start = w_cur = w_best = ev.welfare
-    # state bytes -> welfare, or (welfare, rates) under a min-rate floor
-    memo = {assign.tobytes(): w_cur if floor <= 0 else (w_cur, ev.rates)}
+    w_start = w_cur = w_best = problem.evaluate(start).welfare
+    memo = {assign.tobytes(): w_cur}        # state bytes -> welfare
     # every proposal is a fresh copy and no state is written to once made,
     # so states are shared, never copied
     best = assign
@@ -677,7 +684,6 @@ def _chain(problem: AssociationProblem
             if km != kn and kn in reach[m] and km in reach[n]:
                 proposal = assign.copy()
                 proposal[m], proposal[n] = kn, km
-                moved = (m, n)
         elif not swap:
             m = pool[integers(len(pool))]
             here = where[m]
@@ -686,34 +692,30 @@ def _chain(problem: AssociationProblem
                 k = targets[integers(len(targets))]
                 proposal = assign.copy()
                 proposal[m] = k
-                moved = (m,)
 
         if proposal is not None:
             key = proposal.tobytes()
-            seen = memo.get(key)
-            if seen is None:
-                w_new, rates = yield proposal
-                seen = memo[key] = w_new if floor <= 0 else (w_new, rates.copy())
-            w_new = seen if floor <= 0 else seen[0]
-            if floor <= 0 or all(seen[1][u] >= floor for u in moved):
-                beta = _beta_at(cfg, t - 1, cfg.max_iterations)
-                p = _accept_prob(beta, w_new - w_cur, w_cur, _WELFARE_FLOOR)
-                if random() < p:
-                    if len(moved) == 1:           # a swap leaves the loads alone
-                        if here >= 0:
-                            counts[here] -= 1
-                        counts[k] += 1
-                        where[m] = k
-                    else:
-                        where[m], where[n] = kn, km
-                    assign = proposal
-                    w_cur = w_new
-                    accepted = True
-                    accepted_welfare.append(w_cur)
-                    if w_cur > w_best:
-                        w_best = w_cur
-                        best = assign
-                        best_iter = t
+            w_new = memo.get(key)
+            if w_new is None:
+                w_new = memo[key] = yield proposal
+            beta = _beta_at(cfg, t - 1, cfg.max_iterations)
+            p = _accept_prob(beta, w_new - w_cur, w_cur, _WELFARE_FLOOR)
+            if random() < p:
+                if swap:                      # a swap leaves the loads alone
+                    where[m], where[n] = kn, km
+                else:
+                    if here >= 0:
+                        counts[here] -= 1
+                    counts[k] += 1
+                    where[m] = k
+                assign = proposal
+                w_cur = w_new
+                accepted = True
+                accepted_welfare.append(w_cur)
+                if w_cur > w_best:
+                    w_best = w_cur
+                    best = assign
+                    best_iter = t
 
         moves.append(2 * swap + accepted)
         stall = 0 if accepted else stall + 1
@@ -721,14 +723,16 @@ def _chain(problem: AssociationProblem
             break
 
     return AnnealResult(matching=problem.matching(best),
-                        trace=_trace_rows(w_start, moves, accepted_welfare),
                         best_iteration=best_iter,
                         iterations_run=iterations,
-                        states_evaluated=len(memo) - 1)
+                        states_evaluated=len(memo) - 1,
+                        start_welfare=w_start,
+                        moves=bytes(moves),
+                        accepted_welfares=tuple(accepted_welfare))
 
 
-def _trace_rows(w_start: float, moves: bytearray,
-                accepted_welfare: list[float]) -> tuple[TraceRow, ...]:
+def _trace_rows(w_start: float, moves: bytes,
+                accepted_welfare: Sequence[float]) -> tuple[TraceRow, ...]:
     """The TraceRows of a chain's compact trace: the current and best
     welfare replayed from the start welfare and each acceptance's."""
     make = tuple.__new__    # TraceRow(...) without its Python-level __new__
@@ -768,11 +772,11 @@ def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
 
     Swap i moves UE m[i] to serving node k[i]; when n[i] >= 0 it is a pair
     swap in which UE n[i] (now on k[i]) takes m[i]'s node.  A swap is
-    approved when every mover keeps min_rate_bps, no touched player (the
-    movers and the nodes they leave and join) loses utility and one of them
-    strictly gains.  Returns the boolean approval mask, the welfare deltas
-    against `base` (the evaluation of `assign`) and the `_evaluate_rows`
-    result of the swapped states.
+    approved when no touched player (the movers and the nodes they leave
+    and join) loses utility and one of them strictly gains.  Returns the
+    boolean approval mask, the welfare deltas against `base` (the
+    evaluation of `assign`) and the `_evaluate_rows` result of the swapped
+    states.
     """
     rows = np.arange(len(m))
     pair = n >= 0
@@ -780,7 +784,7 @@ def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
     swapped[rows, m] = k
     swapped[rows[pair], n[pair]] = assign[m[pair]]
     after = problem._evaluate_rows(swapped)
-    utilities, rates, sn_util, welfare = after
+    utilities, _, sn_util, welfare = after
     # every touched player: the movers and the nodes they leave and join;
     # a move stands in m for the missing partner and k for a missing node
     n = np.where(pair, n, m)
@@ -789,9 +793,7 @@ def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
                     sn_util[rows, left], sn_util[rows, k]])
     before = np.stack([base.utilities[m], base.utilities[n],
                        base.sn_utilities[left], base.sn_utilities[k]])
-    floor = problem.config.min_rate_bps
-    low = (floor > 0) & ((rates[rows, m] < floor) | (rates[rows, n] < floor))
-    approved = ~low & ~(now < before).any(axis=0) & (now > before).any(axis=0)
+    approved = ~(now < before).any(axis=0) & (now > before).any(axis=0)
     return approved, welfare - base.welfare, after
 
 

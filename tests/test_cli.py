@@ -150,9 +150,9 @@ RELAY_RUN = ["--seed", "2", "--override", "n_scbs=8", "--override", "macro_radiu
 #: sha256 of what `run` writes for RELAY_RUN, besides the timed metrics.json.
 RELAY_RUN_PINS = {
     "positions.csv": "e83d8f25ced0adc2c916cdaf743dceb025f98cc960d7972a51ed962b4ed97e8d",
-    "matching_max-rssi.csv": "481021d537f7b67bc771edbaec6179e1f49b321324650d496351b9d729a9ca4e",
+    "matching_max-rssi.csv": "fdb4aeb0739a3941d7a9c04fda8ce8115217c38eb7cf9db51bac0ef4da118554",
     "matching_social-aware.csv":
-        "b297ac1df03605144ffd5f7811af0b0ebbae50f0e33ba46df5031716b73c2e44",
+        "0d55c1b1554e4aed66fc5b1abf6301b81b83f46d006b6c211264f05d22213bfd",
     "trace_social-aware.csv": "3e76d5087562732675857fea54058bcc3c53fe67b7d1afb4a878e628313cf2a6",
 }
 
@@ -349,7 +349,6 @@ def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
 @pytest.mark.parametrize("override, message", [
     ("max_iterations=0", "max_iterations must be >= 1"),
     ("beta_end=-1", "beta_start and beta_end must be >= 0"),
-    ("min_rate_bps=-1", "min_rate_bps must be >= 0"),
     ("stall_window=-1", "stall_window must be >= 0"),
     ("scbs_quota=-1", "scbs_quota must be >= 0"),
     ("d2d_quota=0", "d2d_quota must be >= 1"),
@@ -369,10 +368,10 @@ def test_missing_config_file_is_a_usage_error(capsys):
 def test_unknown_override_key_is_a_usage_error(tmp_path, capsys):
     assert main(["validate", "--override", "warp_factor=9"]) == 1
     assert "error:" in capsys.readouterr().err
-    # keys of search and radio variants the simulator no longer has
+    # keys of search, radio and constraint variants the simulator no longer has
     for key, value in (("cooling", "literal"), ("schedule", "geometric"),
                        ("move_mix", "0.5"), ("d2d_weight_epsilon", "0.05"),
-                       ("fading_gain", "1.0")):
+                       ("fading_gain", "1.0"), ("min_rate_bps", "0")):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"{key} = {value}\n")
         for flags in (["--config", str(path)], ["--override", f"{key}={value}"]):

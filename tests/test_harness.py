@@ -9,15 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from socialcell import matching
 from socialcell.config import (ScenarioConfig, engine_config_from_config,
                                scenario_from_config, social_graph_from_config)
 from socialcell.errors import ConfigError
 from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL,
                                 STREAM_ENGINE, STREAM_SOCIAL, STREAM_TOPOLOGY,
-                                ExperimentSpec, aggregate, emit_results,
-                                replication_seed, run_experiment,
+                                ExperimentSpec, aggregate, build_replication,
+                                emit_results, replication_seed, run_experiment,
                                 sweep_csv_name)
-from socialcell.matching import build_problem
+from socialcell.matching import anneal_on_problem, build_problem
 from socialcell.socialgraph import social_pipeline
 
 SMALL_CFG = ScenarioConfig(n_scbs=2, n_ues=6, seed=9, macro_radius_m=80.0,
@@ -56,8 +57,7 @@ def test_base_seed_changes_every_stream():
 def test_spec_validation_rejects_bad_fields():
     base = ScenarioConfig()
     good = dict(base=base, sweep_variable="n_scbs", sweep_values=(4, 8),
-                replications=2, methods=(METHOD_SOCIAL, METHOD_BASELINE),
-                base_seed=1)
+                replications=2, methods=(METHOD_SOCIAL, METHOD_BASELINE))
     ExperimentSpec(**good)
     for bad in (dict(good, sweep_variable="n_noise"),
                 dict(good, sweep_values=()),
@@ -187,6 +187,23 @@ def test_stabilized_run_completes():
     assert social[0].welfare >= 0.0
 
 
+def test_a_sweep_builds_no_trace_rows(monkeypatch):
+    calls = []
+    trace_rows = matching._trace_rows
+
+    def spy(*args):
+        calls.append(args)
+        return trace_rows(*args)
+
+    monkeypatch.setattr(matching, "_trace_rows", spy)
+    run_experiment(ExperimentSpec.from_config(SMALL_CFG))
+    assert calls == []
+    # the spy sees the rows a reader of `trace` asks for
+    result = anneal_on_problem(build_replication(SMALL_CFG, 0, 0)[1])
+    assert len(result.trace) == result.iterations_run
+    assert len(calls) == 1
+
+
 def test_aggregate_on_plain_row_lists(small_result):
     # aggregate() is usable on any row subset, not just full results
     x = SMALL_CFG.sweep_values[0]
@@ -233,6 +250,17 @@ def test_summary_json_carries_the_full_config(small_result, tmp_path):
     assert "SeedSequence" in summary["seed_derivation"]
     assert len(summary["rows"]) == len(small_result.rows)
     assert len(summary["points"]) == len(small_result.aggregates)
+
+
+def test_the_base_seed_is_the_config_seed(small_result, tmp_path):
+    # the spec holds no second copy of the seed that could disagree with it
+    with pytest.raises(TypeError):
+        dataclasses.replace(small_result.spec, base_seed=5)
+    summary = json.loads(Path(emit_results(small_result, tmp_path)["summary"]).read_text())
+    assert summary["base_seed"] == summary["config"]["seed"] == SMALL_CFG.seed
+    # the seed's one bound is in ScenarioConfig; SeedSequence refuses the rest
+    with pytest.raises(ValueError, match="non-negative"):
+        replication_seed(-1, 0, 0, 0)
 
 
 def test_emitted_csv_parses_back_to_the_rows(small_result, tmp_path):

@@ -181,7 +181,6 @@ ENGINE_BOUNDS = (
     ({"beta_start": -1.0}, "beta_start and beta_end must be >= 0"),
     ({"beta_end": -1.0}, "beta_start and beta_end must be >= 0"),
     ({"seed": -1}, "seed must be non-negative"),
-    ({"min_rate_bps": -1.0}, "min_rate_bps must be >= 0"),
     ({"stall_window": -1}, "stall_window must be >= 0"),
     ({"scbs_quota": -1}, "scbs_quota must be >= 0"),
     ({"d2d_quota": 0}, "d2d_quota must be >= 1"),
@@ -529,7 +528,6 @@ def per_swap_scan(problem, assign):
     """
     base = per_ue_evaluate(problem, assign)
     counts = np.bincount(assign[assign >= 0], minlength=problem.n_sns)
-    floor = problem.config.min_rate_bps
     M = problem.n_ues
     pairs = ((m, n, None) for m in range(M) if assign[m] >= 0 for n in range(m + 1, M))
     moves = ((int(m), None, int(k)) for m in np.flatnonzero(problem.servable)
@@ -547,8 +545,6 @@ def per_swap_scan(problem, assign):
             swapped[n] = assign[m]
         after = per_ue_evaluate(problem, swapped)
         movers = (m,) if n is None else (m, n)
-        if floor > 0 and any(after.rates[u] < floor for u in movers):
-            continue
         nodes = {int(assign[m]), target} - {-1}
         befores = ([base.utilities[u] for u in movers]
                    + [base.sn_utilities[s] for s in nodes])
@@ -665,7 +661,6 @@ def test_scan_masks_equal_swap_ok_and_move_ok():
 
 STABILITY_SETTINGS = {
     "default": ({}, {}),
-    "min-rate": ({"min_rate_bps": 2e5}, {}),
     "scbs-quota-3": ({"scbs_quota": 3}, {}),
     "no-d2d-interference": ({}, {"d2d_interference": False}),
     "subcarriers-4-d2d-quota-2": ({"d2d_quota": 2}, {"subcarriers": 4}),
