@@ -32,10 +32,12 @@ independent of the block size), so the block scan approves exactly the swaps
 a one-at-a-time scan would.
 
 The anneal's walk revisits a few states over and over, so it keeps a memo,
-local to one search, from each evaluated state to its welfare, and
-evaluates only states it has not seen.  Its random numbers come from
-`_Draws`, which serves `np.random.default_rng(seed)`'s `random()` and
-`integers(n)` draw for draw from raw 64-bit words fetched in bulk.  Neither changes a trace or a result.
+local to one search, from each of its last `_MEMO` evaluated states to its
+welfare, and evaluates only states the memo lacks.  An evicted state that
+comes back is evaluated again, to the same float.  Its random numbers come
+from `_Draws`, which serves `np.random.default_rng(seed)`'s `random()` and
+`integers(n)` draw for draw from raw 64-bit words fetched in bulk.  Neither
+changes a trace or a result.
 
 Each search is a chain that stops at every state its memo lacks, and
 `anneal_problems` runs up to `_WINDOW` chains in lockstep: one kernel call
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
@@ -150,8 +153,9 @@ class StabilityViolation:
 class AnnealResult:
     """Outcome of one annealed search.
 
-    states_evaluated counts the distinct proposals the search evaluated,
-    that is its memo misses; the start state is not counted.  No CSV or
+    states_evaluated counts the proposals the search evaluated, that is its
+    memo misses; the start state is not counted.  A state evicted from the
+    memo and proposed again counts each time it is evaluated.  No CSV or
     JSON output records it.
 
     The search's trace is kept compact: the start welfare, one byte per
@@ -516,20 +520,31 @@ class _Draws:
 
 
 #: Chains `anneal_problems` runs in lockstep, at most.  Each live chain
-#: holds its problem and its memo, so the window trades kernel calls for
-#: memory.  `socialcell sweep` of the dense-stabilize workload (24
-#: replications of N8/M100, stabilize on, seed 1), medians of 3 runs on a
-#: 2-vCPU VM, one anneal after another at "serial"; the bench RSS is the
-#: high-water mark of one `perfbench/run.py --trace 0` process:
+#: holds its problem and a memo of at most `_MEMO` states, and a round's
+#: kernel temporaries grow with its rows, so the window trades kernel calls
+#: for memory.  `perfbench/run.py --workload dense-stabilize --seed 1
+#: --seconds 10 --trace 0` (24 replications of N8/M100, stabilize on),
+#: medians of 3 interleaved runs on a 2-vCPU VM:
 #:
-#:   window           serial   1      2      4      6      8      16     24
-#:   wall (s)         4.80     5.17   3.77   2.93   2.96   2.60   2.82   2.75
-#:   RSS (MB)         43.0     43.1   43.3   43.8   44.0   44.5   46.3   46.8
-#:   bench RSS (MB)   44.4     44.5   44.7   45.2   45.4   45.9   -      -
+#:   window              4      8      12     16     24     32
+#:   sweep_time_ref      1.581  1.455  1.403  1.372  1.377  1.314
+#:   sweep wall (s)      2.74   2.62   2.44   2.39   2.29   2.24
+#:   peak_rss_mb         45.10  45.48  46.07  46.17  46.62  46.64
 #:
-#: Past 4 the time gained is within the machine's drift, while every slot
-#: adds about 0.2 MB.
-_WINDOW = 4
+#: A dense point has 24 replications, so there every window from 24 up runs
+#: the same rounds, and 24 vs 32 is the machine's drift.  24 lets all the
+#: searches of such a point share each kernel call, for about 0.08 MB a
+#: slot over 4.
+_WINDOW = 24
+
+#: Evaluated states a chain's memo holds, at most; the oldest is evicted
+#: first.  The memo is only a cache: an evicted state that comes back is
+#: evaluated again, to the same float.  At seed 1, 128 states leave every
+#: memo miss of the three bench workloads as it was without a bound
+#: (dense-stabilize 21,657, desk-sweep 103, wide-m500 624), so no state is
+#: evaluated twice there; 64 adds 6 misses on wide-m500, and 32 adds 1 on
+#: dense-stabilize and 11 on wide-m500.
+_MEMO = 128
 
 
 def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
@@ -624,20 +639,22 @@ def _chain(problem: AssociationProblem
     single move of a random servable UE.  A feasible proposal is evaluated
     and accepted with the sigmoid probability of its welfare change; the
     best state ever visited is returned.  The walk revisits a few states
-    over and over, so a memo local to the chain maps each evaluated state
-    (its bytes) to its welfare.  The chain yields each proposal the memo
-    lacks, is sent back its welfare and returns its AnnealResult; it
-    evaluates only its start state itself, with `problem.evaluate`.  Random
-    numbers come from `_Draws`, equal draw for draw to
-    `np.random.default_rng(cfg.seed)`.  Neither changes a result:
-    evaluation is deterministic, so a trace equals that of evaluating every
-    proposal afresh.
+    over and over, so a memo local to the chain maps each of its last
+    `_MEMO` evaluated states (their bytes) to their welfare, and a deque of
+    the same keys evicts the oldest when a new state comes in.  The chain
+    yields each proposal the memo lacks, is sent back its welfare and
+    returns its AnnealResult; it evaluates only its start state itself,
+    with `problem.evaluate`.  Random numbers come from `_Draws`, equal draw
+    for draw to `np.random.default_rng(cfg.seed)`.  Neither changes a
+    result: evaluation is deterministic, so a trace equals that of
+    evaluating every proposal afresh.
 
     A chain keeps little, since `_WINDOW` of them live at once: its states
     are held in the narrowest integer dtype that holds every node index, so
-    a memo key is M bytes up to S = 128 and a memo value a bare float; and
-    the trace is kept as one byte per iteration plus the welfare of each
-    acceptance, which the result turns into TraceRows only when asked.
+    a memo key is M bytes up to S = 128 and a memo value a bare float; the
+    memo holds at most `_MEMO` of them; and the trace is kept as one byte
+    per iteration plus the welfare of each acceptance, which the result
+    turns into TraceRows only when asked.
     """
     cfg = problem.config
     draws = _Draws(cfg.seed)
@@ -654,6 +671,8 @@ def _chain(problem: AssociationProblem
     pool = np.flatnonzero(problem.servable).tolist()
     w_start = w_cur = w_best = problem.evaluate(start).welfare
     memo = {assign.tobytes(): w_cur}        # state bytes -> welfare
+    aged = deque(memo)                      # the memo's keys, oldest first
+    misses = 0
     # every proposal is a fresh copy and no state is written to once made,
     # so states are shared, never copied
     best = assign
@@ -698,6 +717,10 @@ def _chain(problem: AssociationProblem
             w_new = memo.get(key)
             if w_new is None:
                 w_new = memo[key] = yield proposal
+                misses += 1
+                aged.append(key)
+                if len(aged) > _MEMO:
+                    del memo[aged.popleft()]
             beta = _beta_at(cfg, t - 1, cfg.max_iterations)
             p = _accept_prob(beta, w_new - w_cur, w_cur, _WELFARE_FLOOR)
             if random() < p:
@@ -725,7 +748,7 @@ def _chain(problem: AssociationProblem
     return AnnealResult(matching=problem.matching(best),
                         best_iteration=best_iter,
                         iterations_run=iterations,
-                        states_evaluated=len(memo) - 1,
+                        states_evaluated=misses,
                         start_welfare=w_start,
                         moves=bytes(moves),
                         accepted_welfares=tuple(accepted_welfare))
@@ -886,8 +909,9 @@ def greedy_stabilize(problem: AssociationProblem, assign: np.ndarray,
     Scans pair swaps then single moves, applying each approved swap on the
     spot, and repeats until a full pass applies nothing -- at that point
     audit_stability() is empty by construction.  `max_swaps` caps runaway
-    instances; hitting it raises RuntimeError rather than returning a
-    not-actually-stable state.
+    instances: an approvable swap found once `max_swaps` swaps have been
+    applied raises RuntimeError rather than returning a not-actually-stable
+    state, while a matching that settles in exactly `max_swaps` is returned.
     """
     assign = np.array(assign, dtype=np.int64)
     welfares: list[float] = []
@@ -895,14 +919,14 @@ def greedy_stabilize(problem: AssociationProblem, assign: np.ndarray,
     while changed:
         changed = False
         for v, after in _approved_swaps(problem, assign):
+            if len(welfares) >= max_swaps:
+                raise RuntimeError("greedy stabilization did not settle")
             if v.other_ue is None:
                 assign[v.ue] = v.target_sn
             else:
                 assign[v.ue], assign[v.other_ue] = assign[v.other_ue], assign[v.ue]
             welfares.append(after.welfare)
             changed = True
-            if len(welfares) >= max_swaps:
-                raise RuntimeError("greedy stabilization did not settle")
     return StabilizeResult(assign=assign, applied=len(welfares), welfares=tuple(welfares))
 
 

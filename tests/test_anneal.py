@@ -178,9 +178,13 @@ def test_greedy_stabilize_fixes_the_crossed_pair():
 
 
 def test_greedy_stabilize_swap_cap_raises():
+    # the crossed pair settles in exactly one swap, which a cap of 1 allows
     problem = crossed_pair()
+    res = greedy_stabilize(problem, CROSSED, max_swaps=1)
+    np.testing.assert_array_equal(res.assign, UNCROSSED)
+    assert res.applied == 1
     with pytest.raises(RuntimeError):
-        greedy_stabilize(problem, CROSSED, max_swaps=1)
+        greedy_stabilize(problem, CROSSED, max_swaps=0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -514,15 +518,42 @@ def test_oracle_cases_reach_their_paths():
         assert (problem.start_assignment >= problem.n_scbs).any()
 
 
-def test_states_evaluated_counts_the_calls_to_evaluate():
-    problem = oracle_problem("mixed", 3)
-    inner, calls = problem._evaluate_rows, []
+def recorded_rows(problem):
+    """Make `problem` record the bytes of every kernel row it evaluates."""
+    inner, rows = problem._evaluate_rows, []
 
     def evaluate_rows(A):
-        calls.extend(row.tobytes() for row in A)
+        rows.extend(row.tobytes() for row in A)
         return inner(A)
 
     problem._evaluate_rows = evaluate_rows
+    return rows
+
+
+@pytest.mark.parametrize("memo", [1, 2])
+@pytest.mark.parametrize("case, seed", [
+    (case, seed) for case in sorted(ORACLE_CASES)
+    for seed in ((0, 23) if case == "d2d-seed" else (3, 5))])
+def test_a_memo_that_evicts_equals_the_per_proposal_loop(case, seed, memo, monkeypatch):
+    """A memo of the last one or two states evicts nearly every state, and
+    an evicted state that comes back is evaluated again, to the same float."""
+    monkeypatch.setattr(matching, "_MEMO", memo)
+    problem = oracle_problem(case, seed)
+    trace, best_iter, iterations, best, _ = per_proposal_anneal(problem)
+    calls = recorded_rows(problem)
+    res = anneal_on_problem(problem)
+    proposals = calls[1:]               # the first row is the start state
+    assert res.states_evaluated == len(proposals)
+    assert len(set(proposals)) < len(proposals)     # evicted states came back
+    assert res.trace == trace
+    assert res.best_iteration == best_iter
+    assert res.iterations_run == iterations
+    np.testing.assert_array_equal(res.matching.assign, best)
+
+
+def test_states_evaluated_counts_the_calls_to_evaluate():
+    problem = oracle_problem("mixed", 3)
+    calls = recorded_rows(problem)
     res = anneal_on_problem(problem)
     # besides one kernel row per memo miss, the start state
     proposals = calls[1:]

@@ -392,3 +392,10 @@ def test_module_entry_point_runs_in_a_subprocess():
                           capture_output=True, text=True,
                           cwd=os.path.dirname(os.path.dirname(socialcell.__file__)))
     assert proc.returncode == 0
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "socialcell", "validate", "--quiet"],
+                          capture_output=True, text=True,
+                          cwd=os.path.dirname(os.path.dirname(socialcell.__file__)))
+    assert proc.returncode == 0, proc.stderr
