@@ -17,19 +17,23 @@ one `ScenarioConfig` that also describes the scenario, which bounds them.
 
 One numpy kernel, `_evaluate_rows`, evaluates a stack of assignments, and
 each row may come from a different problem of one kernel shape (the same
-N, M, S, subcarriers, bandwidth, noise and `d2d_interference`): it reads
-one problem's node tables in place, or the tables of a stack of problems
-(`_stack_tables`) at each row's own problem.  `AssociationProblem.
-_evaluate_rows` is its one-problem case and `evaluate` its one-row case.
-Rows are grouped by shape, never padded: numpy sums a row pairwise, so
-zero-padding would change bits.  One scanner judges every swap
-the greedy pass and the audit see: `_swap_masks` lists the feasible swaps
-and `_judge` approves them in blocks of at most `_SCAN_BLOCK` swaps (fewer
-where the block's (rows, S + 1, M) gather would pass `_SCAN_ELEMENTS`), one
-kernel call and one vector check per block.  Every row of the kernel equals
-the evaluation of that row alone bit for bit (its sums run in an order
-independent of the block size), so the block scan approves exactly the swaps
-a one-at-a-time scan would.
+N, M, subcarriers, bandwidth, noise and `d2d_interference`; S may differ):
+it reads one problem's node tables in place, or the tables of a stack of
+problems (`_stack_tables`) at each row's own problem, padded to the stack's
+largest S with empty relay nodes.  `AssociationProblem._evaluate_rows` is
+its one-problem case and `evaluate` its one-row case.  An empty node adds
++0.0 to every sum it enters, and a padded row's welfare is summed over its
+own S nodes alone, since numpy sums a contiguous row pairwise.  One scanner
+judges every swap the greedy pass and the audit see: `_swap_masks` lists
+the feasible swaps and `_judge` approves them in blocks of at most
+`_SCAN_BLOCK` swaps (fewer where `_SCAN_ELEMENTS` says so), one kernel call
+and one vector check per block.  The two-sided rule reads only the touched
+players, so the judge evaluates each swapped state at its touched columns
+alone, and an approved swap in full for its welfare.  Every row of the
+kernel, and every column of it, equals the evaluation of that row alone bit
+for bit (its sums run in an order independent of the block size and of the
+columns evaluated), so the block scan approves exactly the swaps a
+one-at-a-time scan would.
 
 The anneal's walk revisits a few states over and over, so it keeps a memo,
 local to one search, from each of its last `_MEMO` evaluated states to its
@@ -40,11 +44,12 @@ from `_Draws`, which serves `np.random.default_rng(seed)`'s `random()` and
 changes a trace or a result.
 
 Each search is a chain that stops at every state its memo lacks, and
-`anneal_problems` runs up to `_WINDOW` chains in lockstep: one kernel call
-per shape and round evaluates the waiting state of every live chain.  The
-chains share nothing and a kernel row does not depend on its neighbours,
-so each result equals that of the search run alone; `anneal_on_problem`
-is `anneal_problems` over one problem.
+`anneal_problems` runs up to `_WINDOW` chains in lockstep: each round
+evaluates the waiting states of all live chains whose problems differ at
+most in S (all of a sweep point's) in one kernel call.  The chains share
+nothing and a kernel row does not depend on its neighbours, so each result
+equals that of the search run alone; `anneal_on_problem` is
+`anneal_problems` over one problem.
 """
 
 from __future__ import annotations
@@ -288,10 +293,10 @@ class AssociationProblem:
                     self.servable, self.quota, self.start_assignment):
             arr.setflags(write=False)
         self._node_tables = prx, relay, offset, self.x_scbs_ue, self.is_relay
-        # what the kernel reads besides the tables; problems that agree on it
-        # can share one kernel call
-        self._shape = (N, M, S, scenario.subcarriers, self._bw, self._noise_mw_hz,
-                       bool(scenario.d2d_interference))
+        # what the kernel reads besides the tables; problems that agree on all
+        # of it but S, which comes last, can share one kernel call
+        self._shape = (N, M, scenario.subcarriers, self._bw, self._noise_mw_hz,
+                       bool(scenario.d2d_interference), S)
         self.prx_scbs, self.prx_d2d = prx[1:N + 1], prx[N + 1:]
         self.relay_ues, self.sc_offset = relay[N + 1:], offset[1:]
 
@@ -311,14 +316,16 @@ class AssociationProblem:
         sum plus the UE sum, which algebraically doubles the UE total.  This
         is the one-row case of `_evaluate_rows`, the only evaluator.
         """
-        rows = self._evaluate_rows(np.asarray(assign, dtype=np.int64)[None, :])
-        return _eval_row(rows, 0)
+        utilities, rates, sn_util, welfare = self._evaluate_rows(
+            np.asarray(assign, dtype=np.int64)[None, :])
+        return EvalResult(utilities=utilities[0], rates=rates[0],
+                          sn_utilities=sn_util[0], welfare=float(welfare[0]))
 
-    def _evaluate_rows(self, A: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Evaluate a (B, M) stack of assignments of this problem in one pass:
-        `_evaluate_rows` over the problem's own tables, which every row
-        reads in place."""
-        return _evaluate_rows(self._shape, self._node_tables, A)
+    def _evaluate_rows(self, A: np.ndarray, cols: np.ndarray | None = None) -> tuple:
+        """Evaluate a (B, M) stack of assignments of this problem in one pass,
+        at every column or at `cols`: `_evaluate_rows` over the problem's own
+        tables, which every row reads in place."""
+        return _evaluate_rows(self._shape, self._node_tables, A, cols)
 
     def report(self, assign: np.ndarray) -> UtilityReport:
         ev = self.evaluate(assign)
@@ -328,65 +335,85 @@ class AssociationProblem:
                              unserved=unserved)
 
 
-def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...],
-                   A: np.ndarray) -> tuple[np.ndarray, ...]:
+def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...], A: np.ndarray,
+                   cols: np.ndarray | None = None) -> tuple:
     """Evaluate a (B, M) stack of assignments in one pass: the one kernel.
 
     `shape` and `tables` are a problem's `_shape` and `_node_tables`, which
-    every row then reads, or the output of `_stack_tables` for B problems of
-    one shape, in which row b reads problem b's tables.  Returns (utilities,
-    rates, sn_utilities, welfare), each with a leading B axis.  Each row
-    equals the evaluation of that row alone bit for bit, because every float
-    is summed in an order that does not depend on B or on the stacking:
+    every row then reads, or the output of `_stack_tables` for B problems,
+    in which row b reads problem b's tables.  Returns (utilities, rates,
+    sn_utilities, welfare), each with a leading B axis; a stacked row's
+    sn_utilities end in zeros for the empty nodes its problem was padded
+    with.  Each row equals the evaluation of that row alone bit for bit,
+    because every float is summed in an order that does not depend on B or
+    on the stacking:
 
-    - interference sums over the node axis of a (B, S+1, M) product,
-      which is not the contiguous axis, so it adds node by node in id
-      order; SCBSs first, then the own-signal subtraction, then relays;
+    - interference sums over the node axis of a C-contiguous (B, S+1, w)
+      product with w >= 2 columns (or w = M = 1), so the node axis is not
+      the inner loop and it adds node by node in id order; SCBSs first,
+      then the own-signal subtraction, then relays, then a padded row's
+      empty nodes, which add +0.0;
     - serving-node utilities come from one bincount whose keys are
       offset by (S + 1) per row, so each row accumulates in ascending
       UE order;
-    - welfare is the sum over contiguous rows of both totals.
+    - welfare is the sum over contiguous rows of both totals, a padded
+      row's over its own nodes only.
+
+    With `cols`, a (B, w) array of distinct columns ascending in each row,
+    and one problem's tables, the loads and subcarriers of whole rows are
+    laid out but only those columns are evaluated: utilities and rates come
+    back at `cols`, sn_utilities sum only the evaluated UEs, and welfare is
+    None.  A D2D UE's relay must be among its row's columns, and w >= 2
+    unless w = M, or the node sums would run pairwise.
 
     Adding or subtracting 0.0 leaves a float unchanged, so UEs of every
     kind go through the same vector formulas and are masked afterwards.
     """
-    N, M, S, C, bw, noise_mw_hz, d2d_interference = shape
-    prx, relay, offset, x, is_relay = tables
+    N, M, C, bw, noise_mw_hz, d2d_interference, S = shape
+    prx, relay, offset, x, is_relay = tables[:5]
+    stacked = prx.ndim == 3
     B = A.shape[0]
     a = A.ravel()
-    a1 = a + 1                           # node index + 1; 0 = unserved
     ue = np.arange(B * M)
-    col = ue % M
-    keys = a1 + np.repeat(np.arange(0, B * (S + 1), S + 1), M)
+    keys = (A + np.arange(1, B * (S + 1), S + 1)[:, None]).ravel()   # 0 = unserved
     per_key = np.bincount(keys, minlength=B * (S + 1))
+    # round-robin subcarriers: the rank of a UE inside its (row, node)
+    # group, by ascending UE id, comes from one stable argsort, which numpy
+    # does as a radix sort on keys of 16 bits or fewer
+    order = np.argsort(keys.astype(np.min_scalar_type(B * (S + 1))), kind="stable")
+    first = np.cumsum(per_key) - per_key
+    shift = (offset.ravel() if stacked else np.tile(offset, B)) - first
+    sc = np.empty(B * M, dtype=np.int64)
+    sc[order] = (np.repeat(shift, per_key) + ue) % C
+    on = np.zeros(B * (S + 1) * C, dtype=bool)
+    on[keys * C + sc] = True
+
+    if cols is not None:    # one problem's tables, read at each row's columns
+        ue = (cols + np.arange(0, B * M, M)[:, None]).ravel()
+        a, keys, sc = a[ue], keys[ue], sc[ue]
+    col = ue % M
+    a1 = a + 1
     share = 1.0 / per_key[keys]
     # where each UE's entries sit in the tables: one problem's are read in
     # place, a stack's at the row's own problem.  Only SCBS-served UEs use
     # x; the others read a clipped row of it, masked below.
     xi = np.minimum(a, N - 1)
-    if prx.ndim == 3:
+    if stacked:
         node, own = keys, ue
-        offset = offset.ravel()
         xi = xi + np.repeat(np.arange(0, B * N, N), M)
         relay, is_relay = relay.ravel(), is_relay.ravel()
         prx_at, x = prx.reshape(-1, M), x.reshape(-1, M)
     else:
         node, own = a1, col
-        offset = np.tile(offset, B)
         prx_at = prx
-
-    # round-robin subcarriers: the rank of a UE inside its (row, node)
-    # group, by ascending UE id, comes from one stable argsort
-    order = np.argsort(keys, kind="stable")
-    first = np.cumsum(per_key) - per_key
-    shift = offset - first
-    sc = np.empty(B * M, dtype=np.int64)
-    sc[order] = (shift[keys[order]] + ue) % C
-
-    on = np.zeros(B * (S + 1) * C, dtype=bool)
-    on[keys * C + sc] = True
-    heard = on[(np.arange(B * (S + 1)) * C).reshape(B, S + 1, 1)
-               + sc.reshape(B, 1, M)] * prx
+    w = len(col) // B
+    # (B, S+1, w) in C order, so that its node axis is not the inner loop
+    hits = on[(np.arange(B * (S + 1)) * C).reshape(B, S + 1, 1) + sc.reshape(B, 1, w)]
+    if cols is None:
+        heard = hits * prx
+    else:
+        heard = np.ascontiguousarray(prx.T[cols].transpose(0, 2, 1))
+        heard *= hits
     signal = prx_at[node, col]
     by_scbs = (a1 >= 1) & (a1 <= N)
     by_relay = a1 > N
@@ -399,8 +426,12 @@ def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...],
     sinr = signal / (noise_mw_hz * bw * share + interference)
     link = share * bw * np.log2(1.0 + sinr)
     scbs_rates = np.where(by_scbs, link, 0.0)
+    spread = scbs_rates
+    if cols is not None:    # each relay's rate at its own column
+        spread = np.zeros(B * M)
+        spread[ue] = scbs_rates
     # a D2D UE gets half the min of its relay's downlink and its access link
-    d2d_rates = np.minimum(scbs_rates[ue - col + relay[node]], link) / 2.0
+    d2d_rates = np.minimum(spread[ue - col + relay[node]], link) / 2.0
     rates = np.where(by_relay, d2d_rates, scbs_rates)
     xv = x[xi, col]
     utilities = np.where(by_scbs, np.where(is_relay[own], link / xv, link),
@@ -408,26 +439,36 @@ def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...],
 
     sn_util = np.bincount(keys, weights=utilities, minlength=B * (S + 1))
     sn_util = np.ascontiguousarray(sn_util.reshape(B, S + 1)[:, 1:])
-    utilities = utilities.reshape(B, M)
+    utilities, rates = utilities.reshape(B, w), rates.reshape(B, w)
+    if cols is not None:
+        return utilities, rates, sn_util, None
     welfare = sn_util.sum(axis=1) + utilities.sum(axis=1)
-    return utilities, rates.reshape(B, M), sn_util, welfare
+    if stacked:     # a padded row sums its own nodes, as it does alone
+        for b in np.flatnonzero(tables[5] < S):
+            welfare[b] = sn_util[b, :tables[5][b]].sum() + utilities[b].sum()
+    return utilities, rates, sn_util, welfare
 
 
 def _stack_tables(problems: Sequence[AssociationProblem]) -> tuple[tuple, tuple]:
     """(shape, tables) for `_evaluate_rows` over one row per problem: the
-    problems' node tables stacked along a new leading axis.  Problems of
-    different shapes cannot share a call; mixing them raises ValueError."""
-    shape = problems[0]._shape
-    if any(p._shape != shape for p in problems):
+    problems' node tables stacked along a new leading axis, each padded to
+    the largest S with empty relay nodes (no signal, never assigned), plus
+    each problem's own S.  Problems that differ in anything the kernel reads
+    but S cannot share a call; mixing them raises ValueError."""
+    if len({p._shape[:-1] for p in problems}) > 1:
         raise ValueError("a stack of problems mixes kernel shapes")
-    return shape, tuple(np.stack(t) for t in zip(*(p._node_tables for p in problems)))
-
-
-def _eval_row(rows: tuple[np.ndarray, ...], i: int) -> EvalResult:
-    """Row i of an `_evaluate_rows` result."""
-    utilities, rates, sn_util, welfare = rows
-    return EvalResult(utilities=utilities[i], rates=rates[i],
-                      sn_utilities=sn_util[i], welfare=float(welfare[i]))
+    sizes = np.array([p.n_sns for p in problems])
+    S = int(sizes.max())
+    prx, relay, offset, x, is_relay = zip(*(p._node_tables for p in problems))
+    padded = []
+    for node_tables in (prx, relay, offset):
+        stack = np.zeros((len(problems), S + 1) + node_tables[0].shape[1:],
+                         dtype=node_tables[0].dtype)
+        for row, t in zip(stack, node_tables):
+            row[:len(t)] = t
+        padded.append(stack)
+    return (problems[0]._shape[:-1] + (S,),
+            (*padded, np.stack(x), np.stack(is_relay), sizes))
 
 
 def build_problem(scenario: RadioScenario, graph: SocialGraph,
@@ -563,17 +604,17 @@ def anneal_problems(problems: Iterable[AssociationProblem]
     lacks.  Up to `_WINDOW` chains run in lockstep, as Lee, Yau, Giles,
     Doucet and Holmes (JCGS 2010) run independent Monte Carlo chains: each
     round evaluates the waiting proposal of every live chain, one
-    `_evaluate_rows` call per problem shape, and runs each chain on to its
-    next miss or its end.  The chains share nothing, and a kernel row does
-    not depend on the rows beside it, so every result equals that of the
-    chain run alone.  Problems are pulled from `problems` only as slots in
-    the window free up, and a chain's state is dropped when it ends and its
-    problem by the end of that round, so no more than `_WINDOW` searches
-    are held here at once.
+    `_evaluate_rows` call for all the chains whose problems differ at most
+    in S, and runs each chain on to its next miss or its end.  The chains
+    share nothing, and a kernel row does not depend on the rows beside it,
+    so every result equals that of the chain run alone.  Problems are
+    pulled from `problems` only as slots in the window free up, and a
+    chain's state is dropped when it ends and its problem by the end of
+    that round, so no more than `_WINDOW` searches are held here at once.
     """
     source = enumerate(problems)
     live: list[list] = []               # [index, problem, chain, proposal]
-    stacks: dict[tuple, tuple] = {}     # shape -> (problems, their stacked tables)
+    stacks: dict[tuple, tuple] = {}     # shape but S -> (problems, _stack_tables)
     while True:
         while len(live) < _WINDOW:
             if not (yield from _pull(source, live)):
@@ -602,31 +643,32 @@ def _pull(source: Iterator[tuple[int, AssociationProblem]], live: list[list]
 
 def _round(live: list[list], stacks: dict[tuple, tuple]
            ) -> Iterator[tuple[int, AnnealResult]]:
-    """Evaluate the waiting proposal of every live chain, one kernel call per
-    problem shape, and run each chain on to its next proposal.  A chain
-    that ends leaves `live`, and its result is yielded at once.
+    """Evaluate the waiting proposal of every live chain, one kernel call for
+    all the chains whose problems differ at most in S (all of a sweep
+    point's), and run each chain on to its next proposal.  A chain that
+    ends leaves `live`, and its result is yielded at once.
 
-    `stacks` keeps the stacked tables of each shape's chains from round to
-    round; they are restacked when a chain of that shape ends or joins.
+    `stacks` keeps the stacked tables of each call's chains from round to
+    round; they are restacked when one of those chains ends or joins.
     """
     groups: dict[tuple, list[list]] = {}
     for entry in live:
-        groups.setdefault(entry[1]._shape, []).append(entry)
-    for shape, group in groups.items():
+        groups.setdefault(entry[1]._shape[:-1], []).append(entry)
+    for kind, group in groups.items():
         A = np.stack([entry[3] for entry in group], dtype=np.int64)
         if len(group) == 1:
             rows = group[0][1]._evaluate_rows(A)
         else:
             members = [entry[1] for entry in group]
-            if shape not in stacks or stacks[shape][0] != members:
-                stacks[shape] = members, _stack_tables(members)[1]
-            rows = _evaluate_rows(shape, stacks[shape][1], A)
+            if kind not in stacks or stacks[kind][0] != members:
+                stacks[kind] = members, _stack_tables(members)
+            rows = _evaluate_rows(*stacks[kind][1], A)
         for entry, w in zip(group, rows[3].tolist()):
             try:
                 entry[3] = entry[2].send(w)
             except StopIteration as end:
                 entry[3] = None
-                stacks.pop(shape, None)
+                stacks.pop(kind, None)
                 yield entry[0], end.value
     live[:] = [entry for entry in live if entry[3] is not None]
 
@@ -781,43 +823,54 @@ def _trace_rows(w_start: float, moves: bytes,
 #: most; `_SCAN_ELEMENTS` lowers it on large problems.
 _SCAN_BLOCK = 64
 
-#: Entries of the (rows, S + 1, M) interference gather that one scan block
-#: may build: a block judges max(1, _SCAN_ELEMENTS // ((S + 1) * M)) swaps
-#: when that is below `_SCAN_BLOCK`.  Desk and dense problems keep 64 rows
-#: ((S + 1) * M <= 1,980); wide-m500 (S = 31, M = 500) takes 8, and one
-#: block at N32/M2000 stays near 1 MB per gather array instead of 75 MB.
+#: Bound on the entries of one scan block's (rows, S + 1, columns)
+#: interference gather, reckoned at all M columns: a block judges
+#: max(1, _SCAN_ELEMENTS // ((S + 1) * M)) swaps when that is below
+#: `_SCAN_BLOCK`.  Desk and dense problems keep 64 rows ((S + 1) * M <=
+#: 1,980); wide-m500 takes 8 at S = 31 and 7 at S = 32, and one block at
+#: N32/M2000 stays near 1 MB per gather array instead of 75 MB.  The judge
+#: gathers only a block's touched columns, as many as its widest row has:
+#: 25 of M = 100 on average over the dense-stabilize scans at seed 1.
 _SCAN_ELEMENTS = 1 << 17
 
 
 def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
-           m: np.ndarray, n: np.ndarray, k: np.ndarray):
-    """Evaluate a block of feasible swaps of `assign` and judge each one.
+           m: np.ndarray, n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Judge a block of feasible swaps of `assign`, whose evaluation is `base`.
 
     Swap i moves UE m[i] to serving node k[i]; when n[i] >= 0 it is a pair
     swap in which UE n[i] (now on k[i]) takes m[i]'s node.  A swap is
     approved when no touched player (the movers and the nodes they leave
-    and join) loses utility and one of them strictly gains.  Returns the
-    boolean approval mask, the welfare deltas against `base` (the
-    evaluation of `assign`) and the `_evaluate_rows` result of the swapped
-    states.
+    and join) loses utility and one of them strictly gains.  So each
+    swapped state is evaluated only at its touched columns: the members,
+    after the swap, of the two nodes, whose utilities make up those nodes'
+    sums, and the relay UE of a touched relay node, whose downlink bounds
+    its D2D children's rates.  Returns the boolean approval mask and the
+    swapped states.
     """
     rows = np.arange(len(m))
     pair = n >= 0
     swapped = np.repeat(assign[None, :], len(m), axis=0)
     swapped[rows, m] = k
     swapped[rows[pair], n[pair]] = assign[m[pair]]
-    after = problem._evaluate_rows(swapped)
-    utilities, _, sn_util, welfare = after
-    # every touched player: the movers and the nodes they leave and join;
     # a move stands in m for the missing partner and k for a missing node
     n = np.where(pair, n, m)
     left = np.where(assign[m] >= 0, assign[m], k)
-    now = np.stack([utilities[rows, m], utilities[rows, n],
+    # the touched columns; m, already among them, stands in for the relay
+    # UE of an SCBS
+    touched = (swapped == left[:, None]) | (swapped == k[:, None])
+    ends = np.stack([left, k])
+    relay = problem._node_tables[1]             # a node's relay UE, at node + 1
+    touched[rows, np.where(ends >= problem.n_scbs, relay[ends + 1], m)] = True
+    # touched columns first, ascending; untouched ones pad the narrower rows
+    width = min(problem.n_ues, max(2, touched.sum(axis=1).max()))
+    cols = np.argsort(~touched, axis=1, kind="stable")[:, :width]
+    utilities, _, sn_util, _ = problem._evaluate_rows(swapped, cols)
+    now = np.stack([utilities[cols == m[:, None]], utilities[cols == n[:, None]],
                     sn_util[rows, left], sn_util[rows, k]])
     before = np.stack([base.utilities[m], base.utilities[n],
                        base.sn_utilities[left], base.sn_utilities[k]])
-    approved = ~(now < before).any(axis=0) & (now > before).any(axis=0)
-    return approved, welfare - base.welfare, after
+    return ~(now < before).any(axis=0) & (now > before).any(axis=0), swapped
 
 
 def _swap_masks(problem: AssociationProblem,
@@ -857,10 +910,11 @@ def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
     Scans pair swaps m < n first, then single moves of each servable UE to
     each feasible serving node, always judging against the live `assign`.
     The feasible swaps are listed by one mask and judged in blocks of at
-    most `_SCAN_BLOCK`, fewer where a block's gather would pass
-    `_SCAN_ELEMENTS`: one `_evaluate_rows` call evaluates the block and one
-    vector check judges it, with results bit-identical to judging one swap
-    at a time.  A caller may apply the yielded swap to `assign` before
+    most `_SCAN_BLOCK`, fewer where `_SCAN_ELEMENTS` says so: one
+    `_evaluate_rows` call evaluates the block at its touched columns and
+    one vector check judges it, with results bit-identical to judging one
+    swap at a time.  Each approved swap is then evaluated in full, as it is
+    yielded.  A caller may apply the yielded swap to `assign` before
     resuming; the scan then lists the feasible swaps of the new state and
     continues after the applied one, with the yielded evaluation as its new
     base.
@@ -876,12 +930,12 @@ def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
         m = np.where(pair, block // M, move // S)
         n = np.where(pair, block % M, -1)
         k = np.where(pair, assign[n], move % S)
-        approved, delta, after = _judge(problem, assign, base, m, n, k)
+        approved, swapped = _judge(problem, assign, base, m, n, k)
         for i in np.flatnonzero(approved):
             was = assign[m[i]]
-            ev = _eval_row(after, i)
+            ev = problem.evaluate(swapped[i])
             yield StabilityViolation(int(m[i]), None if n[i] < 0 else int(n[i]),
-                                     int(k[i]), float(delta[i])), ev
+                                     int(k[i]), ev.welfare - base.welfare), ev
             if assign[m[i]] != was:
                 base = ev
                 todo = _scan_order(problem, assign)

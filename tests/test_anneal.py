@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clustered_instance, exhaustive_best_welfare, state_count
-from socialcell import matching, radio
+from socialcell import harness, matching, radio
 from socialcell import socialgraph as sg
 from socialcell.config import ScenarioConfig
 from socialcell.matching import (
@@ -123,10 +123,14 @@ def twin_pair():
 
 
 def judge_pair_swap(problem, assign, m, n):
-    """The scanner's verdict and welfare delta on a block of one: m and n trade."""
-    approved, delta, _ = _judge(problem, assign, problem.evaluate(assign),
-                                np.array([m]), np.array([n]), np.array([assign[n]]))
-    return bool(approved[0]), float(delta[0])
+    """The scanner's verdict on a block of one in which m and n trade, and
+    the welfare delta of the swapped state."""
+    approved, _ = _judge(problem, assign, problem.evaluate(assign),
+                         np.array([m]), np.array([n]), np.array([assign[n]]))
+    swapped = assign.copy()
+    swapped[[m, n]] = assign[[n, m]]
+    return (bool(approved[0]),
+            problem.evaluate(swapped).welfare - problem.evaluate(assign).welfare)
 
 
 def test_crossed_pair_swap_is_approved():
@@ -593,6 +597,34 @@ def test_lockstep_equals_the_single_anneal(window, monkeypatch):
         assert res.iterations_run == ref.iterations_run
         assert res.states_evaluated == ref.states_evaluated
         np.testing.assert_array_equal(res.matching.assign, ref.matching.assign)
+
+
+def test_a_window_of_mixed_s_makes_one_kernel_call_per_round(monkeypatch):
+    """Replications 3 and 4 of the dense point at seed 1 have S = 16 and
+    S = 15; their chains share each round's kernel call."""
+    cfg = ScenarioConfig(n_scbs=8, n_ues=100, macro_radius_m=100, seed=1, max_iterations=300)
+    problems = [harness.build_replication(cfg, 0, r)[1] for r in (3, 4)]
+    assert [p.n_sns for p in problems] == [16, 15]
+    want = [anneal_on_problem(p) for p in problems]
+    calls, rounds = [], []
+    evaluate_rows, round_ = matching._evaluate_rows, matching._round
+
+    def counting_rows(shape, tables, A, cols=None):
+        calls.append(len(A))
+        return evaluate_rows(shape, tables, A, cols)
+
+    def counting_round(live, stacks):
+        rounds.append(len(live))
+        return round_(live, stacks)
+
+    monkeypatch.setattr(matching, "_evaluate_rows", counting_rows)
+    monkeypatch.setattr(matching, "_round", counting_round)
+    got = dict(anneal_problems(problems))
+    assert calls == [1, 1] + rounds         # two start states, then one call a round
+    assert rounds.count(2) > 50
+    for i, res in got.items():
+        assert res.trace == want[i].trace
+        np.testing.assert_array_equal(res.matching.assign, want[i].matching.assign)
 
 
 def test_lockstep_holds_at_most_a_window_of_problems(monkeypatch):

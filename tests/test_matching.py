@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clustered_instance, oracle_evaluate, social_ring_graph
@@ -742,20 +742,20 @@ def test_scan_element_budget_one_row_blocks(monkeypatch):
     audit = audit_stability(problem, assign)
     stab = greedy_stabilize(problem, assign)
     assert audit and stab.applied
-    rows = []
-    evaluate_rows = matching.AssociationProblem._evaluate_rows
+    blocks = []
+    judge = matching._judge
 
-    def spy(self, A):
-        rows.append(len(A))
-        return evaluate_rows(self, A)
+    def spy(problem, assign, base, m, n, k):
+        blocks.append(len(m))
+        return judge(problem, assign, base, m, n, k)
 
     monkeypatch.setattr(matching, "_SCAN_ELEMENTS", 1)
-    monkeypatch.setattr(matching.AssociationProblem, "_evaluate_rows", spy)
+    monkeypatch.setattr(matching, "_judge", spy)
     assert audit_stability(problem, assign) == audit
     one = greedy_stabilize(problem, assign)
     np.testing.assert_array_equal(one.assign, stab.assign)
     assert one.welfares == stab.welfares
-    assert set(rows) == {1} and len(rows) > 2 * _SCAN_BLOCK
+    assert set(blocks) == {1} and len(blocks) > 2 * _SCAN_BLOCK
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -789,17 +789,39 @@ def same_shape_problems(seed, count, **keys):
     raise AssertionError("no shape repeats")
 
 
+def relayless_problem(seed, **keys):
+    """A clustered instance whose SCBSs cover no UE, so no cell elects a
+    relay and S = N."""
+    return clustered_instance(seed, scbs_radius_m=1e-6, **keys).problem
+
+
+def mixed_s_problems(seed, **keys):
+    """A relayless problem, then problems from consecutive seeds until two
+    more values of S turn up: problems that differ only in S."""
+    problems = [relayless_problem(seed, **keys)]
+    for s in range(seed, seed + 40):
+        problem = clustered_instance(s, **keys).problem
+        if problem.n_sns not in {p.n_sns for p in problems}:
+            problems.append(problem)
+        if len(problems) == 3:
+            break
+    assert len(problems) > 1
+    return problems
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 10_000), n_scbs=st.integers(1, 4), n_ues=st.integers(1, 24),
+# S = 4, 7 and 8: a row of S = 7 padded to 8 would be summed in another order
+@example(seed=10, n_scbs=4, n_ues=24, rows=12, subcarriers=16, d2d_interference=True)
+@given(seed=st.integers(0, 10_000), n_scbs=st.integers(1, 6), n_ues=st.integers(1, 24),
        rows=st.integers(3, 12), subcarriers=st.sampled_from([2, 4, 16]),
        d2d_interference=st.booleans())
 def test_stacked_rows_equal_their_own_problem(seed, n_scbs, n_ues, rows, subcarriers,
                                               d2d_interference):
-    """Rows of several same-shape problems, in shuffled problem order, share
-    one kernel call and each equals its own problem's `evaluate`."""
-    problems = same_shape_problems(seed, 3, n_scbs=n_scbs, n_ues=n_ues,
-                                   subcarriers=subcarriers,
-                                   d2d_interference=d2d_interference)
+    """Rows of problems that differ in S, one of them without relays, in
+    shuffled problem order, share one kernel call padded to the largest S,
+    and each equals its own problem's `evaluate`."""
+    problems = mixed_s_problems(seed, n_scbs=n_scbs, n_ues=n_ues, subcarriers=subcarriers,
+                                d2d_interference=d2d_interference)
     rng = np.random.default_rng(seed)
     owners = rng.permutation(np.resize(np.arange(len(problems)), rows))
     row_problems = [problems[i] for i in owners]
@@ -807,9 +829,11 @@ def test_stacked_rows_equal_their_own_problem(seed, n_scbs, n_ues, rows, subcarr
     block = matching._evaluate_rows(*matching._stack_tables(row_problems), states)
     for b, (problem, assign) in enumerate(zip(row_problems, states)):
         one = problem.evaluate(assign)
+        S = problem.n_sns
         assert np.array_equal(block[0][b], one.utilities)
         assert np.array_equal(block[1][b], one.rates)
-        assert np.array_equal(block[2][b], one.sn_utilities)
+        assert np.array_equal(block[2][b][:S], one.sn_utilities)
+        assert not block[2][b][S:].any()
         assert block[3][b] == one.welfare
 
 
@@ -817,9 +841,102 @@ def test_a_stack_of_mixed_shapes_raises():
     problems = [clustered_instance(s, n_scbs=3, n_ues=6).problem for s in range(40)]
     by_s = {p.n_sns: p for p in problems}
     assert len(by_s) > 1
-    with pytest.raises(ValueError, match="mixes"):
-        matching._stack_tables(list(by_s.values()))
-    same = same_shape_problems(0, 2, n_scbs=2, n_ues=8)
-    other = same_shape_problems(0, 1, n_scbs=2, n_ues=8, d2d_interference=False)
-    with pytest.raises(ValueError, match="mixes"):
-        matching._stack_tables(same + other)
+    shape, _ = matching._stack_tables(list(by_s.values()))    # mixed S share a stack
+    assert shape[-1] == max(by_s)
+    keys = {"n_scbs": 2, "n_ues": 8}
+    same = same_shape_problems(0, 2, **keys)
+    for other in ({"n_scbs": 3}, {"n_ues": 9}, {"subcarriers": 4},
+                  {"d2d_interference": False}, {"bandwidth_hz": 1e7},
+                  {"noise_psd_dbm_hz": -170.0}):
+        odd = clustered_instance(0, **{**keys, **other}).problem
+        with pytest.raises(ValueError, match="mixes"):
+            matching._stack_tables(same + [odd])
+
+
+# --------------------------------------------------------------------------
+# the judge's touched columns against the full kernel
+# --------------------------------------------------------------------------
+
+def subset_calls(problem, assign):
+    """Audit `assign` in blocks of the usual size, then one swap a block,
+    and return every subset kernel call the judge made: (swapped states,
+    columns, result)."""
+    calls = []
+    inner = problem._evaluate_rows
+
+    def spy(A, cols=None):
+        out = inner(A, cols)
+        if cols is not None:
+            calls.append((A.copy(), cols, out))
+        return out
+
+    problem._evaluate_rows = spy
+    try:
+        audit_stability(problem, assign)
+        matching._SCAN_ELEMENTS = 1
+        audit_stability(problem, assign)
+    finally:
+        del problem._evaluate_rows
+        matching._SCAN_ELEMENTS = SCAN_ELEMENTS
+    return calls
+
+
+SCAN_ELEMENTS = matching._SCAN_ELEMENTS
+
+
+def emptied_states(problem, assign):
+    """States whose first feasible move has one or two touched columns: a
+    servable UE m made unserved, with its first feasible SCBS k emptied,
+    then with one other UE that k may serve put back on it."""
+    N = problem.n_scbs
+    candidates = np.flatnonzero(problem.feasible_sn[:, :N].any(axis=1))
+    if not len(candidates):
+        return []
+    m = candidates[0]
+    k = np.flatnonzero(problem.feasible_sn[m, :N])[0]
+    lone = np.where(assign == k, -1, assign)
+    lone[m] = -1
+    states = [lone]
+    others = [u for u in np.flatnonzero(problem.feasible_sn[:, k]) if u != m]
+    if others:
+        pair = lone.copy()
+        pair[others[0]] = k
+        states.append(pair)
+    return states
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# a row of one touched column among 8 SCBSs, whose interference sum a
+# (B, S+1, 1) gather would add pairwise rather than node by node
+@example(seed=1, n_scbs=8, n_ues=24, subcarriers=2, d2d_interference=True, quotas=(0, 3))
+@given(seed=st.integers(0, 10_000), n_scbs=st.integers(1, 10), n_ues=st.integers(1, 24),
+       subcarriers=st.sampled_from([2, 4, 16]), d2d_interference=st.booleans(),
+       quotas=st.sampled_from([(0, 3), (2, 1), (3, 2)]))
+def test_touched_columns_equal_the_full_kernel(seed, n_scbs, n_ues, subcarriers,
+                                               d2d_interference, quotas):
+    """At each swap's touched columns (the members, after the swap, of the
+    nodes its movers leave and join, and the relay UE of a touched relay
+    node), the judge's subset evaluation equals the full kernel's bit for
+    bit: utilities and rates there, and the sums of the touched nodes."""
+    engine = ScenarioConfig(seed=seed, scbs_quota=quotas[0], d2d_quota=quotas[1])
+    problem = clustered_instance(seed, n_scbs=n_scbs, n_ues=n_ues, subcarriers=subcarriers,
+                                 d2d_interference=d2d_interference, engine=engine).problem
+    N = problem.n_scbs
+    start = random_states(problem, np.random.default_rng(seed), 1)[0]
+    widths = set()
+    for assign in [start, *emptied_states(problem, start)]:
+        for A, cols, (utilities, rates, sn_util, _) in subset_calls(problem, assign):
+            full = problem._evaluate_rows(A)
+            assert cols.shape[1] >= min(2, problem.n_ues)
+            for b, swapped in enumerate(A):
+                moved = np.flatnonzero(swapped != assign)
+                nodes = {int(k) for k in (*assign[moved], *swapped[moved]) if k >= 0}
+                touched = set(np.flatnonzero(np.isin(swapped, list(nodes))))
+                touched |= {int(problem.relay_ues[k - N]) for k in nodes if k >= N}
+                widths.add(len(touched))
+                at = [int(np.flatnonzero(cols[b] == c)[0]) for c in sorted(touched)]
+                assert np.array_equal(utilities[b, at], full[0][b, sorted(touched)])
+                assert np.array_equal(rates[b, at], full[1][b, sorted(touched)])
+                assert np.array_equal(sn_util[b, list(nodes)], full[2][b, list(nodes)])
+    if len(emptied_states(problem, start)) == 2:
+        assert {1, 2} <= widths
