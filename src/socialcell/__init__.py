@@ -20,12 +20,13 @@ from .harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
                       replication_seed, run_experiment)
 from .matching import (AnnealResult, AssociationProblem, Matching,
                        anneal_on_problem, anneal_problems, audit_stability,
-                       build_problem, greedy_stabilize)
+                       build_problem, greedy_stabilize, reports)
 from .radio import (LinkBudget, PathlossParams, RadioScenario, channel_gain,
                     generate_topology, link_rate, pathloss_db)
 from .socialgraph import (SocialGraph, edge_betweenness, elect_important_ues,
-                          graph_from_edges, importance_scores, similarity,
-                          social_distance, social_pipeline)
+                          graph_from_edges, grouped_edge_betweenness,
+                          importance_scores, similarity, social_distance,
+                          social_pipeline, social_pipelines)
 
 __version__ = "0.1.0"
 
@@ -38,9 +39,10 @@ __all__ = [
     "build_problem", "channel_gain", "config_as_dict",
     "config_sha", "dump_config", "edge_betweenness", "elect_important_ues",
     "engine_config_from_config", "generate_topology", "graph_from_edges",
-    "greedy_stabilize",
+    "greedy_stabilize", "grouped_edge_betweenness",
     "importance_scores", "link_rate", "load_config", "pathloss_db",
-    "replication_seed", "run_experiment", "scenario_from_config", "similarity",
-    "social_distance", "social_graph_from_config", "social_pipeline",
+    "replication_seed", "reports", "run_experiment", "scenario_from_config",
+    "similarity", "social_distance", "social_graph_from_config", "social_pipeline",
+    "social_pipelines",
     "__version__",
 ]

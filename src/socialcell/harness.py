@@ -13,7 +13,9 @@ import dataclasses
 import datetime
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -21,9 +23,9 @@ from .config import (ScenarioConfig, config_as_dict, engine_config_from_config,
                      scenario_from_config, social_graph_from_config)
 from .errors import ConfigError
 from .matching import (AnnealResult, AssociationProblem, anneal_problems,
-                       build_problem, greedy_stabilize)
+                       build_problem, greedy_stabilize, reports)
 from .radio import RadioScenario
-from .socialgraph import social_pipeline
+from .socialgraph import betweenness_groups, social_pipelines
 
 METHOD_SOCIAL = "social-aware"
 METHOD_BASELINE = "max-rssi"
@@ -130,22 +132,46 @@ class ExperimentResult:
     aggregates: tuple[PointAggregate, ...]
 
 
-def build_replication(cfg: ScenarioConfig, point_index: int,
-                      replication: int) -> tuple[RadioScenario, AssociationProblem]:
-    """Scenario and association problem of one (sweep point, replication) cell.
+def build_replications(cfg: ScenarioConfig, point_index: int, replications: Iterable[int]
+                       ) -> Iterator[tuple[RadioScenario, AssociationProblem]]:
+    """Scenario and association problem of each (sweep point, replication)
+    cell of one point, in the order of `replications`.
 
     `cfg` already holds the point's value of the swept variable.  Topology,
     social graph and engine each draw from their own stream of cfg.seed.
+    The cells are built in runs (`socialgraph.betweenness_groups`) whose
+    social graphs share one `social_pipelines` call, so a few small graphs
+    share each Brandes pass.  Each graph's X equals the X it gets alone, so
+    each problem equals the one built alone.  A run is built when the
+    problem before it is taken, and its graphs and X are dropped once its
+    problems are built.
     """
-    def seed(stream: int) -> int:
+    def seed(replication: int, stream: int) -> int:
         return replication_seed(cfg.seed, point_index, replication, stream)
 
-    scenario = scenario_from_config(cfg, seed=seed(STREAM_TOPOLOGY))
-    graph = social_graph_from_config(cfg, scenario, seed=seed(STREAM_SOCIAL))
-    xmat = social_pipeline(graph, alpha=cfg.alpha, beta=cfg.beta,
-                           normalization=cfg.similarity_normalization)
-    engine = engine_config_from_config(cfg, seed=seed(STREAM_ENGINE))
-    return scenario, build_problem(scenario, graph, xmat, engine)
+    def drafts():
+        for r in replications:
+            scenario = scenario_from_config(cfg, seed=seed(r, STREAM_TOPOLOGY))
+            yield r, scenario, social_graph_from_config(cfg, scenario,
+                                                        seed=seed(r, STREAM_SOCIAL))
+
+    def finish(run):
+        xs = social_pipelines([graph for _, _, graph in run], alpha=cfg.alpha,
+                              beta=cfg.beta, normalization=cfg.similarity_normalization)
+        engines = [engine_config_from_config(cfg, seed=seed(r, STREAM_ENGINE))
+                   for r, _, _ in run]
+        return [(scenario, build_problem(scenario, graph, xmat, engine))
+                for (_, scenario, graph), xmat, engine in zip(run, xs, engines)]
+
+    for built in map(finish, betweenness_groups(drafts(), graph_of=lambda draft: draft[2])):
+        yield from built
+
+
+def build_replication(cfg: ScenarioConfig, point_index: int,
+                      replication: int) -> tuple[RadioScenario, AssociationProblem]:
+    """Scenario and association problem of one (sweep point, replication)
+    cell: the one-cell case of `build_replications`."""
+    return next(build_replications(cfg, point_index, [replication]))
 
 
 def settled(problem: AssociationProblem, result: AnnealResult,
@@ -155,52 +181,53 @@ def settled(problem: AssociationProblem, result: AnnealResult,
     return greedy_stabilize(problem, assign).assign if stabilize else assign
 
 
-def _replication_rows(cfg: ScenarioConfig, x: int, replication: int, methods,
-                      problem: AssociationProblem,
-                      result: AnnealResult | None) -> list[ReplicationRow]:
-    """One row per method of one replication; `result` is its search."""
-    rows = []
-    for method in methods:
-        if method == METHOD_BASELINE:
-            report = problem.report(problem.rssi_assignment)
-            iters = 0
-        else:
-            report = problem.report(settled(problem, result, cfg.stabilize))
-            iters = result.best_iteration
-        rows.append(ReplicationRow(
-            x=x, method=method, replication=replication,
-            avg_rate_bps=float(report.ue_rates.mean()),
-            welfare=float(report.welfare),
-            iterations=int(iters),
-            unserved=len(report.unserved)))
-    return rows
-
-
 def _point_task(args) -> list[ReplicationRow]:
     """Rows of a run of replications of one sweep point, ordered by
     (replication, method).
 
-    The point's searches run side by side through `anneal_problems`, which
-    asks for each problem only when its window has room for the search.
-    Each replication is stabilized and reported as soon as its search ends,
-    and its problem is dropped then.
+    The point's problems come from `build_replications`, whose runs of
+    cells share their Brandes passes, and its searches run side by side
+    through `anneal_problems`, which asks for each problem only when its
+    window has room for the search.  Each replication is stabilized as soon
+    as its search ends, and its rows' (problem, assignment) pairs go to
+    `reports`, which evaluates them a window of rows at a time in one kernel
+    call, so a problem waits for its window to fill before it is dropped.
+    Each report equals that of its pair alone, so each row does too.
     """
     base, sweep_variable, x, point_index, replications, methods = args
     cfg = dataclasses.replace(base, **{sweep_variable: int(x)})
     built: dict[int, AssociationProblem] = {}
 
     def problems():
-        for i, replication in enumerate(replications):
-            built[i] = build_replication(cfg, point_index, replication)[1]
-            yield built[i]
+        for i, (_, problem) in enumerate(build_replications(cfg, point_index, replications)):
+            built[i] = problem
+            yield problem
 
     searched = (anneal_problems(problems()) if METHOD_SOCIAL in methods
                 else ((i, None) for i, _ in enumerate(problems())))
+    pending: deque[tuple[int, str, int]] = deque()     # (index, method, iterations)
+
+    def settled_pairs():
+        for i, result in searched:
+            problem = built.pop(i)
+            for method in methods:
+                if method == METHOD_BASELINE:
+                    pending.append((i, method, 0))
+                    yield problem, problem.rssi_assignment
+                else:
+                    pending.append((i, method, result.best_iteration))
+                    yield problem, settled(problem, result, cfg.stabilize)
+
     rows: list[list[ReplicationRow]] = [[] for _ in replications]
-    for i, result in searched:
-        rows[i] = _replication_rows(cfg, int(x), replications[i], methods,
-                                    built.pop(i), result)
-        del result      # so that no search outlives its rows
+    # a report comes back for each pair in the order the pairs were made
+    for report in reports(settled_pairs()):
+        i, method, iters = pending.popleft()
+        rows[i].append(ReplicationRow(
+            x=int(x), method=method, replication=replications[i],
+            avg_rate_bps=float(report.ue_rates.mean()),
+            welfare=float(report.welfare),
+            iterations=int(iters),
+            unserved=len(report.unserved)))
     return [row for chunk in rows for row in chunk]
 
 

@@ -43,13 +43,15 @@ from `_Draws`, which serves `np.random.default_rng(seed)`'s `random()` and
 `integers(n)` draw for draw from raw 64-bit words fetched in bulk.  Neither
 changes a trace or a result.
 
-Each search is a chain that stops at every state its memo lacks, and
-`anneal_problems` runs up to `_WINDOW` chains in lockstep: each round
-evaluates the waiting states of all live chains whose problems differ at
-most in S (all of a sweep point's) in one kernel call.  The chains share
-nothing and a kernel row does not depend on its neighbours, so each result
-equals that of the search run alone; `anneal_on_problem` is
-`anneal_problems` over one problem.
+Each search is a chain that stops at its start state and at every state
+its memo lacks, and `anneal_problems` runs up to `_WINDOW` chains in
+lockstep: each round evaluates the waiting states of all live chains whose
+problems differ at most in S (all of a sweep point's) in one kernel call.
+The chains share nothing and a kernel row does not depend on its
+neighbours, so each result equals that of the search run alone;
+`anneal_on_problem` is `anneal_problems` over one problem.  For the same
+reason `reports` evaluates (problem, assignment) pairs `_WINDOW` to a
+kernel call, each report equal to the pair's own `problem.report`.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -159,9 +162,9 @@ class AnnealResult:
     """Outcome of one annealed search.
 
     states_evaluated counts the proposals the search evaluated, that is its
-    memo misses; the start state is not counted.  A state evicted from the
-    memo and proposed again counts each time it is evaluated.  No CSV or
-    JSON output records it.
+    memo misses; the start state, the chain's first kernel row, is not
+    counted.  A state evicted from the memo and proposed again counts each
+    time it is evaluated.  No CSV or JSON output records it.
 
     The search's trace is kept compact: the start welfare, one byte per
     iteration in `moves` (2 for a pair swap, + 1 if accepted) and the
@@ -328,11 +331,8 @@ class AssociationProblem:
         return _evaluate_rows(self._shape, self._node_tables, A, cols)
 
     def report(self, assign: np.ndarray) -> UtilityReport:
-        ev = self.evaluate(assign)
-        unserved = tuple(int(m) for m in np.flatnonzero(np.asarray(assign) < 0))
-        return UtilityReport(ue_utilities=ev.utilities, ue_rates=ev.rates,
-                             sn_utilities=ev.sn_utilities, welfare=ev.welfare,
-                             unserved=unserved)
+        """The report of one assignment: the one-pair case of `reports`."""
+        return next(reports([(self, assign)]))
 
 
 def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...], A: np.ndarray,
@@ -471,6 +471,34 @@ def _stack_tables(problems: Sequence[AssociationProblem]) -> tuple[tuple, tuple]
             (*padded, np.stack(x), np.stack(is_relay), sizes))
 
 
+def reports(pairs: Iterable[tuple[AssociationProblem, np.ndarray]]
+            ) -> Iterator[UtilityReport]:
+    """The report of each (problem, assignment) pair, in order.
+
+    The pairs are read `_WINDOW` at a time, and each such run is evaluated
+    in one kernel call over the problems' stacked tables (`_stack_tables`;
+    one pair reads its problem's own), so a run's problems must differ at
+    most in S.  A kernel row equals the evaluation of that row alone bit
+    for bit, so each report equals that of its pair alone; a padded row's
+    sn_utilities are cut back to its problem's own S nodes.
+    `AssociationProblem.report` is the one-pair case.
+    """
+    pairs = iter(pairs)
+    while run := list(islice(pairs, _WINDOW)):
+        problems = [problem for problem, _ in run]
+        A = np.stack([assign for _, assign in run], dtype=np.int64)
+        if len(run) == 1:
+            evaluated = problems[0]._evaluate_rows(A)
+        else:
+            evaluated = _evaluate_rows(*_stack_tables(problems), A)
+        utilities, rates, sn_util, welfare = evaluated
+        for b, problem in enumerate(problems):
+            yield UtilityReport(ue_utilities=utilities[b], ue_rates=rates[b],
+                                sn_utilities=sn_util[b, :problem.n_sns],
+                                welfare=float(welfare[b]),
+                                unserved=tuple(np.flatnonzero(A[b] < 0).tolist()))
+
+
 def build_problem(scenario: RadioScenario, graph: SocialGraph,
                   x: np.ndarray, config: ScenarioConfig) -> AssociationProblem:
     """Front door for constructing an AssociationProblem."""
@@ -600,10 +628,11 @@ def anneal_problems(problems: Iterable[AssociationProblem]
     """Run the annealed swap search on each problem, and yield (index,
     result) as each search ends.
 
-    Each search is a chain (`_chain`) that stops at every proposal its memo
-    lacks.  Up to `_WINDOW` chains run in lockstep, as Lee, Yau, Giles,
-    Doucet and Holmes (JCGS 2010) run independent Monte Carlo chains: each
-    round evaluates the waiting proposal of every live chain, one
+    Each search is a chain (`_chain`) that stops at its start state and at
+    every proposal its memo lacks.  Up to `_WINDOW` chains run in lockstep,
+    as Lee, Yau, Giles, Doucet and Holmes (JCGS 2010) run independent Monte
+    Carlo chains: each round evaluates the waiting state of every live
+    chain (a chain that joins waits at its start state), one
     `_evaluate_rows` call for all the chains whose problems differ at most
     in S, and runs each chain on to its next miss or its end.  The chains
     share nothing, and a kernel row does not depend on the rows beside it,
@@ -616,34 +645,17 @@ def anneal_problems(problems: Iterable[AssociationProblem]
     live: list[list] = []               # [index, problem, chain, proposal]
     stacks: dict[tuple, tuple] = {}     # shape but S -> (problems, _stack_tables)
     while True:
-        while len(live) < _WINDOW:
-            if not (yield from _pull(source, live)):
-                break
+        for index, problem in islice(source, _WINDOW - len(live)):
+            chain = _chain(problem)
+            live.append([index, problem, chain, next(chain)])   # its start state
         if not live:
             return
         yield from _round(live, stacks)
 
 
-def _pull(source: Iterator[tuple[int, AssociationProblem]], live: list[list]
-          ) -> Generator[tuple[int, AnnealResult], None, bool]:
-    """Start the chain of the next problem of `source` and add it to `live`,
-    or yield its result if it ends before its first proposal.  Returns
-    False when `source` is spent."""
-    pulled = next(source, None)
-    if pulled is None:
-        return False
-    index, problem = pulled
-    chain = _chain(problem)
-    try:
-        live.append([index, problem, chain, next(chain)])
-    except StopIteration as end:
-        yield index, end.value
-    return True
-
-
 def _round(live: list[list], stacks: dict[tuple, tuple]
            ) -> Iterator[tuple[int, AnnealResult]]:
-    """Evaluate the waiting proposal of every live chain, one kernel call for
+    """Evaluate the waiting state of every live chain, one kernel call for
     all the chains whose problems differ at most in S (all of a sweep
     point's), and run each chain on to its next proposal.  A chain that
     ends leaves `live`, and its result is yielded at once.
@@ -684,9 +696,9 @@ def _chain(problem: AssociationProblem
     over and over, so a memo local to the chain maps each of its last
     `_MEMO` evaluated states (their bytes) to their welfare, and a deque of
     the same keys evicts the oldest when a new state comes in.  The chain
-    yields each proposal the memo lacks, is sent back its welfare and
-    returns its AnnealResult; it evaluates only its start state itself,
-    with `problem.evaluate`.  Random numbers come from `_Draws`, equal draw
+    yields its start state and then each proposal the memo lacks, is sent
+    back each one's welfare and returns its AnnealResult; it evaluates
+    nothing itself.  Random numbers come from `_Draws`, equal draw
     for draw to `np.random.default_rng(cfg.seed)`.  Neither changes a
     result: evaluation is deterministic, so a trace equals that of
     evaluating every proposal afresh.
@@ -711,7 +723,7 @@ def _chain(problem: AssociationProblem
     quota = problem.quota.tolist()
     reach = [np.flatnonzero(row).tolist() for row in problem.feasible_sn]
     pool = np.flatnonzero(problem.servable).tolist()
-    w_start = w_cur = w_best = problem.evaluate(start).welfare
+    w_start = w_cur = w_best = yield assign     # the start state, not counted
     memo = {assign.tobytes(): w_cur}        # state bytes -> welfare
     aged = deque(memo)                      # the memo's keys, oldest first
     misses = 0
@@ -904,8 +916,10 @@ def _scan_order(problem: AssociationProblem, assign: np.ndarray) -> np.ndarray:
                            M * M + np.flatnonzero(moves)])
 
 
-def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
-    """Yield (violation, post-swap evaluation) for every approvable swap.
+def _approved_swaps(problem: AssociationProblem, assign: np.ndarray,
+                    until: int | None = None):
+    """Yield (ordinal, violation, post-swap evaluation) for every approvable
+    swap.
 
     Scans pair swaps m < n first, then single moves of each servable UE to
     each feasible serving node, always judging against the live `assign`.
@@ -917,12 +931,15 @@ def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
     yielded.  A caller may apply the yielded swap to `assign` before
     resuming; the scan then lists the feasible swaps of the new state and
     continues after the applied one, with the yielded evaluation as its new
-    base.
+    base.  With `until`, the scan judges no ordinal past it until a swap is
+    applied, and after that every later one.
     """
     M, S = problem.n_ues, problem.n_sns
     size = min(_SCAN_BLOCK, max(1, _SCAN_ELEMENTS // ((S + 1) * M)))
     base = problem.evaluate(assign)
     todo = _scan_order(problem, assign)
+    if until is not None:
+        todo = todo[todo <= until]
     while len(todo):
         block, todo = todo[:size], todo[size:]
         pair = block < M * M
@@ -934,8 +951,9 @@ def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
         for i in np.flatnonzero(approved):
             was = assign[m[i]]
             ev = problem.evaluate(swapped[i])
-            yield StabilityViolation(int(m[i]), None if n[i] < 0 else int(n[i]),
-                                     int(k[i]), ev.welfare - base.welfare), ev
+            yield int(block[i]), StabilityViolation(
+                int(m[i]), None if n[i] < 0 else int(n[i]), int(k[i]),
+                ev.welfare - base.welfare), ev
             if assign[m[i]] != was:
                 base = ev
                 todo = _scan_order(problem, assign)
@@ -946,7 +964,7 @@ def _approved_swaps(problem: AssociationProblem, assign: np.ndarray):
 def audit_stability(problem: AssociationProblem,
                     assign: np.ndarray) -> list[StabilityViolation]:
     """Exhaustively list every approvable pair swap and single move."""
-    return [v for v, _ in _approved_swaps(problem, assign)]
+    return [v for _, v, _ in _approved_swaps(problem, assign)]
 
 
 @dataclass(frozen=True)
@@ -961,18 +979,22 @@ def greedy_stabilize(problem: AssociationProblem, assign: np.ndarray,
     """Apply approvable swaps in deterministic order until none remain.
 
     Scans pair swaps then single moves, applying each approved swap on the
-    spot, and repeats until a full pass applies nothing -- at that point
-    audit_stability() is empty by construction.  `max_swaps` caps runaway
-    instances: an approvable swap found once `max_swaps` swaps have been
-    applied raises RuntimeError rather than returning a not-actually-stable
-    state, while a matching that settles in exactly `max_swaps` is returned.
+    spot, and repeats until a pass applies nothing -- at that point
+    audit_stability() is empty by construction.  A pass that reaches the
+    ordinal of the last swap the pass before applied, having applied
+    nothing itself, stops there: the pass before judged every feasible swap
+    past that ordinal against this same state and base evaluation, after
+    its last swap, and approved none.  `max_swaps` caps runaway instances:
+    an approvable swap found once `max_swaps` swaps have been applied raises
+    RuntimeError rather than returning a not-actually-stable state, while a
+    matching that settles in exactly `max_swaps` is returned.
     """
     assign = np.array(assign, dtype=np.int64)
     welfares: list[float] = []
-    changed = True
-    while changed:
-        changed = False
-        for v, after in _approved_swaps(problem, assign):
+    last = None     # ordinal of the last swap the pass before applied
+    while True:
+        applied = None
+        for ordinal, v, after in _approved_swaps(problem, assign, until=last):
             if len(welfares) >= max_swaps:
                 raise RuntimeError("greedy stabilization did not settle")
             if v.other_ue is None:
@@ -980,8 +1002,11 @@ def greedy_stabilize(problem: AssociationProblem, assign: np.ndarray,
             else:
                 assign[v.ue], assign[v.other_ue] = assign[v.other_ue], assign[v.ue]
             welfares.append(after.welfare)
-            changed = True
-    return StabilizeResult(assign=assign, applied=len(welfares), welfares=tuple(welfares))
+            applied = ordinal
+        if applied is None:
+            return StabilizeResult(assign=assign, applied=len(welfares),
+                                   welfares=tuple(welfares))
+        last = applied
 
 
 # --------------------------------------------------------------------------

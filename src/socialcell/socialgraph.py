@@ -16,12 +16,18 @@ promoted to relay duty.
 Edge betweenness follows Brandes (J. Math. Sociol. 2001; the edge variant in
 Social Networks 2008): a breadth-first search from every source, then
 dependencies pushed back from the leaves of its shortest-path DAG.  The
-searches of a block of sources advance together, one BFS level at a time, in
-numpy; a block holds as many sources as fit `_ARC_BUDGET` arcs.  Every
+searches of a pass advance together, one BFS level at a time, in numpy.  A
+pass holds (graph, source) rows of one or more graphs with the same vertex
+count, as many as fit `_ARC_BUDGET` arcs, so a few small graphs share a pass
+and a large one runs in slices of its sources.  This pays because a small
+graph's levels cost mostly numpy call overhead.  `grouped_edge_betweenness`
+takes a list of graphs, `betweenness_groups` cuts a stream of them into
+runs worth one call, and `edge_betweenness` is the one-graph case.  Every
 floating-point sum is taken in the order a one-source deque BFS takes it, so
-the result is bit-identical to that loop, not merely close: the relay
-election breaks ties by UE id, and drift in the last digit could flip a
-relay.  Three order rules give that, with no comparison sort:
+the result is bit-identical to that loop, not merely close, and no graph
+reads another's rows, so a graph gets the same values in any group: the
+relay election breaks ties by UE id, and drift in the last digit could flip
+a relay.  Three order rules give that, with no comparison sort:
   * sigma (path counts) of a vertex adds its parents' sigma in the parents'
     pop order;
   * the vertices first reached on a level are queued in the order of the
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -52,6 +59,8 @@ NodeRef = tuple[str, int]
 
 #: Social distance values below this floor are clamped before any division.
 X_FLOOR = 0.01
+
+T = TypeVar("T")
 
 
 def parse_node_label(text: str) -> NodeRef:
@@ -191,12 +200,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 #: Arcs (an edge is two arcs, one per direction) that the searches of one
-#: block of sources expand in all: a block runs max(1, _ARC_BUDGET // arcs)
-#: sources.  Desk and dense graphs fit one block; wide-m500 (2,150 arcs)
-#: runs about 60 sources a block.  Time of `edge_betweenness` over the
-#: seed-1 graphs of each workload (median of 9 rounds; one N32/M2000 graph,
-#: 3 rounds; 2-vCPU VM, numpy 2.4) and the largest tracemalloc peak of one
-#: call:
+#: pass expand in all.  A pass runs (graph, source) rows, graphs in order
+#: and each graph's sources in order, as many as fit: a graph of `arcs`
+#: arcs costs `arcs` a source, and a pass holds one row at least.  So one
+#: graph runs in blocks of max(1, _ARC_BUDGET // arcs) sources: desk and
+#: dense graphs fit one block, and wide-m500 (2,150 arcs) runs about 60
+#: sources a block.  Time of `edge_betweenness` over the seed-1 graphs of
+#: each workload, one graph a call (median of 9 rounds; one N32/M2000
+#: graph, 3 rounds; 2-vCPU VM, numpy 2.4) and the largest tracemalloc peak
+#: of one call:
 #:
 #:   budget     desk (160)    wide (3)      dense (24)    N32/M2000
 #:   2^16       0.230 s       0.187 s       0.090 s       1.04 s
@@ -211,16 +223,70 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 #: 0.15 and 1.9 s.)
 _ARC_BUDGET = 1 << 17
 
+#: Arc visits (vertices times arcs, the work of all of a graph's sources)
+#: that the graphs of one `betweenness_groups` run add up to, at most; a
+#: graph that alone exceeds it runs alone.  A run that fits it fits one
+#: pass of `_ARC_BUDGET`.  Grouping cuts the numpy calls a graph costs
+#: (about 37 a BFS level), but a larger pass spends more per element.  The
+#: seed-1 graphs of desk-sweep, grouped by point as the harness groups
+#: them (median of 15 interleaved rounds, 2-vCPU VM, numpy 2.4), and the
+#: largest tracemalloc peak of one `grouped_edge_betweenness` call:
+#:
+#:   budget             one a call   2^15      2^16      2^17
+#:   desk (160)         0.233 s      0.224 s   0.178 s   0.205 s
+#:   graphs a run       1            1.1       3.1       6.7
+#:   peak of one run    0.61 MB      0.90 MB   1.72 MB   3.44 MB
+#:
+#: Each dense-stabilize graph (V = 108, 70k-84k arc visits) exceeds 2^16
+#: and any two exceed 2^17, so they run one a call at each budget (0.108 s
+#: for 24), as wide-m500's (1.1M) do.
+_GROUP_BUDGET = 1 << 16
 
-def _block_dependencies(sources: np.ndarray, dst: np.ndarray, indptr: np.ndarray,
-                        edge: np.ndarray, n_edges: int, V: int) -> np.ndarray:
-    """Dependency of every source of the block on every edge, as (block, E).
 
-    Row b holds, per undirected edge, the value Brandes' accumulation credits
-    to that edge for source sources[b] (zero off the source's shortest-path
-    DAG).  Each level of every search in the block is expanded at once, and
-    every floating-point sum is ordered as in a one-source deque BFS that
-    scans neighbours by ascending id:
+def _passes(arcs: Sequence[int], V: int) -> list[list[tuple[int, int, int]]]:
+    """The rows of each pass, as (graph, first source, end source) runs.
+
+    Rows are the (graph, source) pairs of graphs of `arcs[g]` arcs and V
+    vertices each, graph by graph and each graph's sources in order.  They
+    are packed greedily: a row costs its graph's arcs (1 for an edgeless
+    graph), a pass holds rows while their cost fits `_ARC_BUDGET`, and a
+    row that alone exceeds it runs alone.
+    """
+    passes, run, room = [], [], _ARC_BUDGET
+    for g, cost in enumerate(arcs):
+        cost = max(cost, 1)
+        s = 0
+        while s < V:
+            n = min(V - s, room // cost)
+            if n <= 0 and run:
+                passes.append(run)
+                run, room = [], _ARC_BUDGET
+                continue
+            n = max(n, 1)
+            run.append((g, s, s + n))
+            room -= n * cost
+            s += n
+    passes.append(run)
+    return passes
+
+
+def _block_dependencies(graph_of: np.ndarray, sources: np.ndarray, step: np.ndarray,
+                        first_arc: np.ndarray, degree: np.ndarray, edge: np.ndarray,
+                        n_edges: int, V: int) -> np.ndarray:
+    """Dependency of every row of a pass on every edge of its graph, as
+    (rows, n_edges).
+
+    Row b is the source sources[b] of graph graph_of[b].  The graphs' arcs
+    are laid end to end, graph by graph and each graph's by tail, then
+    head: vertex v of graph g has degree[g * V + v] arcs from
+    first_arc[g * V + v] on, and arc i runs from its tail to tail + step[i]
+    and belongs to edge edge[i] of its graph.  Row b holds, per edge of its
+    graph (edge ids are per graph, so columns past a graph's edge count stay
+    zero), the value Brandes' accumulation credits to that edge for its
+    source (zero off the source's shortest-path DAG).  Each level of every
+    search of the pass is expanded at once, and every floating-point sum is
+    ordered as in a one-source deque BFS that scans neighbours by ascending
+    id:
 
       * sigma: the arcs out of a level are listed by pop position of the
         tail, then head id, and `np.bincount` sums in array order, so a
@@ -233,14 +299,17 @@ def _block_dependencies(sources: np.ndarray, dst: np.ndarray, indptr: np.ndarray
         reverse, each parent adds its children by descending pop position,
         the order of the deque's reversed pops.
 
-    Search state is indexed by the flat key row * V + vertex.  `pos` holds a
-    reached key's position in its level (its queue order), and while a level
-    is being found, the first arc that reaches each new key.  A level keeps
-    its keys and sigma, and the (parent position, child position, edge) of
-    its DAG arcs.
+    Search state is indexed by the flat key row * V + vertex, and so are the
+    degree and first arc of each row's vertices.  A row reads only its own
+    keys and its own graph's arcs, so its values do not depend on the other
+    rows of the pass.  `pos` holds a reached key's position in its level
+    (its queue order), and while a level is being found, the first arc that
+    reaches each new key.  A level keeps its keys and sigma, and the
+    (parent position, child position, edge) of its DAG arcs.
     """
     B = len(sources)
-    degree, first_arc = np.diff(indptr), indptr[:-1]
+    degree = degree.reshape(-1, V)[graph_of].ravel()
+    first_arc = first_arc.reshape(-1, V)[graph_of].ravel()
     dist = np.full(B * V, -1)
     pos = np.full(B * V, np.iinfo(np.intp).max)
     f_key = np.arange(B) * V + sources
@@ -251,13 +320,12 @@ def _block_dependencies(sources: np.ndarray, dst: np.ndarray, indptr: np.ndarray
     depth = 0
     while len(f_key):
         # every arc out of the level, by pop position of the tail, then head id
-        f_vertex = f_key % V
-        deg = degree[f_vertex]
+        deg = degree[f_key]
         tail = np.repeat(np.arange(len(f_key)), deg)   # the tail's position in the level
-        arc = (first_arc[f_vertex] - np.cumsum(deg) + deg)[tail]
+        arc = (first_arc[f_key] - np.cumsum(deg) + deg)[tail]
         arc += np.arange(len(tail))
-        head = (f_key - f_vertex)[tail]
-        head += dst[arc]
+        head = f_key[tail]
+        head += step[arc]
         reach = dist[head]
         if depth:
             back = np.flatnonzero(reach == depth - 1)
@@ -282,58 +350,111 @@ def _block_dependencies(sources: np.ndarray, dst: np.ndarray, indptr: np.ndarray
     return deps
 
 
-def _edge_counts(adjacency: np.ndarray) -> np.ndarray:
-    """Raw shortest-path traversal counts per edge, (V, V).
+def _edge_counts(adjacencies: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Raw shortest-path traversal counts per edge of each graph, (V, V) each.
 
-    Sources run in blocks of max(1, _ARC_BUDGET // arcs).  Each edge adds
-    the sources' dependencies one at a time, in source order, as the
-    per-source loop does: `np.cumsum` down a block's rows, starting from the
-    running total, adds row by row, where a `sum` over the rows would round
-    differently.  Summing over all sources counts every unordered pair
-    twice, so the caller halves the result.
+    The graphs share V.  Their (graph, source) rows run in the passes of
+    `_passes`, which lay the graphs' arcs end to end.  Each edge adds its
+    graph's per-source dependencies one at a time, in source order, as the
+    per-source loop does: `np.cumsum` down a graph's rows of a pass,
+    starting from the graph's running total, adds row by row, where a `sum`
+    over the rows would round differently.  No graph adds another's rows,
+    so each graph's counts equal those of the graph run alone.  Summing
+    over all sources counts every unordered pair twice, so the caller
+    halves the result.
     """
-    V = adjacency.shape[0]
-    src, dst = np.nonzero(adjacency)
-    indptr = np.zeros(V + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=V), out=indptr[1:])
-    # both arcs of an undirected edge share one edge index
-    _, edge = np.unique(np.minimum(src, dst) * V + np.maximum(src, dst),
-                        return_inverse=True)
-    total = np.zeros(len(src) // 2)
-    block = max(1, _ARC_BUDGET // max(len(src), 1))
-    for start in range(0, V, block):
-        sources = np.arange(start, min(start + block, V))
-        deps = _block_dependencies(sources, dst, indptr, edge, len(total), V)
-        deps[0] += total
-        total = np.cumsum(deps, axis=0, out=deps)[-1].copy()
-    counts = np.zeros((V, V))
-    counts[src, dst] = total[edge]
+    V = adjacencies[0].shape[0]
+    if any(adj.shape[0] != V for adj in adjacencies):
+        raise InputError("graphs searched together must have the same vertex count")
+    arcs = [np.nonzero(adj) for adj in adjacencies]     # by tail, then head
+    # both arcs of an undirected edge share one edge index, numbered per graph
+    edges = [np.unique(np.minimum(src, dst) * V + np.maximum(src, dst),
+                       return_inverse=True)[1] for src, dst in arcs]
+    degree = np.concatenate([np.bincount(src, minlength=V) for src, _ in arcs])
+    first_arc = np.cumsum(degree) - degree
+    step = np.concatenate([dst - src for src, dst in arcs])
+    edge = np.concatenate(edges)
+    totals = [np.zeros(len(src) // 2) for src, _ in arcs]
+    for run in _passes([len(src) for src, _ in arcs], V):
+        graph_of = np.concatenate([np.full(end - s, g) for g, s, end in run])
+        sources = np.concatenate([np.arange(s, end) for g, s, end in run])
+        deps = _block_dependencies(graph_of, sources, step, first_arc, degree, edge,
+                                   max(len(totals[g]) for g, _, _ in run), V)
+        row = 0
+        for g, s, end in run:
+            own = deps[row:row + end - s, :len(totals[g])]
+            own[0] += totals[g]
+            totals[g] = np.cumsum(own, axis=0, out=own)[-1].copy()
+            row += end - s
+    counts = []
+    for (src, dst), edge, total in zip(arcs, edges, totals):
+        c = np.zeros((V, V))
+        c[src, dst] = total[edge]
+        counts.append(c)
     return counts
 
 
-def edge_betweenness(g: SocialGraph) -> np.ndarray:
-    """Edge betweenness of every edge, as a read-only (V, V) array.
+def grouped_edge_betweenness(graphs: Sequence[SocialGraph]) -> list[np.ndarray]:
+    """Edge betweenness of every edge of each graph, as read-only (V, V)
+    arrays; the graphs must share their vertex count V.
 
     Raw counts are normalized by (V-1)(V-2), floored at 1 so the two-node
     graph stays finite.  B[u][v] is zero wherever there is no edge.
 
-    The raw counts come from Brandes' algorithm run on blocks of sources,
-    each as many as fit `_ARC_BUDGET` arcs: a block's breadth-first searches
-    expand one level at a time for all its sources together, and
-    dependencies flow back level by level, deepest first.  Every sum is
-    ordered as in a per-source deque BFS (sigma in the parents' pop order,
-    the queue in the order of each vertex's first arc, delta by descending
-    pop position of the child, from the arcs listed at the child's side),
-    and each edge adds its per-source shares in source order, so the values
-    are bit-identical to that loop's.
+    The raw counts come from Brandes' algorithm run on passes of (graph,
+    source) rows, as many as fit `_ARC_BUDGET` arcs: so a few small graphs
+    share one pass, and a large one runs in slices of its sources.  A
+    pass's breadth-first searches expand one level at a time for all its
+    rows together, and dependencies flow back level by level, deepest
+    first.  Every sum is ordered as in a per-source deque BFS (sigma in the
+    parents' pop order, the queue in the order of each vertex's first arc,
+    delta by descending pop position of the child, from the arcs listed at
+    the child's side), and each edge adds its own graph's per-source shares
+    in source order, so the values are bit-identical to that loop's,
+    however the graphs are grouped and split.
     """
-    V = g.n_vertices
+    if not graphs:
+        return []
+    V = graphs[0].n_vertices
     if V < 2:
         raise InputError("betweenness needs at least two vertices")
-    b = _edge_counts(g.adjacency)
-    b /= 2.0
-    b /= float(max((V - 1) * (V - 2), 1))
-    return _read_only(b)
+    counts = _edge_counts([g.adjacency for g in graphs])
+    for b in counts:
+        b /= 2.0
+        b /= float(max((V - 1) * (V - 2), 1))
+    return [_read_only(b) for b in counts]
+
+
+def edge_betweenness(g: SocialGraph) -> np.ndarray:
+    """Edge betweenness of one graph, read-only (V, V): the one-graph case of
+    `grouped_edge_betweenness`."""
+    return grouped_edge_betweenness([g])[0]
+
+
+def betweenness_groups(items: Iterable[T], graph_of: Callable[[T], SocialGraph]
+                       ) -> Iterator[list[T]]:
+    """Runs of consecutive `items` whose graphs (`graph_of(item)`) one
+    `grouped_edge_betweenness` call should take together: graphs of one
+    vertex count V whose searches add up to at most `_GROUP_BUDGET` arc
+    visits (V times arcs, at least V), or one graph alone.  A run is
+    yielded as soon as no graph of V vertices fits its room, so an item is
+    read past the run it ends only when that run has room left.
+    """
+    run, room, V = [], _GROUP_BUDGET, None
+    for item in items:
+        g = graph_of(item)
+        cost = g.n_vertices * max(int(g.adjacency.sum()), 1)
+        if run and (cost > room or g.n_vertices != V):
+            yield run
+            run, room = [], _GROUP_BUDGET
+        run.append(item)
+        room -= cost
+        V = g.n_vertices
+        if room < V:
+            yield run
+            run, room = [], _GROUP_BUDGET
+    if run:
+        yield run
 
 
 # --------------------------------------------------------------------------
@@ -421,11 +542,20 @@ def elect_important_ues(scores: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.sort(np.array(relays, dtype=np.int64))
 
 
+def social_pipelines(graphs: Sequence[SocialGraph], alpha: float = 0.5, beta: float = 0.5,
+                     normalization: str = SAW) -> list[np.ndarray]:
+    """Social distance X of each graph: betweenness -> similarity ->
+    distance, the graphs' betweenness from one `grouped_edge_betweenness`
+    call, which gives each graph the values it gets alone."""
+    return [social_distance(b, similarity(g, normalization=normalization),
+                            alpha=alpha, beta=beta)
+            for g, b in zip(graphs, grouped_edge_betweenness(graphs))]
+
+
 def social_pipeline(g: SocialGraph, alpha: float = 0.5, beta: float = 0.5,
                     normalization: str = SAW) -> np.ndarray:
-    """Social distance X of g: betweenness -> similarity -> distance."""
-    return social_distance(edge_betweenness(g), similarity(g, normalization=normalization),
-                           alpha=alpha, beta=beta)
+    """Social distance X of g: the one-graph case of `social_pipelines`."""
+    return social_pipelines([g], alpha=alpha, beta=beta, normalization=normalization)[0]
 
 
 # --------------------------------------------------------------------------

@@ -247,6 +247,32 @@ def test_stabilize_and_audit_are_pinned(key):
     assert (tuple(applied), audits, digest.hexdigest()[:16]) == STABILIZE_PINS[key]
 
 
+def test_a_settled_pass_stops_at_the_last_applied_ordinal(monkeypatch):
+    """Seed 10 of the (20, 3, 60) pin applies 2 swaps.  The pass after them
+    judges only the swaps up to the last one's ordinal, fewer rows than the
+    full scan of the stable state that the audit makes."""
+    rows = []
+    judge, approved_swaps = matching._judge, matching._approved_swaps
+
+    def counting_judge(problem, assign, base, m, n, k):
+        rows[-1] += len(m)
+        return judge(problem, assign, base, m, n, k)
+
+    def counting_scan(*args, **kwargs):
+        rows.append(0)                  # one scan: a pass, or the audit
+        yield from approved_swaps(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_judge", counting_judge)
+    monkeypatch.setattr(matching, "_approved_swaps", counting_scan)
+    engine = ScenarioConfig(seed=10, d2d_quota=4, max_iterations=20)
+    problem = clustered_instance(10, n_scbs=3, n_ues=60, engine=engine).problem
+    stab = greedy_stabilize(problem, anneal_on_problem(problem).matching.assign)
+    assert stab.applied == STABILIZE_PINS[(20, 3, 60)][0][10] == 2
+    assert audit_stability(problem, stab.assign) == []
+    *_, last_pass, full_scan = rows
+    assert 0 < last_pass < full_scan
+
+
 QUOTAS = [{}, {"scbs_quota": 2, "d2d_quota": 1}, {"scbs_quota": 4, "d2d_quota": 2}]
 
 
@@ -620,7 +646,8 @@ def test_a_window_of_mixed_s_makes_one_kernel_call_per_round(monkeypatch):
     monkeypatch.setattr(matching, "_evaluate_rows", counting_rows)
     monkeypatch.setattr(matching, "_round", counting_round)
     got = dict(anneal_problems(problems))
-    assert calls == [1, 1] + rounds         # two start states, then one call a round
+    assert calls == rounds                  # one call a round,
+    assert calls[0] == 2                    # the first holding both start states
     assert rounds.count(2) > 50
     for i, res in got.items():
         assert res.trace == want[i].trace

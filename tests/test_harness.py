@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socialcell import matching
+from socialcell import matching, socialgraph
 from socialcell.config import (ScenarioConfig, engine_config_from_config,
                                scenario_from_config, social_graph_from_config)
 from socialcell.errors import ConfigError
@@ -18,7 +18,7 @@ from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL,
                                 ExperimentSpec, aggregate, build_replication,
                                 emit_results, replication_seed, run_experiment,
                                 sweep_csv_name)
-from socialcell.matching import anneal_on_problem, build_problem
+from socialcell.matching import anneal_on_problem, build_problem, greedy_stabilize
 from socialcell.socialgraph import social_pipeline
 
 SMALL_CFG = ScenarioConfig(n_scbs=2, n_ues=6, seed=9, macro_radius_m=80.0,
@@ -141,28 +141,77 @@ def test_single_replication_reports_zero_std():
         assert agg.std_welfare == 0.0
 
 
+def manual_problem(cfg, point_index, rep):
+    """The problem of one cell, re-derived through the public pipeline one
+    graph at a time; `cfg` holds the point's value of the swept variable."""
+    def seed(stream):
+        return replication_seed(cfg.seed, point_index, rep, stream)
+
+    scenario = scenario_from_config(cfg, seed=seed(STREAM_TOPOLOGY))
+    graph = social_graph_from_config(cfg, scenario, seed=seed(STREAM_SOCIAL))
+    xmat = social_pipeline(graph, alpha=cfg.alpha, beta=cfg.beta,
+                           normalization=cfg.similarity_normalization)
+    engine = engine_config_from_config(cfg, seed=seed(STREAM_ENGINE))
+    return build_problem(scenario, graph, xmat, engine)
+
+
+def assert_row_equals_report(row, report):
+    assert row.avg_rate_bps == float(report.ue_rates.mean())
+    assert row.welfare == report.welfare
+    assert row.unserved == len(report.unserved)
+
+
 def test_replication_row_matches_a_manual_rebuild(small_result):
     """Re-derive one baseline cell end to end through the public pipeline."""
     cfg, x, rep = SMALL_CFG, 6, 1
     point_index = SMALL_CFG.sweep_values.index(x)
-    run_cfg = dataclasses.replace(cfg, n_ues=x)
-    scenario = scenario_from_config(
-        run_cfg, seed=replication_seed(cfg.seed, point_index, rep, STREAM_TOPOLOGY))
-    graph = social_graph_from_config(
-        run_cfg, scenario,
-        seed=replication_seed(cfg.seed, point_index, rep, STREAM_SOCIAL))
-    xmat = social_pipeline(graph, alpha=run_cfg.alpha, beta=run_cfg.beta,
-                           normalization=run_cfg.similarity_normalization)
-    engine = engine_config_from_config(
-        run_cfg, seed=replication_seed(cfg.seed, point_index, rep, STREAM_ENGINE))
-    problem = build_problem(scenario, graph, xmat, engine)
+    problem = manual_problem(dataclasses.replace(cfg, n_ues=x), point_index, rep)
     report = problem.report(problem.rssi_assignment)
 
     row = next(r for r in small_result.rows
                if (r.x, r.replication, r.method) == (x, rep, METHOD_BASELINE))
-    assert row.avg_rate_bps == pytest.approx(float(report.ue_rates.mean()), rel=1e-12)
-    assert row.welfare == pytest.approx(report.welfare, rel=1e-12)
-    assert row.unserved == len(report.unserved)
+    assert_row_equals_report(row, report)
+
+
+def test_stabilized_rows_match_a_manual_rebuild():
+    """Every row of a stabilized point whose problems differ in S, so that
+    their reports share a padded stack, equals its cell rebuilt alone."""
+    cfg = dataclasses.replace(SMALL_CFG, stabilize=True, sweep_values=(6,))
+    result = run_experiment(ExperimentSpec.from_config(cfg))
+    sizes = set()
+    for rep in range(cfg.replications):
+        problem = manual_problem(dataclasses.replace(cfg, n_ues=6), 0, rep)
+        sizes.add(problem.n_sns)
+        search = anneal_on_problem(problem)
+        social, baseline = (next(r for r in result.rows if (r.replication, r.method)
+                                 == (rep, method))
+                            for method in (METHOD_SOCIAL, METHOD_BASELINE))
+        assert_row_equals_report(social, problem.report(
+            greedy_stabilize(problem, search.matching.assign).assign))
+        assert social.iterations == search.best_iteration
+        assert_row_equals_report(baseline, problem.report(problem.rssi_assignment))
+    assert len(sizes) > 1
+
+
+def test_a_point_groups_its_graphs_for_betweenness(monkeypatch):
+    """The harness hands the social layer a few graphs of a point at a time
+    (all the cells' graphs, each once), and its rows equal those of a run
+    that hands it one graph at a time."""
+    sizes = []
+    grouped = socialgraph.grouped_edge_betweenness
+
+    def spy(graphs):
+        sizes.append(len(graphs))
+        return grouped(graphs)
+
+    monkeypatch.setattr(socialgraph, "grouped_edge_betweenness", spy)
+    cfg = dataclasses.replace(SMALL_CFG, n_ues=20, sweep_values=(20,), replications=6)
+    result = run_experiment(ExperimentSpec.from_config(cfg))
+    assert sum(sizes) == 6 and max(sizes) > 1
+    sizes.clear()
+    monkeypatch.setattr(socialgraph, "_GROUP_BUDGET", 0)      # one graph a call
+    assert run_experiment(ExperimentSpec.from_config(cfg)).rows == result.rows
+    assert sizes == [1] * 6
 
 
 def test_rerun_is_identical(small_result):

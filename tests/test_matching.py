@@ -837,6 +837,31 @@ def test_stacked_rows_equal_their_own_problem(seed, n_scbs, n_ues, rows, subcarr
         assert block[3][b] == one.welfare
 
 
+def test_reports_equal_each_pair_alone_a_window_a_call(monkeypatch):
+    """`reports` evaluates `_WINDOW` pairs a kernel call, problems of mixed S
+    padded in one stack, and each report equals the pair's own."""
+    problems = mixed_s_problems(10, n_scbs=4, n_ues=24, subcarriers=16)
+    rng = np.random.default_rng(10)
+    pairs = [(p, random_states(p, rng, 1)[0]) for p in problems * 3]
+    want = [problem.report(assign) for problem, assign in pairs]
+    calls = []
+    evaluate_rows = matching._evaluate_rows
+
+    def counting_rows(shape, tables, A, cols=None):
+        calls.append(len(A))
+        return evaluate_rows(shape, tables, A, cols)
+
+    monkeypatch.setattr(matching, "_WINDOW", 4)
+    monkeypatch.setattr(matching, "_evaluate_rows", counting_rows)
+    got = list(matching.reports(iter(pairs)))
+    assert calls == [4, 4, len(pairs) - 8]
+    for (problem, _), report, one in zip(pairs, got, want):
+        assert len(report.sn_utilities) == problem.n_sns
+        for field in ("ue_utilities", "ue_rates", "sn_utilities"):
+            assert np.array_equal(getattr(report, field), getattr(one, field))
+        assert (report.welfare, report.unserved) == (one.welfare, one.unserved)
+
+
 def test_a_stack_of_mixed_shapes_raises():
     problems = [clustered_instance(s, n_scbs=3, n_ues=6).problem for s in range(40)]
     by_s = {p.n_sns: p for p in problems}

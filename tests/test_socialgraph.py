@@ -24,9 +24,10 @@ import socialcell
 from socialcell import config, harness, reference, socialgraph
 from socialcell.errors import ConfigError, InputError
 from socialcell.socialgraph import (RAW_CLIPPED, SAW, SocialGraph,
-                                    common_neighbours, edge_betweenness,
-                                    elect_important_ues, gnp_adjacency,
-                                    graph_from_edges, importance_scores,
+                                    betweenness_groups, common_neighbours,
+                                    edge_betweenness, elect_important_ues,
+                                    gnp_adjacency, graph_from_edges,
+                                    grouped_edge_betweenness, importance_scores,
                                     load_edge_list, parse_node_label,
                                     similarity, social_distance,
                                     social_pipeline, vertex,
@@ -299,6 +300,88 @@ def test_betweenness_bit_identical_past_2_to_the_53_paths(monkeypatch):
     for per_block in (1, 7, V):
         _sources_per_block(monkeypatch, g, per_block)
         assert np.array_equal(edge_betweenness(g), want), per_block
+
+
+# --------------------------------------------------------------------------
+# graphs searched together
+# --------------------------------------------------------------------------
+
+def _relabelled(g: SocialGraph, seed: int = 0) -> SocialGraph:
+    """g with its vertex ids shuffled."""
+    perm = np.random.default_rng(seed).permutation(g.n_vertices)
+    return SocialGraph(n_scbs=g.n_scbs, adjacency=g.adjacency[np.ix_(perm, perm)])
+
+
+def _assert_group_equals_per_source_loop(graphs, monkeypatch=None, blocks=None) -> None:
+    """grouped_edge_betweenness gives each graph its own per-source loop's
+    values bit for bit.  An edgeless graph of the same V joins the group, so
+    graphs of different edge counts share passes.  With `blocks`, the arc
+    budget is set for `blocks(V)` sources of the first graph a pass, so
+    passes run on across graphs: whole graphs beside slices of others."""
+    V = graphs[0].n_vertices
+    graphs = list(graphs) + [_graph(V, [])]
+    if blocks is not None:
+        _sources_per_block(monkeypatch, graphs[0], blocks(V))
+    got = grouped_edge_betweenness(graphs)
+    assert len(got) == len(graphs)
+    for g, b in zip(graphs, got):
+        assert np.array_equal(b, per_source_edge_counts(g.adjacency)
+                              / betweenness_denominator(V))
+
+
+def test_passes_pack_whole_graphs_beside_source_slices(monkeypatch):
+    """A row costs its graph's arcs (an edgeless graph's 1): small graphs
+    share a pass whole, a large one runs in slices, and a pass runs on from
+    one graph's last slice into the next graph."""
+    monkeypatch.setattr(socialgraph, "_ARC_BUDGET", 24)
+    assert socialgraph._passes([6, 0, 1, 20, 4], 4) == [
+        [(0, 0, 4)], [(1, 0, 4), (2, 0, 4)], [(3, 0, 1)], [(3, 1, 2)], [(3, 2, 3)],
+        [(3, 3, 4), (4, 0, 1)], [(4, 1, 4)]]
+
+
+@pytest.mark.parametrize("keys, blocks", _in_every_split(CONFIG_GRAPHS))
+def test_grouped_betweenness_bit_identical_on_config_graphs(keys, blocks, monkeypatch):
+    _assert_group_equals_per_source_loop(
+        [_config_graph(seed, **keys) for seed in (1, 2, 3)], monkeypatch, blocks)
+
+
+@pytest.mark.parametrize("g, blocks", _in_every_split(DEGENERATE_GRAPHS))
+def test_grouped_betweenness_on_degenerate_graphs(g, blocks, monkeypatch):
+    _assert_group_equals_per_source_loop([g, g, _relabelled(g)], monkeypatch, blocks)
+
+
+@pytest.mark.parametrize("blocks", BLOCK_SPLITS.values(), ids=list(BLOCK_SPLITS))
+def test_grouped_betweenness_past_2_to_the_53_paths(blocks, monkeypatch):
+    _assert_group_equals_per_source_loop([_layered_graph(3), _layered_graph(4)],
+                                         monkeypatch, blocks)
+
+
+def test_grouped_betweenness_needs_one_vertex_count():
+    assert grouped_edge_betweenness([]) == []
+    with pytest.raises(InputError):
+        grouped_edge_betweenness([_graph(4, [(0, 1)]), _graph(5, [(0, 1)])])
+
+
+def test_betweenness_groups_fill_the_budget_and_read_no_further(monkeypatch):
+    """Runs of one V add up to at most `_GROUP_BUDGET` arc visits, or hold
+    one graph alone, and a run with no room for V is yielded before the
+    next item is read."""
+    monkeypatch.setattr(socialgraph, "_GROUP_BUDGET", 40)
+    small = _graph(4, [(0, 1), (1, 2)])                         # 4 x 4 arc visits
+    big = _graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])   # 4 x 12
+    graphs = [small, small, small, big, small, _graph(5, [])]
+    pulled = []
+
+    def items():
+        for i in range(len(graphs)):
+            pulled.append(i)
+            yield i
+
+    runs = betweenness_groups(items(), graph_of=graphs.__getitem__)
+    assert next(runs) == [0, 1] and pulled == [0, 1, 2]
+    assert next(runs) == [2] and pulled == [0, 1, 2, 3]
+    assert next(runs) == [3] and pulled == [0, 1, 2, 3]     # full: read nothing more
+    assert list(runs) == [[4], [5]]                         # V differs
 
 
 def test_betweenness_zero_off_edges():
