@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 configuration/input problems, 2 runtime failures,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -99,6 +98,7 @@ def cmd_run(args) -> int:
         },
         "elapsed_s": elapsed,
     }
+    import json
     with open(os.path.join(out, "metrics.json"), "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")

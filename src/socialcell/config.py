@@ -8,7 +8,6 @@ run or a whole experiment.  Unknown keys are rejected rather than ignored.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -190,6 +189,7 @@ def dump_config(cfg: ScenarioConfig) -> str:
 
 def config_sha(cfg: ScenarioConfig) -> str:
     """Short fingerprint of the effective configuration."""
+    import hashlib
     return hashlib.sha256(dump_config(cfg).encode()).hexdigest()[:12]
 
 
@@ -229,14 +229,17 @@ def scenario_from_config(cfg: ScenarioConfig, seed: int | None = None) -> RadioS
 
 
 def social_graph_from_config(cfg: ScenarioConfig, scenario: RadioScenario,
-                             seed: int | None = None) -> sg.SocialGraph:
+                             seed: int | None = None,
+                             reception: tuple[np.ndarray, np.ndarray] | None = None
+                             ) -> sg.SocialGraph:
     """Build the social graph over every SCBS and UE in the scenario.
 
     The random models wire the UE population only; every SCBS is then linked
     to the UEs inside its service radius, the coverage mask of
     `radio.scbs_reception` (it can only develop social ties with users it
-    could actually serve).  An explicit edge file replaces both parts
-    verbatim.  Vertices are numbered SCBSs first, then UEs.
+    could actually serve), which a caller that has it already passes as
+    `reception`.  An explicit edge file replaces both parts verbatim.
+    Vertices are numbered SCBSs first, then UEs.
     """
     N, M = scenario.n_scbs, scenario.n_ues
     if cfg.social_model == "edges":
@@ -252,7 +255,7 @@ def social_graph_from_config(cfg: ScenarioConfig, scenario: RadioScenario,
         adj[N:, N:] = sg.gnp_adjacency(M, cfg.er_edge_prob, seed)
     else:
         raise ConfigError(f"unknown social_model {cfg.social_model!r}")
-    adj[:N, N:] = scbs_reception(scenario)[1]
+    adj[:N, N:] = (reception or scbs_reception(scenario))[1]
     adj[N:, :N] = adj[:N, N:].T
     return sg.SocialGraph(n_scbs=N, adjacency=adj)
 

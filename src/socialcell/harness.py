@@ -2,20 +2,22 @@
 
 Every (sweep point, replication) cell derives its own seeds from the base
 seed through numpy's SeedSequence, so single replications can be re-run in
-isolation and parallel execution cannot change any number.  Aggregation is
-plain mean / sample standard deviation per point and method, plus the rate
-gain of each method over the max-RSSI rows.
+isolation and parallel execution cannot change any number.  A point's
+stream seeds, and the subcarrier offset of every node of each of its
+topologies, are computed in one bulk pass each (`socialcell.seeds`), bit
+for bit equal to numpy's own.  Aggregation is plain mean / sample standard
+deviation per point and method, plus the rate gain of each method over the
+max-RSSI rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
-import json
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .config import (ScenarioConfig, config_as_dict, engine_config_from_config,
 from .errors import ConfigError
 from .matching import (AnnealResult, AssociationProblem, anneal_problems,
                        build_problem, greedy_stabilize, reports)
-from .radio import RadioScenario
+from .radio import RadioScenario, scbs_reception, subcarrier_offsets
 from .socialgraph import betweenness_groups, social_pipelines
 
 METHOD_SOCIAL = "social-aware"
@@ -39,13 +41,29 @@ SEED_DERIVATION = ("numpy SeedSequence([base_seed, point_index, replication_inde
 STREAM_TOPOLOGY = 0
 STREAM_SOCIAL = 1
 STREAM_ENGINE = 2
+_STREAMS = 3
 
 
 def replication_seed(base_seed: int, point_index: int, replication: int,
                      stream: int) -> int:
-    """Deterministic per-replication seed for one of the three streams."""
-    ss = np.random.SeedSequence([base_seed, point_index, replication, stream])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """Deterministic per-replication seed for one of the three streams: the
+    one-item case of `replication_seeds`."""
+    # imported where used, so that `import socialcell` does not compile it
+    from .seeds import generate_states
+    return int(generate_states([base_seed, point_index, replication, stream],
+                               1, np.uint64)[0, 0])
+
+
+def replication_seeds(base_seed: int, point_index: int,
+                      replications: Sequence[int]) -> np.ndarray:
+    """The seeds of all three streams of each replication of one point, in
+    one bulk pass: a (len(replications), 3) uint64 array, indexed by
+    replication then stream."""
+    from .seeds import generate_states
+    reps = np.repeat(np.asarray(replications, dtype=np.int64), _STREAMS)
+    streams = np.tile(np.arange(_STREAMS), len(replications))
+    return generate_states([base_seed, point_index, reps, streams],
+                           1, np.uint64).reshape(-1, _STREAMS)
 
 
 @dataclass(frozen=True)
@@ -139,31 +157,40 @@ def build_replications(cfg: ScenarioConfig, point_index: int, replications: Iter
 
     `cfg` already holds the point's value of the swept variable.  Topology,
     social graph and engine each draw from their own stream of cfg.seed.
-    The cells are built in runs (`socialgraph.betweenness_groups`) whose
-    social graphs share one `social_pipelines` call, so a few small graphs
-    share each Brandes pass.  Each graph's X equals the X it gets alone, so
-    each problem equals the one built alone.  A run is built when the
-    problem before it is taken, and its graphs and X are dropped once its
-    problems are built.
+    All the cells' stream seeds are computed first, in one bulk pass
+    (`replication_seeds`), and so are the subcarrier offsets of every SCBS
+    and UE of every cell's topology, which depend on the topology seed
+    alone (`radio.subcarrier_offsets`).  Each scenario's SCBS reception is
+    computed once, for its graph and its problem.  The cells are built in
+    runs (`socialgraph.betweenness_groups`) whose social graphs share one
+    `social_pipelines` call, so a few small graphs share each Brandes pass.
+    Each graph's X equals the X it gets alone, so each problem equals the
+    one built alone.  A run is built when the problem before it is taken,
+    and its graphs and X are dropped once its problems are built.
     """
-    def seed(replication: int, stream: int) -> int:
-        return replication_seed(cfg.seed, point_index, replication, stream)
+    replications = list(replications)
+    stream_seeds = replication_seeds(cfg.seed, point_index, replications)
+    offsets = subcarrier_offsets(stream_seeds[:, STREAM_TOPOLOGY], cfg.n_scbs, cfg.n_ues,
+                                 cfg.subcarriers)
+    stream_seeds = stream_seeds.tolist()
 
     def drafts():
-        for r in replications:
-            scenario = scenario_from_config(cfg, seed=seed(r, STREAM_TOPOLOGY))
-            yield r, scenario, social_graph_from_config(cfg, scenario,
-                                                        seed=seed(r, STREAM_SOCIAL))
+        for i, cell in enumerate(stream_seeds):
+            scenario = scenario_from_config(cfg, seed=cell[STREAM_TOPOLOGY])
+            reception = scbs_reception(scenario)
+            yield i, scenario, reception, social_graph_from_config(
+                cfg, scenario, seed=cell[STREAM_SOCIAL], reception=reception)
 
     def finish(run):
-        xs = social_pipelines([graph for _, _, graph in run], alpha=cfg.alpha,
+        xs = social_pipelines([graph for *_, graph in run], alpha=cfg.alpha,
                               beta=cfg.beta, normalization=cfg.similarity_normalization)
-        engines = [engine_config_from_config(cfg, seed=seed(r, STREAM_ENGINE))
-                   for r, _, _ in run]
-        return [(scenario, build_problem(scenario, graph, xmat, engine))
-                for (_, scenario, graph), xmat, engine in zip(run, xs, engines)]
+        return [(scenario, build_problem(
+                    scenario, graph, xmat,
+                    engine_config_from_config(cfg, seed=stream_seeds[i][STREAM_ENGINE]),
+                    reception=reception, offsets=offsets[i]))
+                for (i, scenario, reception, graph), xmat in zip(run, xs)]
 
-    for built in map(finish, betweenness_groups(drafts(), graph_of=lambda draft: draft[2])):
+    for built in map(finish, betweenness_groups(drafts(), graph_of=lambda draft: draft[3])):
         yield from built
 
 
@@ -332,6 +359,7 @@ def emit_results(result: ExperimentResult, out_dir) -> dict[str, str]:
         "rows": [dataclasses.asdict(r) for r in result.rows],
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    import json
     sum_path = os.path.join(out_dir, "summary.json")
     with open(sum_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

@@ -56,7 +56,6 @@ kernel call, each report equal to the pair's own `problem.report`.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -68,8 +67,8 @@ import numpy as np
 from .config import ScenarioConfig
 from .errors import InputError
 from .radio import (RadioScenario, dbm_to_mw, pathloss_db, scbs_reception,
-                    subcarrier_offset, ue_distances)
-from .socialgraph import (SCBS, UE, X_FLOOR, SocialGraph, elect_important_ues,
+                    subcarrier_offsets, ue_distances)
+from .socialgraph import (UE, X_FLOOR, SocialGraph, elect_important_ues,
                           importance_scores)
 
 SN_SCBS = "scbs"
@@ -207,10 +206,16 @@ class AssociationProblem:
     reads `max_iterations`, `beta_start`, `beta_end`, `seed` and
     `stall_window`.  Its other keys, such as
     `n_scbs`, are not read here: the scenario and the graph carry them.
+
+    `reception` is the scenario's `radio.scbs_reception` and `offsets` its
+    `radio.subcarrier_offsets` row (every SCBS, then every UE), for a
+    caller that has them already; by default they are computed here.
     """
 
     def __init__(self, scenario: RadioScenario, graph: SocialGraph,
-                 x: np.ndarray, config: ScenarioConfig):
+                 x: np.ndarray, config: ScenarioConfig,
+                 reception: tuple[np.ndarray, np.ndarray] | None = None,
+                 offsets: np.ndarray | None = None):
         self.scenario = scenario
         self.config = config
 
@@ -222,7 +227,9 @@ class AssociationProblem:
                 f"social graph has {graph.n_scbs} SCBSs and {graph.n_vertices} nodes; "
                 f"the scenario needs {N} and {N + M}")
 
-        prx_scbs, in_scbs = scbs_reception(scenario)
+        prx_scbs, in_scbs = reception or scbs_reception(scenario)
+        if offsets is None:
+            offsets = subcarrier_offsets([scenario.seed], N, M, scenario.subcarriers)[0]
 
         # Phase I seed state: classical max-RSSI association, no D2D.
         rssi = max_rssi(prx_scbs, in_scbs)
@@ -288,8 +295,8 @@ class AssociationProblem:
         relay = np.zeros(S + 1, dtype=np.int64)
         relay[N + 1:] = relays
         offset = np.zeros(S + 1, dtype=np.int64)
-        offset[1:] = ([subcarrier_offset(scenario, (SCBS, i)) for i in range(N)]
-                      + [subcarrier_offset(scenario, (UE, int(p))) for p in relays])
+        offset[1:N + 1] = offsets[:N]
+        offset[N + 1:] = offsets[N + relays]
         # Every array is read-only, since a write after the build would
         # disagree with the start state; the views below inherit the flag.
         for arr in (prx, relay, offset, self.x_scbs_ue, self.is_relay, self.feasible_sn,
@@ -500,9 +507,11 @@ def reports(pairs: Iterable[tuple[AssociationProblem, np.ndarray]]
 
 
 def build_problem(scenario: RadioScenario, graph: SocialGraph,
-                  x: np.ndarray, config: ScenarioConfig) -> AssociationProblem:
+                  x: np.ndarray, config: ScenarioConfig,
+                  reception: tuple[np.ndarray, np.ndarray] | None = None,
+                  offsets: np.ndarray | None = None) -> AssociationProblem:
     """Front door for constructing an AssociationProblem."""
-    return AssociationProblem(scenario, graph, x, config)
+    return AssociationProblem(scenario, graph, x, config, reception, offsets)
 
 
 # --------------------------------------------------------------------------
@@ -721,7 +730,10 @@ def _chain(problem: AssociationProblem
     where = assign.tolist()
     counts = np.bincount(start[start >= 0], minlength=problem.n_sns).tolist()
     quota = problem.quota.tolist()
-    reach = [np.flatnonzero(row).tolist() for row in problem.feasible_sn]
+    ues, nodes = np.nonzero(problem.feasible_sn)
+    ends = np.bincount(ues, minlength=problem.n_ues).cumsum().tolist()
+    nodes = nodes.tolist()
+    reach = [nodes[begin:end] for begin, end in zip([0] + ends, ends)]
     pool = np.flatnonzero(problem.servable).tolist()
     w_start = w_cur = w_best = yield assign     # the start state, not counted
     memo = {assign.tobytes(): w_cur}        # state bytes -> welfare
@@ -1020,6 +1032,7 @@ def matching_to_csv(matching: Matching, report: UtilityReport, path,
     Metadata (config hash, seed, ...) goes into leading `# key=value`
     comment lines.  Unserved UEs get sn_id -1 and kind "none".
     """
+    import csv
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key in sorted(meta or {}):
             fh.write(f"# {key}={(meta or {})[key]}\n")
@@ -1038,6 +1051,7 @@ def matching_to_csv(matching: Matching, report: UtilityReport, path,
 
 def load_matching_csv(path) -> tuple[dict, list[tuple[int, int, str]]]:
     """Read back a matching CSV; returns (meta, [(ue, sn_id, sn_kind), ...])."""
+    import csv
     meta: dict[str, str] = {}
     rows: list[tuple[int, int, str]] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -1097,6 +1111,7 @@ def assignment_from_rows(problem: AssociationProblem,
 
 def trace_to_csv(trace: Iterable[TraceRow], path) -> None:
     """Write the per-iteration search trace."""
+    import csv
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "welfare", "best_welfare", "accepted", "move_kind"])

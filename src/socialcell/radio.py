@@ -8,7 +8,6 @@ customary dBm / dB units.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -268,10 +267,26 @@ def link_rate(tx: NodeRef, rx_ue: int, subcarrier: int, scenario: RadioScenario,
 
 
 def subcarrier_offset(scenario: RadioScenario, node: NodeRef) -> int:
-    """Deterministic per-node starting subcarrier, uniform over [0, C)."""
+    """Deterministic per-node starting subcarrier, uniform over [0, C): the
+    first `integers(C)` of `np.random.default_rng([seed, kind, id])`, where
+    seed is the scenario's and kind is 0 for an SCBS and 1 for a UE."""
+    # imported where used, so that `import socialcell` does not compile it
+    from .seeds import first_integers
     kind_code = 0 if node[0] == SCBS else 1
-    rng = np.random.default_rng([int(scenario.seed), kind_code, int(node[1])])
-    return int(rng.integers(scenario.subcarriers))
+    return int(first_integers([int(scenario.seed), kind_code, int(node[1])],
+                              scenario.subcarriers)[0])
+
+
+def subcarrier_offsets(seeds, n_scbs: int, n_ues: int, subcarriers: int) -> np.ndarray:
+    """`subcarrier_offset` of every SCBS and then every UE of the scenario
+    of each topology seed in `seeds`, in one bulk pass: a (len(seeds),
+    n_scbs + n_ues) int64 array."""
+    from .seeds import first_integers
+    seeds = np.asarray(seeds)
+    kinds = np.repeat([0, 1], [n_scbs, n_ues])
+    ids = np.concatenate([np.arange(n_scbs), np.arange(n_ues)])
+    return first_integers([np.repeat(seeds, len(ids)), np.tile(kinds, len(seeds)),
+                           np.tile(ids, len(seeds))], subcarriers).reshape(len(seeds), -1)
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +295,7 @@ def subcarrier_offset(scenario: RadioScenario, node: NodeRef) -> int:
 
 def positions_to_csv(scenario: RadioScenario, path) -> None:
     """Write node positions as `id,kind,x,y` rows."""
+    import csv
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "kind", "x", "y"])

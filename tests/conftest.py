@@ -88,7 +88,10 @@ def oracle_evaluate(problem, assign, x) -> SimpleNamespace:
     for k, node in enumerate(nodes):
         mine = sorted(int(m) for m in np.flatnonzero(assign == k))
         members[k] = mine
-        off = radio.subcarrier_offset(scen, node)
+        # numpy's own draw, so the oracle shares no code with the bulk
+        # seeding of `socialcell.seeds`
+        kind = 0 if node[0] == sg.SCBS else 1
+        off = int(np.random.default_rng([scen.seed, kind, node[1]]).integers(C))
         for rank, m in enumerate(mine):
             sc[m] = (off + rank) % C
 

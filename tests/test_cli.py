@@ -399,3 +399,16 @@ def test_package_runs_as_a_module():
                           capture_output=True, text=True,
                           cwd=os.path.dirname(os.path.dirname(socialcell.__file__)))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_output_modules():
+    """hashlib, json and csv are imported by the functions that write or
+    read files, and `socialcell.seeds` by those that seed, so `import
+    socialcell` loads none of them."""
+    code = ("import sys, socialcell\n"
+            "print(sorted({'hashlib', 'json', 'csv', 'socialcell.seeds'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=os.path.dirname(os.path.dirname(socialcell.__file__)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
