@@ -63,8 +63,8 @@ def cmd_run(args) -> int:
     result = matching.anneal_on_problem(problem)
     assign = harness.settled(problem, result, cfg.stabilize)
     final = problem.matching(assign)
-    social_report = problem.report(assign)
-    baseline_report = problem.report(problem.rssi_assignment)
+    social_report = problem.evaluate(assign)
+    baseline_report = problem.evaluate(problem.rssi_assignment)
     elapsed = time.perf_counter() - t0
 
     meta = {"config_sha": sha, "seed": str(cfg.seed)}

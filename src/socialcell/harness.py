@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -212,50 +211,33 @@ def _point_task(args) -> list[ReplicationRow]:
     """Rows of a run of replications of one sweep point, ordered by
     (replication, method).
 
-    The point's problems come from `build_replications`, whose runs of
-    cells share their Brandes passes, and its searches run side by side
-    through `anneal_problems`, which asks for each problem only when its
-    window has room for the search.  Each replication is stabilized as soon
-    as its search ends, and its rows' (problem, assignment) pairs go to
-    `reports`, which evaluates them a window of rows at a time in one kernel
-    call, so a problem waits for its window to fill before it is dropped.
-    Each report equals that of its pair alone, so each row does too.
+    The point runs in plain stages: its problems are built by
+    `build_replications`, whose runs of cells share their Brandes passes;
+    its searches run side by side through `anneal_problems`; each search's
+    matching is settled; and one `reports` pass evaluates every row's
+    (problem, assignment) pair, a window of rows to a kernel call.  Each
+    report equals that of its pair alone, so each row does too.
     """
     base, sweep_variable, x, point_index, replications, methods = args
     cfg = dataclasses.replace(base, **{sweep_variable: int(x)})
-    built: dict[int, AssociationProblem] = {}
-
-    def problems():
-        for i, (_, problem) in enumerate(build_replications(cfg, point_index, replications)):
-            built[i] = problem
-            yield problem
-
-    searched = (anneal_problems(problems()) if METHOD_SOCIAL in methods
-                else ((i, None) for i, _ in enumerate(problems())))
-    pending: deque[tuple[int, str, int]] = deque()     # (index, method, iterations)
-
-    def settled_pairs():
-        for i, result in searched:
-            problem = built.pop(i)
-            for method in methods:
-                if method == METHOD_BASELINE:
-                    pending.append((i, method, 0))
-                    yield problem, problem.rssi_assignment
-                else:
-                    pending.append((i, method, result.best_iteration))
-                    yield problem, settled(problem, result, cfg.stabilize)
-
-    rows: list[list[ReplicationRow]] = [[] for _ in replications]
-    # a report comes back for each pair in the order the pairs were made
-    for report in reports(settled_pairs()):
-        i, method, iters = pending.popleft()
-        rows[i].append(ReplicationRow(
-            x=int(x), method=method, replication=replications[i],
-            avg_rate_bps=float(report.ue_rates.mean()),
-            welfare=float(report.welfare),
-            iterations=int(iters),
-            unserved=len(report.unserved)))
-    return [row for chunk in rows for row in chunk]
+    problems = [problem for _, problem in build_replications(cfg, point_index, replications)]
+    searched = dict(anneal_problems(problems)) if METHOD_SOCIAL in methods else {}
+    cells, pairs = [], []       # (replication, method, iterations), (problem, assignment)
+    for i, problem in enumerate(problems):
+        for method in methods:
+            if method == METHOD_BASELINE:
+                cells.append((replications[i], method, 0))
+                pairs.append((problem, problem.rssi_assignment))
+            else:
+                result = searched[i]
+                cells.append((replications[i], method, result.best_iteration))
+                pairs.append((problem, settled(problem, result, cfg.stabilize)))
+    return [ReplicationRow(x=int(x), method=method, replication=replication,
+                           avg_rate_bps=float(report.ue_rates.mean()),
+                           welfare=float(report.welfare),
+                           iterations=int(iters),
+                           unserved=len(report.unserved))
+            for (replication, method, iters), report in zip(cells, reports(pairs))]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:

@@ -17,13 +17,16 @@ one `ScenarioConfig` that also describes the scenario, which bounds them.
 
 One numpy kernel, `_evaluate_rows`, evaluates a stack of assignments, and
 each row may come from a different problem of one kernel shape (the same
-N, M, subcarriers, bandwidth, noise and `d2d_interference`; S may differ):
-it reads one problem's node tables in place, or the tables of a stack of
-problems (`_stack_tables`) at each row's own problem, padded to the stack's
-largest S with empty relay nodes.  `AssociationProblem._evaluate_rows` is
-its one-problem case and `evaluate` its one-row case.  An empty node adds
-+0.0 to every sum it enters, and a padded row's welfare is summed over its
-own S nodes alone, since numpy sums a contiguous row pairwise.  One scanner
+N, M, subcarriers, bandwidth, noise and `d2d_interference`; S may differ).
+Its node tables have one layout, a stack along a leading axis: a problem
+keeps its own as a stack of one, which every row reads in place, and
+`_stack_tables` stacks several, padded to their largest S with empty relay
+nodes, for each row to read at its own problem.  An evaluation has one
+record, `UtilityReport`, and one entry, `reports`, which evaluates
+(problem, assignment) pairs; `evaluate` is its one-pair case.  An empty
+node adds +0.0 to every sum it enters, and a padded row's welfare is
+summed over its own S nodes alone, since numpy sums a contiguous row
+pairwise.  One scanner
 judges every swap the greedy pass and the audit see: `_swap_masks` lists
 the feasible swaps and `_judge` approves them in blocks of at most
 `_SCAN_BLOCK` swaps (fewer where `_SCAN_ELEMENTS` says so), one kernel call
@@ -45,13 +48,13 @@ changes a trace or a result.
 
 Each search is a chain that stops at its start state and at every state
 its memo lacks, and `anneal_problems` runs up to `_WINDOW` chains in
-lockstep: each round evaluates the waiting states of all live chains whose
-problems differ at most in S (all of a sweep point's) in one kernel call.
-The chains share nothing and a kernel row does not depend on its
-neighbours, so each result equals that of the search run alone;
-`anneal_on_problem` is `anneal_problems` over one problem.  For the same
-reason `reports` evaluates (problem, assignment) pairs `_WINDOW` to a
-kernel call, each report equal to the pair's own `problem.report`.
+lockstep: each round evaluates the waiting states of all live chains in
+one kernel call, so their problems must differ at most in S (all of a
+sweep point's do).  The chains share nothing and a kernel row does not
+depend on its neighbours, so each result equals that of the search run
+alone; `anneal_on_problem` is `anneal_problems` over one problem.  For the
+same reason `reports` evaluates (problem, assignment) pairs `_WINDOW` to a
+kernel call, each report equal to the pair's own `problem.evaluate`.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import InputError
-from .radio import (RadioScenario, dbm_to_mw, pathloss_db, scbs_reception,
+from .radio import (RadioScenario, dbm_to_mw, received_mw, scbs_reception,
                     subcarrier_offsets, ue_distances)
 from .socialgraph import (UE, X_FLOOR, SocialGraph, elect_important_ues,
                           importance_scores)
@@ -87,18 +90,9 @@ _WELFARE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class EvalResult:
-    """Per-UE and per-SN welfare breakdown of one assignment."""
-
-    utilities: np.ndarray
-    rates: np.ndarray
-    sn_utilities: np.ndarray
-    welfare: float
-
-
-@dataclass(frozen=True)
 class UtilityReport:
-    """Public summary of a matching: utilities, achieved rates, welfare."""
+    """The evaluation of one assignment: per-UE utilities and achieved
+    rates, per-serving-node utility sums, welfare and the unserved UEs."""
 
     ue_utilities: np.ndarray
     ue_rates: np.ndarray
@@ -244,8 +238,7 @@ class AssociationProblem:
         self.is_relay[relays] = True
 
         d_ru = ue_distances(scenario, relays)
-        prx_d2d = (dbm_to_mw(scenario.ue_power_dbm)
-                   * 10.0 ** (-pathloss_db(UE, d_ru, scenario.pathloss) / 10.0))
+        prx_d2d = received_mw(UE, d_ru, scenario)
         in_d2d = d_ru <= scenario.d2d_radius_m
         prx_d2d[np.arange(R), relays] = 0.0   # a node neither serves nor jams itself
         in_d2d[np.arange(R), relays] = False
@@ -285,30 +278,33 @@ class AssociationProblem:
         self._bw = scenario.bandwidth_hz
 
         # Per-node tables for the evaluator, indexed by node index + 1; row 0
-        # stands for "unserved", so one gather serves every UE.  The public
-        # arrays become views of them rather than second copies.  They sit
-        # in one attribute: past 30 attributes CPython 3.11 stops sharing
-        # the instance dict's keys, which costs about 1.3 kB per problem.
-        prx = np.zeros((S + 1, M))
-        prx[1:N + 1] = prx_scbs
-        prx[N + 1:] = prx_d2d
-        relay = np.zeros(S + 1, dtype=np.int64)
-        relay[N + 1:] = relays
-        offset = np.zeros(S + 1, dtype=np.int64)
-        offset[1:N + 1] = offsets[:N]
-        offset[N + 1:] = offsets[N + relays]
+        # stands for "unserved", so one gather serves every UE.  They are a
+        # stack of one problem, as `_stack_tables` makes for several: a
+        # leading axis of 1, and the problem's S last.  The public arrays
+        # are views of them rather than second copies.  They sit in one
+        # attribute: past 30 attributes CPython 3.11 stops sharing the
+        # instance dict's keys, which costs about 1.3 kB per problem.
+        prx = np.zeros((1, S + 1, M))
+        prx[0, 1:N + 1] = prx_scbs
+        prx[0, N + 1:] = prx_d2d
+        relay = np.zeros((1, S + 1), dtype=np.int64)
+        relay[0, N + 1:] = relays
+        offset = np.zeros((1, S + 1), dtype=np.int64)
+        offset[0, 1:N + 1] = offsets[:N]
+        offset[0, N + 1:] = offsets[N + relays]
         # Every array is read-only, since a write after the build would
         # disagree with the start state; the views below inherit the flag.
         for arr in (prx, relay, offset, self.x_scbs_ue, self.is_relay, self.feasible_sn,
                     self.servable, self.quota, self.start_assignment):
             arr.setflags(write=False)
-        self._node_tables = prx, relay, offset, self.x_scbs_ue, self.is_relay
+        self._node_tables = (prx, relay, offset, self.x_scbs_ue[None], self.is_relay[None],
+                             (S,))
         # what the kernel reads besides the tables; problems that agree on all
         # of it but S, which comes last, can share one kernel call
         self._shape = (N, M, scenario.subcarriers, self._bw, self._noise_mw_hz,
                        bool(scenario.d2d_interference), S)
-        self.prx_scbs, self.prx_d2d = prx[1:N + 1], prx[N + 1:]
-        self.relay_ues, self.sc_offset = relay[N + 1:], offset[1:]
+        self.prx_scbs, self.prx_d2d = prx[0, 1:N + 1], prx[0, N + 1:]
+        self.relay_ues, self.sc_offset = relay[0, N + 1:], offset[0, 1:]
 
     # -- assignments ------------------------------------------------------
 
@@ -317,43 +313,34 @@ class AssociationProblem:
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate(self, assign: np.ndarray) -> EvalResult:
+    def evaluate(self, assign: np.ndarray) -> UtilityReport:
         """Rates, utilities and welfare of one assignment.
 
         Bandwidth splits equally inside each serving node.  Subcarriers go
         round-robin (by ascending UE id) from the node's seeded offset, and
         only same-index transmissions interfere.  Welfare is the serving-node
         sum plus the UE sum, which algebraically doubles the UE total.  This
-        is the one-row case of `_evaluate_rows`, the only evaluator.
+        is the one-pair case of `reports`.
         """
-        utilities, rates, sn_util, welfare = self._evaluate_rows(
-            np.asarray(assign, dtype=np.int64)[None, :])
-        return EvalResult(utilities=utilities[0], rates=rates[0],
-                          sn_utilities=sn_util[0], welfare=float(welfare[0]))
-
-    def _evaluate_rows(self, A: np.ndarray, cols: np.ndarray | None = None) -> tuple:
-        """Evaluate a (B, M) stack of assignments of this problem in one pass,
-        at every column or at `cols`: `_evaluate_rows` over the problem's own
-        tables, which every row reads in place."""
-        return _evaluate_rows(self._shape, self._node_tables, A, cols)
-
-    def report(self, assign: np.ndarray) -> UtilityReport:
-        """The report of one assignment: the one-pair case of `reports`."""
         return next(reports([(self, assign)]))
 
+    # the name perfbench/pipeline.py calls to report a matching
+    report = evaluate
 
-def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...], A: np.ndarray,
+
+def _evaluate_rows(shape: tuple, tables: tuple, A: np.ndarray,
                    cols: np.ndarray | None = None) -> tuple:
     """Evaluate a (B, M) stack of assignments in one pass: the one kernel.
 
-    `shape` and `tables` are a problem's `_shape` and `_node_tables`, which
-    every row then reads, or the output of `_stack_tables` for B problems,
-    in which row b reads problem b's tables.  Returns (utilities, rates,
-    sn_utilities, welfare), each with a leading B axis; a stacked row's
-    sn_utilities end in zeros for the empty nodes its problem was padded
-    with.  Each row equals the evaluation of that row alone bit for bit,
-    because every float is summed in an order that does not depend on B or
-    on the stacking:
+    `shape` and `tables` come from `_stack_tables`.  Tables are a stack of
+    problems' node tables along a leading axis, with each problem's own S
+    last: a stack of one, a problem's own `_node_tables`, which every row
+    reads in place, or a stack of B problems, in which row b reads problem
+    b's.  Returns (utilities, rates, sn_utilities, welfare), each with a
+    leading B axis; a stacked row's sn_utilities end in zeros for the empty
+    nodes its problem was padded with.  Each row equals the evaluation of
+    that row alone bit for bit, because every float is summed in an order
+    that does not depend on B or on the stacking:
 
     - interference sums over the node axis of a C-contiguous (B, S+1, w)
       product with w >= 2 columns (or w = M = 1), so the node axis is not
@@ -377,8 +364,7 @@ def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...], A: np.ndarray,
     kind go through the same vector formulas and are masked afterwards.
     """
     N, M, C, bw, noise_mw_hz, d2d_interference, S = shape
-    prx, relay, offset, x, is_relay = tables[:5]
-    stacked = prx.ndim == 3
+    prx, relay, offset, x, is_relay, sizes = tables
     B = A.shape[0]
     a = A.ravel()
     ue = np.arange(B * M)
@@ -389,7 +375,7 @@ def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...], A: np.ndarray,
     # does as a radix sort on keys of 16 bits or fewer
     order = np.argsort(keys.astype(np.min_scalar_type(B * (S + 1))), kind="stable")
     first = np.cumsum(per_key) - per_key
-    shift = (offset.ravel() if stacked else np.tile(offset, B)) - first
+    shift = (offset - first.reshape(B, S + 1)).ravel()
     sc = np.empty(B * M, dtype=np.int64)
     sc[order] = (np.repeat(shift, per_key) + ue) % C
     on = np.zeros(B * (S + 1) * C, dtype=bool)
@@ -401,25 +387,24 @@ def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...], A: np.ndarray,
     col = ue % M
     a1 = a + 1
     share = 1.0 / per_key[keys]
-    # where each UE's entries sit in the tables: one problem's are read in
-    # place, a stack's at the row's own problem.  Only SCBS-served UEs use
-    # x; the others read a clipped row of it, masked below.
+    # where each UE's entries sit in the tables: a stack of one is read in
+    # place, a larger stack at the row's own problem.  Only SCBS-served UEs
+    # use x; the others read a clipped row of it, masked below.
     xi = np.minimum(a, N - 1)
-    if stacked:
+    if len(prx) == 1:
+        node, own = a1, col
+    else:
         node, own = keys, ue
         xi = xi + np.repeat(np.arange(0, B * N, N), M)
-        relay, is_relay = relay.ravel(), is_relay.ravel()
-        prx_at, x = prx.reshape(-1, M), x.reshape(-1, M)
-    else:
-        node, own = a1, col
-        prx_at = prx
+    relay, is_relay = relay.ravel(), is_relay.ravel()
+    prx_at, x = prx.reshape(-1, M), x.reshape(-1, M)
     w = len(col) // B
     # (B, S+1, w) in C order, so that its node axis is not the inner loop
     hits = on[(np.arange(B * (S + 1)) * C).reshape(B, S + 1, 1) + sc.reshape(B, 1, w)]
     if cols is None:
         heard = hits * prx
     else:
-        heard = np.ascontiguousarray(prx.T[cols].transpose(0, 2, 1))
+        heard = np.ascontiguousarray(prx[0].T[cols].transpose(0, 2, 1))
         heard *= hits
     signal = prx_at[node, col]
     by_scbs = (a1 >= 1) & (a1 <= N)
@@ -450,32 +435,38 @@ def _evaluate_rows(shape: tuple, tables: tuple[np.ndarray, ...], A: np.ndarray,
     if cols is not None:
         return utilities, rates, sn_util, None
     welfare = sn_util.sum(axis=1) + utilities.sum(axis=1)
-    if stacked:     # a padded row sums its own nodes, as it does alone
-        for b in np.flatnonzero(tables[5] < S):
-            welfare[b] = sn_util[b, :tables[5][b]].sum() + utilities[b].sum()
+    for b, size in enumerate(sizes):    # a padded row sums its own nodes, as alone
+        if size < S:
+            welfare[b] = sn_util[b, :size].sum() + utilities[b].sum()
     return utilities, rates, sn_util, welfare
 
 
 def _stack_tables(problems: Sequence[AssociationProblem]) -> tuple[tuple, tuple]:
-    """(shape, tables) for `_evaluate_rows` over one row per problem: the
-    problems' node tables stacked along a new leading axis, each padded to
-    the largest S with empty relay nodes (no signal, never assigned), plus
-    each problem's own S.  Problems that differ in anything the kernel reads
-    but S cannot share a call; mixing them raises ValueError."""
+    """(shape, tables) for `_evaluate_rows` over one row per problem.
+
+    A lone problem's are its own `_shape` and `_node_tables`, uncopied.  Two
+    or more problems' node tables are stacked along the leading axis, each
+    padded to the largest S with empty relay nodes (no signal, never
+    assigned), with each problem's own S last.  Problems that differ in
+    anything the kernel reads but S cannot share a call; mixing them raises
+    ValueError.
+    """
+    if len(problems) == 1:
+        return problems[0]._shape, problems[0]._node_tables
     if len({p._shape[:-1] for p in problems}) > 1:
         raise ValueError("a stack of problems mixes kernel shapes")
-    sizes = np.array([p.n_sns for p in problems])
-    S = int(sizes.max())
-    prx, relay, offset, x, is_relay = zip(*(p._node_tables for p in problems))
+    sizes = tuple(p.n_sns for p in problems)
+    S = max(sizes)
+    prx, relay, offset, x, is_relay, _ = zip(*(p._node_tables for p in problems))
     padded = []
     for node_tables in (prx, relay, offset):
-        stack = np.zeros((len(problems), S + 1) + node_tables[0].shape[1:],
+        stack = np.zeros((len(problems), S + 1) + node_tables[0].shape[2:],
                          dtype=node_tables[0].dtype)
         for row, t in zip(stack, node_tables):
-            row[:len(t)] = t
+            row[:t.shape[1]] = t[0]
         padded.append(stack)
     return (problems[0]._shape[:-1] + (S,),
-            (*padded, np.stack(x), np.stack(is_relay), sizes))
+            (*padded, np.concatenate(x), np.concatenate(is_relay), sizes))
 
 
 def reports(pairs: Iterable[tuple[AssociationProblem, np.ndarray]]
@@ -483,22 +474,17 @@ def reports(pairs: Iterable[tuple[AssociationProblem, np.ndarray]]
     """The report of each (problem, assignment) pair, in order.
 
     The pairs are read `_WINDOW` at a time, and each such run is evaluated
-    in one kernel call over the problems' stacked tables (`_stack_tables`;
-    one pair reads its problem's own), so a run's problems must differ at
-    most in S.  A kernel row equals the evaluation of that row alone bit
-    for bit, so each report equals that of its pair alone; a padded row's
-    sn_utilities are cut back to its problem's own S nodes.
-    `AssociationProblem.report` is the one-pair case.
+    in one kernel call over its problems' `_stack_tables`, so a run's
+    problems must differ at most in S.  A kernel row equals the evaluation
+    of that row alone bit for bit, so each report equals that of its pair
+    alone; a padded row's sn_utilities are cut back to its problem's own S
+    nodes.  `AssociationProblem.evaluate` is the one-pair case.
     """
     pairs = iter(pairs)
     while run := list(islice(pairs, _WINDOW)):
         problems = [problem for problem, _ in run]
         A = np.stack([assign for _, assign in run], dtype=np.int64)
-        if len(run) == 1:
-            evaluated = problems[0]._evaluate_rows(A)
-        else:
-            evaluated = _evaluate_rows(*_stack_tables(problems), A)
-        utilities, rates, sn_util, welfare = evaluated
+        utilities, rates, sn_util, welfare = _evaluate_rows(*_stack_tables(problems), A)
         for b, problem in enumerate(problems):
             yield UtilityReport(ue_utilities=utilities[b], ue_rates=rates[b],
                                 sn_utilities=sn_util[b, :problem.n_sns],
@@ -637,60 +623,51 @@ def anneal_problems(problems: Iterable[AssociationProblem]
     """Run the annealed swap search on each problem, and yield (index,
     result) as each search ends.
 
-    Each search is a chain (`_chain`) that stops at its start state and at
-    every proposal its memo lacks.  Up to `_WINDOW` chains run in lockstep,
-    as Lee, Yau, Giles, Doucet and Holmes (JCGS 2010) run independent Monte
-    Carlo chains: each round evaluates the waiting state of every live
-    chain (a chain that joins waits at its start state), one
-    `_evaluate_rows` call for all the chains whose problems differ at most
-    in S, and runs each chain on to its next miss or its end.  The chains
-    share nothing, and a kernel row does not depend on the rows beside it,
-    so every result equals that of the chain run alone.  Problems are
-    pulled from `problems` only as slots in the window free up, and a
-    chain's state is dropped when it ends and its problem by the end of
-    that round, so no more than `_WINDOW` searches are held here at once.
+    The problems, like the pairs of `reports`, must differ at most in S
+    (all of a sweep point's do); mixing kernel shapes raises ValueError
+    from `_stack_tables`.  Each search is a chain (`_chain`) that stops at
+    its start state and at every proposal its memo lacks.  Up to `_WINDOW`
+    chains run in lockstep, as Lee, Yau, Giles, Doucet and Holmes (JCGS
+    2010) run independent Monte Carlo chains: each round evaluates the
+    waiting state of every live chain (a chain that joins waits at its
+    start state) in one `_evaluate_rows` call, and runs each chain on to
+    its next miss or its end.  The chains share nothing, and a kernel row
+    does not depend on the rows beside it, so every result equals that of
+    the chain run alone.  Problems are pulled from `problems` only as slots
+    in the window free up, and a chain's state and its problem are dropped
+    when it ends, so no more than `_WINDOW` searches are held here at once.
     """
     source = enumerate(problems)
-    live: list[list] = []               # [index, problem, chain, proposal]
-    stacks: dict[tuple, tuple] = {}     # shape but S -> (problems, _stack_tables)
+    live: list[list] = []       # [index, problem, chain, proposal]
+    stack: list = [None, None]  # the live chains' problems and their _stack_tables
     while True:
         for index, problem in islice(source, _WINDOW - len(live)):
             chain = _chain(problem)
             live.append([index, problem, chain, next(chain)])   # its start state
         if not live:
             return
-        yield from _round(live, stacks)
+        yield from _round(live, stack)
 
 
-def _round(live: list[list], stacks: dict[tuple, tuple]
-           ) -> Iterator[tuple[int, AnnealResult]]:
-    """Evaluate the waiting state of every live chain, one kernel call for
-    all the chains whose problems differ at most in S (all of a sweep
-    point's), and run each chain on to its next proposal.  A chain that
-    ends leaves `live`, and its result is yielded at once.
+def _round(live: list[list], stack: list) -> Iterator[tuple[int, AnnealResult]]:
+    """Evaluate the waiting state of every live chain in one kernel call,
+    and run each chain on to its next proposal.  A chain that ends leaves
+    `live`, and its result is yielded at once.
 
-    `stacks` keeps the stacked tables of each call's chains from round to
-    round; they are restacked when one of those chains ends or joins.
+    `stack` keeps the live chains' problems and their stacked tables from
+    round to round; they are restacked when a chain ends or joins.
     """
-    groups: dict[tuple, list[list]] = {}
-    for entry in live:
-        groups.setdefault(entry[1]._shape[:-1], []).append(entry)
-    for kind, group in groups.items():
-        A = np.stack([entry[3] for entry in group], dtype=np.int64)
-        if len(group) == 1:
-            rows = group[0][1]._evaluate_rows(A)
-        else:
-            members = [entry[1] for entry in group]
-            if kind not in stacks or stacks[kind][0] != members:
-                stacks[kind] = members, _stack_tables(members)
-            rows = _evaluate_rows(*stacks[kind][1], A)
-        for entry, w in zip(group, rows[3].tolist()):
-            try:
-                entry[3] = entry[2].send(w)
-            except StopIteration as end:
-                entry[3] = None
-                stacks.pop(kind, None)
-                yield entry[0], end.value
+    problems = [entry[1] for entry in live]
+    if stack[0] != problems:
+        stack[:] = problems, _stack_tables(problems)
+    A = np.stack([entry[3] for entry in live], dtype=np.int64)
+    for entry, w in zip(live, _evaluate_rows(*stack[1], A)[3].tolist()):
+        try:
+            entry[3] = entry[2].send(w)
+        except StopIteration as end:
+            entry[3] = None
+            stack[:] = None, None
+            yield entry[0], end.value
     live[:] = [entry for entry in live if entry[3] is not None]
 
 
@@ -858,7 +835,7 @@ _SCAN_BLOCK = 64
 _SCAN_ELEMENTS = 1 << 17
 
 
-def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
+def _judge(problem: AssociationProblem, assign: np.ndarray, base: UtilityReport,
            m: np.ndarray, n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Judge a block of feasible swaps of `assign`, whose evaluation is `base`.
 
@@ -884,15 +861,16 @@ def _judge(problem: AssociationProblem, assign: np.ndarray, base: EvalResult,
     # UE of an SCBS
     touched = (swapped == left[:, None]) | (swapped == k[:, None])
     ends = np.stack([left, k])
-    relay = problem._node_tables[1]             # a node's relay UE, at node + 1
+    relay = problem._node_tables[1][0]          # a node's relay UE, at node + 1
     touched[rows, np.where(ends >= problem.n_scbs, relay[ends + 1], m)] = True
     # touched columns first, ascending; untouched ones pad the narrower rows
     width = min(problem.n_ues, max(2, touched.sum(axis=1).max()))
     cols = np.argsort(~touched, axis=1, kind="stable")[:, :width]
-    utilities, _, sn_util, _ = problem._evaluate_rows(swapped, cols)
+    utilities, _, sn_util, _ = _evaluate_rows(problem._shape, problem._node_tables,
+                                              swapped, cols)
     now = np.stack([utilities[cols == m[:, None]], utilities[cols == n[:, None]],
                     sn_util[rows, left], sn_util[rows, k]])
-    before = np.stack([base.utilities[m], base.utilities[n],
+    before = np.stack([base.ue_utilities[m], base.ue_utilities[n],
                        base.sn_utilities[left], base.sn_utilities[k]])
     return ~(now < before).any(axis=0) & (now > before).any(axis=0), swapped
 

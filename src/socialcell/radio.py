@@ -185,6 +185,13 @@ def received_power_mw(tx: NodeRef, rx_ue: int, scenario: RadioScenario) -> float
     return float(dbm_to_mw(scenario.tx_power_dbm(tx[0]))) * float(gain)
 
 
+def received_mw(tx_kind: str, distance_m, scenario: RadioScenario):
+    """Received power in mW at the given distances from a transmitter of the
+    given kind at full power; accepts arrays."""
+    return (dbm_to_mw(scenario.tx_power_dbm(tx_kind))
+            * 10.0 ** (-pathloss_db(tx_kind, distance_m, scenario.pathloss) / 10.0))
+
+
 def scbs_ue_distances(scenario: RadioScenario) -> np.ndarray:
     """(N, M) matrix of SCBS-to-UE distances in metres."""
     diff = scenario.scbs_xy[:, np.newaxis, :] - scenario.ue_xy[np.newaxis, :, :]
@@ -202,9 +209,7 @@ def scbs_reception(scenario: RadioScenario) -> tuple[np.ndarray, np.ndarray]:
     """(N, M) SCBS-to-UE received power in mW and the in-range mask: the UEs
     inside each SCBS's service radius."""
     d_su = scbs_ue_distances(scenario)
-    prx = (dbm_to_mw(scenario.scbs_power_dbm)
-           * 10.0 ** (-pathloss_db(SCBS, d_su, scenario.pathloss) / 10.0))
-    return prx, d_su <= scenario.scbs_radius_m
+    return received_mw(SCBS, d_su, scenario), d_su <= scenario.scbs_radius_m
 
 
 # --------------------------------------------------------------------------

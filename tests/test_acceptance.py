@@ -15,14 +15,14 @@ import pytest
 from conftest import clustered_instance, exhaustive_best_welfare, state_count
 from test_socialgraph import _random_graph, brute_force_edge_betweenness
 
-from socialcell import reference
+from socialcell import matching, reference
 from socialcell import socialgraph as sg
 from socialcell.cli import main as cli_main
 from socialcell.config import ScenarioConfig
 from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
                                 run_experiment)
-from socialcell.matching import (AssociationProblem, anneal_on_problem,
-                                 audit_stability, build_problem, greedy_stabilize)
+from socialcell.matching import (anneal_on_problem, audit_stability, build_problem,
+                                 greedy_stabilize)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> str:
@@ -171,34 +171,30 @@ def test_acceptance_4_stability_after_greedy_post_pass():
 # criterion 5: trace monotonicity and from-scratch welfare agreement
 # --------------------------------------------------------------------------
 
-class _RecordingProblem:
-    """Pass-through wrapper that logs every row the kernel evaluates."""
+class _RecordingKernel:
+    """Pass-through wrapper of the kernel that logs every row it evaluates."""
 
-    # the start state's `evaluate` reaches the kernel through the wrapper too
-    evaluate = AssociationProblem.evaluate
-
-    def __init__(self, inner):
-        self._inner = inner
+    def __init__(self):
+        self._inner = matching._evaluate_rows
         self.calls = []
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def _evaluate_rows(self, A):
-        rows = self._inner._evaluate_rows(A)
+    def __call__(self, shape, tables, A, cols=None):
+        rows = self._inner(shape, tables, A, cols)
         self.calls.extend(zip(np.array(A), rows[3].tolist()))
         return rows
 
 
-def test_acceptance_5_welfare_trace_integrity():
+def test_acceptance_5_welfare_trace_integrity(monkeypatch):
     runs = accepted_checked = 0
     worst_rel = 0.0
     monotone = True
     for seed in range(8):
         engine = ScenarioConfig(seed=seed, max_iterations=400)
         inst = clustered_instance(seed, n_ues=10 + seed % 5, engine=engine)
-        recorder = _RecordingProblem(inst.problem)
-        result = anneal_on_problem(recorder)
+        recorder = _RecordingKernel()
+        with monkeypatch.context() as patch:
+            patch.setattr(matching, "_evaluate_rows", recorder)
+            result = anneal_on_problem(inst.problem)
         runs += 1
 
         best_seen = -np.inf

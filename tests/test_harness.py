@@ -227,6 +227,16 @@ def test_parallel_run_matches_sequential(small_result):
     assert parallel.aggregates == small_result.aggregates
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("method", [METHOD_BASELINE, METHOD_SOCIAL])
+def test_a_single_method_sweep_gives_that_methods_rows(small_result, method, workers):
+    cfg = dataclasses.replace(SMALL_CFG, methods=(method,), workers=workers)
+    alone = run_experiment(ExperimentSpec.from_config(cfg))
+    want = tuple(row for row in small_result.rows if row.method == method)
+    assert len(want) == len(SMALL_CFG.sweep_values) * SMALL_CFG.replications
+    assert alone.rows == want
+
+
 def test_stabilized_run_completes():
     cfg = dataclasses.replace(SMALL_CFG, stabilize=True, sweep_values=(5,),
                               replications=1)

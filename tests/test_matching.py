@@ -211,8 +211,8 @@ def test_zero_scbs_quota_means_one_per_subcarrier():
 def assert_matches_oracle(problem, assign, x):
     mine = problem.evaluate(assign)
     ref = oracle_evaluate(problem, assign, x)
-    np.testing.assert_allclose(mine.rates, ref.rates, rtol=1e-9, atol=1e-6)
-    np.testing.assert_allclose(mine.utilities, ref.utilities, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(mine.ue_rates, ref.rates, rtol=1e-9, atol=1e-6)
+    np.testing.assert_allclose(mine.ue_utilities, ref.utilities, rtol=1e-9, atol=1e-6)
     np.testing.assert_allclose(mine.sn_utilities, ref.sn_utilities,
                                rtol=1e-9, atol=1e-6)
     assert mine.welfare == pytest.approx(ref.welfare, rel=1e-9)
@@ -228,13 +228,13 @@ def test_three_case_utilities_match_oracle():
     ev = problem.evaluate(assign)
     # relay case: downlink rate scaled by 1/x against its serving SCBS
     xv = float(x[sg.vertex((sg.SCBS, 0), 2, 7), sg.vertex((sg.UE, 0), 2, 7)])
-    assert ev.utilities[0] == pytest.approx(ev.rates[0] / max(xv, 0.01), rel=1e-12)
-    assert ev.utilities[0] > ev.rates[0]
+    assert ev.ue_utilities[0] == pytest.approx(ev.ue_rates[0] / max(xv, 0.01), rel=1e-12)
+    assert ev.ue_utilities[0] > ev.ue_rates[0]
     # regular case: utility is the plain rate
-    assert ev.utilities[2] == pytest.approx(ev.rates[2], rel=1e-12)
+    assert ev.ue_utilities[2] == pytest.approx(ev.ue_rates[2], rel=1e-12)
     # D2D case: half the min of backhaul and access, never above either
-    assert ev.rates[5] <= ev.rates[0] / 2.0 + 1e-9
-    assert ev.utilities[5] == pytest.approx(ev.rates[5], rel=1e-12)
+    assert ev.ue_rates[5] <= ev.ue_rates[0] / 2.0 + 1e-9
+    assert ev.ue_utilities[5] == pytest.approx(ev.ue_rates[5], rel=1e-12)
 
 
 def test_unserved_relay_starves_its_d2d_ue():
@@ -243,7 +243,7 @@ def test_unserved_relay_starves_its_d2d_ue():
     assign = problem.start_assignment.copy()
     assign[0] = -1                       # relay loses its own downlink
     ev = problem.evaluate(assign)
-    assert ev.rates[5] == 0.0
+    assert ev.ue_rates[5] == 0.0
     assert_matches_oracle(problem, assign, inst.x)
 
 
@@ -282,8 +282,8 @@ def test_evaluate_matches_oracle_with_subcarrier_wraparound():
 def test_welfare_is_twice_the_ue_total():
     problem = three_case_instance().problem
     ev = problem.evaluate(problem.start_assignment)
-    assert ev.welfare == pytest.approx(2.0 * ev.utilities.sum(), rel=1e-12)
-    assert ev.welfare == pytest.approx(ev.sn_utilities.sum() + ev.utilities.sum(),
+    assert ev.welfare == pytest.approx(2.0 * ev.ue_utilities.sum(), rel=1e-12)
+    assert ev.welfare == pytest.approx(ev.sn_utilities.sum() + ev.ue_utilities.sum(),
                                        rel=1e-12)
 
 
@@ -292,7 +292,7 @@ def test_empty_assignment_has_zero_welfare():
     assign = np.full(problem.n_ues, -1, dtype=np.int64)
     ev = problem.evaluate(assign)
     assert ev.welfare == 0.0
-    assert np.all(ev.rates == 0.0)
+    assert np.all(ev.ue_rates == 0.0)
 
 
 def test_report_lists_unserved_ues():
@@ -588,15 +588,20 @@ def random_states(problem, rng, count, p_unserved=0.15):
     return states
 
 
+def kernel_rows(problem, A, cols=None):
+    """The kernel over `problem`'s own tables, which every row reads in place."""
+    return matching._evaluate_rows(problem._shape, problem._node_tables, A, cols)
+
+
 def assert_rows_bit_identical(problem, states):
-    block = problem._evaluate_rows(states)
+    block = kernel_rows(problem, states)
     for b, assign in enumerate(states):
         want = per_ue_evaluate(problem, assign)
         one = problem.evaluate(assign)
-        for got in (one, SimpleNamespace(utilities=block[0][b], rates=block[1][b],
+        for got in (one, SimpleNamespace(ue_utilities=block[0][b], ue_rates=block[1][b],
                                          sn_utilities=block[2][b], welfare=block[3][b])):
-            assert np.array_equal(got.utilities, want.utilities)
-            assert np.array_equal(got.rates, want.rates)
+            assert np.array_equal(got.ue_utilities, want.utilities)
+            assert np.array_equal(got.ue_rates, want.rates)
             assert np.array_equal(got.sn_utilities, want.sn_utilities)
             assert got.welfare == want.welfare
 
@@ -767,11 +772,11 @@ def test_evaluate_rows_property(seed, n_scbs, n_ues, rows, subcarriers, d2d_inte
                               d2d_interference=d2d_interference)
     problem = inst.problem
     states = random_states(problem, np.random.default_rng(seed), rows)
-    block = problem._evaluate_rows(states)
+    block = kernel_rows(problem, states)
     for b, assign in enumerate(states):
         one = problem.evaluate(assign)
-        assert np.array_equal(block[0][b], one.utilities)
-        assert np.array_equal(block[1][b], one.rates)
+        assert np.array_equal(block[0][b], one.ue_utilities)
+        assert np.array_equal(block[1][b], one.ue_rates)
         assert np.array_equal(block[2][b], one.sn_utilities)
         assert block[3][b] == one.welfare
         assert_matches_oracle(problem, assign, inst.x)
@@ -830,8 +835,8 @@ def test_stacked_rows_equal_their_own_problem(seed, n_scbs, n_ues, rows, subcarr
     for b, (problem, assign) in enumerate(zip(row_problems, states)):
         one = problem.evaluate(assign)
         S = problem.n_sns
-        assert np.array_equal(block[0][b], one.utilities)
-        assert np.array_equal(block[1][b], one.rates)
+        assert np.array_equal(block[0][b], one.ue_utilities)
+        assert np.array_equal(block[1][b], one.ue_rates)
         assert np.array_equal(block[2][b][:S], one.sn_utilities)
         assert not block[2][b][S:].any()
         assert block[3][b] == one.welfare
@@ -876,6 +881,8 @@ def test_a_stack_of_mixed_shapes_raises():
         odd = clustered_instance(0, **{**keys, **other}).problem
         with pytest.raises(ValueError, match="mixes"):
             matching._stack_tables(same + [odd])
+        with pytest.raises(ValueError, match="mixes"):
+            dict(matching.anneal_problems(same + [odd]))
 
 
 # --------------------------------------------------------------------------
@@ -887,26 +894,22 @@ def subset_calls(problem, assign):
     and return every subset kernel call the judge made: (swapped states,
     columns, result)."""
     calls = []
-    inner = problem._evaluate_rows
+    inner = matching._evaluate_rows
 
-    def spy(A, cols=None):
-        out = inner(A, cols)
+    def spy(shape, tables, A, cols=None):
+        out = inner(shape, tables, A, cols)
         if cols is not None:
             calls.append((A.copy(), cols, out))
         return out
 
-    problem._evaluate_rows = spy
-    try:
+    # a context rather than the fixture, since hypothesis runs many examples
+    # in one test call
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "_evaluate_rows", spy)
         audit_stability(problem, assign)
-        matching._SCAN_ELEMENTS = 1
+        patch.setattr(matching, "_SCAN_ELEMENTS", 1)
         audit_stability(problem, assign)
-    finally:
-        del problem._evaluate_rows
-        matching._SCAN_ELEMENTS = SCAN_ELEMENTS
     return calls
-
-
-SCAN_ELEMENTS = matching._SCAN_ELEMENTS
 
 
 def emptied_states(problem, assign):
@@ -951,7 +954,7 @@ def test_touched_columns_equal_the_full_kernel(seed, n_scbs, n_ues, subcarriers,
     widths = set()
     for assign in [start, *emptied_states(problem, start)]:
         for A, cols, (utilities, rates, sn_util, _) in subset_calls(problem, assign):
-            full = problem._evaluate_rows(A)
+            full = kernel_rows(problem, A)
             assert cols.shape[1] >= min(2, problem.n_ues)
             for b, swapped in enumerate(A):
                 moved = np.flatnonzero(swapped != assign)
