@@ -21,8 +21,7 @@ from .harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
 from .matching import (AnnealResult, AssociationProblem, Matching,
                        anneal_on_problem, anneal_problems, audit_stability,
                        build_problem, greedy_stabilize, reports)
-from .radio import (LinkBudget, PathlossParams, RadioScenario, channel_gain,
-                    generate_topology, link_rate, pathloss_db)
+from .radio import LinkBudget, RadioScenario, channel_gain, link_rate, pathloss_db
 from .socialgraph import (SocialGraph, edge_betweenness, elect_important_ues,
                           graph_from_edges, grouped_edge_betweenness,
                           importance_scores, similarity, social_distance,
@@ -33,12 +32,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealResult", "AssociationProblem", "ConfigError", "ExperimentSpec",
     "InputError", "LinkBudget", "LinkRangeError", "Matching",
-    "METHOD_BASELINE", "METHOD_SOCIAL", "PathlossParams", "RadioScenario",
+    "METHOD_BASELINE", "METHOD_SOCIAL", "RadioScenario",
     "ScenarioConfig", "SocialCellError", "SocialGraph",
     "anneal_on_problem", "anneal_problems", "apply_overrides", "audit_stability",
     "build_problem", "channel_gain", "config_as_dict",
     "config_sha", "dump_config", "edge_betweenness", "elect_important_ues",
-    "engine_config_from_config", "generate_topology", "graph_from_edges",
+    "engine_config_from_config", "graph_from_edges",
     "greedy_stabilize", "grouped_edge_betweenness",
     "importance_scores", "link_rate", "load_config", "pathloss_db",
     "replication_seed", "reports", "run_experiment", "scenario_from_config",

@@ -10,12 +10,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
 from . import socialgraph as sg
-from .radio import PathlossParams, RadioScenario, generate_topology, scbs_reception
+
+if TYPE_CHECKING:   # radio imports this module, so the builders import it when called
+    from .radio import RadioScenario
 
 
 # Slotted: every AssociationProblem holds its replication's config, and the
@@ -30,12 +33,13 @@ class ScenarioConfig:
     23 dBm / 50 m small cells, 15 dBm / 20 m device-to-device links and a
     cubic D2D pathloss exponent, all inside a 500 m deployment disk.
 
-    The swap engine reads its keys from this record too.  Its sigmoid
-    acceptance uses an inverse-temperature ramp, linear from beta_start to
-    beta_end, so the walk turns greedy late; scbs_quota = 0 lets an SCBS
-    serve one UE per subcarrier.  `__post_init__` bounds the engine's
-    values, so a bad one fails when a config is parsed, overridden or
-    replaced, before any work.
+    A `radio.RadioScenario` carries its run's config and reads every radio
+    value from it.  The swap engine reads its keys from this record too.
+    Its sigmoid acceptance uses an inverse-temperature ramp, linear from
+    beta_start to beta_end, so the walk turns greedy late; scbs_quota = 0
+    lets an SCBS serve one UE per subcarrier.  `__post_init__` bounds the
+    drop's, the radio's and the engine's values, so a bad one fails when a
+    config is parsed, overridden or replaced, before any work.
     """
 
     # deployment
@@ -81,6 +85,14 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n_scbs", "n_ues", "subcarriers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("macro_radius_m", "system_bandwidth_hz", "scbs_radius_m",
+                     "d2d_radius_m", "d2d_pathloss_alpha", "scbs_pathloss_slope_db",
+                     "min_distance_m"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.beta_start < 0 or self.beta_end < 0:
@@ -206,26 +218,17 @@ def config_as_dict(cfg: ScenarioConfig) -> dict:
 # --------------------------------------------------------------------------
 
 def scenario_from_config(cfg: ScenarioConfig, seed: int | None = None) -> RadioScenario:
-    """Generate the radio scenario described by cfg (topology included)."""
-    return generate_topology(
-        cfg.n_scbs, cfg.n_ues,
-        macro_radius_m=cfg.macro_radius_m,
-        rng_seed=cfg.seed if seed is None else seed,
-        scbs_power_dbm=cfg.scbs_power_dbm,
-        ue_power_dbm=cfg.ue_power_dbm,
-        bandwidth_hz=cfg.system_bandwidth_hz,
-        subcarriers=cfg.subcarriers,
-        scbs_radius_m=cfg.scbs_radius_m,
-        d2d_radius_m=cfg.d2d_radius_m,
-        noise_psd_dbm_hz=cfg.noise_psd_dbm_hz,
-        pathloss=PathlossParams(
-            d2d_alpha=cfg.d2d_pathloss_alpha,
-            scbs_intercept_db=cfg.scbs_pathloss_intercept_db,
-            scbs_slope_db=cfg.scbs_pathloss_slope_db,
-            min_distance_m=cfg.min_distance_m,
-        ),
-        d2d_interference=cfg.d2d_interference,
-    )
+    """A drop of cfg's SCBSs, then its UEs, i.i.d. uniform on the deployment
+    disk from `default_rng(seed)` (cfg.seed by default), under cfg's radio
+    values: `scenario.config` is cfg."""
+    from .radio import RadioScenario, disk_points
+    seed = cfg.seed if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    rng = np.random.default_rng(seed)
+    scbs_xy = disk_points(rng, cfg.n_scbs, cfg.macro_radius_m)
+    ue_xy = disk_points(rng, cfg.n_ues, cfg.macro_radius_m)
+    return RadioScenario(scbs_xy=scbs_xy, ue_xy=ue_xy, config=cfg, seed=seed)
 
 
 def social_graph_from_config(cfg: ScenarioConfig, scenario: RadioScenario,
@@ -241,6 +244,7 @@ def social_graph_from_config(cfg: ScenarioConfig, scenario: RadioScenario,
     `reception`.  An explicit edge file replaces both parts verbatim.
     Vertices are numbered SCBSs first, then UEs.
     """
+    from .radio import scbs_reception
     N, M = scenario.n_scbs, scenario.n_ues
     if cfg.social_model == "edges":
         if not cfg.social_edge_file:

@@ -198,8 +198,9 @@ class AssociationProblem:
     `config` is the run's `ScenarioConfig`.  The problem reads its
     `scbs_quota` (0 = one UE per subcarrier) and `d2d_quota`; the anneal
     reads `max_iterations`, `beta_start`, `beta_end`, `seed` and
-    `stall_window`.  Its other keys, such as
-    `n_scbs`, are not read here: the scenario and the graph carry them.
+    `stall_window`.  Every radio value comes from `scenario.config`, and
+    the drop and the graph carry the node counts; the harness passes one
+    config to both, apart from the engine's seed.
 
     `reception` is the scenario's `radio.scbs_reception` and `offsets` its
     `radio.subcarrier_offsets` row (every SCBS, then every UE), for a
@@ -212,6 +213,7 @@ class AssociationProblem:
                  offsets: np.ndarray | None = None):
         self.scenario = scenario
         self.config = config
+        radio_cfg = scenario.config
 
         N, M = scenario.n_scbs, scenario.n_ues
         self.n_scbs, self.n_ues = N, M
@@ -223,7 +225,7 @@ class AssociationProblem:
 
         prx_scbs, in_scbs = reception or scbs_reception(scenario)
         if offsets is None:
-            offsets = subcarrier_offsets([scenario.seed], N, M, scenario.subcarriers)[0]
+            offsets = subcarrier_offsets([scenario.seed], N, M, radio_cfg.subcarriers)[0]
 
         # Phase I seed state: classical max-RSSI association, no D2D.
         rssi = max_rssi(prx_scbs, in_scbs)
@@ -239,7 +241,7 @@ class AssociationProblem:
 
         d_ru = ue_distances(scenario, relays)
         prx_d2d = received_mw(UE, d_ru, scenario)
-        in_d2d = d_ru <= scenario.d2d_radius_m
+        in_d2d = d_ru <= radio_cfg.d2d_radius_m
         prx_d2d[np.arange(R), relays] = 0.0   # a node neither serves nor jams itself
         in_d2d[np.arange(R), relays] = False
         in_d2d[:, relays] = False   # relays connect only to SCBSs
@@ -256,7 +258,7 @@ class AssociationProblem:
         self.feasible_sn = feas
         self.servable = feas.any(axis=1)
 
-        quota = np.full(S, self.config.scbs_quota or scenario.subcarriers, dtype=np.int64)
+        quota = np.full(S, self.config.scbs_quota or radio_cfg.subcarriers, dtype=np.int64)
         quota[N:] = self.config.d2d_quota
         self.quota = quota
 
@@ -274,8 +276,8 @@ class AssociationProblem:
                     break
         self.start_assignment = start
 
-        self._noise_mw_hz = float(dbm_to_mw(scenario.noise_psd_dbm_hz))
-        self._bw = scenario.bandwidth_hz
+        self._noise_mw_hz = float(dbm_to_mw(radio_cfg.noise_psd_dbm_hz))
+        self._bw = radio_cfg.system_bandwidth_hz
 
         # Per-node tables for the evaluator, indexed by node index + 1; row 0
         # stands for "unserved", so one gather serves every UE.  They are a
@@ -301,8 +303,8 @@ class AssociationProblem:
                              (S,))
         # what the kernel reads besides the tables; problems that agree on all
         # of it but S, which comes last, can share one kernel call
-        self._shape = (N, M, scenario.subcarriers, self._bw, self._noise_mw_hz,
-                       bool(scenario.d2d_interference), S)
+        self._shape = (N, M, radio_cfg.subcarriers, self._bw, self._noise_mw_hz,
+                       bool(radio_cfg.d2d_interference), S)
         self.prx_scbs, self.prx_d2d = prx[0, 1:N + 1], prx[0, N + 1:]
         self.relay_ues, self.sc_offset = relay[0, N + 1:], offset[0, 1:]
 

@@ -4,15 +4,27 @@ Distance-based pathloss only (no fading), equal bandwidth sharing inside
 each serving node, and subcarrier-level co-channel interference.  All
 powers are handled in mW internally; the public parameters use the
 customary dBm / dB units.
+
+Every radio parameter is a key of the run's one `ScenarioConfig`, which
+bounds them; a `RadioScenario` is a drop of nodes plus that config, and
+each function here reads the radio keys from `scenario.config`.  SCBS
+links use an NLOS-style log-distance curve in dB over km, D2D links a bare
+power law over metres:
+
+    PL_scbs = scbs_pathloss_intercept_db + scbs_pathloss_slope_db * log10(d_km)
+    PL_d2d  = 10 * d2d_pathloss_alpha * log10(d_m)
+
+with distances floored at `min_distance_m` before either formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from .config import ScenarioConfig
 from .errors import ConfigError, InputError, LinkRangeError
 from .socialgraph import SCBS, UE, NodeRef
 
@@ -20,13 +32,8 @@ from .socialgraph import SCBS, UE, NodeRef
 # unit conversions
 # --------------------------------------------------------------------------
 
-def db_to_linear(db):
-    """Decibels -> linear power ratio."""
-    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
 def dbm_to_mw(dbm):
-    """dBm -> milliwatts."""
+    """dBm -> milliwatts (dB -> linear power ratio likewise)."""
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
 
 
@@ -35,48 +42,20 @@ def dbm_to_mw(dbm):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PathlossParams:
-    """Pathloss model knobs for the two transmitter kinds.
-
-    SCBS links use an NLOS-style log-distance curve in dB over km:
-        PL = intercept + slope * log10(d_km)
-    D2D links use a bare power law over metres:
-        PL = 10 * alpha * log10(d_m)
-    Distances are floored at `min_distance_m` before either formula.
-    """
-
-    d2d_alpha: float = 3.0
-    scbs_intercept_db: float = 140.7
-    scbs_slope_db: float = 36.7
-    min_distance_m: float = 1.0
-
-    def __post_init__(self):
-        if self.d2d_alpha <= 0:
-            raise ConfigError(f"d2d pathloss exponent must be positive, got {self.d2d_alpha}")
-        if self.min_distance_m <= 0:
-            raise ConfigError(f"minimum distance must be positive, got {self.min_distance_m}")
-
-
-@dataclass(frozen=True)
 class RadioScenario:
-    """Node positions plus every radio parameter the link model needs.
+    """One drop of nodes under the run's radio parameters.
 
     Positions are metres in a plane with the deployment disk centred on the
-    origin.  scbs_xy is (N, 2), ue_xy is (M, 2).
+    origin: scbs_xy is (N, 2), ue_xy is (M, 2).  `config` supplies every
+    radio value (powers, radii, bandwidth, subcarriers, noise, pathloss and
+    `d2d_interference`); its `n_scbs`, `n_ues` and `seed` are not read
+    here, since the positions and `seed` (the topology seed, from which
+    the subcarrier offsets derive) say what this drop is.
     """
 
     scbs_xy: np.ndarray
     ue_xy: np.ndarray
-    scbs_power_dbm: float = 23.0
-    ue_power_dbm: float = 15.0
-    bandwidth_hz: float = 5e6
-    subcarriers: int = 16
-    scbs_radius_m: float = 50.0
-    d2d_radius_m: float = 20.0
-    noise_psd_dbm_hz: float = -174.0
-    macro_radius_m: float = 500.0
-    pathloss: PathlossParams = field(default_factory=PathlossParams)
-    d2d_interference: bool = True
+    config: ScenarioConfig = ScenarioConfig()
     seed: int = 0
 
     def __post_init__(self):
@@ -88,15 +67,9 @@ class RadioScenario:
         object.__setattr__(self, "ue_xy", ue_xy)
         if len(scbs_xy) < 1 or len(ue_xy) < 1:
             raise ConfigError("need at least one SCBS and one UE")
-        for name in ("bandwidth_hz", "scbs_radius_m", "d2d_radius_m",
-                     "macro_radius_m"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.subcarriers < 1:
-            raise ConfigError(f"subcarrier count must be >= 1, got {self.subcarriers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        limit = self.macro_radius_m * (1.0 + 1e-9)
+        limit = self.config.macro_radius_m * (1.0 + 1e-9)
         for xy, what in ((scbs_xy, "SCBS"), (ue_xy, "UE")):
             if np.any(np.linalg.norm(xy, axis=1) > limit):
                 raise ConfigError(f"{what} position outside the deployment disk")
@@ -111,16 +84,16 @@ class RadioScenario:
 
     def tx_power_dbm(self, kind: str) -> float:
         if kind == SCBS:
-            return self.scbs_power_dbm
+            return self.config.scbs_power_dbm
         if kind == UE:
-            return self.ue_power_dbm
+            return self.config.ue_power_dbm
         raise InputError(f"unknown transmitter kind {kind!r}")
 
     def tx_radius_m(self, kind: str) -> float:
         if kind == SCBS:
-            return self.scbs_radius_m
+            return self.config.scbs_radius_m
         if kind == UE:
-            return self.d2d_radius_m
+            return self.config.d2d_radius_m
         raise InputError(f"unknown transmitter kind {kind!r}")
 
     def position(self, ref: NodeRef) -> np.ndarray:
@@ -131,51 +104,31 @@ class RadioScenario:
         return pool[nid]
 
 
-def _disk_points(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
+def disk_points(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     """n points uniform over a disk of the given radius, centred on origin."""
     r = radius * np.sqrt(rng.random(n))
     theta = 2.0 * np.pi * rng.random(n)
     return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
-def generate_topology(n_scbs: int, n_ues: int, macro_radius_m: float = 500.0,
-                      rng_seed: int = 0, **params) -> RadioScenario:
-    """Drop SCBSs and UEs i.i.d. uniform on the deployment disk.
-
-    Extra keyword arguments are forwarded to RadioScenario, so Table-style
-    parameters can be overridden at generation time.  Deterministic given
-    the seed: SCBS positions are drawn first, then UE positions.
-    """
-    if n_scbs < 1 or n_ues < 1:
-        raise ConfigError(f"need at least one SCBS and one UE, got {n_scbs}/{n_ues}")
-    if macro_radius_m <= 0:
-        raise ConfigError(f"deployment radius must be positive, got {macro_radius_m}")
-    if rng_seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {rng_seed}")
-    rng = np.random.default_rng(rng_seed)
-    scbs_xy = _disk_points(rng, n_scbs, macro_radius_m)
-    ue_xy = _disk_points(rng, n_ues, macro_radius_m)
-    return RadioScenario(scbs_xy=scbs_xy, ue_xy=ue_xy,
-                         macro_radius_m=macro_radius_m, seed=rng_seed, **params)
-
-
 # --------------------------------------------------------------------------
 # pathloss and gains
 # --------------------------------------------------------------------------
 
-def pathloss_db(tx_kind: str, distance_m, params: PathlossParams):
-    """Pathloss in dB for the given transmitter kind; accepts arrays."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), params.min_distance_m)
+def pathloss_db(tx_kind: str, distance_m, cfg: ScenarioConfig):
+    """Pathloss in dB for the given transmitter kind, by the module
+    docstring's formulas over cfg's keys; accepts arrays."""
+    d = np.maximum(np.asarray(distance_m, dtype=float), cfg.min_distance_m)
     if tx_kind == SCBS:
-        return params.scbs_intercept_db + params.scbs_slope_db * np.log10(d / 1000.0)
+        return cfg.scbs_pathloss_intercept_db + cfg.scbs_pathloss_slope_db * np.log10(d / 1000.0)
     if tx_kind == UE:
-        return 10.0 * params.d2d_alpha * np.log10(d)
+        return 10.0 * cfg.d2d_pathloss_alpha * np.log10(d)
     raise InputError(f"unknown transmitter kind {tx_kind!r}")
 
 
 def channel_gain(tx_kind: str, distance_m, scenario: RadioScenario):
     """Linear channel gain: the inverse of the pathloss."""
-    return db_to_linear(-pathloss_db(tx_kind, distance_m, scenario.pathloss))
+    return dbm_to_mw(-pathloss_db(tx_kind, distance_m, scenario.config))
 
 
 def received_power_mw(tx: NodeRef, rx_ue: int, scenario: RadioScenario) -> float:
@@ -189,7 +142,7 @@ def received_mw(tx_kind: str, distance_m, scenario: RadioScenario):
     """Received power in mW at the given distances from a transmitter of the
     given kind at full power; accepts arrays."""
     return (dbm_to_mw(scenario.tx_power_dbm(tx_kind))
-            * 10.0 ** (-pathloss_db(tx_kind, distance_m, scenario.pathloss) / 10.0))
+            * 10.0 ** (-pathloss_db(tx_kind, distance_m, scenario.config) / 10.0))
 
 
 def scbs_ue_distances(scenario: RadioScenario) -> np.ndarray:
@@ -209,7 +162,7 @@ def scbs_reception(scenario: RadioScenario) -> tuple[np.ndarray, np.ndarray]:
     """(N, M) SCBS-to-UE received power in mW and the in-range mask: the UEs
     inside each SCBS's service radius."""
     d_su = scbs_ue_distances(scenario)
-    return received_mw(SCBS, d_su, scenario), d_su <= scenario.scbs_radius_m
+    return received_mw(SCBS, d_su, scenario), d_su <= scenario.config.scbs_radius_m
 
 
 # --------------------------------------------------------------------------
@@ -258,12 +211,12 @@ def link_rate(tx: NodeRef, rx_ue: int, subcarrier: int, scenario: RadioScenario,
     for other in cochannel:
         if other == tx or other == (UE, rx_ue):
             continue
-        if other[0] == UE and not scenario.d2d_interference:
+        if other[0] == UE and not scenario.config.d2d_interference:
             continue
         interference += received_power_mw(other, rx_ue, scenario)
 
-    bandwidth = share * scenario.bandwidth_hz
-    noise = float(dbm_to_mw(scenario.noise_psd_dbm_hz)) * bandwidth
+    bandwidth = share * scenario.config.system_bandwidth_hz
+    noise = float(dbm_to_mw(scenario.config.noise_psd_dbm_hz)) * bandwidth
     sinr = received / (noise + interference)
     rate = bandwidth * np.log2(1.0 + sinr)
     return LinkBudget(tx=tx, rx_ue=rx_ue, subcarrier=subcarrier, gain=gain,
@@ -279,7 +232,7 @@ def subcarrier_offset(scenario: RadioScenario, node: NodeRef) -> int:
     from .seeds import first_integers
     kind_code = 0 if node[0] == SCBS else 1
     return int(first_integers([int(scenario.seed), kind_code, int(node[1])],
-                              scenario.subcarriers)[0])
+                              scenario.config.subcarriers)[0])
 
 
 def subcarrier_offsets(seeds, n_scbs: int, n_ues: int, subcarriers: int) -> np.ndarray:

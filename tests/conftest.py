@@ -44,7 +44,7 @@ def social_ring_graph(scenario: radio.RadioScenario) -> sg.SocialGraph:
         [((sg.UE, i), (sg.UE, j)) for i in range(m) for j in range(i + 1, m)]
     d = radio.scbs_ue_distances(scenario)
     for i in range(n):
-        for u in np.flatnonzero(d[i] <= scenario.scbs_radius_m):
+        for u in np.flatnonzero(d[i] <= scenario.config.scbs_radius_m):
             edges.append(((sg.SCBS, i), (sg.UE, int(u))))
     return sg.graph_from_edges(edges, n, m)
 
@@ -58,7 +58,7 @@ def clustered_instance(seed: int, n_scbs: int = 2, n_ues: int = 8,
     rng = np.random.default_rng(seed)
     scbs_xy, ue_xy = cluster_positions(rng, n_scbs, n_ues, spread)
     scenario = radio.RadioScenario(scbs_xy=scbs_xy, ue_xy=ue_xy,
-                                   seed=seed, **scenario_kw)
+                                   config=ScenarioConfig(**scenario_kw), seed=seed)
     if graph is None:
         graph = social_ring_graph(scenario)
     x = sg.social_pipeline(graph)
@@ -78,7 +78,7 @@ def oracle_evaluate(problem, assign, x) -> SimpleNamespace:
     k < N is scbs{k} and node N + j is the relay ue{relay_ues[j]}.
     """
     scen = problem.scenario
-    N, M, C = problem.n_scbs, problem.n_ues, scen.subcarriers
+    N, M, C = problem.n_scbs, problem.n_ues, scen.config.subcarriers
     assign = np.asarray(assign, dtype=np.int64)
     nodes = ([(sg.SCBS, i) for i in range(N)]
              + [(sg.UE, int(p)) for p in problem.relay_ues])

@@ -346,6 +346,25 @@ def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
     assert not out.exists()
 
 
+RADIO_BOUNDS = ["n_scbs=0", "n_ues=0", "subcarriers=0", "macro_radius_m=0",
+                "system_bandwidth_hz=0", "scbs_radius_m=0", "d2d_radius_m=0",
+                "d2d_pathloss_alpha=0", "min_distance_m=0", "scbs_pathloss_slope_db=-36.7"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("override", RADIO_BOUNDS)
+def test_out_of_bounds_radio_values_are_usage_errors(command, override, run_cfg,
+                                                     sweep_cfg, tmp_path, capsys):
+    # rejected as the config is read, before --out is made or a node is drawn
+    cfg = run_cfg if command == "run" else sweep_cfg
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--override", override, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and override.partition("=")[0] in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override, message", [
     ("max_iterations=0", "max_iterations must be >= 1"),
     ("beta_end=-1", "beta_start and beta_end must be >= 0"),

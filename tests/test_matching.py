@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import clustered_instance, oracle_evaluate, social_ring_graph
 from socialcell import matching, radio
 from socialcell import socialgraph as sg
-from socialcell.config import ScenarioConfig
+from socialcell.config import ScenarioConfig, scenario_from_config
 from socialcell.errors import ConfigError, InputError
 from socialcell.matching import (SN_RELAY, SN_SCBS, Matching, StabilityViolation,
                                  _SCAN_BLOCK, _scan_order,
@@ -201,7 +201,7 @@ def test_zero_scbs_quota_means_one_per_subcarrier():
     inst = clustered_instance(23, n_scbs=2, n_ues=20, spread=70.0)
     problem = build_problem(inst.scenario, inst.graph, inst.x,
                             ScenarioConfig(scbs_quota=0))
-    assert problem.quota[:2].tolist() == [inst.scenario.subcarriers] * 2
+    assert problem.quota[:2].tolist() == [inst.scenario.config.subcarriers] * 2
 
 
 # --------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def linear_scan_rssi(scenario):
         best, best_p = -1, -1.0
         for i in range(scenario.n_scbs):
             d = float(np.linalg.norm(scenario.scbs_xy[i] - scenario.ue_xy[m]))
-            if d > scenario.scbs_radius_m:
+            if d > scenario.config.scbs_radius_m:
                 continue
             p = radio.received_power_mw(("scbs", i), m, scenario)
             if p > best_p:
@@ -323,7 +323,7 @@ def linear_scan_rssi(scenario):
 
 def test_baseline_matches_linear_scan():
     for seed in (0, 1, 2, 3):
-        scenario = radio.generate_topology(6, 40, rng_seed=seed)
+        scenario = scenario_from_config(ScenarioConfig(n_scbs=6, n_ues=40), seed=seed)
         want = linear_scan_rssi(scenario)
         np.testing.assert_array_equal(max_rssi(*scbs_reception(scenario)), want)
         graph = social_ring_graph(scenario)
@@ -339,8 +339,9 @@ def test_baseline_tie_goes_to_lowest_id():
 
 
 def test_baseline_invariant_under_power_scaling():
-    base = radio.generate_topology(5, 30, rng_seed=7)
-    boosted = radio.generate_topology(5, 30, rng_seed=7, scbs_power_dbm=33.0)
+    base = scenario_from_config(ScenarioConfig(n_scbs=5, n_ues=30), seed=7)
+    boosted = scenario_from_config(ScenarioConfig(n_scbs=5, n_ues=30, scbs_power_dbm=33.0),
+                                   seed=7)
     np.testing.assert_array_equal(max_rssi(*scbs_reception(base)),
                                   max_rssi(*scbs_reception(boosted)))
 
@@ -462,7 +463,7 @@ def per_ue_evaluate(problem, assign) -> SimpleNamespace:
     for bit, not merely closely: greedy_stabilize compares utilities with
     strict inequalities, so a one-ulp drift could flip an approval.
     """
-    N, M, C = problem.n_scbs, problem.n_ues, problem.scenario.subcarriers
+    N, M, C = problem.n_scbs, problem.n_ues, problem.scenario.config.subcarriers
     assign = np.asarray(assign, dtype=np.int64)
     matched = assign >= 0
     counts = np.bincount(assign[matched], minlength=problem.n_sns)
@@ -487,7 +488,7 @@ def per_ue_evaluate(problem, assign) -> SimpleNamespace:
     active_s[assign[idx], sc[idx]] = True
     interference = (active_s[:, sc] * problem.prx_scbs).sum(axis=0)
     interference[idx] -= problem.prx_scbs[assign[idx], idx]
-    if problem.n_relays and problem.scenario.d2d_interference:
+    if problem.n_relays and problem.scenario.config.d2d_interference:
         active_u = np.zeros((problem.n_relays, C), dtype=bool)
         active_u[assign[jdx] - N, sc[jdx]] = True
         interference += (active_u[:, sc] * problem.prx_d2d).sum(axis=0)
@@ -876,7 +877,7 @@ def test_a_stack_of_mixed_shapes_raises():
     keys = {"n_scbs": 2, "n_ues": 8}
     same = same_shape_problems(0, 2, **keys)
     for other in ({"n_scbs": 3}, {"n_ues": 9}, {"subcarriers": 4},
-                  {"d2d_interference": False}, {"bandwidth_hz": 1e7},
+                  {"d2d_interference": False}, {"system_bandwidth_hz": 1e7},
                   {"noise_psd_dbm_hz": -170.0}):
         odd = clustered_instance(0, **{**keys, **other}).problem
         with pytest.raises(ValueError, match="mixes"):
