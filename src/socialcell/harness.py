@@ -16,7 +16,7 @@ import dataclasses
 import datetime
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .matching import (AnnealResult, AssociationProblem, anneal_problems,
                        build_problem, greedy_stabilize, reports)
 from .radio import RadioScenario, scbs_reception, subcarrier_offsets
-from .socialgraph import betweenness_groups, social_pipelines
+from .socialgraph import social_pipelines
 
 METHOD_SOCIAL = "social-aware"
 METHOD_BASELINE = "max-rssi"
@@ -150,54 +150,51 @@ class ExperimentResult:
 
 
 def build_replications(cfg: ScenarioConfig, point_index: int, replications: Iterable[int]
-                       ) -> Iterator[tuple[RadioScenario, AssociationProblem]]:
+                       ) -> list[tuple[RadioScenario, AssociationProblem]]:
     """Scenario and association problem of each (sweep point, replication)
     cell of one point, in the order of `replications`.
 
     `cfg` already holds the point's value of the swept variable.  Topology,
     social graph and engine each draw from their own stream of cfg.seed.
-    All the cells' stream seeds are computed first, in one bulk pass
-    (`replication_seeds`), and so are the subcarrier offsets of every SCBS
-    and UE of every cell's topology, which depend on the topology seed
-    alone (`radio.subcarrier_offsets`).  Each scenario's SCBS reception is
-    computed once, for its graph and its problem.  The cells are built in
-    runs (`socialgraph.betweenness_groups`) whose social graphs share one
-    `social_pipelines` call, so a few small graphs share each Brandes pass.
-    Each graph's X equals the X it gets alone, so each problem equals the
-    one built alone.  A run is built when the problem before it is taken,
-    and its graphs and X are dropped once its problems are built.
+    The point is built in plain stages.  All the cells' stream seeds come
+    first, in one bulk pass (`replication_seeds`), and so do the subcarrier
+    offsets of every SCBS and UE of every cell's topology, which depend on
+    the topology seed alone (`radio.subcarrier_offsets`).  Then come the
+    scenarios, each scenario's SCBS reception (computed once, for its graph
+    and its problem) and the social graphs.  Their X come from one
+    `social_pipelines` stream, which lays out the Brandes passes the graphs
+    share; each graph's X equals the X it gets alone, so each problem
+    equals the one built alone.  Each X is taken as its problem is built
+    and dropped once it is.
     """
     replications = list(replications)
     stream_seeds = replication_seeds(cfg.seed, point_index, replications)
     offsets = subcarrier_offsets(stream_seeds[:, STREAM_TOPOLOGY], cfg.n_scbs, cfg.n_ues,
                                  cfg.subcarriers)
     stream_seeds = stream_seeds.tolist()
+    scenarios = [scenario_from_config(cfg, seed=seeds[STREAM_TOPOLOGY])
+                 for seeds in stream_seeds]
+    receptions = [scbs_reception(scenario) for scenario in scenarios]
+    graphs = [social_graph_from_config(cfg, scenario, seed=seeds[STREAM_SOCIAL],
+                                       reception=reception)
+              for seeds, scenario, reception in zip(stream_seeds, scenarios, receptions)]
+    xs = social_pipelines(graphs, alpha=cfg.alpha, beta=cfg.beta,
+                          normalization=cfg.similarity_normalization)
 
-    def drafts():
-        for i, cell in enumerate(stream_seeds):
-            scenario = scenario_from_config(cfg, seed=cell[STREAM_TOPOLOGY])
-            reception = scbs_reception(scenario)
-            yield i, scenario, reception, social_graph_from_config(
-                cfg, scenario, seed=cell[STREAM_SOCIAL], reception=reception)
+    def cell(scenario, graph, xmat, reception, offset, seeds):
+        engine = engine_config_from_config(cfg, seed=seeds[STREAM_ENGINE])
+        return scenario, build_problem(scenario, graph, xmat, engine,
+                                       reception=reception, offsets=offset)
 
-    def finish(run):
-        xs = social_pipelines([graph for *_, graph in run], alpha=cfg.alpha,
-                              beta=cfg.beta, normalization=cfg.similarity_normalization)
-        return [(scenario, build_problem(
-                    scenario, graph, xmat,
-                    engine_config_from_config(cfg, seed=stream_seeds[i][STREAM_ENGINE]),
-                    reception=reception, offsets=offsets[i]))
-                for (i, scenario, reception, graph), xmat in zip(run, xs)]
-
-    for built in map(finish, betweenness_groups(drafts(), graph_of=lambda draft: draft[3])):
-        yield from built
+    # map: a comprehension's loop variable would keep one X alive into the next
+    return list(map(cell, scenarios, graphs, xs, receptions, offsets, stream_seeds))
 
 
 def build_replication(cfg: ScenarioConfig, point_index: int,
                       replication: int) -> tuple[RadioScenario, AssociationProblem]:
     """Scenario and association problem of one (sweep point, replication)
     cell: the one-cell case of `build_replications`."""
-    return next(build_replications(cfg, point_index, [replication]))
+    return build_replications(cfg, point_index, [replication])[0]
 
 
 def settled(problem: AssociationProblem, result: AnnealResult,
@@ -212,11 +209,12 @@ def _point_task(args) -> list[ReplicationRow]:
     (replication, method).
 
     The point runs in plain stages: its problems are built by
-    `build_replications`, whose runs of cells share their Brandes passes;
-    its searches run side by side through `anneal_problems`; each search's
-    matching is settled; and one `reports` pass evaluates every row's
-    (problem, assignment) pair, a window of rows to a kernel call.  Each
-    report equals that of its pair alone, so each row does too.
+    `build_replications`, whose graphs share Brandes passes as the social
+    layer lays them out; its searches run side by side through
+    `anneal_problems`; each search's matching is settled; and one `reports`
+    pass evaluates every row's (problem, assignment) pair, a window of rows
+    to a kernel call.  Each report equals that of its pair alone, so each
+    row does too.
     """
     base, sweep_variable, x, point_index, replications, methods = args
     cfg = dataclasses.replace(base, **{sweep_variable: int(x)})

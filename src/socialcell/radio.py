@@ -244,7 +244,7 @@ def subcarrier_offsets(seeds, n_scbs: int, n_ues: int, subcarriers: int) -> np.n
     kinds = np.repeat([0, 1], [n_scbs, n_ues])
     ids = np.concatenate([np.arange(n_scbs), np.arange(n_ues)])
     return first_integers([np.repeat(seeds, len(ids)), np.tile(kinds, len(seeds)),
-                           np.tile(ids, len(seeds))], subcarriers).reshape(len(seeds), -1)
+                           np.tile(ids, len(seeds))], subcarriers).reshape(len(seeds), len(ids))
 
 
 # --------------------------------------------------------------------------

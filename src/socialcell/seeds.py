@@ -125,6 +125,8 @@ def _states(entropy: Sequence, n_words: int) -> np.ndarray:
     split = [_split(item) for item in entropy]
     counts = np.stack([np.broadcast_to(count, K) for _, count in split], axis=1)
     out = np.empty((K, n_words), dtype=np.uint32)
+    if not K:
+        return out
     # entropies whose items split into the same word counts hash alike
     if (counts == counts[:1]).all():
         groups = [(counts[0], slice(None))]

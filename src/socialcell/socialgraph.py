@@ -16,13 +16,13 @@ promoted to relay duty.
 Edge betweenness follows Brandes (J. Math. Sociol. 2001; the edge variant in
 Social Networks 2008): a breadth-first search from every source, then
 dependencies pushed back from the leaves of its shortest-path DAG.  The
-searches of a pass advance together, one BFS level at a time, in numpy.  A
-pass holds (graph, source) rows of one or more graphs with the same vertex
-count, as many as fit `_ARC_BUDGET` arcs, so a few small graphs share a pass
-and a large one runs in slices of its sources.  This pays because a small
-graph's levels cost mostly numpy call overhead.  `grouped_edge_betweenness`
-takes a list of graphs, `betweenness_groups` cuts a stream of them into
-runs worth one call, and `edge_betweenness` is the one-graph case.  Every
+searches of a pass advance together, one BFS level at a time, in numpy.
+`grouped_edge_betweenness` takes a list of graphs with one vertex count and
+yields each graph's B in order, and `edge_betweenness` is the one-graph
+case.  One rule (`_groups`) lays out the passes: whole graphs share a pass
+while their arc visits fit `_GROUP_BUDGET`, since a small graph's levels
+cost mostly numpy call overhead, and a larger graph runs alone, in slices
+of its sources of `_ARC_BUDGET` arcs.  Every
 floating-point sum is taken in the order a one-source deque BFS takes it, so
 the result is bit-identical to that loop, not merely close, and no graph
 reads another's rows, so a graph gets the same values in any group: the
@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from itertools import repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,8 +60,6 @@ NodeRef = tuple[str, int]
 
 #: Social distance values below this floor are clamped before any division.
 X_FLOOR = 0.01
-
-T = TypeVar("T")
 
 
 def parse_node_label(text: str) -> NodeRef:
@@ -200,15 +199,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 #: Arcs (an edge is two arcs, one per direction) that the searches of one
-#: pass expand in all.  A pass runs (graph, source) rows, graphs in order
-#: and each graph's sources in order, as many as fit: a graph of `arcs`
-#: arcs costs `arcs` a source, and a pass holds one row at least.  So one
-#: graph runs in blocks of max(1, _ARC_BUDGET // arcs) sources: desk and
-#: dense graphs fit one block, and wide-m500 (2,150 arcs) runs about 60
-#: sources a block.  Time of `edge_betweenness` over the seed-1 graphs of
-#: each workload, one graph a call (median of 9 rounds; one N32/M2000
-#: graph, 3 rounds; 2-vCPU VM, numpy 2.4) and the largest tracemalloc peak
-#: of one call:
+#: pass of a graph too large to share a pass (`_GROUP_BUDGET`) expand in
+#: all: it runs in slices of max(1, _ARC_BUDGET // arcs) sources, about 60
+#: for a wide-m500 graph (2,150 arcs).  Time of `edge_betweenness` over the
+#: seed-1 graphs of each workload, one graph a call (median of 9 rounds;
+#: one N32/M2000 graph, 3 rounds; 2-vCPU VM, numpy 2.4) and the largest
+#: tracemalloc peak of one call:
 #:
 #:   budget     desk (160)    wide (3)      dense (24)    N32/M2000
 #:   2^16       0.230 s       0.187 s       0.090 s       1.04 s
@@ -224,50 +220,43 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _ARC_BUDGET = 1 << 17
 
 #: Arc visits (vertices times arcs, the work of all of a graph's sources)
-#: that the graphs of one `betweenness_groups` run add up to, at most; a
-#: graph that alone exceeds it runs alone.  A run that fits it fits one
-#: pass of `_ARC_BUDGET`.  Grouping cuts the numpy calls a graph costs
-#: (about 37 a BFS level), but a larger pass spends more per element.  The
-#: seed-1 graphs of desk-sweep, grouped by point as the harness groups
-#: them (median of 15 interleaved rounds, 2-vCPU VM, numpy 2.4), and the
-#: largest tracemalloc peak of one `grouped_edge_betweenness` call:
+#: that the whole graphs sharing one pass add up to, at most (`_groups`); a
+#: graph that alone exceeds it runs alone, in slices of `_ARC_BUDGET`.
+#: Sharing a pass cuts the numpy calls a graph costs (about 37 a BFS
+#: level), but a larger pass spends more per element.  The seed-1 graphs
+#: of desk-sweep, grouped by point as the harness groups them (median of
+#: 15 interleaved rounds, 2-vCPU VM, numpy 2.4), and the largest
+#: tracemalloc peak of one `grouped_edge_betweenness` call:
 #:
 #:   budget             one a call   2^15      2^16      2^17
 #:   desk (160)         0.233 s      0.224 s   0.178 s   0.205 s
-#:   graphs a run       1            1.1       3.1       6.7
-#:   peak of one run    0.61 MB      0.90 MB   1.72 MB   3.44 MB
+#:   graphs a pass      1            1.1       3.1       6.7
+#:   peak of one pass   0.61 MB      0.90 MB   1.72 MB   3.44 MB
 #:
 #: Each dense-stabilize graph (V = 108, 70k-84k arc visits) exceeds 2^16
-#: and any two exceed 2^17, so they run one a call at each budget (0.108 s
+#: and any two exceed 2^17, so they run one a pass at each budget (0.108 s
 #: for 24), as wide-m500's (1.1M) do.
 _GROUP_BUDGET = 1 << 16
 
 
-def _passes(arcs: Sequence[int], V: int) -> list[list[tuple[int, int, int]]]:
-    """The rows of each pass, as (graph, first source, end source) runs.
+def _groups(arcs: Sequence[int], V: int) -> list[tuple[list[int], int]]:
+    """The graphs of each group and the sources of each of its passes.
 
-    Rows are the (graph, source) pairs of graphs of `arcs[g]` arcs and V
-    vertices each, graph by graph and each graph's sources in order.  They
-    are packed greedily: a row costs its graph's arcs (1 for an edgeless
-    graph), a pass holds rows while their cost fits `_ARC_BUDGET`, and a
-    row that alone exceeds it runs alone.
+    The graphs have `arcs[g]` arcs and V vertices each.  Consecutive whole
+    graphs share one pass while their arc visits (V times arcs, V for an
+    edgeless graph) add up to at most `_GROUP_BUDGET`, so such a group
+    runs its V sources in one pass.  A graph of more visits is a group
+    alone, and runs in slices of max(1, _ARC_BUDGET // arcs) sources.
     """
-    passes, run, room = [], [], _ARC_BUDGET
+    groups, room = [], 0
     for g, cost in enumerate(arcs):
-        cost = max(cost, 1)
-        s = 0
-        while s < V:
-            n = min(V - s, room // cost)
-            if n <= 0 and run:
-                passes.append(run)
-                run, room = [], _ARC_BUDGET
-                continue
-            n = max(n, 1)
-            run.append((g, s, s + n))
-            room -= n * cost
-            s += n
-    passes.append(run)
-    return passes
+        visits = V * max(cost, 1)
+        if visits > room:
+            room = _GROUP_BUDGET
+            groups.append(([], V if visits <= room else max(1, _ARC_BUDGET // max(cost, 1))))
+        groups[-1][0].append(g)
+        room -= visits
+    return groups
 
 
 def _block_dependencies(graph_of: np.ndarray, sources: np.ndarray, step: np.ndarray,
@@ -350,111 +339,97 @@ def _block_dependencies(graph_of: np.ndarray, sources: np.ndarray, step: np.ndar
     return deps
 
 
-def _edge_counts(adjacencies: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Raw shortest-path traversal counts per edge of each graph, (V, V) each.
+def _group_totals(arcs: list, edges: list, per: int, V: int) -> list[np.ndarray]:
+    """Raw shortest-path traversal count of each edge of each graph of a
+    group, by edge id, from passes of `per` sources of every graph.
 
-    The graphs share V.  Their (graph, source) rows run in the passes of
-    `_passes`, which lay the graphs' arcs end to end.  Each edge adds its
-    graph's per-source dependencies one at a time, in source order, as the
-    per-source loop does: `np.cumsum` down a graph's rows of a pass,
-    starting from the graph's running total, adds row by row, where a `sum`
-    over the rows would round differently.  No graph adds another's rows,
-    so each graph's counts equal those of the graph run alone.  Summing
-    over all sources counts every unordered pair twice, so the caller
-    halves the result.
+    `arcs` holds each graph's (tail, head) arcs, by tail, then head, and
+    `edges` each arc's edge id.  Each edge adds its graph's per-source
+    dependencies in source order, as the per-source loop does: `np.cumsum`
+    down a graph's rows of a pass, from the graph's running total, adds row
+    by row, where a `sum` would round differently.  No graph adds another's
+    rows, so each graph's counts equal those of the graph run alone.
     """
-    V = adjacencies[0].shape[0]
-    if any(adj.shape[0] != V for adj in adjacencies):
-        raise InputError("graphs searched together must have the same vertex count")
-    arcs = [np.nonzero(adj) for adj in adjacencies]     # by tail, then head
-    # both arcs of an undirected edge share one edge index, numbered per graph
-    edges = [np.unique(np.minimum(src, dst) * V + np.maximum(src, dst),
-                       return_inverse=True)[1] for src, dst in arcs]
     degree = np.concatenate([np.bincount(src, minlength=V) for src, _ in arcs])
     first_arc = np.cumsum(degree) - degree
     step = np.concatenate([dst - src for src, dst in arcs])
     edge = np.concatenate(edges)
     totals = [np.zeros(len(src) // 2) for src, _ in arcs]
-    for run in _passes([len(src) for src, _ in arcs], V):
-        graph_of = np.concatenate([np.full(end - s, g) for g, s, end in run])
-        sources = np.concatenate([np.arange(s, end) for g, s, end in run])
-        deps = _block_dependencies(graph_of, sources, step, first_arc, degree, edge,
-                                   max(len(totals[g]) for g, _, _ in run), V)
-        row = 0
-        for g, s, end in run:
-            own = deps[row:row + end - s, :len(totals[g])]
+    n_edges = max(map(len, totals))
+    for s in range(0, V, per):
+        sources = np.arange(s, min(s + per, V))
+        deps = _block_dependencies(np.repeat(np.arange(len(arcs)), len(sources)),
+                                   np.tile(sources, len(arcs)), step, first_arc,
+                                   degree, edge, n_edges, V)
+        for g, own in enumerate(np.split(deps, len(arcs))):
+            own = own[:, :len(totals[g])]
             own[0] += totals[g]
             totals[g] = np.cumsum(own, axis=0, out=own)[-1].copy()
-            row += end - s
-    counts = []
-    for (src, dst), edge, total in zip(arcs, edges, totals):
-        c = np.zeros((V, V))
-        c[src, dst] = total[edge]
-        counts.append(c)
-    return counts
+    return totals
 
 
-def grouped_edge_betweenness(graphs: Sequence[SocialGraph]) -> list[np.ndarray]:
+def _count_matrix(arcs: tuple, edge: np.ndarray, total: np.ndarray, V: int) -> np.ndarray:
+    """(V, V) array of each arc's edge count `total[edge]`, zero off the arcs."""
+    c = np.zeros((V, V))
+    c[arcs] = total[edge]
+    return c
+
+
+def _edge_counts(adjacencies: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """Raw shortest-path traversal counts per edge of each graph, (V, V)
+    each, yielded in order.
+
+    The graphs share V.  They run in the groups of `_groups`, and each
+    group's arcs and edge ids are laid out only while it runs.  Summing
+    over all sources counts every unordered pair twice, so the caller
+    halves the result.
+    """
+    V = adjacencies[0].shape[0]
+    for graphs, per in _groups([int(np.count_nonzero(adj)) for adj in adjacencies], V):
+        arcs = [np.nonzero(adjacencies[g]) for g in graphs]     # by tail, then head
+        # both arcs of an undirected edge share one edge index, numbered per graph
+        edges = [np.unique(np.minimum(src, dst) * V + np.maximum(src, dst),
+                           return_inverse=True)[1] for src, dst in arcs]
+        yield from map(_count_matrix, arcs, edges, _group_totals(arcs, edges, per, V),
+                       repeat(V))
+
+
+def grouped_edge_betweenness(graphs: Sequence[SocialGraph]) -> Iterator[np.ndarray]:
     """Edge betweenness of every edge of each graph, as read-only (V, V)
-    arrays; the graphs must share their vertex count V.
+    arrays yielded in order; the graphs must share their vertex count V.
 
     Raw counts are normalized by (V-1)(V-2), floored at 1 so the two-node
     graph stays finite.  B[u][v] is zero wherever there is no edge.
 
     The raw counts come from Brandes' algorithm run on passes of (graph,
-    source) rows, as many as fit `_ARC_BUDGET` arcs: so a few small graphs
-    share one pass, and a large one runs in slices of its sources.  A
-    pass's breadth-first searches expand one level at a time for all its
-    rows together, and dependencies flow back level by level, deepest
-    first.  Every sum is ordered as in a per-source deque BFS (sigma in the
-    parents' pop order, the queue in the order of each vertex's first arc,
-    delta by descending pop position of the child, from the arcs listed at
-    the child's side), and each edge adds its own graph's per-source shares
-    in source order, so the values are bit-identical to that loop's,
-    however the graphs are grouped and split.
+    source) rows laid out by `_groups`: whole graphs share a pass up to
+    `_GROUP_BUDGET` arc visits, and a larger graph runs alone in slices of
+    `_ARC_BUDGET` arcs.  Every sum is ordered as in a per-source deque BFS
+    (see the module docstring), so the values are bit-identical to that
+    loop's, however the graphs are grouped and split.  A graph's array is
+    made as it is taken, and none is kept once yielded.
     """
     if not graphs:
-        return []
+        return iter(())
     V = graphs[0].n_vertices
     if V < 2:
         raise InputError("betweenness needs at least two vertices")
-    counts = _edge_counts([g.adjacency for g in graphs])
-    for b in counts:
+    if any(g.n_vertices != V for g in graphs):
+        raise InputError("graphs searched together must have the same vertex count")
+    denominator = float(max((V - 1) * (V - 2), 1))
+
+    def normalized(b):
         b /= 2.0
-        b /= float(max((V - 1) * (V - 2), 1))
-    return [_read_only(b) for b in counts]
+        b /= denominator
+        return _read_only(b)
+
+    return map(normalized, _edge_counts([g.adjacency for g in graphs]))
 
 
 def edge_betweenness(g: SocialGraph) -> np.ndarray:
     """Edge betweenness of one graph, read-only (V, V): the one-graph case of
     `grouped_edge_betweenness`."""
-    return grouped_edge_betweenness([g])[0]
-
-
-def betweenness_groups(items: Iterable[T], graph_of: Callable[[T], SocialGraph]
-                       ) -> Iterator[list[T]]:
-    """Runs of consecutive `items` whose graphs (`graph_of(item)`) one
-    `grouped_edge_betweenness` call should take together: graphs of one
-    vertex count V whose searches add up to at most `_GROUP_BUDGET` arc
-    visits (V times arcs, at least V), or one graph alone.  A run is
-    yielded as soon as no graph of V vertices fits its room, so an item is
-    read past the run it ends only when that run has room left.
-    """
-    run, room, V = [], _GROUP_BUDGET, None
-    for item in items:
-        g = graph_of(item)
-        cost = g.n_vertices * max(int(g.adjacency.sum()), 1)
-        if run and (cost > room or g.n_vertices != V):
-            yield run
-            run, room = [], _GROUP_BUDGET
-        run.append(item)
-        room -= cost
-        V = g.n_vertices
-        if room < V:
-            yield run
-            run, room = [], _GROUP_BUDGET
-    if run:
-        yield run
+    return next(grouped_edge_betweenness([g]))
 
 
 # --------------------------------------------------------------------------
@@ -543,19 +518,20 @@ def elect_important_ues(scores: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def social_pipelines(graphs: Sequence[SocialGraph], alpha: float = 0.5, beta: float = 0.5,
-                     normalization: str = SAW) -> list[np.ndarray]:
-    """Social distance X of each graph: betweenness -> similarity ->
-    distance, the graphs' betweenness from one `grouped_edge_betweenness`
-    call, which gives each graph the values it gets alone."""
-    return [social_distance(b, similarity(g, normalization=normalization),
-                            alpha=alpha, beta=beta)
-            for g, b in zip(graphs, grouped_edge_betweenness(graphs))]
+                     normalization: str = SAW) -> Iterator[np.ndarray]:
+    """Social distance X of each graph, yielded in order: betweenness ->
+    similarity -> distance, the graphs' betweenness from one
+    `grouped_edge_betweenness` stream, which gives each graph the values it
+    gets alone.  None of a graph's arrays is kept once its X is yielded."""
+    return map(lambda g, b: social_distance(b, similarity(g, normalization=normalization),
+                                            alpha=alpha, beta=beta),
+               graphs, grouped_edge_betweenness(graphs))
 
 
 def social_pipeline(g: SocialGraph, alpha: float = 0.5, beta: float = 0.5,
                     normalization: str = SAW) -> np.ndarray:
     """Social distance X of g: the one-graph case of `social_pipelines`."""
-    return social_pipelines([g], alpha=alpha, beta=beta, normalization=normalization)[0]
+    return next(social_pipelines([g], alpha=alpha, beta=beta, normalization=normalization))
 
 
 # --------------------------------------------------------------------------
@@ -566,23 +542,28 @@ def load_edge_list(path, n_scbs: int, n_ues: int) -> SocialGraph:
     """Read an edge-list file over n_scbs SCBSs and n_ues UEs.
 
     One `label label` pair per line, such as `scbs0 ue3`; `#` starts a
-    comment and blank lines are skipped.  A malformed line, a label naming a
-    node the graph does not have, or a self-loop raises InputError naming
-    `path:lineno`.
+    comment and blank lines are skipped.  A file that cannot be read or
+    decoded raises InputError naming `path`; a malformed line, a label
+    naming a node the graph does not have, or a self-loop raises InputError
+    naming `path:lineno`.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read social edge file {path}: {exc}") from exc
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if len(parts) != 2:
-                    raise InputError(f"expected two node labels, got {line!r}")
-                a, b = parse_node_label(parts[0]), parse_node_label(parts[1])
-                _vertex_pair(a, b, n_scbs, n_ues)
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            edges.append((a, b))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if len(parts) != 2:
+                raise InputError(f"expected two node labels, got {line!r}")
+            a, b = parse_node_label(parts[0]), parse_node_label(parts[1])
+            _vertex_pair(a, b, n_scbs, n_ues)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        edges.append((a, b))
     return graph_from_edges(edges, n_scbs, n_ues)

@@ -384,6 +384,20 @@ def test_missing_config_file_is_a_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unreadable_social_edge_file_is_a_usage_error(command, run_cfg, sweep_cfg,
+                                                      tmp_path, capsys):
+    # read as the replications build, after sweep has made --out
+    cfg = run_cfg if command == "run" else sweep_cfg
+    missing, out = tmp_path / "no-such-edges.txt", tmp_path / "o"
+    rc = main([command, "--config", cfg, "--override", "social_model=edges",
+               "--override", f"social_edge_file={missing}", "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and str(missing) in err
+    assert not out.exists()
+
+
 def test_unknown_override_key_is_a_usage_error(tmp_path, capsys):
     assert main(["validate", "--override", "warp_factor=9"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import json
 import statistics
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from socialcell import matching, socialgraph
+from socialcell import harness, matching, socialgraph
 from socialcell.config import (ScenarioConfig, engine_config_from_config,
                                scenario_from_config, social_graph_from_config)
 from socialcell.errors import ConfigError
@@ -194,24 +195,47 @@ def test_stabilized_rows_match_a_manual_rebuild():
 
 
 def test_a_point_groups_its_graphs_for_betweenness(monkeypatch):
-    """The harness hands the social layer a few graphs of a point at a time
-    (all the cells' graphs, each once), and its rows equal those of a run
-    that hands it one graph at a time."""
-    sizes = []
-    grouped = socialgraph.grouped_edge_betweenness
+    """The social layer runs a few graphs of a point in each Brandes pass
+    (all the cells' graphs, each once), and the rows equal those of a run
+    that searches one graph a pass."""
+    per_pass = []
+    dependencies = socialgraph._block_dependencies
 
-    def spy(graphs):
-        sizes.append(len(graphs))
-        return grouped(graphs)
+    def spy(graph_of, *args):
+        per_pass.append(len(np.unique(graph_of)))
+        return dependencies(graph_of, *args)
 
-    monkeypatch.setattr(socialgraph, "grouped_edge_betweenness", spy)
+    monkeypatch.setattr(socialgraph, "_block_dependencies", spy)
     cfg = dataclasses.replace(SMALL_CFG, n_ues=20, sweep_values=(20,), replications=6)
     result = run_experiment(ExperimentSpec.from_config(cfg))
-    assert sum(sizes) == 6 and max(sizes) > 1
-    sizes.clear()
-    monkeypatch.setattr(socialgraph, "_GROUP_BUDGET", 0)      # one graph a call
+    assert sum(per_pass) == 6 and max(per_pass) > 1
+    per_pass.clear()
+    monkeypatch.setattr(socialgraph, "_GROUP_BUDGET", 0)      # one graph a pass
     assert run_experiment(ExperimentSpec.from_config(cfg)).rows == result.rows
-    assert sizes == [1] * 6
+    assert per_pass == [1] * 6
+
+
+def test_no_x_outlives_its_problems_build(monkeypatch):
+    """Each X is dropped once its problem is built: when the next X is
+    made, the one before it is dead, and none is left once the point is."""
+    refs, pipelines = [], harness.social_pipelines
+
+    def spy(graphs, **keys):
+        def seen(x):
+            assert [r() is None for r in refs] == [True] * len(refs)
+            refs.append(weakref.ref(x))
+            return x
+        return map(seen, pipelines(graphs, **keys))
+
+    monkeypatch.setattr(harness, "social_pipelines", spy)
+    cfg = dataclasses.replace(SMALL_CFG, n_ues=20)
+    built = harness.build_replications(cfg, 0, range(4))
+    assert len(built) == len(refs) == 4
+    assert [r() is None for r in refs] == [True] * 4
+
+
+def test_an_empty_run_builds_nothing():
+    assert harness.build_replications(SMALL_CFG, 0, []) == []
 
 
 def test_rerun_is_identical(small_result):

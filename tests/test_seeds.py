@@ -91,6 +91,21 @@ def test_items_broadcast_and_errors_match_numpy():
         seeds.first_integers([5], 0)
 
 
+def test_an_empty_batch_gives_empty_arrays():
+    """A batch of no entropies gives the arrays of numpy's results of none:
+    (0, n_words) states, (0,) draws, and no seeds or offsets for no cells."""
+    empty = [1, 0, np.array([], dtype=np.int64)]
+    for dtype in (np.uint32, np.uint64):
+        got = seeds.generate_states(empty, 3, dtype)
+        assert got.dtype == dtype and got.shape == (0, 3)
+    for high in HIGHS + (2**33,):
+        got = seeds.first_integers(empty, high)
+        assert got.dtype == np.int64 and got.shape == (0,)
+    got = harness.replication_seeds(1, 0, [])
+    assert got.dtype == np.uint64 and got.shape == (0, 3)
+    assert radio.subcarrier_offsets(got[:, 0], 4, 60, 64).shape == (0, 64)
+
+
 def test_desk_cells_bulk_seeds_and_offsets_equal_numpy():
     """Every cell of the desk sweep (seed 1, N = 4/8/12/16, M = 60, 40
     replications): its bulk stream seeds equal `replication_seed` and

@@ -13,6 +13,7 @@ must reproduce bit for bit.
 import re
 import subprocess
 import sys
+import weakref
 from collections import deque
 from pathlib import Path
 
@@ -23,8 +24,7 @@ import pytest
 import socialcell
 from socialcell import config, harness, reference, socialgraph
 from socialcell.errors import ConfigError, InputError
-from socialcell.socialgraph import (RAW_CLIPPED, SAW, SocialGraph,
-                                    betweenness_groups, common_neighbours,
+from socialcell.socialgraph import (RAW_CLIPPED, SAW, SocialGraph, common_neighbours,
                                     edge_betweenness, elect_important_ues,
                                     gnp_adjacency, graph_from_edges,
                                     grouped_edge_betweenness, importance_scores,
@@ -174,7 +174,9 @@ def _graph(n_vertices: int, edges) -> SocialGraph:
 
 
 def _sources_per_block(monkeypatch, g: SocialGraph, per_block: int) -> None:
-    """Make edge_betweenness search `per_block` sources of g at a time."""
+    """Make edge_betweenness search `per_block` sources of g at a time: each
+    graph runs alone, in slices of the arc budget."""
+    monkeypatch.setattr(socialgraph, "_GROUP_BUDGET", 0)
     monkeypatch.setattr(socialgraph, "_ARC_BUDGET",
                         per_block * max(int(g.adjacency.sum()), 1))
 
@@ -315,28 +317,33 @@ def _relabelled(g: SocialGraph, seed: int = 0) -> SocialGraph:
 def _assert_group_equals_per_source_loop(graphs, monkeypatch=None, blocks=None) -> None:
     """grouped_edge_betweenness gives each graph its own per-source loop's
     values bit for bit.  An edgeless graph of the same V joins the group, so
-    graphs of different edge counts share passes.  With `blocks`, the arc
-    budget is set for `blocks(V)` sources of the first graph a pass, so
-    passes run on across graphs: whole graphs beside slices of others."""
+    graphs of different edge counts share passes.  With `blocks`, each graph
+    runs alone, and the arc budget is set for `blocks(V)` sources of the
+    first graph a pass, so the other graphs run in slices of their own."""
     V = graphs[0].n_vertices
     graphs = list(graphs) + [_graph(V, [])]
     if blocks is not None:
         _sources_per_block(monkeypatch, graphs[0], blocks(V))
-    got = grouped_edge_betweenness(graphs)
+    got = list(grouped_edge_betweenness(graphs))
     assert len(got) == len(graphs)
     for g, b in zip(graphs, got):
         assert np.array_equal(b, per_source_edge_counts(g.adjacency)
                               / betweenness_denominator(V))
 
 
-def test_passes_pack_whole_graphs_beside_source_slices(monkeypatch):
-    """A row costs its graph's arcs (an edgeless graph's 1): small graphs
-    share a pass whole, a large one runs in slices, and a pass runs on from
-    one graph's last slice into the next graph."""
+def test_groups_pack_whole_graphs_and_slice_a_large_one(monkeypatch):
+    """A graph costs V x arcs visits (an edgeless graph V): consecutive whole
+    graphs share a pass while they fit `_GROUP_BUDGET`, and a graph that
+    alone exceeds it is a group alone, run in slices of `_ARC_BUDGET` arcs
+    (one source at least)."""
+    monkeypatch.setattr(socialgraph, "_GROUP_BUDGET", 40)
     monkeypatch.setattr(socialgraph, "_ARC_BUDGET", 24)
-    assert socialgraph._passes([6, 0, 1, 20, 4], 4) == [
-        [(0, 0, 4)], [(1, 0, 4), (2, 0, 4)], [(3, 0, 1)], [(3, 1, 2)], [(3, 2, 3)],
-        [(3, 3, 4), (4, 0, 1)], [(4, 1, 4)]]
+    # visits at V = 4:     16 16 16 48 16 4  4  120 4
+    assert socialgraph._groups([4, 4, 4, 12, 4, 0, 0, 30, 0], 4) == [
+        ([0, 1], 4), ([2], 4), ([3], 2), ([4, 5, 6], 4), ([7], 1), ([8], 4)]
+    # a budget filled to the last visit closes its group
+    assert socialgraph._groups([5, 5, 1], 4) == [([0, 1], 4), ([2], 4)]
+    assert socialgraph._groups([], 4) == []
 
 
 @pytest.mark.parametrize("keys, blocks", _in_every_split(CONFIG_GRAPHS))
@@ -357,31 +364,25 @@ def test_grouped_betweenness_past_2_to_the_53_paths(blocks, monkeypatch):
 
 
 def test_grouped_betweenness_needs_one_vertex_count():
-    assert grouped_edge_betweenness([]) == []
+    assert list(grouped_edge_betweenness([])) == []
     with pytest.raises(InputError):
-        grouped_edge_betweenness([_graph(4, [(0, 1)]), _graph(5, [(0, 1)])])
+        list(grouped_edge_betweenness([_graph(4, [(0, 1)]), _graph(5, [(0, 1)])]))
 
 
-def test_betweenness_groups_fill_the_budget_and_read_no_further(monkeypatch):
-    """Runs of one V add up to at most `_GROUP_BUDGET` arc visits, or hold
-    one graph alone, and a run with no room for V is yielded before the
-    next item is read."""
-    monkeypatch.setattr(socialgraph, "_GROUP_BUDGET", 40)
-    small = _graph(4, [(0, 1), (1, 2)])                         # 4 x 4 arc visits
-    big = _graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])   # 4 x 12
-    graphs = [small, small, small, big, small, _graph(5, [])]
-    pulled = []
-
-    def items():
-        for i in range(len(graphs)):
-            pulled.append(i)
-            yield i
-
-    runs = betweenness_groups(items(), graph_of=graphs.__getitem__)
-    assert next(runs) == [0, 1] and pulled == [0, 1, 2]
-    assert next(runs) == [2] and pulled == [0, 1, 2, 3]
-    assert next(runs) == [3] and pulled == [0, 1, 2, 3]     # full: read nothing more
-    assert list(runs) == [[4], [5]]                         # V differs
+@pytest.mark.parametrize("stream", [grouped_edge_betweenness, socialgraph.social_pipelines],
+                         ids=["betweenness", "pipelines"])
+def test_grouped_streams_keep_no_array_once_the_next_is_taken(stream):
+    """Each graph's B or X is made as it is taken: once the next is taken,
+    the one before it is dead, as is the last once the stream ends."""
+    graphs = [_config_graph(seed, n_scbs=4, n_ues=20) for seed in (1, 2, 3)]
+    assert socialgraph._groups([int(g.adjacency.sum()) for g in graphs], 24) == [
+        ([0, 1, 2], 24)]                                  # the three share a pass
+    arrays, refs = stream(graphs), []
+    for _ in graphs:
+        refs.append(weakref.ref(next(arrays)))
+        assert [r() is None for r in refs[:-1]] == [True] * (len(refs) - 1)
+    assert next(arrays, None) is None
+    assert [r() is None for r in refs] == [True] * 3
 
 
 def test_betweenness_zero_off_edges():
@@ -748,3 +749,13 @@ def test_edge_list_load_reports_line_numbers(tmp_path):
         path.write_text(f"# one SCBS, three UEs\nscbs0 ue0\n{bad}\nue1 ue2\n")
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}:3: .*{what}"):
             load_edge_list(path, 1, 3)
+
+
+def test_edge_list_load_reports_an_unreadable_file(tmp_path):
+    path = tmp_path / "edges.txt"
+    message = f"^cannot read social edge file {re.escape(str(path))}: "
+    with pytest.raises(InputError, match=message):
+        load_edge_list(path, 1, 3)                      # missing
+    path.write_bytes(b"scbs0 ue0\n\xff\xfe ue1\n")
+    with pytest.raises(InputError, match=message):
+        load_edge_list(path, 1, 3)                      # not UTF-8
