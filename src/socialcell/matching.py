@@ -26,9 +26,9 @@ record, `UtilityReport`, and one entry, `reports`, which evaluates
 (problem, assignment) pairs; `evaluate` is its one-pair case.  An empty
 node adds +0.0 to every sum it enters, and a padded row's welfare is
 summed over its own S nodes alone, since numpy sums a contiguous row
-pairwise.  One scanner
-judges every swap the greedy pass and the audit see: `_swap_masks` lists
-the feasible swaps and `_judge` approves them in blocks of at most
+pairwise.  One scanner, `_approved_swaps`,
+judges the swaps of one fixed state against its evaluation: `_swap_masks`
+lists the feasible swaps and `_judge` approves them in blocks of at most
 `_SCAN_BLOCK` swaps (fewer where `_SCAN_ELEMENTS` says so), one kernel call
 and one vector check per block.  The two-sided rule reads only the touched
 players, so the judge evaluates each swapped state at its touched columns
@@ -36,7 +36,9 @@ alone, and an approved swap in full for its welfare.  Every row of the
 kernel, and every column of it, equals the evaluation of that row alone bit
 for bit (its sums run in an order independent of the block size and of the
 columns evaluated), so the block scan approves exactly the swaps a
-one-at-a-time scan would.
+one-at-a-time scan would.  The audit is one scan of every feasible swap;
+`greedy_stabilize` is one walk, each step a scan of the current state from
+a cursor, the ordinal of the last swap applied.
 
 The anneal's walk revisits a few states over and over, so it keeps a memo,
 local to one search, from each of its last `_MEMO` evaluated states to its
@@ -62,7 +64,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -640,37 +642,25 @@ def anneal_problems(problems: Iterable[AssociationProblem]
     when it ends, so no more than `_WINDOW` searches are held here at once.
     """
     source = enumerate(problems)
-    live: list[list] = []       # [index, problem, chain, proposal]
-    stack: list = [None, None]  # the live chains' problems and their _stack_tables
+    live: list[list] = []   # [index, problem, search, waiting state]
+    tables = None           # the live chains' _stack_tables, kept while none joins or ends
     while True:
         for index, problem in islice(source, _WINDOW - len(live)):
-            chain = _chain(problem)
-            live.append([index, problem, chain, next(chain)])   # its start state
+            search = _chain(problem)
+            live.append([index, problem, search, next(search)])   # its start state
+            tables = None
         if not live:
             return
-        yield from _round(live, stack)
-
-
-def _round(live: list[list], stack: list) -> Iterator[tuple[int, AnnealResult]]:
-    """Evaluate the waiting state of every live chain in one kernel call,
-    and run each chain on to its next proposal.  A chain that ends leaves
-    `live`, and its result is yielded at once.
-
-    `stack` keeps the live chains' problems and their stacked tables from
-    round to round; they are restacked when a chain ends or joins.
-    """
-    problems = [entry[1] for entry in live]
-    if stack[0] != problems:
-        stack[:] = problems, _stack_tables(problems)
-    A = np.stack([entry[3] for entry in live], dtype=np.int64)
-    for entry, w in zip(live, _evaluate_rows(*stack[1], A)[3].tolist()):
-        try:
-            entry[3] = entry[2].send(w)
-        except StopIteration as end:
-            entry[3] = None
-            stack[:] = None, None
-            yield entry[0], end.value
-    live[:] = [entry for entry in live if entry[3] is not None]
+        if tables is None:
+            tables = _stack_tables([entry[1] for entry in live])
+        A = np.stack([entry[3] for entry in live], dtype=np.int64)
+        for entry, w in zip(live, _evaluate_rows(*tables, A)[3].tolist()):
+            try:
+                entry[3] = entry[2].send(w)
+            except StopIteration as end:
+                entry[3] = tables = None
+                yield entry[0], end.value
+        live = [entry for entry in live if entry[3] is not None]
 
 
 def _chain(problem: AssociationProblem
@@ -909,31 +899,22 @@ def _scan_order(problem: AssociationProblem, assign: np.ndarray) -> np.ndarray:
 
 
 def _approved_swaps(problem: AssociationProblem, assign: np.ndarray,
-                    until: int | None = None):
+                    base: UtilityReport, todo: np.ndarray):
     """Yield (ordinal, violation, post-swap evaluation) for every approvable
-    swap.
+    swap of `assign`, whose evaluation is `base`, among the ordinals `todo`
+    (a slice of `_scan_order`), in their order.
 
-    Scans pair swaps m < n first, then single moves of each servable UE to
-    each feasible serving node, always judging against the live `assign`.
-    The feasible swaps are listed by one mask and judged in blocks of at
-    most `_SCAN_BLOCK`, fewer where `_SCAN_ELEMENTS` says so: one
-    `_evaluate_rows` call evaluates the block at its touched columns and
-    one vector check judges it, with results bit-identical to judging one
-    swap at a time.  Each approved swap is then evaluated in full, as it is
-    yielded.  A caller may apply the yielded swap to `assign` before
-    resuming; the scan then lists the feasible swaps of the new state and
-    continues after the applied one, with the yielded evaluation as its new
-    base.  With `until`, the scan judges no ordinal past it until a swap is
-    applied, and after that every later one.
+    The swaps are judged in blocks of at most `_SCAN_BLOCK`, fewer where
+    `_SCAN_ELEMENTS` says so: one `_evaluate_rows` call evaluates the block
+    at its touched columns and one vector check judges it, with results
+    bit-identical to judging one swap at a time.  Each approved swap is
+    then evaluated in full, as it is yielded.  The state is fixed: a caller
+    that applies a swap starts a new scan.
     """
     M, S = problem.n_ues, problem.n_sns
     size = min(_SCAN_BLOCK, max(1, _SCAN_ELEMENTS // ((S + 1) * M)))
-    base = problem.evaluate(assign)
-    todo = _scan_order(problem, assign)
-    if until is not None:
-        todo = todo[todo <= until]
-    while len(todo):
-        block, todo = todo[:size], todo[size:]
+    for start in range(0, len(todo), size):
+        block = todo[start:start + size]
         pair = block < M * M
         move = block - M * M
         m = np.where(pair, block // M, move // S)
@@ -941,22 +922,17 @@ def _approved_swaps(problem: AssociationProblem, assign: np.ndarray,
         k = np.where(pair, assign[n], move % S)
         approved, swapped = _judge(problem, assign, base, m, n, k)
         for i in np.flatnonzero(approved):
-            was = assign[m[i]]
             ev = problem.evaluate(swapped[i])
             yield int(block[i]), StabilityViolation(
                 int(m[i]), None if n[i] < 0 else int(n[i]), int(k[i]),
                 ev.welfare - base.welfare), ev
-            if assign[m[i]] != was:
-                base = ev
-                todo = _scan_order(problem, assign)
-                todo = todo[todo > block[i]]
-                break
 
 
 def audit_stability(problem: AssociationProblem,
                     assign: np.ndarray) -> list[StabilityViolation]:
     """Exhaustively list every approvable pair swap and single move."""
-    return [v for _, v, _ in _approved_swaps(problem, assign)]
+    return [v for _, v, _ in _approved_swaps(problem, assign, problem.evaluate(assign),
+                                             _scan_order(problem, assign))]
 
 
 @dataclass(frozen=True)
@@ -970,35 +946,37 @@ def greedy_stabilize(problem: AssociationProblem, assign: np.ndarray,
                      max_swaps: int = 100000) -> StabilizeResult:
     """Apply approvable swaps in deterministic order until none remain.
 
-    Scans pair swaps then single moves, applying each approved swap on the
-    spot, and repeats until a pass applies nothing -- at that point
-    audit_stability() is empty by construction.  A pass that reaches the
-    ordinal of the last swap the pass before applied, having applied
-    nothing itself, stops there: the pass before judged every feasible swap
-    past that ordinal against this same state and base evaluation, after
-    its last swap, and approved none.  `max_swaps` caps runaway instances:
-    an approvable swap found once `max_swaps` swaps have been applied raises
-    RuntimeError rather than returning a not-actually-stable state, while a
-    matching that settles in exactly `max_swaps` is returned.
+    One walk with one cursor, `after`, the ordinal of the last swap applied
+    (-1 at the start).  Each step scans the current state's feasible swaps
+    past `after` and then, in a second scan whose blocks start from the
+    top, those up to it, and applies the first approvable swap, whose
+    evaluation becomes the new base.  A step that finds none has judged
+    every feasible swap, so audit_stability() is then empty by construction.
+    `max_swaps` caps runaway instances: an approvable swap found once
+    `max_swaps` swaps have been applied raises RuntimeError rather than
+    returning a not-actually-stable state, while a matching that settles in
+    exactly `max_swaps` is returned.
     """
     assign = np.array(assign, dtype=np.int64)
+    base = problem.evaluate(assign)
     welfares: list[float] = []
-    last = None     # ordinal of the last swap the pass before applied
+    after = -1
     while True:
-        applied = None
-        for ordinal, v, after in _approved_swaps(problem, assign, until=last):
-            if len(welfares) >= max_swaps:
-                raise RuntimeError("greedy stabilization did not settle")
-            if v.other_ue is None:
-                assign[v.ue] = v.target_sn
-            else:
-                assign[v.ue], assign[v.other_ue] = assign[v.other_ue], assign[v.ue]
-            welfares.append(after.welfare)
-            applied = ordinal
-        if applied is None:
+        todo = _scan_order(problem, assign)
+        found = next(chain(_approved_swaps(problem, assign, base, todo[todo > after]),
+                           _approved_swaps(problem, assign, base, todo[todo <= after])),
+                     None)
+        if found is None:
             return StabilizeResult(assign=assign, applied=len(welfares),
                                    welfares=tuple(welfares))
-        last = applied
+        if len(welfares) >= max_swaps:
+            raise RuntimeError("greedy stabilization did not settle")
+        after, v, base = found
+        if v.other_ue is None:
+            assign[v.ue] = v.target_sn
+        else:
+            assign[v.ue], assign[v.other_ue] = assign[v.other_ue], assign[v.ue]
+        welfares.append(base.welfare)
 
 
 # --------------------------------------------------------------------------
@@ -1030,26 +1008,32 @@ def matching_to_csv(matching: Matching, report: UtilityReport, path,
 
 
 def load_matching_csv(path) -> tuple[dict, list[tuple[int, int, str]]]:
-    """Read back a matching CSV; returns (meta, [(ue, sn_id, sn_kind), ...])."""
+    """Read back a matching CSV; returns (meta, [(ue, sn_id, sn_kind), ...]).
+    An unreadable file or a malformed row raises InputError naming `path`."""
     import csv
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            text = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read matching file {path}: {exc}") from exc
     meta: dict[str, str] = {}
+    lines = []
+    for line in text:
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, val = body.split("=", 1)
+                meta[key.strip()] = val.strip()
+        else:
+            lines.append(line)
     rows: list[tuple[int, int, str]] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        lines = []
-        for line in fh:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
-                    meta[key.strip()] = val.strip()
-            else:
-                lines.append(line)
-        reader = csv.DictReader(lines)
-        for row in reader:
-            try:
-                rows.append((int(row["ue_id"]), int(row["sn_id"]), row["sn_kind"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}: malformed matching row {row!r}") from exc
+    for row in csv.DictReader(lines):
+        try:
+            if None in row.values():        # a column the row lacks
+                raise ValueError("missing column")
+            rows.append((int(row["ue_id"]), int(row["sn_id"]), row["sn_kind"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}: malformed matching row {row!r}") from exc
     return meta, rows
 
 

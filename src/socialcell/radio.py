@@ -224,21 +224,14 @@ def link_rate(tx: NodeRef, rx_ue: int, subcarrier: int, scenario: RadioScenario,
                       noise_mw=noise, sinr=float(sinr), rate_bps=float(rate))
 
 
-def subcarrier_offset(scenario: RadioScenario, node: NodeRef) -> int:
-    """Deterministic per-node starting subcarrier, uniform over [0, C): the
-    first `integers(C)` of `np.random.default_rng([seed, kind, id])`, where
-    seed is the scenario's and kind is 0 for an SCBS and 1 for a UE."""
-    # imported where used, so that `import socialcell` does not compile it
-    from .seeds import first_integers
-    kind_code = 0 if node[0] == SCBS else 1
-    return int(first_integers([int(scenario.seed), kind_code, int(node[1])],
-                              scenario.config.subcarriers)[0])
-
-
 def subcarrier_offsets(seeds, n_scbs: int, n_ues: int, subcarriers: int) -> np.ndarray:
-    """`subcarrier_offset` of every SCBS and then every UE of the scenario
-    of each topology seed in `seeds`, in one bulk pass: a (len(seeds),
-    n_scbs + n_ues) int64 array."""
+    """Deterministic starting subcarriers, uniform over [0, C), of every
+    SCBS and then every UE of the scenario of each topology seed in
+    `seeds`, in one bulk pass: a (len(seeds), n_scbs + n_ues) int64 array.
+    A node's offset is the first `integers(C)` of
+    `np.random.default_rng([seed, kind, id])`, where kind is 0 for an SCBS
+    and 1 for a UE."""
+    # imported where used, so that `import socialcell` does not compile it
     from .seeds import first_integers
     seeds = np.asarray(seeds)
     kinds = np.repeat([0, 1], [n_scbs, n_ues])

@@ -114,8 +114,8 @@ def twin_pair():
         [25.0, 10.0],    # ue3: cell B anchor, elected relay B
     ])
     scenario = radio.RadioScenario(scbs_xy=scbs_xy, ue_xy=ue_xy, seed=20)
-    assert (radio.subcarrier_offset(scenario, (sg.SCBS, 0))
-            == radio.subcarrier_offset(scenario, (sg.SCBS, 1)))
+    offsets = radio.subcarrier_offsets([scenario.seed], 2, 4, scenario.config.subcarriers)[0]
+    assert offsets[0] == offsets[1]
     edges = (((sg.SCBS, 0), (sg.UE, 2)),)
     graph = sg.graph_from_edges(edges, 2, 4)
     x = sg.social_pipeline(graph)
@@ -248,9 +248,10 @@ def test_stabilize_and_audit_are_pinned(key):
 
 
 def test_a_settled_pass_stops_at_the_last_applied_ordinal(monkeypatch):
-    """Seed 10 of the (20, 3, 60) pin applies 2 swaps.  The pass after them
-    judges only the swaps up to the last one's ordinal, fewer rows than the
-    full scan of the stable state that the audit makes."""
+    """Seed 10 of the (20, 3, 60) pin applies 2 swaps.  After the last one,
+    greedy's two scans (past its ordinal, then up to it) each judge some
+    rows, and together exactly the full scan of the stable state that the
+    audit makes: no feasible swap is judged twice or skipped."""
     rows = []
     judge, approved_swaps = matching._judge, matching._approved_swaps
 
@@ -259,7 +260,7 @@ def test_a_settled_pass_stops_at_the_last_applied_ordinal(monkeypatch):
         return judge(problem, assign, base, m, n, k)
 
     def counting_scan(*args, **kwargs):
-        rows.append(0)                  # one scan: a pass, or the audit
+        rows.append(0)                  # one scan: greedy's two per step, or the audit
         yield from approved_swaps(*args, **kwargs)
 
     monkeypatch.setattr(matching, "_judge", counting_judge)
@@ -269,8 +270,9 @@ def test_a_settled_pass_stops_at_the_last_applied_ordinal(monkeypatch):
     stab = greedy_stabilize(problem, anneal_on_problem(problem).matching.assign)
     assert stab.applied == STABILIZE_PINS[(20, 3, 60)][0][10] == 2
     assert audit_stability(problem, stab.assign) == []
-    *_, last_pass, full_scan = rows
-    assert 0 < last_pass < full_scan
+    *_, past, up_to, full_scan = rows
+    assert past > 0 and up_to > 0
+    assert past + up_to == full_scan == len(matching._scan_order(problem, stab.assign))
 
 
 QUOTAS = [{}, {"scbs_quota": 2, "d2d_quota": 1}, {"scbs_quota": 4, "d2d_quota": 2}]
@@ -296,6 +298,49 @@ def test_anneal_and_stabilize_keep_the_node_rules(seed, n_scbs, n_ues, quotas):
         assert problem.feasible_sn[served, assign[served]].all()
         assert (assign[problem.relay_ues] < problem.n_scbs).all()
         assert (np.bincount(assign[served], minlength=problem.n_sns) <= cap).all()
+
+
+def random_feasible_state(problem, seed):
+    """A random quota-feasible state: in a random order, each UE takes one
+    of its feasible nodes still below quota, or stays unserved."""
+    rng = np.random.default_rng(seed)
+    assign = np.full(problem.n_ues, -1, dtype=np.int64)
+    load = np.zeros(problem.n_sns, dtype=np.int64)
+    for m in rng.permutation(problem.n_ues):
+        options = np.flatnonzero(problem.feasible_sn[m] & (load < problem.quota))
+        k = rng.choice(np.append(options, -1))
+        if k >= 0:
+            assign[m] = k
+            load[k] += 1
+    return assign
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), n_scbs=st.integers(1, 4), n_ues=st.integers(2, 30),
+       quotas=st.sampled_from(QUOTAS), start_seed=st.integers(0, 2**32 - 1))
+def test_greedy_converges_from_any_feasible_state(seed, n_scbs, n_ues, quotas,
+                                                  start_seed):
+    """From a random quota-feasible state, the greedy walk never revisits a
+    state and ends in one the audit finds stable, one welfare per swap."""
+    engine = ScenarioConfig(seed=seed, **quotas)
+    problem = clustered_instance(seed, n_scbs=n_scbs, n_ues=n_ues, engine=engine).problem
+    start = random_feasible_state(problem, start_seed)
+    states = []
+    approved_swaps = matching._approved_swaps
+
+    def recording_scan(problem, assign, base, todo):
+        states.append(assign.tobytes())     # at the call: greedy then edits assign
+        return approved_swaps(problem, assign, base, todo)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "_approved_swaps", recording_scan)
+        stab = greedy_stabilize(problem, start)
+    walk = states[::2]                      # two scans per step, of one state
+    assert states[1::2] == walk
+    assert walk[0] == start.tobytes()
+    assert len(set(walk)) == len(walk) == stab.applied + 1
+    assert stab.applied == len(stab.welfares)
+    assert audit_stability(problem, stab.assign) == []
 
 
 # --------------------------------------------------------------------------
@@ -644,28 +689,27 @@ def test_lockstep_equals_the_single_anneal(window, monkeypatch):
 
 def test_a_window_of_mixed_s_makes_one_kernel_call_per_round(monkeypatch):
     """Replications 3 and 4 of the dense point at seed 1 have S = 16 and
-    S = 15; their chains share each round's kernel call."""
+    S = 15; their chains share each round's kernel call.  A chain takes one
+    row per round for its start state and each state its memo lacks, so
+    there are as many rounds as the longer chain has rows."""
     cfg = ScenarioConfig(n_scbs=8, n_ues=100, macro_radius_m=100, seed=1, max_iterations=300)
     problems = [harness.build_replication(cfg, 0, r)[1] for r in (3, 4)]
     assert [p.n_sns for p in problems] == [16, 15]
     want = [anneal_on_problem(p) for p in problems]
-    calls, rounds = [], []
-    evaluate_rows, round_ = matching._evaluate_rows, matching._round
+    calls = []
+    evaluate_rows = matching._evaluate_rows
 
     def counting_rows(shape, tables, A, cols=None):
         calls.append(len(A))
         return evaluate_rows(shape, tables, A, cols)
 
-    def counting_round(live, stacks):
-        rounds.append(len(live))
-        return round_(live, stacks)
-
     monkeypatch.setattr(matching, "_evaluate_rows", counting_rows)
-    monkeypatch.setattr(matching, "_round", counting_round)
     got = dict(anneal_problems(problems))
-    assert calls == rounds                  # one call a round,
+    chain_rows = [res.states_evaluated + 1 for res in got.values()]
+    assert len(calls) == max(chain_rows)    # one call a round,
+    assert sum(calls) == sum(chain_rows)    # one row per waiting chain,
     assert calls[0] == 2                    # the first holding both start states
-    assert rounds.count(2) > 50
+    assert calls.count(2) > 50
     for i, res in got.items():
         assert res.trace == want[i].trace
         np.testing.assert_array_equal(res.matching.assign, want[i].matching.assign)

@@ -384,6 +384,30 @@ def test_missing_config_file_is_a_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_undecodable_config_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(["validate", "--config", str(bad), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+
+
+@pytest.mark.parametrize("case", ["undecodable", "directory", "missing column"])
+def test_unreadable_matching_file_is_a_usage_error(case, run_cfg, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    if case == "undecodable":
+        bad.write_bytes(b"\xff\xfe\x00")
+    elif case == "directory":
+        bad.mkdir()
+    else:
+        bad.write_text("ue_id,sn_id,sn_kind\n0,1\n")
+    assert main(["audit", "--config", run_cfg, "--matching", str(bad), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+    if case == "missing column":
+        assert "malformed matching row" in err
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_unreadable_social_edge_file_is_a_usage_error(command, run_cfg, sweep_cfg,
                                                       tmp_path, capsys):

@@ -13,7 +13,7 @@ from socialcell.config import ScenarioConfig, scenario_from_config, social_graph
 from socialcell.errors import ConfigError, InputError, LinkRangeError
 from socialcell.radio import (RadioScenario, dbm_to_mw, link_rate, pathloss_db,
                               positions_to_csv, received_power_mw, scbs_ue_distances,
-                              subcarrier_offset, ue_distances)
+                              subcarrier_offsets, ue_distances)
 
 PARAMS = ScenarioConfig()
 
@@ -244,25 +244,27 @@ def test_distance_matrices_match_manual_norms():
 # subcarrier offsets and position files
 # --------------------------------------------------------------------------
 
+def offsets_of(scen):
+    """The scenario's subcarrier offsets: every SCBS, then every UE."""
+    return subcarrier_offsets([scen.seed], len(scen.scbs_xy), len(scen.ue_xy),
+                              scen.config.subcarriers)[0]
+
+
 def test_subcarrier_offsets_deterministic_and_in_range():
     scen = drop(4, 30, rng_seed=8)
-    offs = [subcarrier_offset(scen, ("ue", m)) for m in range(30)]
-    offs2 = [subcarrier_offset(scen, ("ue", m)) for m in range(30)]
+    offs = offsets_of(scen)[4:].tolist()
+    offs2 = offsets_of(scen)[4:].tolist()
     assert offs == offs2
     assert all(0 <= o < scen.config.subcarriers for o in offs)
     assert len(set(offs)) > 1
-    # kind participates in the derivation
-    assert (subcarrier_offset(scen, ("scbs", 0)),
-            subcarrier_offset(scen, ("ue", 0))) == \
-        (subcarrier_offset(scen, ("scbs", 0)), subcarrier_offset(scen, ("ue", 0)))
+    # kind participates in the derivation: SCBS k and UE k draw apart
+    assert offsets_of(scen)[:4].tolist() != offs[:4]
 
 
 def test_subcarrier_offsets_change_with_scenario_seed():
     a = drop(1, 64, rng_seed=8)
     b = drop(1, 64, rng_seed=9)
-    offs_a = [subcarrier_offset(a, ("ue", m)) for m in range(64)]
-    offs_b = [subcarrier_offset(b, ("ue", m)) for m in range(64)]
-    assert offs_a != offs_b
+    assert offsets_of(a)[1:].tolist() != offsets_of(b)[1:].tolist()
 
 
 def test_positions_round_trip(tmp_path):
