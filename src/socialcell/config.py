@@ -21,6 +21,18 @@ if TYPE_CHECKING:   # radio imports this module, so the builders import it when 
     from .radio import RadioScenario
 
 
+#: Closed ranges of the radio keys whose extremes overflow the link budget
+#: (a power of 1e308 dBm, a noise density of -1e308 dBm/Hz or an intercept
+#: of -1e308 dB gives inf or nan): within them, with the other radio keys
+#: at their defaults, every received power, SINR and rate is finite.
+_RADIO_RANGES = {
+    "scbs_power_dbm": (-100.0, 100.0),
+    "ue_power_dbm": (-100.0, 100.0),
+    "noise_psd_dbm_hz": (-300.0, 0.0),
+    "scbs_pathloss_intercept_db": (0.0, 300.0),
+}
+
+
 # Slotted: every AssociationProblem holds its replication's config, and the
 # benchmark keeps every problem alive for its audit.  A dict-backed instance
 # of these 36 fields takes about 1.6 kB, a slotted one about 330 B.
@@ -93,6 +105,10 @@ class ScenarioConfig:
                      "min_distance_m"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, (low, high) in _RADIO_RANGES.items():
+            if not low <= getattr(self, name) <= high:
+                raise ConfigError(f"{name} must be in [{low:g}, {high:g}], "
+                                  f"got {getattr(self, name)}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.beta_start < 0 or self.beta_end < 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import (ScenarioConfig, config_as_dict, engine_config_from_config,
                      scenario_from_config, social_graph_from_config)
-from .errors import ConfigError
+from .errors import ConfigError, SocialCellError
 from .matching import (AnnealResult, AssociationProblem, anneal_problems,
                        build_problem, greedy_stabilize, reports)
 from .radio import RadioScenario, scbs_reception, subcarrier_offsets
@@ -304,8 +305,15 @@ def emit_results(result: ExperimentResult, out_dir) -> dict[str, str]:
 
     CSV content is a pure function of the experiment spec (no timestamps), so repeat
     runs produce byte-identical files; the only volatile field is the
-    `generated_at` key of the JSON summary.
+    `generated_at` key of the JSON summary.  A NaN or infinite number in a
+    row or an aggregate raises SocialCellError, naming its column, before
+    any file is written.
     """
+    for record in (*result.rows, *result.aggregates):
+        for name, value in dataclasses.asdict(record).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SocialCellError(f"non-finite {name} = {value!r} at x = {record.x}, "
+                                      f"method {record.method}; no result written")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 

@@ -26,19 +26,19 @@ record, `UtilityReport`, and one entry, `reports`, which evaluates
 (problem, assignment) pairs; `evaluate` is its one-pair case.  An empty
 node adds +0.0 to every sum it enters, and a padded row's welfare is
 summed over its own S nodes alone, since numpy sums a contiguous row
-pairwise.  One scanner, `_approved_swaps`,
-judges the swaps of one fixed state against its evaluation: `_swap_masks`
-lists the feasible swaps and `_judge` approves them in blocks of at most
-`_SCAN_BLOCK` swaps (fewer where `_SCAN_ELEMENTS` says so), one kernel call
-and one vector check per block.  The two-sided rule reads only the touched
-players, so the judge evaluates each swapped state at its touched columns
-alone, and an approved swap in full for its welfare.  Every row of the
-kernel, and every column of it, equals the evaluation of that row alone bit
-for bit (its sums run in an order independent of the block size and of the
-columns evaluated), so the block scan approves exactly the swaps a
-one-at-a-time scan would.  The audit is one scan of every feasible swap;
-`greedy_stabilize` is one walk, each step a scan of the current state from
-a cursor, the ordinal of the last swap applied.
+pairwise.  One scanner, `_approved_swaps`, judges the swaps of one fixed
+state against its evaluation: `_swap_masks` lists the feasible swaps and
+`_judge` approves them in blocks of `_SCAN_BLOCK` swaps at every problem
+size, one kernel call and one vector check per block.  The two-sided rule
+reads only the touched players, so the judge evaluates each swapped state
+at its touched columns alone, and an approved swap in full for its
+welfare.  Every row of the kernel, and every column of it, equals the
+evaluation of that row alone bit for bit (its sums run in an order
+independent of the block size and of the columns evaluated), so the block
+scan approves exactly the swaps a one-at-a-time scan would.  The audit is
+one scan of every feasible swap; `greedy_stabilize` is one walk, each step
+a scan of the current state from a cursor, the ordinal of the last swap
+applied.
 
 The anneal's walk revisits a few states over and over, so it keeps a memo,
 local to one search, from each of its last `_MEMO` evaluated states to its
@@ -812,19 +812,10 @@ def _trace_rows(w_start: float, moves: bytes,
 # two-sided stability
 # --------------------------------------------------------------------------
 
-#: Candidate swaps evaluated per `_evaluate_rows` call by the scanner, at
-#: most; `_SCAN_ELEMENTS` lowers it on large problems.
-_SCAN_BLOCK = 64
-
-#: Bound on the entries of one scan block's (rows, S + 1, columns)
-#: interference gather, reckoned at all M columns: a block judges
-#: max(1, _SCAN_ELEMENTS // ((S + 1) * M)) swaps when that is below
-#: `_SCAN_BLOCK`.  Desk and dense problems keep 64 rows ((S + 1) * M <=
-#: 1,980); wide-m500 takes 8 at S = 31 and 7 at S = 32, and one block at
-#: N32/M2000 stays near 1 MB per gather array instead of 75 MB.  The judge
-#: gathers only a block's touched columns, as many as its widest row has:
+#: Candidate swaps judged per `_evaluate_rows` call by the scanner, at
+#: every problem size: the judge gathers a block's touched columns alone,
 #: 25 of M = 100 on average over the dense-stabilize scans at seed 1.
-_SCAN_ELEMENTS = 1 << 17
+_SCAN_BLOCK = 64
 
 
 def _judge(problem: AssociationProblem, assign: np.ndarray, base: UtilityReport,
@@ -904,17 +895,16 @@ def _approved_swaps(problem: AssociationProblem, assign: np.ndarray,
     swap of `assign`, whose evaluation is `base`, among the ordinals `todo`
     (a slice of `_scan_order`), in their order.
 
-    The swaps are judged in blocks of at most `_SCAN_BLOCK`, fewer where
-    `_SCAN_ELEMENTS` says so: one `_evaluate_rows` call evaluates the block
-    at its touched columns and one vector check judges it, with results
-    bit-identical to judging one swap at a time.  Each approved swap is
-    then evaluated in full, as it is yielded.  The state is fixed: a caller
-    that applies a swap starts a new scan.
+    The swaps are judged in blocks of `_SCAN_BLOCK`, at every problem size:
+    one `_evaluate_rows` call evaluates the block at its touched columns
+    and one vector check judges it, with results bit-identical to judging
+    one swap at a time.  Each approved swap is then evaluated in full, as
+    it is yielded.  The state is fixed: a caller that applies a swap starts
+    a new scan.
     """
     M, S = problem.n_ues, problem.n_sns
-    size = min(_SCAN_BLOCK, max(1, _SCAN_ELEMENTS // ((S + 1) * M)))
-    for start in range(0, len(todo), size):
-        block = todo[start:start + size]
+    for start in range(0, len(todo), _SCAN_BLOCK):
+        block = todo[start:start + _SCAN_BLOCK]
         pair = block < M * M
         move = block - M * M
         m = np.where(pair, block // M, move // S)

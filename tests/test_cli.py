@@ -1,6 +1,7 @@
 """Command line interface: exit codes, outputs, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -319,6 +320,24 @@ def test_sweep_requires_a_sweep_variable(run_cfg, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_non_finite_sweep_result_exits_2(sweep_cfg, tmp_path, monkeypatch, capsys):
+    # a NaN that gets past the config's bounds is refused, not written
+    from socialcell import harness
+    run = harness.run_experiment
+
+    def nan_rate(spec):
+        result = run(spec)
+        rows = (dataclasses.replace(result.rows[0], avg_rate_bps=float("nan")),
+                *result.rows[1:])
+        return dataclasses.replace(result, rows=rows)
+
+    monkeypatch.setattr(harness, "run_experiment", nan_rate)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", sweep_cfg, "--out", str(out), "--quiet"]) == 2
+    assert "non-finite avg_rate_bps" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 # --------------------------------------------------------------------------
 # error handling
 # --------------------------------------------------------------------------
@@ -348,7 +367,9 @@ def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
 
 RADIO_BOUNDS = ["n_scbs=0", "n_ues=0", "subcarriers=0", "macro_radius_m=0",
                 "system_bandwidth_hz=0", "scbs_radius_m=0", "d2d_radius_m=0",
-                "d2d_pathloss_alpha=0", "min_distance_m=0", "scbs_pathloss_slope_db=-36.7"]
+                "d2d_pathloss_alpha=0", "min_distance_m=0", "scbs_pathloss_slope_db=-36.7",
+                "ue_power_dbm=1e308", "scbs_power_dbm=1e308", "scbs_pathloss_intercept_db=-1e308",
+                "noise_psd_dbm_hz=-1e308", "noise_psd_dbm_hz=1e308"]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -13,7 +13,7 @@ import pytest
 from socialcell import harness, matching, socialgraph
 from socialcell.config import (ScenarioConfig, engine_config_from_config,
                                scenario_from_config, social_graph_from_config)
-from socialcell.errors import ConfigError
+from socialcell.errors import ConfigError, SocialCellError
 from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL,
                                 STREAM_ENGINE, STREAM_SOCIAL, STREAM_TOPOLOGY,
                                 ExperimentSpec, aggregate, build_replication,
@@ -321,6 +321,18 @@ def test_emitted_files_are_byte_deterministic(small_result, tmp_path):
     assert s1.pop("generated_at") != ""
     assert s2.pop("generated_at") != ""
     assert s1 == s2
+
+
+@pytest.mark.parametrize("table, column", [("rows", "welfare"),
+                                           ("aggregates", "std_rate")])
+def test_emit_refuses_a_non_finite_number(small_result, tmp_path, table, column):
+    # one NaN anywhere stops the emitter before it writes any file
+    records = list(getattr(small_result, table))
+    records[1] = dataclasses.replace(records[1], **{column: float("nan")})
+    bad = dataclasses.replace(small_result, **{table: tuple(records)})
+    with pytest.raises(SocialCellError, match=f"non-finite {column} = nan"):
+        emit_results(bad, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_summary_json_carries_the_full_config(small_result, tmp_path):

@@ -738,9 +738,9 @@ def test_scan_block_boundaries(case):
     assert stab.welfares == tuple(want_welfares)
 
 
-def test_scan_element_budget_one_row_blocks(monkeypatch):
-    # an element budget below one row's gather leaves one swap per block;
-    # the audit and the greedy pass must not change
+def test_block_size_changes_no_result(monkeypatch):
+    # blocks of one swap, and of 5 swaps, which split the scans unevenly,
+    # must leave the audit and the greedy pass as they are with 64
     seed, ue, target, _ = BOUNDARY_CASES["spans-blocks"]
     problem = overlap_problem(seed)
     assign, _ = per_swap_stabilize(problem, problem.start_assignment)
@@ -755,13 +755,17 @@ def test_scan_element_budget_one_row_blocks(monkeypatch):
         blocks.append(len(m))
         return judge(problem, assign, base, m, n, k)
 
-    monkeypatch.setattr(matching, "_SCAN_ELEMENTS", 1)
     monkeypatch.setattr(matching, "_judge", spy)
-    assert audit_stability(problem, assign) == audit
-    one = greedy_stabilize(problem, assign)
-    np.testing.assert_array_equal(one.assign, stab.assign)
-    assert one.welfares == stab.welfares
-    assert set(blocks) == {1} and len(blocks) > 2 * _SCAN_BLOCK
+    for size in (1, 5):
+        blocks.clear()
+        monkeypatch.setattr(matching, "_SCAN_BLOCK", size)
+        assert audit_stability(problem, assign) == audit
+        one = greedy_stabilize(problem, assign)
+        np.testing.assert_array_equal(one.assign, stab.assign)
+        assert one.welfares == stab.welfares
+        assert max(blocks) == size and len(blocks) > 2 * 64 // size
+        if size > 1:
+            assert min(blocks) < size       # a scan's last block is short
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -908,7 +912,7 @@ def subset_calls(problem, assign):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matching, "_evaluate_rows", spy)
         audit_stability(problem, assign)
-        patch.setattr(matching, "_SCAN_ELEMENTS", 1)
+        patch.setattr(matching, "_SCAN_BLOCK", 1)
         audit_stability(problem, assign)
     return calls
 
