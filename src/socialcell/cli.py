@@ -2,7 +2,9 @@
 
 Subcommands:
 
-* ``run``      simulate one scenario and write matchings/trace/metrics
+* ``run``      simulate one scenario: cell (0, 0) of a sweep's point function,
+  with one matching per configured method, the searching method's trace
+  and the metrics, every number checked finite before any file is written
 * ``sweep``    replicate a scenario over a swept variable and aggregate
 * ``validate`` recompute the built-in reference network checks
 * ``audit``    re-load a saved matching and audit it for swap stability
@@ -53,63 +55,44 @@ def _ensure_outdir(path: str) -> str:
 def cmd_run(args) -> int:
     cfg = _load_config(args)
     sha = cfgmod.config_sha(cfg)
-    # A single run is replication 0 of a one-point experiment, so its seed
-    # streams line up with what the sweep harness would draw.  It is built
-    # before --out is made, so a config error leaves no directory behind.
-    scenario, problem = harness.build_replication(cfg, 0, 0)
-    out = _ensure_outdir(args.out)
-
+    # A single run is cell (0, 0) of the sweep's point function.  Every number
+    # it would write is checked before --out is made, so an error leaves no --out.
     t0 = time.perf_counter()
-    result = matching.anneal_on_problem(problem)
-    assign = harness.settled(problem, result, cfg.stabilize)
-    final = problem.matching(assign)
-    social_report = problem.evaluate(assign)
-    baseline_report = problem.evaluate(problem.rssi_assignment)
+    cells = harness.point_cells(cfg, 0, [0], cfg.methods)
     elapsed = time.perf_counter() - t0
+    methods = {}
+    for _, method, _, _, iterations, search, report in cells:
+        stats = methods[method] = {"avg_rate_bps": float(report.ue_rates.mean()),
+                                   "welfare": float(report.welfare),
+                                   "unserved": list(report.unserved),
+                                   "iterations": iterations}
+        written = {"rate_bps": report.ue_rates, "utility": report.ue_utilities, **stats}
+        if search is not None:
+            stats["stabilized"] = cfg.stabilize
+            written["trace welfare"] = (search.start_welfare, *search.accepted_welfares)
+        harness.check_finite(written, f"method {method}")
 
+    out = _ensure_outdir(args.out)
+    problem = cells[0][2]
     meta = {"config_sha": sha, "seed": str(cfg.seed)}
-    radio.positions_to_csv(scenario, os.path.join(out, "positions.csv"))
-    matching.matching_to_csv(final, social_report,
-                             os.path.join(out, "matching_social-aware.csv"),
-                             meta=meta)
-    matching.matching_to_csv(problem.matching(problem.rssi_assignment),
-                             baseline_report,
-                             os.path.join(out, "matching_max-rssi.csv"),
-                             meta=meta)
-    matching.trace_to_csv(result.trace, os.path.join(out, "trace_social-aware.csv"))
-
-    def method_stats(report):
-        return {
-            "avg_rate_bps": float(report.ue_rates.mean()),
-            "welfare": float(report.welfare),
-            "unserved": list(report.unserved),
-        }
-
-    metrics = {
-        "config_sha": sha,
-        "config": cfgmod.config_as_dict(cfg),
-        "relay_ues": [int(v) for v in problem.relay_ues],
-        "methods": {
-            harness.METHOD_SOCIAL: {**method_stats(social_report),
-                                    "iterations": result.best_iteration,
-                                    "stabilized": cfg.stabilize},
-            harness.METHOD_BASELINE: {**method_stats(baseline_report),
-                                      "iterations": 0},
-        },
-        "elapsed_s": elapsed,
-    }
+    radio.positions_to_csv(problem.scenario, os.path.join(out, "positions.csv"))
+    for _, method, _, assign, _, search, report in cells:
+        matching.matching_to_csv(problem.matching(assign), report,
+                                 os.path.join(out, f"matching_{method}.csv"), meta=meta)
+        if search is not None:
+            matching.trace_to_csv(search.trace, os.path.join(out, f"trace_{method}.csv"))
+    metrics = {"config_sha": sha, "config": cfgmod.config_as_dict(cfg),
+               "relay_ues": [int(v) for v in problem.relay_ues], "methods": methods,
+               "elapsed_s": elapsed}
     import json
     with open(os.path.join(out, "metrics.json"), "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    soc = metrics["methods"][harness.METHOD_SOCIAL]
-    base = metrics["methods"][harness.METHOD_BASELINE]
     _say(args, f"run complete in {elapsed:.2f}s; outputs in {out}")
-    _say(args, f"  social-aware: avg_rate={soc['avg_rate_bps']:.1f} bps "
-               f"welfare={soc['welfare']:.1f} iters={soc['iterations']}")
-    _say(args, f"  max-rssi:     avg_rate={base['avg_rate_bps']:.1f} bps "
-               f"welfare={base['welfare']:.1f}")
+    for method, stats in methods.items():
+        _say(args, f"  {method + ':':<13} avg_rate={stats['avg_rate_bps']:.1f} bps "
+                   f"welfare={stats['welfare']:.1f} iters={stats['iterations']}")
     return 0
 
 

@@ -21,15 +21,24 @@ if TYPE_CHECKING:   # radio imports this module, so the builders import it when 
     from .radio import RadioScenario
 
 
-#: Closed ranges of the radio keys whose extremes overflow the link budget
-#: (a power of 1e308 dBm, a noise density of -1e308 dBm/Hz or an intercept
-#: of -1e308 dB gives inf or nan): within them, with the other radio keys
-#: at their defaults, every received power, SINR and rate is finite.
-_RADIO_RANGES = {
-    "scbs_power_dbm": (-100.0, 100.0),
-    "ue_power_dbm": (-100.0, 100.0),
-    "noise_psd_dbm_hz": (-300.0, 0.0),
-    "scbs_pathloss_intercept_db": (0.0, 300.0),
+#: Ranges of the drop and radio floats, as (bracket, low, high): "[" includes
+#: the low end and "(" excludes it; the high end is included.  Past a
+#: finite end the link budget overflows (a power of 1e308 dBm, a pathloss
+#: slope of 1e308 dB, a bandwidth of 1e-300 Hz or a disk of 1e308 m gives
+#: inf or nan).  Within them every received power, SINR and rate is finite,
+#: at their corners too.
+_RANGES = {
+    "macro_radius_m": ("(", 0.0, 1e6),
+    "scbs_radius_m": ("(", 0.0, math.inf),
+    "d2d_radius_m": ("(", 0.0, math.inf),
+    "system_bandwidth_hz": ("[", 1.0, 1e12),
+    "scbs_power_dbm": ("[", -100.0, 100.0),
+    "ue_power_dbm": ("[", -100.0, 100.0),
+    "noise_psd_dbm_hz": ("[", -300.0, 0.0),
+    "scbs_pathloss_intercept_db": ("[", 0.0, 300.0),
+    "scbs_pathloss_slope_db": ("(", 0.0, 100.0),
+    "d2d_pathloss_alpha": ("(", 0.0, 10.0),
+    "min_distance_m": ("[", 1e-3, math.inf),
 }
 
 
@@ -100,15 +109,11 @@ class ScenarioConfig:
         for name in ("n_scbs", "n_ues", "subcarriers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("macro_radius_m", "system_bandwidth_hz", "scbs_radius_m",
-                     "d2d_radius_m", "d2d_pathloss_alpha", "scbs_pathloss_slope_db",
-                     "min_distance_m"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name, (low, high) in _RADIO_RANGES.items():
-            if not low <= getattr(self, name) <= high:
-                raise ConfigError(f"{name} must be in [{low:g}, {high:g}], "
-                                  f"got {getattr(self, name)}")
+        for name, (bracket, low, high) in _RANGES.items():
+            value = getattr(self, name)
+            if not (low < value if bracket == "(" else low <= value) or value > high:
+                raise ConfigError(f"{name} must be in {bracket}{low:g}, {high:g}], "
+                                  f"got {value}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.beta_start < 0 or self.beta_end < 0:

@@ -1,5 +1,11 @@
 """Seeded Monte Carlo sweeps comparing social-aware matching with max-RSSI.
 
+There is one path from a cell to its matchings.  `METHODS` maps each
+method name to the function that finds its matchings for a point's
+problems, and `point_cells` builds a point, runs each configured method
+and evaluates every (replication, method) cell in one `reports` pass.  A
+sweep maps it over its points; `cli run` is its cell (0, 0).
+
 Every (sweep point, replication) cell derives its own seeds from the base
 seed through numpy's SeedSequence, so single replications can be re-run in
 isolation and parallel execution cannot change any number.  A point's
@@ -14,24 +20,22 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
-import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import (ScenarioConfig, config_as_dict, engine_config_from_config,
                      scenario_from_config, social_graph_from_config)
 from .errors import ConfigError, SocialCellError
-from .matching import (AnnealResult, AssociationProblem, anneal_problems,
-                       build_problem, greedy_stabilize, reports)
+from .matching import (AssociationProblem, anneal_problems, build_problem,
+                       greedy_stabilize, reports)
 from .radio import RadioScenario, scbs_reception, subcarrier_offsets
 from .socialgraph import social_pipelines
 
 METHOD_SOCIAL = "social-aware"
 METHOD_BASELINE = "max-rssi"
-_KNOWN_METHODS = (METHOD_SOCIAL, METHOD_BASELINE)
 
 #: Human-readable statement of the seed derivation, echoed into summaries.
 SEED_DERIVATION = ("numpy SeedSequence([base_seed, point_index, replication_index, "
@@ -89,11 +93,7 @@ class ExperimentSpec:
             raise ConfigError(f"sweep_values repeats a value: {self.sweep_values}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if not self.methods:
-            raise ConfigError("methods must not be empty")
-        for m in self.methods:
-            if m not in _KNOWN_METHODS:
-                raise ConfigError(f"unknown method {m!r}; known: {_KNOWN_METHODS}")
+        check_methods(self.methods)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -198,45 +198,57 @@ def build_replication(cfg: ScenarioConfig, point_index: int,
     return build_replications(cfg, point_index, [replication])[0]
 
 
-def settled(problem: AssociationProblem, result: AnnealResult,
-            stabilize: bool) -> np.ndarray:
-    """The search's matching, after the greedy pass when `stabilize` is set."""
-    assign = result.matching.assign
-    return greedy_stabilize(problem, assign).assign if stabilize else assign
+def _social_aware(problems: Sequence[AssociationProblem], cfg: ScenarioConfig) -> list:
+    """The searches side by side (`anneal_problems`), each matching settled
+    by `greedy_stabilize` when cfg.stabilize is set."""
+    results = sorted(anneal_problems(problems), key=lambda indexed: indexed[0])
+    return [(greedy_stabilize(problem, result.matching.assign).assign if cfg.stabilize
+             else result.matching.assign, result.best_iteration, result)
+            for problem, (_, result) in zip(problems, results)]
+
+
+#: Each method's matchings of a point's problems, as `point_cells` runs it.
+METHODS = {METHOD_SOCIAL: _social_aware,
+           METHOD_BASELINE: lambda problems, cfg: [(p.rssi_assignment, 0, None)
+                                                   for p in problems]}
+
+
+def check_methods(methods: Sequence[str]) -> None:
+    """Raise ConfigError unless `methods` names one or more of `METHODS`."""
+    if not methods or not set(methods) <= METHODS.keys():
+        raise ConfigError(f"methods must be one or more of {tuple(METHODS)}, got {methods}")
+
+
+def point_cells(cfg: ScenarioConfig, point_index: int, replications: Sequence[int],
+                methods: Sequence[str]) -> list[tuple]:
+    """The cells of a run of replications of one sweep point, ordered by
+    (replication, method): (replication, method, problem, assignment,
+    iterations to the best welfare, search result or None, report) each.
+
+    Its problems are built by `build_replications`, each method finds the
+    matchings of all of them (`METHODS`, so the anneal's chains share kernel
+    calls), and one `reports` pass evaluates every cell's (problem,
+    assignment) pair, each report equal to that of its pair alone.
+    """
+    check_methods(methods)
+    problems = [problem for _, problem in build_replications(cfg, point_index, replications)]
+    found = {method: METHODS[method](problems, cfg) for method in dict.fromkeys(methods)}
+    cells = [(replication, method, problem, *found[method][i])
+             for i, (replication, problem) in enumerate(zip(replications, problems))
+             for method in methods]
+    return [(*cell, report) for cell, report in zip(cells, reports(c[2:4] for c in cells))]
 
 
 def _point_task(args) -> list[ReplicationRow]:
-    """Rows of a run of replications of one sweep point, ordered by
-    (replication, method).
-
-    The point runs in plain stages: its problems are built by
-    `build_replications`, whose graphs share Brandes passes as the social
-    layer lays them out; its searches run side by side through
-    `anneal_problems`; each search's matching is settled; and one `reports`
-    pass evaluates every row's (problem, assignment) pair, a window of rows
-    to a kernel call.  Each report equals that of its pair alone, so each
-    row does too.
-    """
+    """Rows of a run of replications of one sweep point: its `point_cells`."""
     base, sweep_variable, x, point_index, replications, methods = args
     cfg = dataclasses.replace(base, **{sweep_variable: int(x)})
-    problems = [problem for _, problem in build_replications(cfg, point_index, replications)]
-    searched = dict(anneal_problems(problems)) if METHOD_SOCIAL in methods else {}
-    cells, pairs = [], []       # (replication, method, iterations), (problem, assignment)
-    for i, problem in enumerate(problems):
-        for method in methods:
-            if method == METHOD_BASELINE:
-                cells.append((replications[i], method, 0))
-                pairs.append((problem, problem.rssi_assignment))
-            else:
-                result = searched[i]
-                cells.append((replications[i], method, result.best_iteration))
-                pairs.append((problem, settled(problem, result, cfg.stabilize)))
     return [ReplicationRow(x=int(x), method=method, replication=replication,
                            avg_rate_bps=float(report.ue_rates.mean()),
-                           welfare=float(report.welfare),
-                           iterations=int(iters),
+                           welfare=float(report.welfare), iterations=int(iterations),
                            unserved=len(report.unserved))
-            for (replication, method, iters), report in zip(cells, reports(pairs))]
+            for replication, method, _, _, iterations, _, report
+            in point_cells(cfg, point_index, replications, methods)]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -300,6 +312,19 @@ def sweep_csv_name(sweep_variable: str) -> str:
     return "sweep_N.csv" if sweep_variable == "n_scbs" else "sweep_M.csv"
 
 
+def check_finite(fields: Mapping[str, object], where: str) -> None:
+    """Raise SocialCellError naming the field if a float, a tuple or an array
+    in `fields` holds a NaN or an infinity; other values are skipped.  Both
+    commands check every number they would write with it before any file."""
+    for name, value in fields.items():
+        if isinstance(value, (float, tuple, np.ndarray)):
+            values = np.ravel(value)
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise SocialCellError(f"non-finite {name} = {float(bad[0])!r} at {where}; "
+                                      "no result written")
+
+
 def emit_results(result: ExperimentResult, out_dir) -> dict[str, str]:
     """Write the aggregate CSV, the per-replication CSV and a JSON summary.
 
@@ -310,10 +335,7 @@ def emit_results(result: ExperimentResult, out_dir) -> dict[str, str]:
     any file is written.
     """
     for record in (*result.rows, *result.aggregates):
-        for name, value in dataclasses.asdict(record).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise SocialCellError(f"non-finite {name} = {value!r} at x = {record.x}, "
-                                      f"method {record.method}; no result written")
+        check_finite(dataclasses.asdict(record), f"x = {record.x}, method {record.method}")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 

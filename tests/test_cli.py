@@ -4,15 +4,21 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import socialcell
 from socialcell.cli import main
+from socialcell.config import _RANGES, ScenarioConfig, apply_overrides, dump_config
+from socialcell.errors import ConfigError
 
 RUN_CFG = """\
 # small, fast scenario for CLI tests
@@ -141,6 +147,56 @@ def test_run_seed_flag_overrides_config(run_cfg, tmp_path):
                  "--out", out, "--quiet"]) == 0
     metrics = json.loads(Path(out, "metrics.json").read_text())
     assert metrics["config"]["seed"] == 11
+
+
+def test_a_max_rssi_run_writes_that_method_alone(run_cfg, tmp_path, capsys):
+    # `run` honours `methods`: no search, no social files, and the baseline's
+    # figures are those of the two-method run
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    assert main(["run", "--config", run_cfg, "--out", str(both), "--quiet"]) == 0
+    assert main(["run", "--config", run_cfg, "--override", "methods=max-rssi",
+                 "--out", str(alone)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("  max-rssi:")
+    assert sorted(os.listdir(alone)) == ["matching_max-rssi.csv", "metrics.json",
+                                         "positions.csv"]
+    assert (alone / "positions.csv").read_bytes() == (both / "positions.csv").read_bytes()
+
+    def rows(out):      # the config_sha line differs, since `methods` does
+        text = (out / "matching_max-rssi.csv").read_text().splitlines()
+        return [line for line in text if not line.startswith("# config_sha=")]
+
+    assert rows(alone) == rows(both)
+    got, want = (json.loads((out / "metrics.json").read_text()) for out in (alone, both))
+    assert got["methods"] == {"max-rssi": want["methods"]["max-rssi"]}
+    assert got["relay_ues"] == want["relay_ues"]
+
+
+@pytest.mark.parametrize("field", ["welfare", "trace welfare"])
+def test_a_non_finite_run_result_exits_2(field, run_cfg, tmp_path, monkeypatch, capsys):
+    # a NaN that gets past the config's bounds is refused before --out is made
+    from socialcell import harness
+    if field == "welfare":
+        evaluate = harness.reports
+
+        def spoiled(pairs):
+            reports = list(evaluate(pairs))
+            return [dataclasses.replace(reports[0], welfare=float("nan")), *reports[1:]]
+
+        monkeypatch.setattr(harness, "reports", spoiled)
+    else:
+        anneal = harness.anneal_problems
+
+        def spoiled(problems):
+            for i, result in anneal(problems):
+                yield i, dataclasses.replace(result, start_welfare=float("inf"))
+
+        monkeypatch.setattr(harness, "anneal_problems", spoiled)
+    out = tmp_path / "o"
+    assert main(["run", "--config", run_cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and f"non-finite {field} = " in err
+    assert not out.exists()
 
 
 #: Seed 2, N8/M40 over a 100 m disk: the social-aware matching serves two
@@ -352,9 +408,13 @@ def test_a_non_finite_sweep_result_exits_2(sweep_cfg, tmp_path, monkeypatch, cap
     ("sweep", ["--override", "scbs_power_dbm=-inf"], "not a finite number"),
     ("sweep", ["--override", "d2d_quota=0"], "d2d_quota must be >= 1"),
     ("sweep", ["--override", "social_model=foo"], "unknown social_model"),
+    ("run", ["--override", "methods=round-robin"], "methods must be one or more of"),
+    ("run", ["--override", "methods="], "methods must be one or more of"),
+    ("sweep", ["--override", "methods=max-rssi,round-robin"], "methods must be one or more of"),
 ], ids=["run-negative-seed", "sweep-negative-seed", "sweep-repeated-value",
         "run-nan-radius", "run-nan-noise", "run-nan-beta-end",
-        "sweep-inf-power", "sweep-zero-d2d-quota", "sweep-unknown-social-model"])
+        "sweep-inf-power", "sweep-zero-d2d-quota", "sweep-unknown-social-model",
+        "run-unknown-method", "run-no-method", "sweep-unknown-method"])
 def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
                                             sweep_cfg, tmp_path, capsys):
     cfg = run_cfg if command == "run" else sweep_cfg
@@ -369,7 +429,10 @@ RADIO_BOUNDS = ["n_scbs=0", "n_ues=0", "subcarriers=0", "macro_radius_m=0",
                 "system_bandwidth_hz=0", "scbs_radius_m=0", "d2d_radius_m=0",
                 "d2d_pathloss_alpha=0", "min_distance_m=0", "scbs_pathloss_slope_db=-36.7",
                 "ue_power_dbm=1e308", "scbs_power_dbm=1e308", "scbs_pathloss_intercept_db=-1e308",
-                "noise_psd_dbm_hz=-1e308", "noise_psd_dbm_hz=1e308"]
+                "noise_psd_dbm_hz=-1e308", "noise_psd_dbm_hz=1e308",
+                "scbs_pathloss_slope_db=1e308", "d2d_pathloss_alpha=1e308",
+                "min_distance_m=1e-300", "system_bandwidth_hz=1e-300",
+                "system_bandwidth_hz=1e308", "macro_radius_m=1e308"]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -384,6 +447,65 @@ def test_out_of_bounds_radio_values_are_usage_errors(command, override, run_cfg,
     assert rc == 1
     assert err.startswith("error:") and override.partition("=")[0] in err
     assert not out.exists()
+
+
+#: The float keys of the drop and the radio, each drawn in its range, at
+#: zero, the smallest and largest magnitudes and its bounds, or anywhere.
+RADIO_FLOATS = sorted(_RANGES)
+SHRUNKEN = ScenarioConfig(n_scbs=2, n_ues=6, macro_radius_m=80.0, max_iterations=20)
+
+
+def radio_value(key):
+    _, low, high = _RANGES[key]
+    return (st.sampled_from([0.0, 1e-300, -1e-300, 1e308, -1e308, low, min(high, 1e308)])
+            | st.floats(low, min(high, 1e308))
+            | st.floats(allow_nan=False, allow_infinity=False))
+
+
+def finite_outputs(out: Path) -> bool:
+    """Whether every number `run` wrote under `out` is finite: metrics.json
+    holds no NaN or Infinity, and every CSV cell that reads as a float is
+    finite."""
+    def refuse(constant):
+        raise ValueError(constant)
+
+    json.loads((out / "metrics.json").read_text(), parse_constant=refuse)
+    for path in out.glob("*.csv"):
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        for row in csv.reader(lines[1:]):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                if not math.isfinite(value):
+                    return False
+    return True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(RADIO_FLOATS), min_size=1, max_size=3, unique=True)
+       .flatmap(lambda keys: st.fixed_dictionaries({key: radio_value(key) for key in keys})))
+@example({"scbs_pathloss_slope_db": 1e308})
+@example({"system_bandwidth_hz": 1e-300})
+def test_radio_floats_are_refused_or_give_finite_outputs(keys):
+    """One to three drop or radio floats at once either fail to parse (exit
+    1, no --out) or give a shrunken run that writes only finite numbers."""
+    flags = [f"{key}={value!r}" for key, value in keys.items()]
+    try:
+        apply_overrides(SHRUNKEN, flags)
+        refused = False
+    except ConfigError:
+        refused = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "run.cfg"), Path(tmp, "out")
+        path.write_text(dump_config(SHRUNKEN))
+        overrides = [arg for flag in flags for arg in ("--override", flag)]
+        rc = main(["run", "--config", str(path), *overrides, "--out", str(out), "--quiet"])
+        if refused:
+            assert rc == 1 and not out.exists()
+        else:
+            assert rc == 0 and finite_outputs(out)
 
 
 @pytest.mark.parametrize("override, message", [
