@@ -214,9 +214,12 @@ METHODS = {METHOD_SOCIAL: _social_aware,
 
 
 def check_methods(methods: Sequence[str]) -> None:
-    """Raise ConfigError unless `methods` names one or more of `METHODS`."""
+    """Raise ConfigError unless `methods` names one or more of `METHODS`,
+    each once."""
     if not methods or not set(methods) <= METHODS.keys():
         raise ConfigError(f"methods must be one or more of {tuple(METHODS)}, got {methods}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"methods repeats a name: {tuple(methods)}")
 
 
 def point_cells(cfg: ScenarioConfig, point_index: int, replications: Sequence[int],
@@ -232,7 +235,7 @@ def point_cells(cfg: ScenarioConfig, point_index: int, replications: Sequence[in
     """
     check_methods(methods)
     problems = [problem for _, problem in build_replications(cfg, point_index, replications)]
-    found = {method: METHODS[method](problems, cfg) for method in dict.fromkeys(methods)}
+    found = {method: METHODS[method](problems, cfg) for method in methods}
     cells = [(replication, method, problem, *found[method][i])
              for i, (replication, problem) in enumerate(zip(replications, problems))
              for method in methods]

@@ -57,13 +57,26 @@ depend on its neighbours, so each result equals that of the search run
 alone; `anneal_on_problem` is `anneal_problems` over one problem.  For the
 same reason `reports` evaluates (problem, assignment) pairs `_WINDOW` to a
 kernel call, each report equal to the pair's own `problem.evaluate`.
+
+Each search also has an exact bound, `_reach_bound`: the highest welfare
+among the states its walk could ever reach, enumerated and evaluated in
+one kernel call when they are few (`_BOUND_CELLS`), else inf.  Since a
+kernel row equals the row evaluated alone, no state of the walk can beat
+it, so once the search's best welfare reaches it, its best state and the
+iteration that found it are final (the bound test of branch and bound:
+Land and Doig, Econometrica 1960).  `anneal_problems` then yields the
+result at once and frees its slot; the rest of the walk runs only when
+one of the result's other fields (`iterations_run`, `states_evaluated`,
+`moves`, `accepted_welfares`, `trace`) is first read, and gives exactly
+what the whole walk gives.  A sweep reads only the matching and
+`best_iteration`, so it never runs a settled walk's rest.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
@@ -152,9 +165,45 @@ class StabilityViolation:
     welfare_delta: float
 
 
+class _WalkRecord(NamedTuple):
+    """What a search's walk records besides its best state (see AnnealResult)."""
+
+    iterations_run: int
+    states_evaluated: int
+    moves: bytes
+    accepted_welfares: tuple[float, ...]
+
+
+class _Walk:
+    """The `_WalkRecord` of a search: given, or, for a search handed over
+    at its bound, run to the end by `_finish_walk` when first read."""
+
+    __slots__ = ("_record", "_rest")
+
+    def __init__(self, record: _WalkRecord | None = None,
+                 rest: tuple[AssociationProblem, Generator] | None = None):
+        self._record = record
+        self._rest = rest       # (problem, suspended chain) until it is run
+
+    @property
+    def record(self) -> _WalkRecord:
+        if self._record is None:
+            self._record = _finish_walk(*self._rest)
+            self._rest = None
+        return self._record
+
+
 @dataclass(frozen=True)
 class AnnealResult:
     """Outcome of one annealed search.
+
+    `matching`, `best_iteration` and `start_welfare` are set when the
+    result is made.  A search whose best welfare reaches its `_reach_bound`
+    is handed over at that iteration, since no later state can change its
+    best state or the iteration that found it.  The rest of its walk runs
+    only when one of the other fields is first read, and then gives
+    exactly what the whole walk gives.  So a caller that reads only the
+    matching and `best_iteration`, as a sweep does, never runs it.
 
     states_evaluated counts the proposals the search evaluated, that is its
     memo misses; the start state, the chain's first kernel row, is not
@@ -169,11 +218,24 @@ class AnnealResult:
 
     matching: Matching
     best_iteration: int
-    iterations_run: int
-    states_evaluated: int
     start_welfare: float
-    moves: bytes
-    accepted_welfares: tuple[float, ...]
+    _walk: _Walk = field(repr=False, compare=False)
+
+    @property
+    def iterations_run(self) -> int:
+        return self._walk.record.iterations_run
+
+    @property
+    def states_evaluated(self) -> int:
+        return self._walk.record.states_evaluated
+
+    @property
+    def moves(self) -> bytes:
+        return self._walk.record.moves
+
+    @property
+    def accepted_welfares(self) -> tuple[float, ...]:
+        return self._walk.record.accepted_welfares
 
     @property
     def trace(self) -> tuple[TraceRow, ...]:
@@ -617,15 +679,16 @@ _MEMO = 128
 
 def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
     """Run the annealed swap search on a prepared problem: `anneal_problems`
-    over this one problem."""
+    over this one problem, with the whole walk run before it returns."""
     [(_, result)] = anneal_problems([problem])
+    result._walk.record     # the rest of a walk handed over at its bound
     return result
 
 
 def anneal_problems(problems: Iterable[AssociationProblem]
                     ) -> Iterator[tuple[int, AnnealResult]]:
     """Run the annealed swap search on each problem, and yield (index,
-    result) as each search ends.
+    result) as each search ends or is handed over.
 
     The problems, like the pairs of `reports`, must differ at most in S
     (all of a sweep point's do); mixing kernel shapes raises ValueError
@@ -635,15 +698,22 @@ def anneal_problems(problems: Iterable[AssociationProblem]
     2010) run independent Monte Carlo chains: each round evaluates the
     waiting state of every live chain (a chain that joins waits at its
     start state) in one `_evaluate_rows` call, and runs each chain on to
-    its next miss or its end.  The chains share nothing, and a kernel row
-    does not depend on the rows beside it, so every result equals that of
-    the chain run alone.  Problems are pulled from `problems` only as slots
-    in the window free up, and a chain's state and its problem are dropped
-    when it ends, so no more than `_WINDOW` searches are held here at once.
+    its next miss, its hand-over or its end.  The chains share nothing,
+    and a kernel row does not depend on the rows beside it, so every
+    result equals that of the chain run alone.
+
+    A chain whose best welfare reaches its `_reach_bound` hands over its
+    best state, the iteration that found it and its start welfare, which
+    no later iteration can change.  Its result is yielded at once and its
+    slot freed; the suspended chain goes with the result, whose other
+    fields run the rest of its walk when first read (`_finish_walk`).
+    Problems are pulled from `problems` only as slots in the window free
+    up, and a chain leaves the window when it ends or is handed over, so
+    no more than `_WINDOW` searches run here at once.
     """
     source = enumerate(problems)
     live: list[list] = []   # [index, problem, search, waiting state]
-    tables = None           # the live chains' _stack_tables, kept while none joins or ends
+    tables = None           # the live chains' _stack_tables, kept while none joins or leaves
     while True:
         for index, problem in islice(source, _WINDOW - len(live)):
             search = _chain(problem)
@@ -655,16 +725,71 @@ def anneal_problems(problems: Iterable[AssociationProblem]
             tables = _stack_tables([entry[1] for entry in live])
         A = np.stack([entry[3] for entry in live], dtype=np.int64)
         for entry, w in zip(live, _evaluate_rows(*tables, A)[3].tolist()):
+            index, problem, search, _ = entry
             try:
-                entry[3] = entry[2].send(w)
+                entry[3] = search.send(w)
             except StopIteration as end:
                 entry[3] = tables = None
-                yield entry[0], end.value
+                yield index, end.value
+                continue
+            if isinstance(entry[3], tuple):     # handed over at its bound
+                settled = AnnealResult(*entry[3], _Walk(rest=(problem, search)))
+                entry[3] = tables = None
+                yield index, settled
         live = [entry for entry in live if entry[3] is not None]
 
 
+#: Kernel cells, states x (S + 1) x M, that `_reach_bound` evaluates in its
+#: one call at most; past it the bound is inf.  The cells bound the call's
+#: memory: 1 MB per float64 (states, S + 1, M) temporary.  At seeds 1 and 7
+#: every candidate set of desk-sweep fits, the largest in 38,880 cells,
+#: while the smallest of wide-m500 needs 2.0M and those of dense-stabilize
+#: exceed 10^19.  A cap on the state count alone would not do: that
+#: smallest wide set has only 128 states, but 16 MB per temporary.
+_BOUND_CELLS = 1 << 17
+
+
+def _reach_bound(problem: AssociationProblem, w_start: float) -> float:
+    """The highest welfare among the states the anneal's walk could reach
+    on `problem`, whose start state has welfare `w_start`; inf when there
+    are too many candidates to evaluate.
+
+    The candidates put each servable UE on one of its feasible nodes, or
+    also unserved (-1) when it starts unserved, keep every other UE at its
+    start value, and load every node at most max(quota, start load).  They
+    hold every state the walk can visit: a move goes only to a node below
+    quota, a swap leaves the loads alone, and neither ever unserves a UE,
+    since -1 is in no UE's feasible nodes.  They are enumerated in numpy
+    and evaluated in one `_evaluate_rows` call on the problem's own
+    tables; when the start state is the only candidate, its welfare is
+    `w_start` and no call is made.  More than `_BOUND_CELLS` kernel cells,
+    counted before the loads cut any candidate, give inf.  A kernel row
+    equals that row evaluated alone bit for bit, so no state the walk
+    evaluates has a welfare above the bound.
+    """
+    start = problem.start_assignment
+    feasible = problem.feasible_sn
+    sizes = np.where(problem.servable, feasible.sum(axis=1) + (start < 0), 1)
+    states = math.prod(sizes.tolist())
+    S, M = problem.n_sns, problem.n_ues
+    if states * (S + 1) * M > _BOUND_CELLS:
+        return math.inf
+    if states == 1:
+        return w_start
+    A = np.repeat(start[None, :], states, axis=0)
+    vary = np.flatnonzero(sizes > 1)
+    for m, digit in zip(vary, np.unravel_index(np.arange(states), sizes[vary])):
+        choices = np.flatnonzero(feasible[m])
+        A[:, m] = np.append(choices, -1)[digit] if start[m] < 0 else choices[digit]
+    cap = np.maximum(problem.quota, np.bincount(start[start >= 0], minlength=S))
+    keys = (A + np.arange(1, states * (S + 1), S + 1)[:, None]).ravel()
+    loads = np.bincount(keys, minlength=states * (S + 1)).reshape(states, S + 1)[:, 1:]
+    A = A[(loads <= cap).all(axis=1)]
+    return float(_evaluate_rows(problem._shape, problem._node_tables, A)[3].max())
+
+
 def _chain(problem: AssociationProblem
-           ) -> Generator[np.ndarray, float, AnnealResult]:
+           ) -> Generator[np.ndarray | tuple, float | None, AnnealResult]:
     """The annealed swap search on one problem, as a generator.
 
     Each iteration draws a pair swap (with probability _SWAP_SHARE) or a
@@ -676,10 +801,17 @@ def _chain(problem: AssociationProblem
     the same keys evicts the oldest when a new state comes in.  The chain
     yields its start state and then each proposal the memo lacks, is sent
     back each one's welfare and returns its AnnealResult; it evaluates
-    nothing itself.  Random numbers come from `_Draws`, equal draw
-    for draw to `np.random.default_rng(cfg.seed)`.  Neither changes a
-    result: evaluation is deterministic, so a trace equals that of
-    evaluating every proposal afresh.
+    nothing itself but its `_reach_bound`.  Random numbers come from
+    `_Draws`, equal draw for draw to `np.random.default_rng(cfg.seed)`.
+    Neither changes a result: evaluation is deterministic, so a trace
+    equals that of evaluating every proposal afresh.
+
+    At the top of each iteration the chain tests its best welfare against
+    its `_reach_bound`.  The first time the bound is reached, the best
+    state and the iteration that found it are final, since an improvement
+    must be strictly above the best: the chain then yields once (best
+    matching, best iteration, start welfare), is sent nothing back, and
+    goes on with its own draws and memo when next resumed.
 
     A chain keeps little, since `_WINDOW` of them live at once: its states
     are held in the narrowest integer dtype that holds every node index, so
@@ -705,6 +837,7 @@ def _chain(problem: AssociationProblem
     reach = [nodes[begin:end] for begin, end in zip([0] + ends, ends)]
     pool = np.flatnonzero(problem.servable).tolist()
     w_start = w_cur = w_best = yield assign     # the start state, not counted
+    bound = _reach_bound(problem, w_start)
     memo = {assign.tobytes(): w_cur}        # state bytes -> welfare
     aged = deque(memo)                      # the memo's keys, oldest first
     misses = 0
@@ -721,6 +854,9 @@ def _chain(problem: AssociationProblem
     for t in range(1, cfg.max_iterations + 1):
         if not pool:
             break
+        if w_best >= bound:         # best and best_iter are final: hand them over
+            bound = math.inf
+            yield problem.matching(best), best_iter, w_start
         iterations = t
         swap = random() < _SWAP_SHARE
         accepted = False
@@ -780,13 +916,22 @@ def _chain(problem: AssociationProblem
         if cfg.stall_window and stall >= cfg.stall_window:
             break
 
-    return AnnealResult(matching=problem.matching(best),
-                        best_iteration=best_iter,
-                        iterations_run=iterations,
-                        states_evaluated=misses,
-                        start_welfare=w_start,
-                        moves=bytes(moves),
-                        accepted_welfares=tuple(accepted_welfare))
+    return AnnealResult(problem.matching(best), best_iter, w_start,
+                        _Walk(_WalkRecord(iterations, misses, bytes(moves),
+                                          tuple(accepted_welfare))))
+
+
+def _finish_walk(problem: AssociationProblem, search: Generator) -> _WalkRecord:
+    """Run a chain handed over at its bound on to its end, evaluating each
+    state its memo lacks alone, and return its walk's record."""
+    try:
+        state = next(search)
+        while True:
+            w = _evaluate_rows(problem._shape, problem._node_tables,
+                               np.stack([state], dtype=np.int64))[3]
+            state = search.send(w.item())
+    except StopIteration as end:
+        return end.value._walk.record
 
 
 def _trace_rows(w_start: float, moves: bytes,

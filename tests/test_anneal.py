@@ -6,6 +6,8 @@ afresh and draws from `np.random.default_rng`, and numpy's generator itself.
 """
 
 import hashlib
+import itertools
+import math
 import random
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clustered_instance, exhaustive_best_welfare, state_count
+from conftest import (clustered_instance, exhaustive_best_welfare, social_ring_graph,
+                      state_count)
 from socialcell import harness, matching, radio
 from socialcell import socialgraph as sg
 from socialcell.config import ScenarioConfig
@@ -555,12 +558,18 @@ OVERLAP = dict(n_scbs=2, n_ues=12, spread=45.0)
 #: UEs scattered past the SCBS range: at seeds 0 and 23 the seed state
 #: already serves UEs by D2D.
 SCATTERED = dict(n_scbs=2, n_ues=20, spread=70.0)
+#: Desk-sweep's regime: most UEs out of every cell, so the walk's reachable
+#: states are few (8 at seeds 1 and 7) and its search settles early.
+DESK = dict(n_scbs=4, n_ues=16, spread=150.0)
 
 ORACLE_CASES = {
     "mixed": (OVERLAP, {}),
     "no-stall-stop": (OVERLAP, dict(stall_window=0)),
     "d2d-seed": (SCATTERED, {}),
+    "desk": (DESK, {}),
 }
+ORACLE_SEEDS = {"mixed": (3, 5), "no-stall-stop": (3, 5), "d2d-seed": (0, 23), "desk": (1, 7)}
+ORACLE_GRID = [(case, seed) for case in sorted(ORACLE_CASES) for seed in ORACLE_SEEDS[case]]
 
 
 def oracle_problem(case, seed):
@@ -570,9 +579,7 @@ def oracle_problem(case, seed):
     return clustered_instance(seed, engine=engine, **layout).problem
 
 
-@pytest.mark.parametrize("case, seed", [
-    (case, seed) for case in sorted(ORACLE_CASES)
-    for seed in ((0, 23) if case == "d2d-seed" else (3, 5))])
+@pytest.mark.parametrize("case, seed", ORACLE_GRID)
 def test_anneal_equals_the_per_proposal_loop(case, seed):
     problem = oracle_problem(case, seed)
     trace, best_iter, iterations, best, evaluated = per_proposal_anneal(problem)
@@ -586,37 +593,87 @@ def test_anneal_equals_the_per_proposal_loop(case, seed):
     np.testing.assert_array_equal(res.matching.assign, best)
 
 
-def test_oracle_cases_reach_their_paths():
-    """The grid above covers a D2D-served seed state."""
-    for seed in (0, 23):
+def finished_walks(monkeypatch):
+    """Make `_finish_walk` record each walk it runs to the end."""
+    finish_walk, calls = matching._finish_walk, []
+
+    def spy(problem, search):
+        calls.append(problem)
+        return finish_walk(problem, search)
+
+    monkeypatch.setattr(matching, "_finish_walk", spy)
+    return calls
+
+
+def test_oracle_cases_reach_their_paths(monkeypatch):
+    """The grid above covers a D2D-served seed state, and searches handed
+    over at their bound long before their walks end."""
+    for seed in ORACLE_SEEDS["d2d-seed"]:
         problem = oracle_problem("d2d-seed", seed)
         assert (problem.start_assignment >= problem.n_scbs).any()
+    finished = finished_walks(monkeypatch)
+    for seed in ORACLE_SEEDS["desk"]:
+        [(_, res)] = anneal_problems([oracle_problem("desk", seed)])
+        assert finished == []                       # handed over, not yet run on
+        assert res.best_iteration < res.iterations_run // 2
+        assert len(finished) == 1
+        finished.clear()
 
 
-def recorded_rows(monkeypatch):
-    """Make the kernel record the bytes of every row it evaluates."""
+def recorded_rows(monkeypatch, bound_rows=None):
+    """Make the kernel record the bytes of every row it evaluates, apart
+    from the rows of `_reach_bound`'s call, which go to `bound_rows`."""
     inner, rows = matching._evaluate_rows, []
+    reach_bound, bounding = matching._reach_bound, []
 
     def evaluate_rows(shape, tables, A, cols=None):
-        rows.extend(row.tobytes() for row in A)
+        (bound_rows if bounding else rows).extend(row.tobytes() for row in A)
         return inner(shape, tables, A, cols)
 
+    def spied_bound(problem, w_start):
+        bounding.append(True)
+        try:
+            return reach_bound(problem, w_start)
+        finally:
+            bounding.pop()
+
+    if bound_rows is None:
+        bound_rows = []
     monkeypatch.setattr(matching, "_evaluate_rows", evaluate_rows)
+    monkeypatch.setattr(matching, "_reach_bound", spied_bound)
     return rows
 
 
+def reach_states(problem):
+    """The anneal's candidate states, enumerated one at a time: each
+    servable UE on one of its feasible nodes, or also unserved if it starts
+    unserved, the other UEs at their start, and each node loaded at most
+    max(quota, start load).  As int64 rows, in `itertools.product` order."""
+    start = problem.start_assignment
+    cap = np.maximum(problem.quota, np.bincount(start[start >= 0], minlength=problem.n_sns))
+    choices = [np.flatnonzero(problem.feasible_sn[m]).tolist()
+               + ([-1] if start[m] < 0 else []) if problem.servable[m] else [int(start[m])]
+               for m in range(problem.n_ues)]
+    states = []
+    for state in itertools.product(*choices):
+        state = np.array(state, dtype=np.int64)
+        if (np.bincount(state[state >= 0], minlength=problem.n_sns) <= cap).all():
+            states.append(state)
+    return states
+
+
 @pytest.mark.parametrize("memo", [1, 2])
-@pytest.mark.parametrize("case, seed", [
-    (case, seed) for case in sorted(ORACLE_CASES)
-    for seed in ((0, 23) if case == "d2d-seed" else (3, 5))])
+@pytest.mark.parametrize("case, seed", ORACLE_GRID)
 def test_a_memo_that_evicts_equals_the_per_proposal_loop(case, seed, memo, monkeypatch):
     """A memo of the last one or two states evicts nearly every state, and
     an evicted state that comes back is evaluated again, to the same float."""
     monkeypatch.setattr(matching, "_MEMO", memo)
     problem = oracle_problem(case, seed)
     trace, best_iter, iterations, best, _ = per_proposal_anneal(problem)
-    calls = recorded_rows(monkeypatch)
+    bound_rows = []
+    calls = recorded_rows(monkeypatch, bound_rows)
     res = anneal_on_problem(problem)
+    assert bound_rows == [state.tobytes() for state in reach_states(problem)]
     proposals = calls[1:]               # the first row is the start state
     assert res.states_evaluated == len(proposals)
     assert len(set(proposals)) < len(proposals)     # evicted states came back
@@ -737,6 +794,142 @@ def test_lockstep_holds_at_most_a_window_of_problems(monkeypatch):
 def test_states_evaluated_is_zero_without_a_feasible_proposal():
     res = anneal_on_problem(lone_problem(ScenarioConfig(seed=0, max_iterations=50)))
     assert res.states_evaluated == 0
+
+
+# --------------------------------------------------------------------------
+# the reach bound and the hand-over
+# --------------------------------------------------------------------------
+
+def bound_of(problem):
+    return matching._reach_bound(problem, problem.evaluate(problem.start_assignment).welfare)
+
+
+def bound_rows(problem, monkeypatch):
+    """(bound, the states its one kernel call evaluated) of `problem`."""
+    rows = []
+    with monkeypatch.context() as patch:
+        recorded_rows(patch, rows)
+        bound = bound_of(problem)
+    return bound, [np.frombuffer(row, dtype=np.int64) for row in rows]
+
+
+#: Shapes of `clustered_instance` whose candidate sets stay under the
+#: budget, with the seeds at which every servable UE starts served within
+#: quota, under each of the QUOTAS sets in turn.
+BOUND_SHAPES = [
+    (dict(n_scbs=2, n_ues=8, spread=45.0), [(0, 1, 2), (), (1, 3, 5)]),
+    (dict(n_scbs=3, n_ues=8, spread=45.0), [(0, 1, 2), (), (1, 2, 3)]),
+    (dict(n_scbs=4, n_ues=10, spread=60.0), [(0, 1, 6), (), (0, 1, 6)]),
+    (dict(n_scbs=4, n_ues=6, spread=45.0), [(), (8, 14), ()]),
+    (dict(n_scbs=3, n_ues=5, spread=45.0), [(), (9, 11, 17), ()]),
+]
+
+
+@pytest.mark.parametrize("q", range(len(QUOTAS)))
+def test_the_reach_bound_is_the_enumerated_optimum(q):
+    """Where every servable UE starts served within quota, the candidates
+    are the quota-feasible total assignments, so the bound is their
+    optimum, to the bit."""
+    checked = 0
+    for layout, seeds in BOUND_SHAPES:
+        for seed in seeds[q]:
+            engine = ScenarioConfig(seed=seed, **QUOTAS[q])
+            problem = clustered_instance(seed, engine=engine, **layout).problem
+            start = problem.start_assignment
+            assert (start[problem.servable] >= 0).all()
+            assert (np.bincount(start[start >= 0], minlength=problem.n_sns)
+                    <= problem.quota).all()
+            assert 1 < state_count(problem) <= 300_000
+            assert bound_of(problem) == exhaustive_best_welfare(problem)
+            checked += 1
+    assert checked >= 5
+
+
+def test_the_reach_bound_is_inf_past_its_budget(monkeypatch):
+    problem = oracle_problem("mixed", 3)
+    cells = state_count(problem) * (problem.n_sns + 1) * problem.n_ues
+    assert cells == 51_840
+    monkeypatch.setattr(matching, "_BOUND_CELLS", cells)
+    assert bound_of(problem) < math.inf
+    monkeypatch.setattr(matching, "_BOUND_CELLS", cells - 1)
+    bound, rows = bound_rows(problem, monkeypatch)
+    assert bound == math.inf and rows == []       # nothing is evaluated
+    # at the default budget, 40 UEs in two overlapping cells are too many
+    wide = clustered_instance(1, n_scbs=2, n_ues=40).problem
+    assert state_count(wide) > 2**17
+    assert bound_of(wide) == math.inf
+
+
+def test_a_lone_candidate_needs_no_kernel_call(monkeypatch):
+    problem = lone_problem(ScenarioConfig(seed=0))
+    assert matching._reach_bound(problem, 123.0) == 123.0
+    assert bound_rows(problem, monkeypatch)[1] == []
+
+
+def unserved_start_problem():
+    """Two SCBSs 120 m apart, each cell holding only its relay, ue0 and
+    ue1, and d2d_quota 1.  ue2 lies out of both cells, in D2D range of both
+    relays, and takes ue1's; ue3, in range of ue1 alone, starts unserved.
+    Moving ue2 to ue0 makes room for ue3."""
+    scenario = radio.RadioScenario(
+        scbs_xy=np.array([[0.0, 0.0], [120.0, 0.0]]),
+        ue_xy=np.array([[45.0, 0.0], [75.0, 0.0], [58.0, 2.0], [72.0, -18.0]]), seed=3)
+    graph = social_ring_graph(scenario)
+    return build_problem(scenario, graph, sg.social_pipeline(graph),
+                         ScenarioConfig(seed=3, d2d_quota=1))
+
+
+def test_a_start_unserved_ue_may_stay_unserved_or_be_served(monkeypatch):
+    problem = unserved_start_problem()
+    np.testing.assert_array_equal(problem.start_assignment, [0, 1, 3, -1])
+    assert problem.servable.all()
+    bound, rows = bound_rows(problem, monkeypatch)
+    # ue2 on either relay, ue3 unserved or on ue1; the two on ue1 overload it
+    assert [row.tolist() for row in rows] == [[0, 1, 2, 3], [0, 1, 2, -1], [0, 1, 3, -1]]
+    assert bound == max(problem.evaluate(state).welfare for state in reach_states(problem))
+
+
+def test_a_start_over_quota_is_capped_at_its_start_load(monkeypatch):
+    engine = ScenarioConfig(seed=0, **QUOTAS[1])
+    problem = clustered_instance(0, engine=engine, n_scbs=2, n_ues=8).problem
+    start = problem.start_assignment
+    load = np.bincount(start[start >= 0], minlength=problem.n_sns)
+    over = load > problem.quota
+    assert over.any()
+    bound, rows = bound_rows(problem, monkeypatch)
+    loads = np.array([np.bincount(row[row >= 0], minlength=problem.n_sns) for row in rows])
+    # an overloaded node keeps at most its start load, the others their quota
+    assert (loads <= np.maximum(load, problem.quota)).all()
+    np.testing.assert_array_equal(loads.max(axis=0)[over], load[over])
+    assert [row.tobytes() for row in rows] == [state.tobytes() for state in reach_states(problem)]
+    assert bound == max(problem.evaluate(state).welfare for state in reach_states(problem))
+
+
+def test_a_settled_chain_frees_its_window_slot(monkeypatch):
+    """With a window of one, each desk search hands over at its bound and
+    the next problem is pulled before any walk is run on; each result
+    then equals the whole walk's."""
+    monkeypatch.setattr(matching, "_WINDOW", 1)
+    problems = [oracle_problem("desk", seed) for seed in ORACLE_SEEDS["desk"]]
+    want = [anneal_on_problem(p) for p in problems]
+    finished = finished_walks(monkeypatch)
+    pulled = []
+
+    def source():
+        for problem in problems:
+            pulled.append(len(finished))
+            yield problem
+
+    got = dict(anneal_problems(source()))
+    assert pulled == [0, 0] and finished == []
+    for i, res in got.items():
+        ref = want[i]
+        assert res.trace == ref.trace
+        assert res.best_iteration == ref.best_iteration
+        assert res.iterations_run == ref.iterations_run
+        assert res.states_evaluated == ref.states_evaluated
+        np.testing.assert_array_equal(res.matching.assign, ref.matching.assign)
+    assert len(finished) == 2
 
 
 DRAW_SIZES = [1, 2, 3, 57, 2**31 - 1, 3 * 10**9, 2**32]

@@ -411,10 +411,14 @@ def test_a_non_finite_sweep_result_exits_2(sweep_cfg, tmp_path, monkeypatch, cap
     ("run", ["--override", "methods=round-robin"], "methods must be one or more of"),
     ("run", ["--override", "methods="], "methods must be one or more of"),
     ("sweep", ["--override", "methods=max-rssi,round-robin"], "methods must be one or more of"),
+    ("run", ["--override", "methods=social-aware,max-rssi,social-aware"],
+     "methods repeats a name"),
+    ("sweep", ["--override", "methods=max-rssi,max-rssi"], "methods repeats a name"),
 ], ids=["run-negative-seed", "sweep-negative-seed", "sweep-repeated-value",
         "run-nan-radius", "run-nan-noise", "run-nan-beta-end",
         "sweep-inf-power", "sweep-zero-d2d-quota", "sweep-unknown-social-model",
-        "run-unknown-method", "run-no-method", "sweep-unknown-method"])
+        "run-unknown-method", "run-no-method", "sweep-unknown-method",
+        "run-repeated-method", "sweep-repeated-method"])
 def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
                                             sweep_cfg, tmp_path, capsys):
     cfg = run_cfg if command == "run" else sweep_cfg

@@ -287,6 +287,35 @@ def test_a_sweep_builds_no_trace_rows(monkeypatch):
     assert len(calls) == 1
 
 
+#: Desk-sweep's shape (60 UEs over a 500 m disk, the default search), at
+#: two points of three replications.
+DESK_CFG = ScenarioConfig(n_ues=60, seed=1, sweep_variable="n_scbs", sweep_values=(4, 8),
+                          replications=3)
+
+
+def test_a_sweep_finishes_no_settled_walk(monkeypatch):
+    calls = []
+    finish_walk = matching._finish_walk
+
+    def spy(*args):
+        calls.append(args)
+        return finish_walk(*args)
+
+    monkeypatch.setattr(matching, "_finish_walk", spy)
+    run_experiment(ExperimentSpec.from_config(DESK_CFG))
+    assert calls == []
+    # every search of the first point was handed over at its bound, and a
+    # reader of a result's trace runs the rest of its walk, once
+    cfg = dataclasses.replace(DESK_CFG, n_scbs=4)
+    problems = [build_replication(cfg, 0, r)[1] for r in range(3)]
+    assert all(problem.servable.any() for problem in problems)
+    results = dict(matching.anneal_problems(problems))
+    assert calls == []
+    result = results[0]
+    assert len(result.trace) == result.iterations_run > result.best_iteration
+    assert len(calls) == 1
+
+
 def test_aggregate_on_plain_row_lists(small_result):
     # aggregate() is usable on any row subset, not just full results
     x = SMALL_CFG.sweep_values[0]
