@@ -32,24 +32,9 @@ def _say(args, text: str):
 
 
 def _load_config(args) -> cfgmod.ScenarioConfig:
-    if args.config:
-        cfg = cfgmod.load_config(args.config)
-    else:
-        cfg = cfgmod.ScenarioConfig()
-    if args.override:
-        cfg = cfgmod.apply_overrides(cfg, args.override)
-    if getattr(args, "seed", None) is not None:
-        cfg = cfgmod.apply_overrides(cfg, [f"seed={args.seed}"])
-    return cfg
-
-
-def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    probe = os.path.join(path, ".write-test")
-    with open(probe, "w") as fh:
-        fh.write("ok")
-    os.remove(probe)
-    return path
+    """The config file, then the overrides, then --seed, as one config."""
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    return cfgmod.load_config(args.config, [*args.override, *seed])
 
 
 def cmd_run(args) -> int:
@@ -58,7 +43,7 @@ def cmd_run(args) -> int:
     # A single run is cell (0, 0) of the sweep's point function.  Every number
     # it would write is checked before --out is made, so an error leaves no --out.
     t0 = time.perf_counter()
-    cells = harness.point_cells(cfg, 0, [0], cfg.methods)
+    cells = harness.point_cells(cfg, 0, [0])
     elapsed = time.perf_counter() - t0
     methods = {}
     for _, method, _, _, iterations, search, report in cells:
@@ -72,7 +57,8 @@ def cmd_run(args) -> int:
             written["trace welfare"] = (search.start_welfare, *search.accepted_welfares)
         harness.check_finite(written, f"method {method}")
 
-    out = _ensure_outdir(args.out)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     problem = cells[0][2]
     meta = {"config_sha": sha, "seed": str(cfg.seed)}
     radio.positions_to_csv(problem.scenario, os.path.join(out, "positions.csv"))
@@ -97,21 +83,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    spec = harness.ExperimentSpec.from_config(cfg)
-    # The replications check the rest of the config only as they build,
-    # after --out is made, so a config or input error removes --out again
-    # if this call made it (rmdir refuses a non-empty directory).
-    made = not os.path.isdir(args.out)
-    out = _ensure_outdir(args.out)
+    spec = harness.ExperimentSpec.from_config(_load_config(args))
+    # Like run, the sweep computes and checks every number before
+    # emit_results makes --out, so an error leaves no --out.
     t0 = time.perf_counter()
-    try:
-        result = harness.run_experiment(spec)
-    except (ConfigError, InputError):
-        if made:
-            os.rmdir(out)
-        raise
-    paths = harness.emit_results(result, out)
+    paths = harness.emit_results(harness.run_experiment(spec), args.out)
     _say(args, f"sweep complete in {time.perf_counter() - t0:.2f}s")
     for p in paths.values():
         _say(args, f"  wrote {p}")
@@ -119,11 +95,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    alpha, beta = 0.5, 0.5
-    if args.config or args.override:
-        cfg = _load_config(args)
-        alpha, beta = cfg.alpha, cfg.beta
-    rows = golden_checks(alpha=alpha, beta=beta)
+    cfg = _load_config(args)
+    rows = golden_checks(alpha=cfg.alpha, beta=cfg.beta)
     failed = 0
     for row in rows:
         status = "PASS" if row.ok else "FAIL"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,12 +21,13 @@ if TYPE_CHECKING:   # radio imports this module, so the builders import it when 
     from .radio import RadioScenario
 
 
-#: Ranges of the drop and radio floats, as (bracket, low, high): "[" includes
-#: the low end and "(" excludes it; the high end is included.  Past a
-#: finite end the link budget overflows (a power of 1e308 dBm, a pathloss
-#: slope of 1e308 dB, a bandwidth of 1e-300 Hz or a disk of 1e308 m gives
-#: inf or nan).  Within them every received power, SINR and rate is finite,
-#: at their corners too.
+#: Ranges of the float keys, as (bracket, low, high): "[" includes the low
+#: end and "(" excludes it; the high end is included.  Past a finite end of
+#: a drop or radio range the link budget overflows (a power of 1e308 dBm, a
+#: pathloss slope of 1e308 dB, a bandwidth of 1e-300 Hz or a disk of 1e308 m
+#: gives inf or nan).  Within them every received power, SINR and rate is
+#: finite, at their corners too.  The social floats are convex weights and
+#: probabilities.
 _RANGES = {
     "macro_radius_m": ("(", 0.0, 1e6),
     "scbs_radius_m": ("(", 0.0, math.inf),
@@ -39,6 +40,22 @@ _RANGES = {
     "scbs_pathloss_slope_db": ("(", 0.0, 100.0),
     "d2d_pathloss_alpha": ("(", 0.0, 10.0),
     "min_distance_m": ("[", 1e-3, math.inf),
+    "alpha": ("[", 0.0, 1.0),
+    "beta": ("[", 0.0, 1.0),
+    "ws_rewire": ("[", 0.0, 1.0),
+    "er_edge_prob": ("[", 0.0, 1.0),
+}
+
+METHOD_SOCIAL = "social-aware"
+METHOD_BASELINE = "max-rssi"
+#: The names `methods` may hold; `harness.METHODS` maps each to its search.
+METHOD_NAMES = (METHOD_SOCIAL, METHOD_BASELINE)
+
+#: The values each string key may take; an empty sweep_variable sweeps nothing.
+_CHOICES = {
+    "social_model": ("watts-strogatz", "erdos-renyi", "edges"),
+    "similarity_normalization": (sg.SAW, sg.RAW_CLIPPED),
+    "sweep_variable": ("", "n_scbs", "n_ues"),
 }
 
 
@@ -58,9 +75,10 @@ class ScenarioConfig:
     value from it.  The swap engine reads its keys from this record too.
     Its sigmoid acceptance uses an inverse-temperature ramp, linear from
     beta_start to beta_end, so the walk turns greedy late; scbs_quota = 0
-    lets an SCBS serve one UE per subcarrier.  `__post_init__` bounds the
-    drop's, the radio's and the engine's values, so a bad one fails when a
-    config is parsed, overridden or replaced, before any work.
+    lets an SCBS serve one UE per subcarrier.  `__post_init__` is the one
+    place that decides whether a config is valid: it bounds every key, alone
+    and against the others, so a bad one fails when a config is parsed,
+    overridden or replaced, before any work.
     """
 
     # deployment
@@ -106,26 +124,42 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n_scbs", "n_ues", "subcarriers"):
+        for name in ("n_scbs", "n_ues", "subcarriers", "max_iterations", "d2d_quota",
+                     "replications", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("ws_neighbors", "stall_window", "scbs_quota"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name, (bracket, low, high) in _RANGES.items():
             value = getattr(self, name)
             if not (low < value if bracket == "(" else low <= value) or value > high:
                 raise ConfigError(f"{name} must be in {bracket}{low:g}, {high:g}], "
                                   f"got {value}")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}, "
+                                  f"expected one of {allowed}")
         if self.beta_start < 0 or self.beta_end < 0:
             raise ConfigError("beta_start and beta_end must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.stall_window < 0:
-            raise ConfigError("stall_window must be >= 0 (0 disables early stop)")
-        if self.scbs_quota < 0:
-            raise ConfigError("scbs_quota must be >= 0 (0 = one per subcarrier)")
-        if self.d2d_quota < 1:
-            raise ConfigError("d2d_quota must be >= 1")
+        if abs(self.alpha + self.beta - 1.0) > 1e-9:
+            raise ConfigError(f"alpha + beta must equal 1, got {self.alpha + self.beta}")
+        if self.social_model == "edges" and not self.social_edge_file:
+            raise ConfigError("social_model=edges needs social_edge_file")
+        if self.sweep_variable and not self.sweep_values:
+            raise ConfigError(f"sweep_values must not be empty when sweeping "
+                              f"{self.sweep_variable}")
+        if any(v < 1 for v in self.sweep_values):
+            raise ConfigError(f"sweep_values must be >= 1, got {self.sweep_values}")
+        if len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ConfigError(f"sweep_values repeats a value: {self.sweep_values}")
+        if not self.methods or not set(self.methods) <= set(METHOD_NAMES):
+            raise ConfigError(f"methods must be one or more of {METHOD_NAMES}, "
+                              f"got {self.methods}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods repeats a name: {self.methods}")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
@@ -172,45 +206,52 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def parse_config_text(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Parse `key = value` lines on top of `base` (or the defaults)."""
-    cfg = base or ScenarioConfig()
+def _update(items: Iterable[tuple[str, str]]) -> dict:
+    """One update of the schema's fields from (place, `key = value`) items, a
+    later key overriding an earlier one; `place` prefixes each error."""
     updates = {}
+    for place, item in items:
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"{place}: expected `key = value`, got {item!r}")
+        if key not in _FIELDS:
+            raise ConfigError(f"{place}: unknown configuration key {key!r}")
+        updates[key] = _parse_value(key, val)
+    return updates
+
+
+def _text_items(text: str) -> Iterator[tuple[str, str]]:
+    """The `key = value` items of config text, `#` starting a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-        updates[key] = _parse_value(key, val)
-    return dataclasses.replace(cfg, **updates)
+        if line:
+            yield f"line {lineno}", line
 
 
-def load_config(path, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, base=base)
+def parse_config_text(text: str) -> ScenarioConfig:
+    """The defaults updated by the `key = value` lines of `text`."""
+    return ScenarioConfig(**_update(_text_items(text)))
 
 
-def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig:
-    """Apply repeatable KEY=VALUE command-line overrides."""
-    updates = {}
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must look like KEY=VALUE, got {item!r}")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        updates[key] = _parse_value(key, val)
-    return dataclasses.replace(cfg, **updates)
+def load_config(path="", overrides: Sequence[str] = ()) -> ScenarioConfig:
+    """The defaults updated by the config file at `path` (none if empty), then
+    by KEY=VALUE `overrides`, in one update, so every rule, cross-key ones
+    too, sees the final values."""
+    text = ""
+    if path:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    items = [*_text_items(text), *(("override", item) for item in overrides)]
+    return ScenarioConfig(**_update(items))
+
+
+def apply_overrides(cfg: ScenarioConfig, overrides: Sequence[str]) -> ScenarioConfig:
+    """cfg updated by repeatable KEY=VALUE command-line overrides."""
+    return dataclasses.replace(cfg, **_update(("override", item) for item in overrides))
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
@@ -268,18 +309,14 @@ def social_graph_from_config(cfg: ScenarioConfig, scenario: RadioScenario,
     from .radio import scbs_reception
     N, M = scenario.n_scbs, scenario.n_ues
     if cfg.social_model == "edges":
-        if not cfg.social_edge_file:
-            raise ConfigError("social_model=edges needs social_edge_file")
         return sg.load_edge_list(cfg.social_edge_file, N, M)
 
     seed = cfg.seed if seed is None else seed
     adj = np.zeros((N + M, N + M), dtype=np.int8)
     if cfg.social_model == "watts-strogatz":
         adj[N:, N:] = sg.watts_strogatz_adjacency(M, cfg.ws_neighbors, cfg.ws_rewire, seed)
-    elif cfg.social_model == "erdos-renyi":
-        adj[N:, N:] = sg.gnp_adjacency(M, cfg.er_edge_prob, seed)
     else:
-        raise ConfigError(f"unknown social_model {cfg.social_model!r}")
+        adj[N:, N:] = sg.gnp_adjacency(M, cfg.er_edge_prob, seed)
     adj[:N, N:] = (reception or scbs_reception(scenario))[1]
     adj[N:, :N] = adj[:N, N:].T
     return sg.SocialGraph(n_scbs=N, adjacency=adj)

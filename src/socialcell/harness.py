@@ -26,16 +26,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import (ScenarioConfig, config_as_dict, engine_config_from_config,
-                     scenario_from_config, social_graph_from_config)
+from .config import (METHOD_BASELINE, METHOD_SOCIAL, ScenarioConfig, config_as_dict,
+                     engine_config_from_config, scenario_from_config,
+                     social_graph_from_config)
 from .errors import ConfigError, SocialCellError
 from .matching import (AssociationProblem, anneal_problems, build_problem,
                        greedy_stabilize, reports)
 from .radio import RadioScenario, scbs_reception, subcarrier_offsets
 from .socialgraph import social_pipelines
-
-METHOD_SOCIAL = "social-aware"
-METHOD_BASELINE = "max-rssi"
 
 #: Human-readable statement of the seed derivation, echoed into summaries.
 SEED_DERIVATION = ("numpy SeedSequence([base_seed, point_index, replication_index, "
@@ -51,11 +49,9 @@ _STREAMS = 3
 def replication_seed(base_seed: int, point_index: int, replication: int,
                      stream: int) -> int:
     """Deterministic per-replication seed for one of the three streams: the
-    one-item case of `replication_seeds`."""
-    # imported where used, so that `import socialcell` does not compile it
-    from .seeds import generate_states
-    return int(generate_states([base_seed, point_index, replication, stream],
-                               1, np.uint64)[0, 0])
+    one-item case of `replication_seeds`, from numpy's own SeedSequence."""
+    return int(np.random.SeedSequence([base_seed, point_index, replication, stream])
+               .generate_state(1, np.uint64)[0])
 
 
 def replication_seeds(base_seed: int, point_index: int,
@@ -72,7 +68,11 @@ def replication_seeds(base_seed: int, point_index: int,
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep over one deployment variable, replicated and seeded."""
+    """A sweep over one deployment variable, replicated and seeded.
+
+    The sweep fields are written into `base`, which checks them as it checks
+    every key, so `base` is the config the sweep runs.
+    """
 
     base: ScenarioConfig
     sweep_variable: str
@@ -82,20 +82,11 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.sweep_variable not in ("n_scbs", "n_ues"):
-            raise ConfigError(
-                f"sweep_variable must be n_scbs or n_ues, got {self.sweep_variable!r}")
-        if not self.sweep_values:
-            raise ConfigError("sweep_values must not be empty")
-        if any(v < 1 for v in self.sweep_values):
-            raise ConfigError("sweep values must be >= 1")
-        if len(set(self.sweep_values)) < len(self.sweep_values):
-            raise ConfigError(f"sweep_values repeats a value: {self.sweep_values}")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        check_methods(self.methods)
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not self.sweep_variable:
+            raise ConfigError("config has no sweep_variable; nothing to sweep")
+        object.__setattr__(self, "base", dataclasses.replace(
+            self.base, sweep_variable=self.sweep_variable, sweep_values=self.sweep_values,
+            replications=self.replications, methods=self.methods, workers=self.workers))
 
     @property
     def base_seed(self) -> int:
@@ -104,12 +95,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_config(cls, cfg: ScenarioConfig) -> "ExperimentSpec":
-        if not cfg.sweep_variable:
-            raise ConfigError("config has no sweep_variable; nothing to sweep")
         return cls(base=cfg, sweep_variable=cfg.sweep_variable,
-                   sweep_values=tuple(cfg.sweep_values),
-                   replications=cfg.replications, methods=tuple(cfg.methods),
-                   workers=cfg.workers)
+                   sweep_values=cfg.sweep_values, replications=cfg.replications,
+                   methods=cfg.methods, workers=cfg.workers)
 
 
 @dataclass(frozen=True)
@@ -207,51 +195,43 @@ def _social_aware(problems: Sequence[AssociationProblem], cfg: ScenarioConfig) -
             for problem, (_, result) in zip(problems, results)]
 
 
-#: Each method's matchings of a point's problems, as `point_cells` runs it.
+#: The matchings of a point's problems under each of `config.METHOD_NAMES`, as
+#: `point_cells` runs them.
 METHODS = {METHOD_SOCIAL: _social_aware,
            METHOD_BASELINE: lambda problems, cfg: [(p.rssi_assignment, 0, None)
                                                    for p in problems]}
 
 
-def check_methods(methods: Sequence[str]) -> None:
-    """Raise ConfigError unless `methods` names one or more of `METHODS`,
-    each once."""
-    if not methods or not set(methods) <= METHODS.keys():
-        raise ConfigError(f"methods must be one or more of {tuple(METHODS)}, got {methods}")
-    if len(set(methods)) < len(methods):
-        raise ConfigError(f"methods repeats a name: {tuple(methods)}")
-
-
-def point_cells(cfg: ScenarioConfig, point_index: int, replications: Sequence[int],
-                methods: Sequence[str]) -> list[tuple]:
+def point_cells(cfg: ScenarioConfig, point_index: int,
+                replications: Sequence[int]) -> list[tuple]:
     """The cells of a run of replications of one sweep point, ordered by
     (replication, method): (replication, method, problem, assignment,
     iterations to the best welfare, search result or None, report) each.
 
-    Its problems are built by `build_replications`, each method finds the
-    matchings of all of them (`METHODS`, so the anneal's chains share kernel
-    calls), and one `reports` pass evaluates every cell's (problem,
-    assignment) pair, each report equal to that of its pair alone.
+    Its problems are built by `build_replications`, each method of
+    cfg.methods finds the matchings of all of them (`METHODS`, so the
+    anneal's chains share kernel calls), and one `reports` pass evaluates
+    every cell's (problem, assignment) pair, each report equal to that of
+    its pair alone.
     """
-    check_methods(methods)
     problems = [problem for _, problem in build_replications(cfg, point_index, replications)]
-    found = {method: METHODS[method](problems, cfg) for method in methods}
+    found = {method: METHODS[method](problems, cfg) for method in cfg.methods}
     cells = [(replication, method, problem, *found[method][i])
              for i, (replication, problem) in enumerate(zip(replications, problems))
-             for method in methods]
+             for method in cfg.methods]
     return [(*cell, report) for cell, report in zip(cells, reports(c[2:4] for c in cells))]
 
 
 def _point_task(args) -> list[ReplicationRow]:
     """Rows of a run of replications of one sweep point: its `point_cells`."""
-    base, sweep_variable, x, point_index, replications, methods = args
-    cfg = dataclasses.replace(base, **{sweep_variable: int(x)})
+    base, x, point_index, replications = args
+    cfg = dataclasses.replace(base, **{base.sweep_variable: int(x)})
     return [ReplicationRow(x=int(x), method=method, replication=replication,
                            avg_rate_bps=float(report.ue_rates.mean()),
                            welfare=float(report.welfare), iterations=int(iterations),
                            unserved=len(report.unserved))
             for replication, method, _, _, iterations, _, report
-            in point_cells(cfg, point_index, replications, methods)]
+            in point_cells(cfg, point_index, replications)]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -265,8 +245,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """
     R, W = spec.replications, spec.workers
     runs = [range(R * c // W, R * (c + 1) // W) for c in range(W)]
-    tasks = [(spec.base, spec.sweep_variable, x, pi, run, spec.methods)
-             for pi, x in enumerate(spec.sweep_values) for run in runs if run]
+    tasks = [(spec.base, x, pi, run) for pi, x in enumerate(spec.sweep_values)
+             for run in runs if run]
     if W > 1:
         # imported here: it costs about a tenth of `import socialcell`
         from concurrent.futures import ProcessPoolExecutor

@@ -391,7 +391,7 @@ def test_a_non_finite_sweep_result_exits_2(sweep_cfg, tmp_path, monkeypatch, cap
     out = tmp_path / "o"
     assert main(["sweep", "--config", sweep_cfg, "--out", str(out), "--quiet"]) == 2
     assert "non-finite avg_rate_bps" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -429,6 +429,73 @@ def test_bad_config_values_are_usage_errors(command, flags, message, run_cfg,
     assert not out.exists()
 
 
+#: Social, sweep and method keys, each list refused as one config.
+BAD_KEYS = [["alpha=0.7"], ["alpha=-0.1", "beta=1.1"], ["ws_rewire=2"], ["er_edge_prob=-1"],
+            ["ws_neighbors=-1"], ["similarity_normalization=foo"], ["social_model=foo"],
+            ["social_model=edges"], ["sweep_variable=n_noise"], ["sweep_values=0"],
+            ["replications=0"], ["workers=0"], ["methods=foo"]]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("overrides", BAD_KEYS, ids=",".join)
+def test_bad_keys_are_refused_when_the_config_is_read(command, overrides, run_cfg, sweep_cfg,
+                                                      tmp_path, monkeypatch, capsys):
+    # every command reads the config the same way, and no cell is built
+    from socialcell import harness
+    built, build = [], harness.build_replications
+    monkeypatch.setattr(harness, "build_replications",
+                        lambda *args: built.append(args) or build(*args))
+    cfg = sweep_cfg if command == "sweep" else run_cfg
+    out = tmp_path / "o"
+    flags = [arg for item in overrides for arg in ("--override", item)]
+    outs = [] if command == "validate" else ["--out", str(out)]
+    assert main([command, "--config", cfg, *flags, *outs, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and overrides[0].partition("=")[0] in err
+    assert not out.exists() and not built
+
+
+@pytest.mark.parametrize("line, override", [
+    ("social_model = edges", "social_edge_file={edges}"),
+    ("alpha = 0.9", "beta=0.1"),
+], ids=["edges-then-file", "alpha-then-beta"])
+def test_a_cross_key_rule_sees_the_file_and_its_overrides_together(line, override, run_cfg,
+                                                                    tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("scbs0 ue0\nue0 ue1\n")
+    path, out = tmp_path / "cross.cfg", tmp_path / "o"
+    path.write_text(Path(run_cfg).read_text() + line + "\n")
+    assert main(["run", "--config", str(path), "--override", override.format(edges=edges),
+                 "--out", str(out), "--quiet"]) == 0
+    config = json.loads((out / "metrics.json").read_text())["config"]
+    for item in (line, override.format(edges=edges)):
+        key, _, value = item.partition("=")
+        assert str(config[key.strip()]) == value.strip()
+
+
+#: One value each config key is refused at on its own; a later key must
+#: join this table or `UNRULED`, the keys refused at no value on their own.
+REFUSED = {"n_scbs": "0", "n_ues": "0", "seed": "-1", "macro_radius_m": "0",
+           "system_bandwidth_hz": "0", "subcarriers": "0", "noise_psd_dbm_hz": "1",
+           "scbs_power_dbm": "101", "scbs_radius_m": "0", "ue_power_dbm": "101",
+           "d2d_radius_m": "0", "d2d_pathloss_alpha": "0", "scbs_pathloss_intercept_db": "-1",
+           "scbs_pathloss_slope_db": "0", "min_distance_m": "0", "alpha": "0.7",
+           "beta": "0.7", "social_model": "foo", "ws_neighbors": "-1", "ws_rewire": "2",
+           "er_edge_prob": "-1", "similarity_normalization": "foo", "max_iterations": "0",
+           "beta_start": "-1", "beta_end": "-1", "stall_window": "-1", "scbs_quota": "-1",
+           "d2d_quota": "0", "sweep_variable": "n_noise", "sweep_values": "0",
+           "replications": "0", "methods": "foo", "workers": "0"}
+UNRULED = {"d2d_interference", "stabilize", "social_edge_file"}
+
+
+def test_every_config_key_has_a_rule_or_is_listed_without_one():
+    keys = {field.name for field in dataclasses.fields(ScenarioConfig)}
+    assert keys == REFUSED.keys() | UNRULED and not REFUSED.keys() & UNRULED
+    for key, value in REFUSED.items():
+        with pytest.raises(ConfigError, match=key):
+            apply_overrides(ScenarioConfig(), [f"{key}={value}"])
+
+
 RADIO_BOUNDS = ["n_scbs=0", "n_ues=0", "subcarriers=0", "macro_radius_m=0",
                 "system_bandwidth_hz=0", "scbs_radius_m=0", "d2d_radius_m=0",
                 "d2d_pathloss_alpha=0", "min_distance_m=0", "scbs_pathloss_slope_db=-36.7",
@@ -453,8 +520,9 @@ def test_out_of_bounds_radio_values_are_usage_errors(command, override, run_cfg,
     assert not out.exists()
 
 
-#: The float keys of the drop and the radio, each drawn in its range, at
-#: zero, the smallest and largest magnitudes and its bounds, or anywhere.
+#: The float keys of the drop, the radio and the social graph, each drawn in
+#: its range, at zero, the smallest and largest magnitudes and its bounds, or
+#: anywhere.
 RADIO_FLOATS = sorted(_RANGES)
 SHRUNKEN = ScenarioConfig(n_scbs=2, n_ues=6, macro_radius_m=80.0, max_iterations=20)
 
@@ -492,9 +560,11 @@ def finite_outputs(out: Path) -> bool:
        .flatmap(lambda keys: st.fixed_dictionaries({key: radio_value(key) for key in keys})))
 @example({"scbs_pathloss_slope_db": 1e308})
 @example({"system_bandwidth_hz": 1e-300})
+@example({"alpha": 0.9, "beta": 0.1})
 def test_radio_floats_are_refused_or_give_finite_outputs(keys):
-    """One to three drop or radio floats at once either fail to parse (exit
-    1, no --out) or give a shrunken run that writes only finite numbers."""
+    """One to three drop, radio or social floats at once either fail to parse
+    (exit 1, no --out) or give a shrunken run that writes only finite
+    numbers."""
     flags = [f"{key}={value!r}" for key, value in keys.items()]
     try:
         apply_overrides(SHRUNKEN, flags)
@@ -524,6 +594,11 @@ def test_validate_rejects_out_of_bounds_engine_values(override, message, capsys)
     assert main(["validate", "--override", override, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_validate_reads_the_seed_flag_too(capsys):
+    assert main(["validate", "--seed", "-1", "--quiet"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_a_usage_error(capsys):
@@ -558,7 +633,7 @@ def test_unreadable_matching_file_is_a_usage_error(case, run_cfg, tmp_path, caps
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_unreadable_social_edge_file_is_a_usage_error(command, run_cfg, sweep_cfg,
                                                       tmp_path, capsys):
-    # read as the replications build, after sweep has made --out
+    # read as the replications build, before either command makes --out
     cfg = run_cfg if command == "run" else sweep_cfg
     missing, out = tmp_path / "no-such-edges.txt", tmp_path / "o"
     rc = main([command, "--config", cfg, "--override", "social_model=edges",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from socialcell import harness, matching, socialgraph
-from socialcell.config import (ScenarioConfig, engine_config_from_config,
+from socialcell.config import (METHOD_NAMES, ScenarioConfig, engine_config_from_config,
                                scenario_from_config, social_graph_from_config)
 from socialcell.errors import ConfigError, SocialCellError
 from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL,
@@ -69,6 +69,11 @@ def test_spec_validation_rejects_bad_fields():
                 dict(good, workers=0)):
         with pytest.raises(ConfigError):
             ExperimentSpec(**bad)
+
+
+def test_the_method_table_names_exactly_the_config_methods():
+    # the config decides which names are valid, the table what each one runs
+    assert tuple(harness.METHODS) == METHOD_NAMES
 
 
 def test_spec_from_config_requires_a_sweep_variable():
