@@ -11,9 +11,8 @@ The package splits into five layers:
 * :mod:`socialcell.cli` -- the ``socialcell`` command line front end
 """
 
-from .config import (ScenarioConfig, apply_overrides, config_as_dict,
-                     config_sha, dump_config, engine_config_from_config,
-                     load_config, scenario_from_config,
+from .config import (ScenarioConfig, config_as_dict, config_sha, dump_config,
+                     engine_config_from_config, load_config, scenario_from_config,
                      social_graph_from_config)
 from .errors import ConfigError, InputError, LinkRangeError, SocialCellError
 from .harness import (METHOD_BASELINE, METHOD_SOCIAL, ExperimentSpec,
@@ -34,7 +33,7 @@ __all__ = [
     "InputError", "LinkBudget", "LinkRangeError", "Matching",
     "METHOD_BASELINE", "METHOD_SOCIAL", "RadioScenario",
     "ScenarioConfig", "SocialCellError", "SocialGraph",
-    "anneal_on_problem", "anneal_problems", "apply_overrides", "audit_stability",
+    "anneal_on_problem", "anneal_problems", "audit_stability",
     "build_problem", "channel_gain", "config_as_dict",
     "config_sha", "dump_config", "edge_betweenness", "elect_important_ues",
     "engine_config_from_config", "graph_from_edges",

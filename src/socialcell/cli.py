@@ -116,7 +116,7 @@ def cmd_audit(args) -> int:
         raise ConfigError(
             f"matching file was produced under config {saved_sha}, current "
             f"config hashes to {sha}; re-run before auditing")
-    _, problem = harness.build_replication(cfg, 0, 0)
+    [problem] = harness.build_replications(cfg, 0, [0])
     assign = matching.assignment_from_rows(problem, rows)
     violations = matching.audit_stability(problem, assign)
     if not violations:

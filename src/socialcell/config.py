@@ -148,6 +148,12 @@ class ScenarioConfig:
             raise ConfigError(f"alpha + beta must equal 1, got {self.alpha + self.beta}")
         if self.social_model == "edges" and not self.social_edge_file:
             raise ConfigError("social_model=edges needs social_edge_file")
+        # config text cuts a value at `#` and at each line break that
+        # `str.splitlines` knows, so `dump_config` could not write it back
+        path = self.social_edge_file
+        if "#" in path or "".join(path.splitlines()) != path:
+            raise ConfigError(f"social_edge_file must hold no '#' or line break, "
+                              f"got {path!r}")
         if self.sweep_variable and not self.sweep_values:
             raise ConfigError(f"sweep_values must not be empty when sweeping "
                               f"{self.sweep_variable}")
@@ -229,11 +235,6 @@ def _text_items(text: str) -> Iterator[tuple[str, str]]:
             yield f"line {lineno}", line
 
 
-def parse_config_text(text: str) -> ScenarioConfig:
-    """The defaults updated by the `key = value` lines of `text`."""
-    return ScenarioConfig(**_update(_text_items(text)))
-
-
 def load_config(path="", overrides: Sequence[str] = ()) -> ScenarioConfig:
     """The defaults updated by the config file at `path` (none if empty), then
     by KEY=VALUE `overrides`, in one update, so every rule, cross-key ones
@@ -247,11 +248,6 @@ def load_config(path="", overrides: Sequence[str] = ()) -> ScenarioConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     items = [*_text_items(text), *(("override", item) for item in overrides)]
     return ScenarioConfig(**_update(items))
-
-
-def apply_overrides(cfg: ScenarioConfig, overrides: Sequence[str]) -> ScenarioConfig:
-    """cfg updated by repeatable KEY=VALUE command-line overrides."""
-    return dataclasses.replace(cfg, **_update(("override", item) for item in overrides))
 
 
 def dump_config(cfg: ScenarioConfig) -> str:

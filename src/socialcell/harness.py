@@ -1,10 +1,13 @@
 """Seeded Monte Carlo sweeps comparing social-aware matching with max-RSSI.
 
-There is one path from a cell to its matchings.  `METHODS` maps each
-method name to the function that finds its matchings for a point's
-problems, and `point_cells` builds a point, runs each configured method
-and evaluates every (replication, method) cell in one `reports` pass.  A
-sweep maps it over its points; `cli run` is its cell (0, 0).
+There is one path from a cell to its matchings.  A point's stages pass
+plain lists: `build_replications` takes the point's replications and
+returns their problems in the same order, and `METHODS` maps each method
+name to the function that takes those problems and returns their
+matchings in the same order.  `point_cells` builds a point, runs each
+configured method and evaluates every (replication, method) cell in one
+`reports` pass.  A sweep maps it over its points; `cli run` is its cell
+(0, 0).
 
 Every (sweep point, replication) cell derives its own seeds from the base
 seed through numpy's SeedSequence, so single replications can be re-run in
@@ -22,7 +25,7 @@ import dataclasses
 import datetime
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .config import (METHOD_BASELINE, METHOD_SOCIAL, ScenarioConfig, config_as_d
 from .errors import ConfigError, SocialCellError
 from .matching import (AssociationProblem, anneal_problems, build_problem,
                        greedy_stabilize, reports)
-from .radio import RadioScenario, scbs_reception, subcarrier_offsets
+from .radio import scbs_reception, subcarrier_offsets
 from .socialgraph import social_pipelines
 
 #: Human-readable statement of the seed derivation, echoed into summaries.
@@ -138,10 +141,11 @@ class ExperimentResult:
     aggregates: tuple[PointAggregate, ...]
 
 
-def build_replications(cfg: ScenarioConfig, point_index: int, replications: Iterable[int]
-                       ) -> list[tuple[RadioScenario, AssociationProblem]]:
-    """Scenario and association problem of each (sweep point, replication)
-    cell of one point, in the order of `replications`.
+def build_replications(cfg: ScenarioConfig, point_index: int, replications: Sequence[int]
+                       ) -> list[AssociationProblem]:
+    """The association problem of each (sweep point, replication) cell of
+    one point, in the order of `replications`; each keeps its drop as
+    `problem.scenario`.
 
     `cfg` already holds the point's value of the swept variable.  Topology,
     social graph and engine each draw from their own stream of cfg.seed.
@@ -156,7 +160,6 @@ def build_replications(cfg: ScenarioConfig, point_index: int, replications: Iter
     equals the one built alone.  Each X is taken as its problem is built
     and dropped once it is.
     """
-    replications = list(replications)
     stream_seeds = replication_seeds(cfg.seed, point_index, replications)
     offsets = subcarrier_offsets(stream_seeds[:, STREAM_TOPOLOGY], cfg.n_scbs, cfg.n_ues,
                                  cfg.subcarriers)
@@ -172,31 +175,24 @@ def build_replications(cfg: ScenarioConfig, point_index: int, replications: Iter
 
     def cell(scenario, graph, xmat, reception, offset, seeds):
         engine = engine_config_from_config(cfg, seed=seeds[STREAM_ENGINE])
-        return scenario, build_problem(scenario, graph, xmat, engine,
-                                       reception=reception, offsets=offset)
+        return build_problem(scenario, graph, xmat, engine, reception=reception,
+                             offsets=offset)
 
     # map: a comprehension's loop variable would keep one X alive into the next
     return list(map(cell, scenarios, graphs, xs, receptions, offsets, stream_seeds))
 
 
-def build_replication(cfg: ScenarioConfig, point_index: int,
-                      replication: int) -> tuple[RadioScenario, AssociationProblem]:
-    """Scenario and association problem of one (sweep point, replication)
-    cell: the one-cell case of `build_replications`."""
-    return build_replications(cfg, point_index, [replication])[0]
-
-
 def _social_aware(problems: Sequence[AssociationProblem], cfg: ScenarioConfig) -> list:
     """The searches side by side (`anneal_problems`), each matching settled
     by `greedy_stabilize` when cfg.stabilize is set."""
-    results = sorted(anneal_problems(problems), key=lambda indexed: indexed[0])
     return [(greedy_stabilize(problem, result.matching.assign).assign if cfg.stabilize
              else result.matching.assign, result.best_iteration, result)
-            for problem, (_, result) in zip(problems, results)]
+            for problem, result in zip(problems, anneal_problems(problems))]
 
 
 #: The matchings of a point's problems under each of `config.METHOD_NAMES`, as
-#: `point_cells` runs them.
+#: `point_cells` runs them: (assignment, iterations to the best welfare,
+#: search result or None) of each problem, in the order of the problems.
 METHODS = {METHOD_SOCIAL: _social_aware,
            METHOD_BASELINE: lambda problems, cfg: [(p.rssi_assignment, 0, None)
                                                    for p in problems]}
@@ -214,7 +210,7 @@ def point_cells(cfg: ScenarioConfig, point_index: int,
     every cell's (problem, assignment) pair, each report equal to that of
     its pair alone.
     """
-    problems = [problem for _, problem in build_replications(cfg, point_index, replications)]
+    problems = build_replications(cfg, point_index, replications)
     found = {method: METHODS[method](problems, cfg) for method in cfg.methods}
     cells = [(replication, method, problem, *found[method][i])
              for i, (replication, problem) in enumerate(zip(replications, problems))

@@ -49,8 +49,9 @@ from `_Draws`, which serves `np.random.default_rng(seed)`'s `random()` and
 changes a trace or a result.
 
 Each search is a chain that stops at its start state and at every state
-its memo lacks, and `anneal_problems` runs up to `_WINDOW` chains in
-lockstep: each round evaluates the waiting states of all live chains in
+its memo lacks.  `anneal_problems` takes a list of problems and returns
+their results as a list in the same order, running up to `_WINDOW` chains
+in lockstep: each round evaluates the waiting states of all live chains in
 one kernel call, so their problems must differ at most in S (all of a
 sweep point's do).  The chains share nothing and a kernel row does not
 depend on its neighbours, so each result equals that of the search run
@@ -64,7 +65,7 @@ one kernel call when they are few (`_BOUND_CELLS`), else inf.  Since a
 kernel row equals the row evaluated alone, no state of the walk can beat
 it, so once the search's best welfare reaches it, its best state and the
 iteration that found it are final (the bound test of branch and bound:
-Land and Doig, Econometrica 1960).  `anneal_problems` then yields the
+Land and Doig, Econometrica 1960).  `anneal_problems` then makes the
 result at once and frees its slot; the rest of the walk runs only when
 one of the result's other fields (`iterations_run`, `states_evaluated`,
 `moves`, `accepted_welfares`, `trace`) is first read, and gives exactly
@@ -104,7 +105,7 @@ _SWAP_SHARE = 0.5
 _WELFARE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds arrays: compares by identity
 class UtilityReport:
     """The evaluation of one assignment: per-UE utilities and achieved
     rates, per-serving-node utility sums, welfare and the unserved UEs."""
@@ -122,7 +123,7 @@ def serving_node(k: int, n_scbs: int, relay_ues: np.ndarray) -> tuple[str, int]:
     return (SN_SCBS, k) if k < n_scbs else (SN_RELAY, int(relay_ues[k - n_scbs]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds arrays: compares by identity
 class Matching:
     """Assignment of each UE to a serving-node index (-1 = unserved) over
     n_scbs SCBSs and the relays `relay_ues`."""
@@ -174,26 +175,7 @@ class _WalkRecord(NamedTuple):
     accepted_welfares: tuple[float, ...]
 
 
-class _Walk:
-    """The `_WalkRecord` of a search: given, or, for a search handed over
-    at its bound, run to the end by `_finish_walk` when first read."""
-
-    __slots__ = ("_record", "_rest")
-
-    def __init__(self, record: _WalkRecord | None = None,
-                 rest: tuple[AssociationProblem, Generator] | None = None):
-        self._record = record
-        self._rest = rest       # (problem, suspended chain) until it is run
-
-    @property
-    def record(self) -> _WalkRecord:
-        if self._record is None:
-            self._record = _finish_walk(*self._rest)
-            self._rest = None
-        return self._record
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds arrays: compares by identity
 class AnnealResult:
     """Outcome of one annealed search.
 
@@ -219,23 +201,31 @@ class AnnealResult:
     matching: Matching
     best_iteration: int
     start_welfare: float
-    _walk: _Walk = field(repr=False, compare=False)
+    #: the walk's record, or the (problem, suspended chain) of a search
+    #: handed over at its bound, swapped for the record when first read
+    _walk: _WalkRecord | tuple[AssociationProblem, Generator] = field(repr=False)
+
+    @property
+    def _record(self) -> _WalkRecord:
+        if not isinstance(self._walk, _WalkRecord):
+            object.__setattr__(self, "_walk", _finish_walk(*self._walk))
+        return self._walk
 
     @property
     def iterations_run(self) -> int:
-        return self._walk.record.iterations_run
+        return self._record.iterations_run
 
     @property
     def states_evaluated(self) -> int:
-        return self._walk.record.states_evaluated
+        return self._record.states_evaluated
 
     @property
     def moves(self) -> bytes:
-        return self._walk.record.moves
+        return self._record.moves
 
     @property
     def accepted_welfares(self) -> tuple[float, ...]:
-        return self._walk.record.accepted_welfares
+        return self._record.accepted_welfares
 
     @property
     def trace(self) -> tuple[TraceRow, ...]:
@@ -680,15 +670,14 @@ _MEMO = 128
 def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
     """Run the annealed swap search on a prepared problem: `anneal_problems`
     over this one problem, with the whole walk run before it returns."""
-    [(_, result)] = anneal_problems([problem])
-    result._walk.record     # the rest of a walk handed over at its bound
+    [result] = anneal_problems([problem])
+    result._record          # the rest of a walk handed over at its bound
     return result
 
 
-def anneal_problems(problems: Iterable[AssociationProblem]
-                    ) -> Iterator[tuple[int, AnnealResult]]:
-    """Run the annealed swap search on each problem, and yield (index,
-    result) as each search ends or is handed over.
+def anneal_problems(problems: Sequence[AssociationProblem]) -> list[AnnealResult]:
+    """Run the annealed swap search on each problem; the results, in the
+    order of `problems`.
 
     The problems, like the pairs of `reports`, must differ at most in S
     (all of a sweep point's do); mixing kernel shapes raises ValueError
@@ -704,39 +693,39 @@ def anneal_problems(problems: Iterable[AssociationProblem]
 
     A chain whose best welfare reaches its `_reach_bound` hands over its
     best state, the iteration that found it and its start welfare, which
-    no later iteration can change.  Its result is yielded at once and its
+    no later iteration can change.  Its result is made at once and its
     slot freed; the suspended chain goes with the result, whose other
-    fields run the rest of its walk when first read (`_finish_walk`).
-    Problems are pulled from `problems` only as slots in the window free
-    up, and a chain leaves the window when it ends or is handed over, so
-    no more than `_WINDOW` searches run here at once.
+    fields run the rest of its walk when first read (`_finish_walk`).  A
+    chain starts only as a slot in the window frees up, and leaves the
+    window when it ends or is handed over, so no more than `_WINDOW`
+    searches run here at once.
     """
-    source = enumerate(problems)
-    live: list[list] = []   # [index, problem, search, waiting state]
+    results: list = [None] * len(problems)
+    waiting = iter(range(len(problems)))     # the problems whose chain has not started
+    live: list[list] = []   # [index, search, waiting state]
     tables = None           # the live chains' _stack_tables, kept while none joins or leaves
     while True:
-        for index, problem in islice(source, _WINDOW - len(live)):
-            search = _chain(problem)
-            live.append([index, problem, search, next(search)])   # its start state
+        for index in islice(waiting, _WINDOW - len(live)):
+            search = _chain(problems[index])
+            live.append([index, search, next(search)])      # its start state
             tables = None
         if not live:
-            return
+            return results
         if tables is None:
-            tables = _stack_tables([entry[1] for entry in live])
-        A = np.stack([entry[3] for entry in live], dtype=np.int64)
+            tables = _stack_tables([problems[entry[0]] for entry in live])
+        A = np.stack([entry[2] for entry in live], dtype=np.int64)
         for entry, w in zip(live, _evaluate_rows(*tables, A)[3].tolist()):
-            index, problem, search, _ = entry
+            index, search, _ = entry
             try:
-                entry[3] = search.send(w)
+                entry[2] = search.send(w)
             except StopIteration as end:
-                entry[3] = tables = None
-                yield index, end.value
+                results[index] = end.value
+                entry[2] = tables = None
                 continue
-            if isinstance(entry[3], tuple):     # handed over at its bound
-                settled = AnnealResult(*entry[3], _Walk(rest=(problem, search)))
-                entry[3] = tables = None
-                yield index, settled
-        live = [entry for entry in live if entry[3] is not None]
+            if isinstance(entry[2], tuple):     # handed over at its bound
+                results[index] = AnnealResult(*entry[2], (problems[index], search))
+                entry[2] = tables = None
+        live = [entry for entry in live if entry[2] is not None]
 
 
 #: Kernel cells, states x (S + 1) x M, that `_reach_bound` evaluates in its
@@ -917,8 +906,8 @@ def _chain(problem: AssociationProblem
             break
 
     return AnnealResult(problem.matching(best), best_iter, w_start,
-                        _Walk(_WalkRecord(iterations, misses, bytes(moves),
-                                          tuple(accepted_welfare))))
+                        _WalkRecord(iterations, misses, bytes(moves),
+                                    tuple(accepted_welfare)))
 
 
 def _finish_walk(problem: AssociationProblem, search: Generator) -> _WalkRecord:
@@ -931,7 +920,7 @@ def _finish_walk(problem: AssociationProblem, search: Generator) -> _WalkRecord:
                                np.stack([state], dtype=np.int64))[3]
             state = search.send(w.item())
     except StopIteration as end:
-        return end.value._walk.record
+        return end.value._walk
 
 
 def _trace_rows(w_start: float, moves: bytes,
@@ -1070,7 +1059,7 @@ def audit_stability(problem: AssociationProblem,
                                              _scan_order(problem, assign))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds arrays: compares by identity
 class StabilizeResult:
     assign: np.ndarray
     applied: int

@@ -41,7 +41,7 @@ def dbm_to_mw(dbm):
 # scenario
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds arrays: compares by identity
 class RadioScenario:
     """One drop of nodes under the run's radio parameters.
 

@@ -84,7 +84,7 @@ def vertex(ref: NodeRef, n_scbs: int, n_ues: int) -> int:
     raise InputError(f"unknown node {kind}{nid}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # holds arrays: compares by identity
 class SocialGraph:
     """Undirected, unweighted graph over N SCBSs and the UEs.
 

@@ -5,10 +5,12 @@ oracles: `per_proposal_anneal`, the loop that evaluates every proposal
 afresh and draws from `np.random.default_rng`, and numpy's generator itself.
 """
 
+import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -613,7 +615,7 @@ def test_oracle_cases_reach_their_paths(monkeypatch):
         assert (problem.start_assignment >= problem.n_scbs).any()
     finished = finished_walks(monkeypatch)
     for seed in ORACLE_SEEDS["desk"]:
-        [(_, res)] = anneal_problems([oracle_problem("desk", seed)])
+        [res] = anneal_problems([oracle_problem("desk", seed)])
         assert finished == []                       # handed over, not yet run on
         assert res.best_iteration < res.iterations_run // 2
         assert len(finished) == 1
@@ -730,9 +732,9 @@ def test_lockstep_equals_the_single_anneal(window, monkeypatch):
     monkeypatch.setattr(matching, "_WINDOW", window)
     got = {}
     for group in groups:
-        ran = dict(anneal_problems(problems[i] for i in group))
-        assert sorted(ran) == list(range(len(group)))
-        got.update((group[j], res) for j, res in ran.items())
+        ran = anneal_problems([problems[i] for i in group])
+        assert len(ran) == len(group)
+        got.update(zip(group, ran))
     for i, res in got.items():
         ref = want[i]
         assert res.trace == ref.trace
@@ -750,7 +752,7 @@ def test_a_window_of_mixed_s_makes_one_kernel_call_per_round(monkeypatch):
     row per round for its start state and each state its memo lacks, so
     there are as many rounds as the longer chain has rows."""
     cfg = ScenarioConfig(n_scbs=8, n_ues=100, macro_radius_m=100, seed=1, max_iterations=300)
-    problems = [harness.build_replication(cfg, 0, r)[1] for r in (3, 4)]
+    problems = harness.build_replications(cfg, 0, [3, 4])
     assert [p.n_sns for p in problems] == [16, 15]
     want = [anneal_on_problem(p) for p in problems]
     calls = []
@@ -761,13 +763,13 @@ def test_a_window_of_mixed_s_makes_one_kernel_call_per_round(monkeypatch):
         return evaluate_rows(shape, tables, A, cols)
 
     monkeypatch.setattr(matching, "_evaluate_rows", counting_rows)
-    got = dict(anneal_problems(problems))
-    chain_rows = [res.states_evaluated + 1 for res in got.values()]
+    got = anneal_problems(problems)
+    chain_rows = [res.states_evaluated + 1 for res in got]
     assert len(calls) == max(chain_rows)    # one call a round,
     assert sum(calls) == sum(chain_rows)    # one row per waiting chain,
     assert calls[0] == 2                    # the first holding both start states
     assert calls.count(2) > 50
-    for i, res in got.items():
+    for i, res in enumerate(got):
         assert res.trace == want[i].trace
         np.testing.assert_array_equal(res.matching.assign, want[i].matching.assign)
 
@@ -776,18 +778,15 @@ def test_lockstep_holds_at_most_a_window_of_problems(monkeypatch):
     monkeypatch.setattr(matching, "_WINDOW", 3)
     problems = lockstep_problems()
     problems = [problems[i] for i in max(kernel_shape_groups(problems), key=len)]
-    pulled = 0
+    assert len(problems) > 3
+    stack_tables, held = matching._stack_tables, []
 
-    def counting():
-        nonlocal pulled
-        for problem in problems:
-            pulled += 1
-            yield problem
+    def counting(stacked):
+        held.append(len(stacked))
+        return stack_tables(stacked)
 
-    held = []
-    for yielded, _ in enumerate(anneal_problems(counting())):
-        held.append(pulled - yielded)
-    assert len(held) == len(problems)
+    monkeypatch.setattr(matching, "_stack_tables", counting)
+    assert len(anneal_problems(problems)) == len(problems)
     assert max(held) == 3
 
 
@@ -907,29 +906,51 @@ def test_a_start_over_quota_is_capped_at_its_start_load(monkeypatch):
 
 def test_a_settled_chain_frees_its_window_slot(monkeypatch):
     """With a window of one, each desk search hands over at its bound and
-    the next problem is pulled before any walk is run on; each result
-    then equals the whole walk's."""
+    the next chain starts before any walk is run on; each result then
+    equals the whole walk's."""
     monkeypatch.setattr(matching, "_WINDOW", 1)
     problems = [oracle_problem("desk", seed) for seed in ORACLE_SEEDS["desk"]]
     want = [anneal_on_problem(p) for p in problems]
     finished = finished_walks(monkeypatch)
-    pulled = []
+    chain, started = matching._chain, []
 
-    def source():
-        for problem in problems:
-            pulled.append(len(finished))
-            yield problem
+    def spied_chain(problem):
+        started.append(len(finished))
+        return chain(problem)
 
-    got = dict(anneal_problems(source()))
-    assert pulled == [0, 0] and finished == []
-    for i, res in got.items():
-        ref = want[i]
+    monkeypatch.setattr(matching, "_chain", spied_chain)
+    got = anneal_problems(problems)
+    assert started == [0, 0] and finished == []
+    for ref, res in zip(want, got, strict=True):
         assert res.trace == ref.trace
         assert res.best_iteration == ref.best_iteration
         assert res.iterations_run == ref.iterations_run
         assert res.states_evaluated == ref.states_evaluated
         np.testing.assert_array_equal(res.matching.assign, ref.matching.assign)
     assert len(finished) == 2
+
+
+def test_a_settled_result_keeps_its_chain_until_a_walk_field_is_read(monkeypatch):
+    """A desk search handed over at its bound holds its suspended chain
+    until one of its walk fields is first read, and drops it then."""
+    chain, chains = matching._chain, []
+
+    def spied_chain(problem):
+        search = chain(problem)
+        chains.append(weakref.ref(search))
+        return search
+
+    monkeypatch.setattr(matching, "_chain", spied_chain)
+    [res] = anneal_problems([oracle_problem("desk", ORACLE_SEEDS["desk"][0])])
+    gc.collect()
+    assert len(chains) == 1 and chains[0]() is not None
+    assert res.iterations_run > res.best_iteration
+    gc.collect()
+    assert chains[0]() is None
+
+
+def test_no_problems_give_no_results():
+    assert anneal_problems([]) == []
 
 
 DRAW_SIZES = [1, 2, 3, 57, 2**31 - 1, 3 * 10**9, 2**32]

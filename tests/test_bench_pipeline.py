@@ -3,11 +3,16 @@
 The benchmark calls socialcell's public builders one layer at a time, with
 the signatures it was written against.  This drives that replay on a tiny
 stabilized sweep, bare and traced, so a change to any function it calls
-fails here rather than only in a benchmark run.
+fails here rather than only in a benchmark run.  It also runs
+perfbench/run.py once on a shrunken workload, end to end, for the calls
+run.py makes itself.
 """
 
 import importlib.util
+import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +21,8 @@ import pytest
 from socialcell.config import ScenarioConfig
 from socialcell.harness import ExperimentSpec, emit_results, run_experiment
 
-PIPELINE = Path(__file__).resolve().parents[1] / "perfbench" / "pipeline.py"
+ROOT = Path(__file__).resolve().parents[1]
+PIPELINE = ROOT / "perfbench" / "pipeline.py"
 
 
 def _load_pipeline():
@@ -67,3 +73,20 @@ def test_replay_equals_run_experiment_and_audits_clean(traced, tmp_path):
         assert all(math.isfinite(v) for v in metrics.values())
         assert metrics["matching.evaluate_calls"] > 0
 
+
+
+def test_the_bench_runs_a_shrunken_workload_end_to_end():
+    """run.py's warm-up, its `cli.main` sweep and its reference checks, on
+    desk-sweep's smoke shape: every operation passes, and the metrics are
+    the end-to-end ones BENCHMARK.json declares, in its units."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "desk-sweep",
+         "--seed", "7", "--seconds", "1", "--smoke", "--trace", "0"],
+        cwd=ROOT, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert ({name: metric["unit"] for name, metric in result["metrics"].items()}
+            == {metric["name"]: metric["unit"] for metric in declared["end_to_end"]})

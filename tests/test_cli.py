@@ -1,5 +1,6 @@
 """Command line interface: exit codes, outputs, determinism."""
 
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import socialcell
 from socialcell.cli import main
-from socialcell.config import _RANGES, ScenarioConfig, apply_overrides, dump_config
+from socialcell.config import _RANGES, ScenarioConfig, dump_config, load_config
 from socialcell.errors import ConfigError
 
 RUN_CFG = """\
@@ -188,8 +189,8 @@ def test_a_non_finite_run_result_exits_2(field, run_cfg, tmp_path, monkeypatch, 
         anneal = harness.anneal_problems
 
         def spoiled(problems):
-            for i, result in anneal(problems):
-                yield i, dataclasses.replace(result, start_welfare=float("inf"))
+            return [dataclasses.replace(result, start_welfare=float("inf"))
+                    for result in anneal(problems)]
 
         monkeypatch.setattr(harness, "anneal_problems", spoiled)
     out = tmp_path / "o"
@@ -484,8 +485,9 @@ REFUSED = {"n_scbs": "0", "n_ues": "0", "seed": "-1", "macro_radius_m": "0",
            "er_edge_prob": "-1", "similarity_normalization": "foo", "max_iterations": "0",
            "beta_start": "-1", "beta_end": "-1", "stall_window": "-1", "scbs_quota": "-1",
            "d2d_quota": "0", "sweep_variable": "n_noise", "sweep_values": "0",
-           "replications": "0", "methods": "foo", "workers": "0"}
-UNRULED = {"d2d_interference", "stabilize", "social_edge_file"}
+           "replications": "0", "methods": "foo", "workers": "0",
+           "social_edge_file": "ties#1.txt"}
+UNRULED = {"d2d_interference", "stabilize"}
 
 
 def test_every_config_key_has_a_rule_or_is_listed_without_one():
@@ -493,7 +495,31 @@ def test_every_config_key_has_a_rule_or_is_listed_without_one():
     assert keys == REFUSED.keys() | UNRULED and not REFUSED.keys() & UNRULED
     for key, value in REFUSED.items():
         with pytest.raises(ConfigError, match=key):
-            apply_overrides(ScenarioConfig(), [f"{key}={value}"])
+            load_config("", [f"{key}={value}"])
+
+
+def bench_workload_keys():
+    """The config keys of each workload of perfbench/run.py, read from its
+    source, as `{name: {key: value}}`."""
+    tree = ast.parse(Path(__file__).resolve().parents[1].joinpath("perfbench", "run.py")
+                     .read_text(encoding="utf-8"))
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["WORKLOADS"]]
+    return {name: workload["keys"] for name, workload in ast.literal_eval(table).items()}
+
+
+BENCH_KEYS = bench_workload_keys()
+
+
+@pytest.mark.parametrize("overrides", [
+    [], *([f"{k}={v}" for k, v in keys.items()] for keys in BENCH_KEYS.values()),
+    ["social_model=edges", "social_edge_file=ties/edges.txt"],
+], ids=["defaults", *BENCH_KEYS, "edges"])
+def test_a_dumped_config_reads_back_equal(overrides, tmp_path):
+    cfg = load_config("", overrides)
+    path = tmp_path / "dumped.cfg"
+    path.write_text(dump_config(cfg))
+    assert load_config(str(path)) == cfg
 
 
 RADIO_BOUNDS = ["n_scbs=0", "n_ues=0", "subcarriers=0", "macro_radius_m=0",
@@ -524,7 +550,8 @@ def test_out_of_bounds_radio_values_are_usage_errors(command, override, run_cfg,
 #: its range, at zero, the smallest and largest magnitudes and its bounds, or
 #: anywhere.
 RADIO_FLOATS = sorted(_RANGES)
-SHRUNKEN = ScenarioConfig(n_scbs=2, n_ues=6, macro_radius_m=80.0, max_iterations=20)
+SHRUNKEN_KEYS = ["n_scbs=2", "n_ues=6", "macro_radius_m=80.0", "max_iterations=20"]
+SHRUNKEN = load_config("", SHRUNKEN_KEYS)
 
 
 def radio_value(key):
@@ -567,7 +594,7 @@ def test_radio_floats_are_refused_or_give_finite_outputs(keys):
     numbers."""
     flags = [f"{key}={value!r}" for key, value in keys.items()]
     try:
-        apply_overrides(SHRUNKEN, flags)
+        load_config("", [*SHRUNKEN_KEYS, *flags])
         refused = False
     except ConfigError:
         refused = True

@@ -16,7 +16,7 @@ from socialcell.config import (METHOD_NAMES, ScenarioConfig, engine_config_from_
 from socialcell.errors import ConfigError, SocialCellError
 from socialcell.harness import (METHOD_BASELINE, METHOD_SOCIAL,
                                 STREAM_ENGINE, STREAM_SOCIAL, STREAM_TOPOLOGY,
-                                ExperimentSpec, aggregate, build_replication,
+                                ExperimentSpec, aggregate, build_replications,
                                 emit_results, replication_seed, run_experiment,
                                 sweep_csv_name)
 from socialcell.matching import anneal_on_problem, build_problem, greedy_stabilize
@@ -287,7 +287,8 @@ def test_a_sweep_builds_no_trace_rows(monkeypatch):
     run_experiment(ExperimentSpec.from_config(SMALL_CFG))
     assert calls == []
     # the spy sees the rows a reader of `trace` asks for
-    result = anneal_on_problem(build_replication(SMALL_CFG, 0, 0)[1])
+    [problem] = build_replications(SMALL_CFG, 0, [0])
+    result = anneal_on_problem(problem)
     assert len(result.trace) == result.iterations_run
     assert len(calls) == 1
 
@@ -312,9 +313,9 @@ def test_a_sweep_finishes_no_settled_walk(monkeypatch):
     # every search of the first point was handed over at its bound, and a
     # reader of a result's trace runs the rest of its walk, once
     cfg = dataclasses.replace(DESK_CFG, n_scbs=4)
-    problems = [build_replication(cfg, 0, r)[1] for r in range(3)]
+    problems = build_replications(cfg, 0, range(3))
     assert all(problem.servable.any() for problem in problems)
-    results = dict(matching.anneal_problems(problems))
+    results = matching.anneal_problems(problems)
     assert calls == []
     result = results[0]
     assert len(result.trace) == result.iterations_run > result.best_iteration

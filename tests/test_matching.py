@@ -887,7 +887,23 @@ def test_a_stack_of_mixed_shapes_raises():
         with pytest.raises(ValueError, match="mixes"):
             matching._stack_tables(same + [odd])
         with pytest.raises(ValueError, match="mixes"):
-            dict(matching.anneal_problems(same + [odd]))
+            matching.anneal_problems(same + [odd])
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    """Each record that holds arrays compares and hashes without raising:
+    by identity, so two built apart from the same inputs differ."""
+    def records():
+        inst = clustered_instance(3)
+        problem, start = inst.problem, inst.problem.start_assignment
+        return [problem.evaluate(start), problem.matching(start), inst.scenario,
+                matching.anneal_on_problem(problem), greedy_stabilize(problem, start),
+                inst.graph]
+
+    for one, other in zip(records(), records(), strict=True):
+        assert type(one) is type(other)
+        assert one == one and one != other
+        assert hash(one) == hash(one) and isinstance(hash(other), int)
 
 
 # --------------------------------------------------------------------------

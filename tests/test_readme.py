@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import socialcell
-from socialcell.config import parse_config_text
+from socialcell.config import load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,12 +17,14 @@ def test_readme_library_block_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-def test_readme_config_block_parses():
+def test_readme_config_block_parses(tmp_path):
     text = README.read_text(encoding="utf-8")
     blocks = re.findall(r"```ini\n(.*?)```", text, re.DOTALL)
     assert blocks
+    path = tmp_path / "readme.cfg"
     for block in blocks:
-        parse_config_text(block)
+        path.write_text(block, encoding="utf-8")
+        load_config(str(path))
 
 
 def test_every_exported_name_imports():
