@@ -313,8 +313,10 @@ def emit_results(result: ExperimentResult, out_dir) -> dict[str, str]:
     row or an aggregate raises SocialCellError, naming its column, before
     any file is written.
     """
-    for record in (*result.rows, *result.aggregates):
-        check_finite(dataclasses.asdict(record), f"x = {record.x}, method {record.method}")
+    rows = [dataclasses.asdict(r) for r in result.rows]
+    points = [dataclasses.asdict(a) for a in result.aggregates]
+    for record in (*rows, *points):
+        check_finite(record, f"x = {record['x']}, method {record['method']}")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
@@ -344,8 +346,8 @@ def emit_results(result: ExperimentResult, out_dir) -> dict[str, str]:
         "methods": list(result.spec.methods),
         "base_seed": result.spec.base_seed,
         "seed_derivation": SEED_DERIVATION,
-        "points": [dataclasses.asdict(a) for a in result.aggregates],
-        "rows": [dataclasses.asdict(r) for r in result.rows],
+        "points": points,
+        "rows": rows,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     import json

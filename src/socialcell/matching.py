@@ -55,22 +55,21 @@ in lockstep: each round evaluates the waiting states of all live chains in
 one kernel call, so their problems must differ at most in S (all of a
 sweep point's do).  The chains share nothing and a kernel row does not
 depend on its neighbours, so each result equals that of the search run
-alone; `anneal_on_problem` is `anneal_problems` over one problem.  For the
-same reason `reports` evaluates (problem, assignment) pairs `_WINDOW` to a
-kernel call, each report equal to the pair's own `problem.evaluate`.
+alone, as `anneal_on_problem` runs one.  For the same reason `reports`
+evaluates (problem, assignment) pairs `_WINDOW` to a kernel call, each
+report equal to the pair's own `problem.evaluate`.
 
-Each search also has an exact bound, `_reach_bound`: the highest welfare
-among the states its walk could ever reach, enumerated and evaluated in
-one kernel call when they are few (`_BOUND_CELLS`), else inf.  Since a
-kernel row equals the row evaluated alone, no state of the walk can beat
-it, so once the search's best welfare reaches it, its best state and the
-iteration that found it are final (the bound test of branch and bound:
-Land and Doig, Econometrica 1960).  `anneal_problems` then makes the
-result at once and frees its slot; the rest of the walk runs only when
-one of the result's other fields (`iterations_run`, `states_evaluated`,
-`moves`, `accepted_welfares`, `trace`) is first read, and gives exactly
-what the whole walk gives.  A sweep reads only the matching and
-`best_iteration`, so it never runs a settled walk's rest.
+Each search of `anneal_problems` also has an exact bound, `_reach_bound`:
+the highest welfare among the states its walk could ever reach, enumerated
+and evaluated in one kernel call when they are few (`_BOUND_CELLS`), else
+inf.  Since a kernel row equals the row evaluated alone, no state of the
+walk can beat it, so once the search's best welfare reaches it, its best
+state and the iteration that found it are final (the bound test of branch
+and bound: Land and Doig, Econometrica 1960), and the chain returns.  The
+walk is a pure function of its problem, so the result's other fields
+(`iterations_run`, `states_evaluated`, `moves`, `accepted_welfares`,
+`trace`) come from `anneal_on_problem` running it again, whole, when one
+is first read.  A sweep reads none of them.
 """
 
 from __future__ import annotations
@@ -180,11 +179,10 @@ class AnnealResult:
     """Outcome of one annealed search.
 
     `matching`, `best_iteration` and `start_welfare` are set when the
-    result is made.  A search whose best welfare reaches its `_reach_bound`
-    is handed over at that iteration, since no later state can change its
-    best state or the iteration that found it.  The rest of its walk runs
-    only when one of the other fields is first read, and then gives
-    exactly what the whole walk gives.  So a caller that reads only the
+    result is made.  A search that reaches its `_reach_bound` ends there,
+    since no later state can change them, and keeps its problem in place
+    of the walk's record; the first read of another field runs the whole
+    walk again (`anneal_on_problem`).  So a caller that reads only the
     matching and `best_iteration`, as a sweep does, never runs it.
 
     states_evaluated counts the proposals the search evaluated, that is its
@@ -201,14 +199,14 @@ class AnnealResult:
     matching: Matching
     best_iteration: int
     start_welfare: float
-    #: the walk's record, or the (problem, suspended chain) of a search
-    #: handed over at its bound, swapped for the record when first read
-    _walk: _WalkRecord | tuple[AssociationProblem, Generator] = field(repr=False)
+    #: the walk's record, or the problem of a search that returned at its
+    #: bound, swapped for the record of its lone walk when first read
+    _walk: _WalkRecord | AssociationProblem = field(repr=False)
 
     @property
     def _record(self) -> _WalkRecord:
         if not isinstance(self._walk, _WalkRecord):
-            object.__setattr__(self, "_walk", _finish_walk(*self._walk))
+            object.__setattr__(self, "_walk", anneal_on_problem(self._walk)._walk)
         return self._walk
 
     @property
@@ -668,11 +666,18 @@ _MEMO = 128
 
 
 def anneal_on_problem(problem: AssociationProblem) -> AnnealResult:
-    """Run the annealed swap search on a prepared problem: `anneal_problems`
-    over this one problem, with the whole walk run before it returns."""
-    [result] = anneal_problems([problem])
-    result._record          # the rest of a walk handed over at its bound
-    return result
+    """Run the annealed swap search on a prepared problem: one unbounded
+    chain (`_chain`) run to its end, one kernel row per state its memo
+    lacks.  The result equals `anneal_problems`' and holds the walk's record."""
+    search = _chain(problem, False)
+    try:
+        state = next(search)
+        while True:
+            w = _evaluate_rows(problem._shape, problem._node_tables,
+                               np.stack([state], dtype=np.int64))[3]
+            state = search.send(w.item())
+    except StopIteration as end:
+        return end.value
 
 
 def anneal_problems(problems: Sequence[AssociationProblem]) -> list[AnnealResult]:
@@ -681,24 +686,20 @@ def anneal_problems(problems: Sequence[AssociationProblem]) -> list[AnnealResult
 
     The problems, like the pairs of `reports`, must differ at most in S
     (all of a sweep point's do); mixing kernel shapes raises ValueError
-    from `_stack_tables`.  Each search is a chain (`_chain`) that stops at
-    its start state and at every proposal its memo lacks.  Up to `_WINDOW`
-    chains run in lockstep, as Lee, Yau, Giles, Doucet and Holmes (JCGS
-    2010) run independent Monte Carlo chains: each round evaluates the
-    waiting state of every live chain (a chain that joins waits at its
+    from `_stack_tables`.  Each search is a bounded chain (`_chain`) that
+    stops at its start state and at every proposal its memo lacks.  Up to
+    `_WINDOW` chains run in lockstep, as Lee, Yau, Giles, Doucet and Holmes
+    (JCGS 2010) run independent Monte Carlo chains: each round evaluates
+    the waiting state of every live chain (a chain that joins waits at its
     start state) in one `_evaluate_rows` call, and runs each chain on to
-    its next miss, its hand-over or its end.  The chains share nothing,
-    and a kernel row does not depend on the rows beside it, so every
-    result equals that of the chain run alone.
+    its next miss or until it returns.  The chains share nothing, and a
+    kernel row does not depend on the rows beside it, so every result
+    equals that of the chain run alone.
 
-    A chain whose best welfare reaches its `_reach_bound` hands over its
-    best state, the iteration that found it and its start welfare, which
-    no later iteration can change.  Its result is made at once and its
-    slot freed; the suspended chain goes with the result, whose other
-    fields run the rest of its walk when first read (`_finish_walk`).  A
-    chain starts only as a slot in the window frees up, and leaves the
-    window when it ends or is handed over, so no more than `_WINDOW`
-    searches run here at once.
+    A chain that reaches its `_reach_bound` returns at once, its result
+    holding the problem in place of the walk's record.  A chain starts only
+    as a slot in the window frees up and is dropped when it returns, so no
+    more than `_WINDOW` searches run here at once.
     """
     results: list = [None] * len(problems)
     waiting = iter(range(len(problems)))     # the problems whose chain has not started
@@ -706,7 +707,7 @@ def anneal_problems(problems: Sequence[AssociationProblem]) -> list[AnnealResult
     tables = None           # the live chains' _stack_tables, kept while none joins or leaves
     while True:
         for index in islice(waiting, _WINDOW - len(live)):
-            search = _chain(problems[index])
+            search = _chain(problems[index], True)
             live.append([index, search, next(search)])      # its start state
             tables = None
         if not live:
@@ -715,15 +716,10 @@ def anneal_problems(problems: Sequence[AssociationProblem]) -> list[AnnealResult
             tables = _stack_tables([problems[entry[0]] for entry in live])
         A = np.stack([entry[2] for entry in live], dtype=np.int64)
         for entry, w in zip(live, _evaluate_rows(*tables, A)[3].tolist()):
-            index, search, _ = entry
             try:
-                entry[2] = search.send(w)
+                entry[2] = entry[1].send(w)
             except StopIteration as end:
-                results[index] = end.value
-                entry[2] = tables = None
-                continue
-            if isinstance(entry[2], tuple):     # handed over at its bound
-                results[index] = AnnealResult(*entry[2], (problems[index], search))
+                results[entry[0]] = end.value
                 entry[2] = tables = None
         live = [entry for entry in live if entry[2] is not None]
 
@@ -777,8 +773,8 @@ def _reach_bound(problem: AssociationProblem, w_start: float) -> float:
     return float(_evaluate_rows(problem._shape, problem._node_tables, A)[3].max())
 
 
-def _chain(problem: AssociationProblem
-           ) -> Generator[np.ndarray | tuple, float | None, AnnealResult]:
+def _chain(problem: AssociationProblem, bounded: bool
+           ) -> Generator[np.ndarray, float, AnnealResult]:
     """The annealed swap search on one problem, as a generator.
 
     Each iteration draws a pair swap (with probability _SWAP_SHARE) or a
@@ -790,17 +786,18 @@ def _chain(problem: AssociationProblem
     the same keys evicts the oldest when a new state comes in.  The chain
     yields its start state and then each proposal the memo lacks, is sent
     back each one's welfare and returns its AnnealResult; it evaluates
-    nothing itself but its `_reach_bound`.  Random numbers come from
-    `_Draws`, equal draw for draw to `np.random.default_rng(cfg.seed)`.
-    Neither changes a result: evaluation is deterministic, so a trace
-    equals that of evaluating every proposal afresh.
+    nothing itself but a bounded chain's `_reach_bound`.  Random numbers
+    come from `_Draws`, equal draw for draw to
+    `np.random.default_rng(cfg.seed)`.  Neither changes a result:
+    evaluation is deterministic, so a trace equals that of evaluating every
+    proposal afresh.
 
-    At the top of each iteration the chain tests its best welfare against
-    its `_reach_bound`.  The first time the bound is reached, the best
-    state and the iteration that found it are final, since an improvement
-    must be strictly above the best: the chain then yields once (best
-    matching, best iteration, start welfare), is sent nothing back, and
-    goes on with its own draws and memo when next resumed.
+    A `bounded` chain tests its best welfare against its `_reach_bound` at
+    the top of each iteration.  Once it is reached, the best state and the
+    iteration that found it are final, since an improvement must be
+    strictly above the best, and the chain returns a result that holds the
+    problem in place of its walk's record.  The test draws nothing, so the
+    unbounded walk passes through the same states to the same best.
 
     A chain keeps little, since `_WINDOW` of them live at once: its states
     are held in the narrowest integer dtype that holds every node index, so
@@ -826,7 +823,7 @@ def _chain(problem: AssociationProblem
     reach = [nodes[begin:end] for begin, end in zip([0] + ends, ends)]
     pool = np.flatnonzero(problem.servable).tolist()
     w_start = w_cur = w_best = yield assign     # the start state, not counted
-    bound = _reach_bound(problem, w_start)
+    bound = _reach_bound(problem, w_start) if bounded else None
     memo = {assign.tobytes(): w_cur}        # state bytes -> welfare
     aged = deque(memo)                      # the memo's keys, oldest first
     misses = 0
@@ -843,9 +840,8 @@ def _chain(problem: AssociationProblem
     for t in range(1, cfg.max_iterations + 1):
         if not pool:
             break
-        if w_best >= bound:         # best and best_iter are final: hand them over
-            bound = math.inf
-            yield problem.matching(best), best_iter, w_start
+        if bound is not None and w_best >= bound:   # best and best_iter are final
+            return AnnealResult(problem.matching(best), best_iter, w_start, problem)
         iterations = t
         swap = random() < _SWAP_SHARE
         accepted = False
@@ -908,19 +904,6 @@ def _chain(problem: AssociationProblem
     return AnnealResult(problem.matching(best), best_iter, w_start,
                         _WalkRecord(iterations, misses, bytes(moves),
                                     tuple(accepted_welfare)))
-
-
-def _finish_walk(problem: AssociationProblem, search: Generator) -> _WalkRecord:
-    """Run a chain handed over at its bound on to its end, evaluating each
-    state its memo lacks alone, and return its walk's record."""
-    try:
-        state = next(search)
-        while True:
-            w = _evaluate_rows(problem._shape, problem._node_tables,
-                               np.stack([state], dtype=np.int64))[3]
-            state = search.send(w.item())
-    except StopIteration as end:
-        return end.value._walk
 
 
 def _trace_rows(w_start: float, moves: bytes,

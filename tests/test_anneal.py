@@ -595,31 +595,33 @@ def test_anneal_equals_the_per_proposal_loop(case, seed):
     np.testing.assert_array_equal(res.matching.assign, best)
 
 
-def finished_walks(monkeypatch):
-    """Make `_finish_walk` record each walk it runs to the end."""
-    finish_walk, calls = matching._finish_walk, []
+def lone_walks(monkeypatch):
+    """Make `anneal_on_problem`, which a result ended at its bound calls on
+    the first read of a walk field, record each problem it walks."""
+    lone_walk, calls = matching.anneal_on_problem, []
 
-    def spy(problem, search):
+    def spy(problem):
         calls.append(problem)
-        return finish_walk(problem, search)
+        return lone_walk(problem)
 
-    monkeypatch.setattr(matching, "_finish_walk", spy)
+    monkeypatch.setattr(matching, "anneal_on_problem", spy)
     return calls
 
 
 def test_oracle_cases_reach_their_paths(monkeypatch):
-    """The grid above covers a D2D-served seed state, and searches handed
-    over at their bound long before their walks end."""
+    """The grid above covers a D2D-served seed state, and searches ended
+    at their bound long before their walks end."""
     for seed in ORACLE_SEEDS["d2d-seed"]:
         problem = oracle_problem("d2d-seed", seed)
         assert (problem.start_assignment >= problem.n_scbs).any()
-    finished = finished_walks(monkeypatch)
+    walked = lone_walks(monkeypatch)
     for seed in ORACLE_SEEDS["desk"]:
-        [res] = anneal_problems([oracle_problem("desk", seed)])
-        assert finished == []                       # handed over, not yet run on
+        problem = oracle_problem("desk", seed)
+        [res] = anneal_problems([problem])
+        assert walked == []                         # ended at its bound, not walked again
         assert res.best_iteration < res.iterations_run // 2
-        assert len(finished) == 1
-        finished.clear()
+        assert walked == [problem]
+        walked.clear()
 
 
 def recorded_rows(monkeypatch, bound_rows=None):
@@ -674,8 +676,11 @@ def test_a_memo_that_evicts_equals_the_per_proposal_loop(case, seed, memo, monke
     trace, best_iter, iterations, best, _ = per_proposal_anneal(problem)
     bound_rows = []
     calls = recorded_rows(monkeypatch, bound_rows)
-    res = anneal_on_problem(problem)
+    anneal_problems([problem])          # a bounded chain
     assert bound_rows == [state.tobytes() for state in reach_states(problem)]
+    del calls[:], bound_rows[:]
+    res = anneal_on_problem(problem)
+    assert bound_rows == []             # the lone walk tests no bound
     proposals = calls[1:]               # the first row is the start state
     assert res.states_evaluated == len(proposals)
     assert len(set(proposals)) < len(proposals)     # evicted states came back
@@ -905,48 +910,53 @@ def test_a_start_over_quota_is_capped_at_its_start_load(monkeypatch):
 
 
 def test_a_settled_chain_frees_its_window_slot(monkeypatch):
-    """With a window of one, each desk search hands over at its bound and
-    the next chain starts before any walk is run on; each result then
+    """With a window of one, each desk search ends at its bound and the
+    next chain starts before any walk is run again; each result then
     equals the whole walk's."""
     monkeypatch.setattr(matching, "_WINDOW", 1)
     problems = [oracle_problem("desk", seed) for seed in ORACLE_SEEDS["desk"]]
     want = [anneal_on_problem(p) for p in problems]
-    finished = finished_walks(monkeypatch)
+    walked = lone_walks(monkeypatch)
     chain, started = matching._chain, []
 
-    def spied_chain(problem):
-        started.append(len(finished))
-        return chain(problem)
+    def spied_chain(problem, bounded):
+        started.append((len(walked), bounded))
+        return chain(problem, bounded)
 
     monkeypatch.setattr(matching, "_chain", spied_chain)
     got = anneal_problems(problems)
-    assert started == [0, 0] and finished == []
+    assert started == [(0, True), (0, True)] and walked == []
     for ref, res in zip(want, got, strict=True):
         assert res.trace == ref.trace
         assert res.best_iteration == ref.best_iteration
         assert res.iterations_run == ref.iterations_run
         assert res.states_evaluated == ref.states_evaluated
         np.testing.assert_array_equal(res.matching.assign, ref.matching.assign)
-    assert len(finished) == 2
+    assert walked == problems
 
 
-def test_a_settled_result_keeps_its_chain_until_a_walk_field_is_read(monkeypatch):
-    """A desk search handed over at its bound holds its suspended chain
-    until one of its walk fields is first read, and drops it then."""
+def test_a_settled_result_holds_no_chain_and_walks_again_once(monkeypatch):
+    """A desk search ended at its bound leaves no chain behind once
+    `anneal_problems` returns: its result holds the problem.  The first
+    read of a walk field runs exactly one lone walk, and later reads none."""
     chain, chains = matching._chain, []
 
-    def spied_chain(problem):
-        search = chain(problem)
+    def spied_chain(problem, bounded):
+        search = chain(problem, bounded)
         chains.append(weakref.ref(search))
         return search
 
     monkeypatch.setattr(matching, "_chain", spied_chain)
-    [res] = anneal_problems([oracle_problem("desk", ORACLE_SEEDS["desk"][0])])
+    problem = oracle_problem("desk", ORACLE_SEEDS["desk"][0])
+    [res] = anneal_problems([problem])
     gc.collect()
-    assert len(chains) == 1 and chains[0]() is not None
+    assert len(chains) == 1 and chains[0]() is None
+    assert res._walk is problem
+    walked = lone_walks(monkeypatch)
     assert res.iterations_run > res.best_iteration
-    gc.collect()
-    assert chains[0]() is None
+    assert walked == [problem] and len(chains) == 2
+    assert len(res.trace) == res.iterations_run and res.states_evaluated > 0
+    assert walked == [problem] and len(chains) == 2
 
 
 def test_no_problems_give_no_results():

@@ -4,7 +4,7 @@ The benchmark calls socialcell's public builders one layer at a time, with
 the signatures it was written against.  This drives that replay on a tiny
 stabilized sweep, bare and traced, so a change to any function it calls
 fails here rather than only in a benchmark run.  It also runs
-perfbench/run.py once on a shrunken workload, end to end, for the calls
+perfbench/run.py on each workload, shrunken, end to end, for the calls
 run.py makes itself.
 """
 
@@ -75,12 +75,13 @@ def test_replay_equals_run_experiment_and_audits_clean(traced, tmp_path):
 
 
 
-def test_the_bench_runs_a_shrunken_workload_end_to_end():
+@pytest.mark.parametrize("workload", ["desk-sweep", "wide-m500", "dense-stabilize"])
+def test_the_bench_runs_a_shrunken_workload_end_to_end(workload):
     """run.py's warm-up, its `cli.main` sweep and its reference checks, on
-    desk-sweep's smoke shape: every operation passes, and the metrics are
-    the end-to-end ones BENCHMARK.json declares, in its units."""
+    each workload's smoke shape: every operation passes, and the metrics
+    are the end-to-end ones BENCHMARK.json declares, in its units."""
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "desk-sweep",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "7", "--seconds", "1", "--smoke", "--trace", "0"],
         cwd=ROOT, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, timeout=600)

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import socialcell
+from socialcell import matching
 from socialcell.cli import main
 from socialcell.config import _RANGES, ScenarioConfig, dump_config, load_config
 from socialcell.errors import ConfigError
@@ -220,6 +221,44 @@ def test_run_outputs_match_pinned_digests(tmp_path):
     assert main(["run", *RELAY_RUN, "--out", str(out), "--quiet"]) == 0
     assert ",relay," in (out / "matching_social-aware.csv").read_text()
     for name, want in RELAY_RUN_PINS.items():
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == want, (
+            f"{name} changed (sha256 {got}).  Run outputs are pinned: a change "
+            "that alters them must name the change in CHANGES.md and update the pin.")
+
+
+#: The stock config at seed 8: the social-aware search ends at its bound
+#: at best_iteration 190, and writing its trace runs the whole walk again,
+#: 2,047 iterations with 76 acceptances.
+BOUND_RUN = ["--seed", "8"]
+
+#: sha256 of what `run` writes for BOUND_RUN, besides the timed metrics.json.
+BOUND_RUN_PINS = {
+    "positions.csv": "0266229f8b0406e15c41345545276047648558b3729dbc094addc5236f4060ce",
+    "matching_max-rssi.csv": "0b439d7b901ccfbbdf871308c9d9cfe1b3042e9f72c53ac976b630108189133f",
+    "matching_social-aware.csv":
+        "92a3a299c1840040df9980ef0cef13ce73b0c76345d481fc158466a740ae32bc",
+    "trace_social-aware.csv": "06925dbc68d11fdb7a37530865d872d26c8dadd4bef74172cd58f9640376f5d1",
+}
+
+
+def test_a_run_ended_at_its_bound_writes_the_whole_walk(tmp_path, monkeypatch):
+    lone_walk, walked = matching.anneal_on_problem, []
+
+    def spy(problem):
+        walked.append(problem)
+        return lone_walk(problem)
+
+    monkeypatch.setattr(matching, "anneal_on_problem", spy)
+    out = tmp_path / "out"
+    assert main(["run", *BOUND_RUN, "--out", str(out), "--quiet"]) == 0
+    assert len(walked) == 1
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["methods"]["social-aware"]["iterations"] == 190
+    trace = (out / "trace_social-aware.csv").read_text().splitlines()[1:]
+    assert len(trace) == 2047
+    assert sum(row.split(",")[3] == "1" for row in trace) == 76
+    for name, want in BOUND_RUN_PINS.items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == want, (
             f"{name} changed (sha256 {got}).  Run outputs are pinned: a change "

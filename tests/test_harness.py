@@ -301,17 +301,17 @@ DESK_CFG = ScenarioConfig(n_ues=60, seed=1, sweep_variable="n_scbs", sweep_value
 
 def test_a_sweep_finishes_no_settled_walk(monkeypatch):
     calls = []
-    finish_walk = matching._finish_walk
+    lone_walk = matching.anneal_on_problem
 
-    def spy(*args):
-        calls.append(args)
-        return finish_walk(*args)
+    def spy(problem):
+        calls.append(problem)
+        return lone_walk(problem)
 
-    monkeypatch.setattr(matching, "_finish_walk", spy)
+    monkeypatch.setattr(matching, "anneal_on_problem", spy)
     run_experiment(ExperimentSpec.from_config(DESK_CFG))
     assert calls == []
-    # every search of the first point was handed over at its bound, and a
-    # reader of a result's trace runs the rest of its walk, once
+    # every search of the first point ended at its bound, and a reader of
+    # a result's trace runs its walk again, once
     cfg = dataclasses.replace(DESK_CFG, n_scbs=4)
     problems = build_replications(cfg, 0, range(3))
     assert all(problem.servable.any() for problem in problems)
@@ -319,7 +319,7 @@ def test_a_sweep_finishes_no_settled_walk(monkeypatch):
     assert calls == []
     result = results[0]
     assert len(result.trace) == result.iterations_run > result.best_iteration
-    assert len(calls) == 1
+    assert calls == [problems[0]]
 
 
 def test_aggregate_on_plain_row_lists(small_result):
